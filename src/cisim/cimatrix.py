@@ -148,8 +148,12 @@ def count_gamma(norb: int, eta: int) -> int:
 
 
 def term_value(gamma: GammaIndex, src: Determinant, dst: Determinant,
-               diff, table: IntegralTable) -> complex:
-    """Value of one labelled term at (src, dst), given their diff report."""
+               diff, table):
+    """Value of one labelled term at (src, dst), given their diff report.
+
+    ``table`` is any source of ``h1``/``g``: one value per integral from an
+    :class:`IntegralTable`, an array of grid-point terms from quadrature.
+    """
     c = gamma.color
     if c.p == 0 and c.q == 0:
         occ = src.occ
@@ -157,9 +161,9 @@ def term_value(gamma: GammaIndex, src: Determinant, dst: Determinant,
         if j > src.eta:
             raise MalformedGamma("diagonal selector beyond eta")
         if i == j:
-            return complex(table.h1(occ[i - 1], occ[i - 1]))
+            return table.h1(occ[i - 1], occ[i - 1])
         a, b = occ[i - 1], occ[j - 1]
-        return complex(table.g(a, b, a, b) - table.g(a, b, b, a))
+        return table.g(a, b, a, b) - table.g(a, b, b, a)
     if c.p == 0:
         k = src.occ[diff.positions_left[0] - 1]
         l = dst.occ[diff.positions_right[0] - 1]
@@ -170,11 +174,10 @@ def term_value(gamma: GammaIndex, src: Determinant, dst: Determinant,
             val = table.g(k, chi, l, chi) - table.g(k, chi, chi, l)
         else:
             raise MalformedGamma("single-difference selector beyond eta")
-        return diff.sign * complex(val)
+        return diff.sign * val
     x1, x2 = (src.occ[p - 1] for p in diff.positions_left)
     y1, y2 = (dst.occ[p - 1] for p in diff.positions_right)
-    return diff.sign * complex(
-        table.g(x1, x2, y1, y2) - table.g(x1, x2, y2, y1))
+    return diff.sign * (table.g(x1, x2, y1, y2) - table.g(x1, x2, y2, y1))
 
 
 def gamma_entry(gamma: GammaIndex, alpha: Determinant,

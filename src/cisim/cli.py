@@ -12,15 +12,12 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from .cimatrix import build_ci_matrix, gamma_census
 from .coloring import coloring_census
 from .determinants import enumerate_basis
-from .driver import (budget_errors, build_term_family, count_gamma,
-                     embed_plus, exact_evolve, extract_plus, ingest,
-                     load_config, run_pipeline)
-from .lcu import evolve
+from .driver import (budget_errors, certified_bounds, count_gamma, ingest,
+                     load_config, run_pipeline, validate_config)
+from .errors import CisimError
 from .quadrature import (delta_for_grid, plan_quadrature, riemann_S0,
                          riemann_S1, riemann_S2)
 
@@ -85,7 +82,7 @@ def cmd_coloring_check(args):
 
 def cmd_build_hamiltonian(args):
     config = _load(args)
-    _, table = ingest(config)
+    table = ingest(config)
     H = build_ci_matrix(table, config.eta)
     census = gamma_census(config.norb, config.eta)
     if args.output == "csv":
@@ -110,7 +107,8 @@ def cmd_build_hamiltonian(args):
 
 def cmd_quadrature(args):
     config = _load(args)
-    bounds, table = ingest(config)
+    validate_config(config)
+    bounds = certified_bounds(config)
     idx = [int(x) for x in args.orbitals.split(",")]
     kind = args.kind
     zq = 1.0
@@ -149,28 +147,13 @@ def cmd_quadrature(args):
 
 
 def cmd_evolve(args):
-    config = _load(args)
-    bounds, table = ingest(config)
-    n_gamma = count_gamma(config.norb, config.eta)
-    delta, zeta, eps_taylor = budget_errors(config.epsilon, config.time,
-                                            n_gamma)
-    delta = float(config.overrides.get("delta", delta))
-    zeta = float(config.overrides.get("zeta", zeta))
-    family = build_term_family(table, config.eta, zeta, mode=args.mode,
-                               bounds=bounds, delta=delta,
-                               grid_cap=int(config.overrides.get("grid_cap", 256)))
-    H = build_ci_matrix(table, config.eta)
-    psi0 = np.zeros(H.shape[0], dtype=complex)
-    psi0[0] = 1.0
-    psi_out, info = evolve(family, embed_plus(psi0), config.time, eps_taylor)
-    psi_final, _ = extract_plus(psi_out)
-    ref = exact_evolve(H, psi0, config.time)
+    report = run_pipeline(_load(args), mode=args.mode)
     payload = {
-        "r": info.r,
-        "K": info.K,
-        "lambda": info.lam,
-        "per_segment_deviation": list(info.per_segment_deviation),
-        "final_error_vs_exact": float(np.linalg.norm(psi_final - ref)),
+        "r": report.dims["r"],
+        "K": report.dims["K"],
+        "lambda": report.dims["lambda"],
+        "per_segment_deviation": report.per_segment_deviation,
+        "final_error_vs_exact": report.l2_error_vs_exact,
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -237,7 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CisimError as exc:
+        # a rejected input is a one-line diagnosis, not a traceback
+        print(f"cisim: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -51,14 +51,6 @@ class Determinant:
             return self.norb + 1
         return self.occ[i - 1]
 
-    @property
-    def mask(self) -> int:
-        """Occupation bitmask; bit k-1 set when orbital k is occupied."""
-        m = 0
-        for k in self.occ:
-            m |= 1 << (k - 1)
-        return m
-
     def __iter__(self):
         return iter(self.occ)
 

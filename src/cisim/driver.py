@@ -3,9 +3,9 @@
 A problem is a list of nuclei, a list of explicit Gaussian spin-orbitals
 (treated as orthonormal; a warning fires if their overlap matrix is not
 the identity to 1e-6), an electron count, an evolution time and a total
-error target.  The pipeline certifies the basis envelope, builds the
-reference integral tables and the CI matrix, splits the total error
-budget three ways (Taylor truncation, entry rounding, integral
+error target.  The pipeline builds the reference integral tables and the
+CI matrix (riemann mode also certifies the basis envelope), splits the
+total error budget three ways (Taylor truncation, entry rounding, integral
 discretization), assembles the equal-weight involution family on the
 bipartite double cover, runs the segmented Taylor evolution, and checks
 the result against a dense eigendecomposition oracle.
@@ -27,17 +27,19 @@ import numpy as np
 from .cimatrix import (assemble_from_gammas, build_ci_matrix, count_gamma,
                        enumerate_gammas, sparsity_d, term_value)
 from .coloring import INVALID, LEFT, apply_color
-from .determinants import align_and_diff, enumerate_basis
+from .determinants import align_and_diff, basis_size, enumerate_basis
 from .errors import (BudgetInfeasible, DimensionTooLarge, InvalidCounts,
                      NonOrthonormalBasisWarning)
 from .integrals import IntegralTable
-from .lcu import TermFamily, evolve, oaa_block, plan_segments, taylor_block
+from .lcu import TermFamily, evolve
 from .orbitals import SpinOrbital, derive_bounds
 from .quadrature import (plan_quadrature, riemann_S0, riemann_S1,
                          riemann_S2)
 
 SCHEMA_VERSION = 1
 OVERLAP_TOL = 1e-6
+# largest CI dimension xi that the dense eigendecomposition oracle accepts
+MAX_DENSE_DIM = 2048
 
 
 @dataclass
@@ -89,29 +91,25 @@ def validate_config(config: ProblemConfig):
             f"epsilon={config.epsilon} outside (1e-10, 1)")
 
 
-def budget_errors(epsilon: float, t: float, n_gamma: int,
-                  n_gamma_pair: int | None = None):
+def budget_errors(epsilon: float, t: float, n_gamma: int):
     """Equal three-way split of the total error over the three layers.
 
     Taylor truncation gets epsilon/3 outright; the discretization and
     rounding layers accumulate linearly over time across the labelled
-    terms, so their per-term budgets divide by t and the term counts.
+    terms, so their per-term budgets divide by t and the term count.
     """
-    if n_gamma_pair is None:
-        n_gamma_pair = n_gamma
     if epsilon <= 1e-10 or t <= 0 or n_gamma < 1:
         raise BudgetInfeasible("epsilon, t and the term count must be positive")
     eps_taylor = epsilon / 3.0
-    delta = epsilon / (3.0 * t * n_gamma_pair)
-    zeta = epsilon / (3.0 * t * n_gamma)
+    delta = zeta = epsilon / (3.0 * t * n_gamma)
     return delta, zeta, eps_taylor
 
 
 def exact_evolve(H: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """Eigendecomposition reference for exp(-i H t) psi0."""
     H = np.asarray(H)
-    if H.shape[0] > 2048:
-        raise DimensionTooLarge(f"dimension {H.shape[0]} > 2048")
+    if H.shape[0] > MAX_DENSE_DIM:
+        raise DimensionTooLarge(f"dimension {H.shape[0]} > {MAX_DENSE_DIM}")
     evals, vecs = np.linalg.eigh(H)
     return vecs @ (np.exp(-1j * evals * t) * (vecs.conj().T @ psi0))
 
@@ -155,7 +153,7 @@ class _QuadratureEngine:
             return float(self.delta[kind])
         return float(self.delta)
 
-    def h1_terms(self, i: int, j: int) -> np.ndarray:
+    def h1(self, i: int, j: int) -> np.ndarray:
         """Kinetic terms followed by one block per nucleus."""
         key = ("h1", i, j)
         if key not in self._cache:
@@ -171,7 +169,7 @@ class _QuadratureEngine:
             self._cache[key] = np.concatenate(pieces)
         return self._cache[key]
 
-    def g_terms(self, i: int, j: int, k: int, l: int) -> np.ndarray:
+    def g(self, i: int, j: int, k: int, l: int) -> np.ndarray:
         key = ("g", i, j, k, l)
         if key not in self._cache:
             spec = plan_quadrature("s2", i, j, self._delta("s2"), self.bounds,
@@ -179,38 +177,6 @@ class _QuadratureEngine:
                                    grid_cap=self.grid_cap)
             self._cache[key] = riemann_S2(i, j, k, l, spec, self.basis).values
         return self._cache[key]
-
-
-def _edge_value_terms(gamma, src, dst, diff, table, engine):
-    """Per-grid-point values of one labelled term's (src, dst) entry.
-
-    Exact mode (engine None) returns a length-1 array holding the
-    closed-form value; otherwise the label's one or two integrals are
-    expanded into their Riemann terms (term-wise differences for
-    exchange pairs, concatenation for the one-electron sum).
-    """
-    c = gamma.color
-    if engine is None:
-        return np.array([term_value(gamma, src, dst, diff, table)])
-    occ = src.occ
-    if c.p == 0 and c.q == 0:
-        i, j = gamma.i, gamma.j
-        if i == j:
-            return engine.h1_terms(occ[i - 1], occ[i - 1])
-        a, b = occ[i - 1], occ[j - 1]
-        return engine.g_terms(a, b, a, b) - engine.g_terms(a, b, b, a)
-    if c.p == 0:
-        k = src.occ[diff.positions_left[0] - 1]
-        l = dst.occ[diff.positions_right[0] - 1]
-        if gamma.i == src.eta:
-            return diff.sign * engine.h1_terms(k, l)
-        chi = diff.common[gamma.i - 1]
-        return diff.sign * (engine.g_terms(k, chi, l, chi)
-                            - engine.g_terms(k, chi, chi, l))
-    x1, x2 = (src.occ[p - 1] for p in diff.positions_left)
-    y1, y2 = (dst.occ[p - 1] for p in diff.positions_right)
-    return diff.sign * (engine.g_terms(x1, x2, y1, y2)
-                        - engine.g_terms(x1, x2, y2, y1))
 
 
 def build_term_family(table: IntegralTable, eta: int, zeta: float,
@@ -228,11 +194,12 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     basis = enumerate_basis(table.n, eta)
     xi = len(basis)
     index = {d.occ: k for k, d in enumerate(basis)}
-    engine = None
+    # term_value reads h1/g from the exact table or, per grid point, the engine
+    source = table
     if mode == "riemann":
         if bounds is None or delta is None:
             raise ValueError("riemann mode needs certified bounds and delta")
-        engine = _QuadratureEngine(table.basis, table.nuclei, bounds, delta,
+        source = _QuadratureEngine(table.basis, table.nuclei, bounds, delta,
                                    grid_cap)
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -251,8 +218,8 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
             x, y = ia, xi + ib
             diff = align_and_diff(alpha, beta)
             diff_rev = align_and_diff(beta, alpha)
-            fwd = _edge_value_terms(gamma, alpha, beta, diff, table, engine)
-            rev = _edge_value_terms(gamma, beta, alpha, diff_rev, table, engine)
+            fwd = np.atleast_1d(term_value(gamma, alpha, beta, diff, source))
+            rev = np.atleast_1d(term_value(gamma, beta, alpha, diff_rev, source))
             herm = 0.5 * (fwd + np.conj(rev))
             perm[x], perm[y] = y, x
             vals[x] = herm
@@ -297,11 +264,9 @@ class RunReport:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
-def ingest(config: ProblemConfig):
-    """Validate counts, certify bounds, build integral tables."""
+def ingest(config: ProblemConfig) -> IntegralTable:
+    """Validate counts, build integral tables."""
     validate_config(config)
-    alpha_decay = float(config.overrides.get("alpha_decay", 1.0))
-    bounds = derive_bounds(config.orbitals, alpha_decay=alpha_decay)
     table = IntegralTable(config.orbitals, config.nuclei)
     dev = table.overlap_deviation()
     if dev > OVERLAP_TOL:
@@ -309,20 +274,29 @@ def ingest(config: ProblemConfig):
             f"overlap matrix deviates from identity by {dev:.3e}; "
             "orbitals are treated as orthonormal anyway",
             NonOrthonormalBasisWarning, stacklevel=2)
-    return bounds, table
+    return table
+
+
+def certified_bounds(config: ProblemConfig):
+    """Certified basis envelope; only the quadrature layer reads it."""
+    alpha_decay = float(config.overrides.get("alpha_decay", 1.0))
+    return derive_bounds(config.orbitals, alpha_decay=alpha_decay)
 
 
 def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     """Full run: representation, decomposition, evolution, verification."""
+    xi = basis_size(config.norb, config.eta)
+    if xi > MAX_DENSE_DIM:
+        raise DimensionTooLarge(f"CI dimension {xi} > {MAX_DENSE_DIM}")
     timings: dict = {}
     t0 = time.perf_counter()
-    bounds, table = ingest(config)
+    table = ingest(config)
+    bounds = certified_bounds(config) if mode == "riemann" else None
     timings["ingest_s"] = time.perf_counter() - t0
 
     norb, eta = config.norb, config.eta
     t0 = time.perf_counter()
     H = build_ci_matrix(table, eta)
-    xi = H.shape[0]
     n_gamma = count_gamma(norb, eta)
     timings["ci_matrix_s"] = time.perf_counter() - t0
 
@@ -341,12 +315,10 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
 
     H2 = doubled(H)
     Htilde = family.rounded_dense()
-    unrounded = Htilde_unrounded(family)
+    # exact mode has no discretization: its unrounded family is H2 itself
+    unrounded = family.unrounded_dense() if mode == "riemann" else H2
     quadrature_err = float(np.linalg.norm(H2 - unrounded, 2)) * config.time
     rounding_err = float(np.linalg.norm(unrounded - Htilde, 2)) * config.time
-    if mode == "exact":
-        quadrature_err = 0.0
-        rounding_err = float(np.linalg.norm(H2 - Htilde, 2)) * config.time
 
     t0 = time.perf_counter()
     psi0 = np.zeros(xi, dtype=complex)
@@ -357,16 +329,10 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     psi_final, proj_dev = extract_plus(psi_out)
     timings["evolution_s"] = time.perf_counter() - t0
 
-    # measured per-segment Taylor + amplification defect, dense and exact
-    if info.r > 0:
-        plan = plan_segments(float(np.linalg.norm(H2, 2)), config.time,
-                             eps_taylor, family.meta)
-        seg = oaa_block(taylor_block(family, plan), plan.lam)
-        seg_exact = exact_evolve_operator(Htilde, config.time / plan.r)
-        taylor_err = info.r * float(np.linalg.norm(seg - seg_exact, 2))
-        r_used, k_used, lam = info.r, info.K, info.lam
-    else:
-        taylor_err, r_used, k_used, lam = 0.0, 0, 0, 1.0
+    # measured per-segment Taylor + amplification defect, dense and exact;
+    # budget_errors rejected t <= 0, so evolve ran r >= 1 segments
+    seg_exact = exact_evolve_operator(Htilde, config.time / info.r)
+    taylor_err = info.r * float(np.linalg.norm(info.segment - seg_exact, 2))
 
     projection_err = float(info.total_deviation + proj_dev)
     ledger = {
@@ -389,7 +355,7 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
         "d": sparsity_d(norb, eta),
         "Gamma": n_gamma,
         "L": family.L, "M": family.M, "mu": family.mu,
-        "r": r_used, "K": k_used, "lambda": lam,
+        "r": info.r, "K": info.K, "lambda": info.lam,
         "delta": delta if not isinstance(delta, dict) else dict(delta),
         "zeta": zeta,
     }
@@ -397,15 +363,6 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
                      fidelity=fid, l2_error_vs_exact=l2,
                      per_segment_deviation=list(info.per_segment_deviation),
                      timings=timings)
-
-
-def Htilde_unrounded(family: TermFamily) -> np.ndarray:
-    """Dense sum of the family's raw (pre-rounding) values."""
-    H = np.zeros((family.dim, family.dim), dtype=complex)
-    rows = np.arange(family.dim)
-    for perm, vals in zip(family.perms, family.values):
-        np.add.at(H, (rows, perm), vals.sum(axis=1))
-    return H
 
 
 def exact_evolve_operator(H: np.ndarray, t: float) -> np.ndarray:

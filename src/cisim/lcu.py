@@ -30,7 +30,8 @@ import numpy as np
 from .coloring import INVALID, LEFT, apply_color
 from .determinants import Determinant
 from .errors import BudgetInfeasible
-from .selfinverse import DecompositionMeta, SelfInverseTerm, term_arrays
+from .selfinverse import (DecompositionMeta, SelfInverseTerm, slice_values,
+                          split_arrays)
 
 LN2 = log(2.0)
 
@@ -58,18 +59,10 @@ class TermFamily:
         self.values = [
             np.pad(v, ((0, 0), (0, self.mu - v.shape[1]))) for v in self.values
         ]
-        self._C = []
-        self._phase = []
-        cmax = 1
-        for v in self.values:
-            mod = np.abs(v)
-            C = (2.0 * np.round(mod / (2.0 * self.zeta))).astype(np.int64)
-            phase = np.where(mod > 0, v / np.where(mod > 0, mod, 1.0), 1.0)
-            self._C.append(C)
-            self._phase.append(phase.astype(complex))
-            if C.size:
-                cmax = max(cmax, int(C.max()))
-        self.M = cmax
+        split = [split_arrays(v, self.zeta) for v in self.values]
+        self._C = [C for C, _ in split]
+        self._phase = [phase for _, phase in split]
+        self.M = max([1] + [int(C.max()) for C in self._C if C.size])
         self.meta = DecompositionMeta(zeta=self.zeta, M=self.M,
                                       n_gamma=len(self.perms), mu=self.mu)
 
@@ -88,33 +81,37 @@ class TermFamily:
         """Pack (s in 1..2, m in 1..M, gamma index) into a flat l."""
         return (g * self.M + (m - 1)) * 2 + (s - 1)
 
+    def term_pattern(self, ell: int, rho: int) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, vals) of H_{l, rho}: row x holds vals[x] at column perm[x]."""
+        s, m, g = self.ell_parts(ell)
+        return self.perms[g], slice_values(self._C[g][:, rho],
+                                           self._phase[g][:, rho], m, s)
+
     def term(self, ell: int, rho: int) -> SelfInverseTerm:
         s, m, g = self.ell_parts(ell)
-        perm, vals = term_arrays(self.perms[g], self._C[g][:, rho],
-                                 self._phase[g][:, rho], m, s)
-        return SelfInverseTerm(self.gammas[g], rho, m, s, perm, vals)
+        perm, vals = self.term_pattern(ell, rho)
+        return SelfInverseTerm(self.gammas[g], rho, m, s, perm.copy(), vals)
 
     def apply_term(self, ell: int, rho: int, psi: np.ndarray) -> np.ndarray:
         """H_{l, rho} psi without building the matrix."""
-        s, m, g = self.ell_parts(ell)
-        on = self._C[g][:, rho] >= 2 * m
-        fill = 1.0 if s == 1 else -1.0
-        vals = np.where(on, self._phase[g][:, rho], fill + 0.0j)
-        # row x of the matrix holds vals[x] at column perm[x]
-        return vals * psi[self.perms[g]]
+        perm, vals = self.term_pattern(ell, rho)
+        return vals * psi[perm]
 
-    def rounded_dense(self) -> np.ndarray:
-        """zeta sum_{l, rho} H_{l, rho}: the rounded Hamiltonian, dense."""
+    def _scatter(self, label_values) -> np.ndarray:
+        """Dense sum over labels g of label_values(g), summed over rho."""
         H = np.zeros((self.dim, self.dim), dtype=complex)
         rows = np.arange(self.dim)
         for g, perm in enumerate(self.perms):
-            rounded = self.zeta * self._C[g] * self._phase[g]
-            np.add.at(H, (rows, perm), rounded.sum(axis=1))
+            np.add.at(H, (rows, perm), label_values(g).sum(axis=1))
         return H
 
-    def sum_of_terms(self) -> np.ndarray:
-        """sum_{l, rho} H_{l, rho} = rounded_dense() / zeta."""
-        return self.rounded_dense() / self.zeta
+    def rounded_dense(self) -> np.ndarray:
+        """zeta sum_{l, rho} H_{l, rho}: the rounded Hamiltonian, dense."""
+        return self._scatter(lambda g: self.zeta * self._C[g] * self._phase[g])
+
+    def unrounded_dense(self) -> np.ndarray:
+        """Dense sum of the family's raw (pre-rounding) values."""
+        return self._scatter(lambda g: self.values[g])
 
 
 @dataclass(frozen=True)
@@ -284,6 +281,7 @@ class EvolutionInfo:
     K: int
     lam: float
     per_segment_deviation: list = field(default_factory=list)
+    segment: np.ndarray | None = None   # amplified segment; None when t = 0
 
     @property
     def total_deviation(self) -> float:
@@ -310,7 +308,7 @@ def evolve(family: TermFamily, psi0: np.ndarray, t: float, eps: float,
     plan = plan_segments(h_norm_bound, t, eps, family.meta)
     U = taylor_block(family, plan)
     seg = oaa_block(U, plan.lam)
-    info = EvolutionInfo(r=plan.r, K=plan.K, lam=plan.lam)
+    info = EvolutionInfo(r=plan.r, K=plan.K, lam=plan.lam, segment=seg)
     for _ in range(plan.r):
         psi, dev = oaa_segment(seg, psi)
         info.per_segment_deviation.append(dev)
@@ -381,21 +379,20 @@ class RegisterSim:
 
     def _term_batch(self, ell, rho, block, sign, bn):
         """sign * term action on a block; bn trailing batch axes."""
-        s, m, g = self.family.ell_parts(ell)
-        fam = self.family
-        on = fam._C[g][:, rho] >= 2 * m
-        fill = 1.0 if s == 1 else -1.0
-        vals = np.where(on, fam._phase[g][:, rho], fill + 0.0j)
+        perm, vals = self.family.term_pattern(ell, rho)
         sys_ax = block.ndim - 1 - bn
         moved = np.moveaxis(block, sys_ax, -1)
-        out = sign * moved[..., fam.perms[g]] * vals
+        out = sign * moved[..., perm] * vals
         return np.moveaxis(out, -1, sys_ax)
 
-    def apply_select_v(self, state):
+    def apply_select_v(self, state, dagger=False):
         """(-i)^k H_{l_1, rho_1} ... H_{l_k, rho_k}, controlled on unary k."""
         bn = state.ndim - len(self.shape)
+        # terms are involutions; the dagger reverses the slots and restores +i
+        sign = 1j if dagger else -1j
+        slots = range(self.K - 1, -1, -1) if dagger else range(self.K)
         out = state.copy()
-        for slot in range(self.K):
+        for slot in slots:
             ell_ax = 1 + slot
             rho_ax = 1 + self.K + slot
             new = out.copy()
@@ -407,38 +404,14 @@ class RegisterSim:
                         idx[ell_ax] = ell
                         idx[rho_ax] = rho
                         idx = tuple(idx)
-                        new[idx] = self._term_batch(ell, rho, out[idx], -1j, bn)
+                        new[idx] = self._term_batch(ell, rho, out[idx], sign, bn)
             out = new
         return out
 
     def apply_w(self, state, dagger=False):
-        if dagger:
-            state = self.apply_b(state, dagger=False)
-            state = self._select_v_dagger(state)
-            return self.apply_b(state, dagger=True)
         state = self.apply_b(state)
-        state = self.apply_select_v(state)
+        state = self.apply_select_v(state, dagger)
         return self.apply_b(state, dagger=True)
-
-    def _select_v_dagger(self, state):
-        bn = state.ndim - len(self.shape)
-        out = state.copy()
-        for slot in range(self.K - 1, -1, -1):
-            ell_ax = 1 + slot
-            rho_ax = 1 + self.K + slot
-            new = out.copy()
-            for k in range(slot + 1, self.K + 1):
-                for ell in range(self.L):
-                    for rho in range(self.mu):
-                        idx = [slice(None)] * len(self.shape)
-                        idx[0] = k
-                        idx[ell_ax] = ell
-                        idx[rho_ax] = rho
-                        idx = tuple(idx)
-                        # terms are involutions; the dagger restores +i
-                        new[idx] = self._term_batch(ell, rho, out[idx], 1j, bn)
-            out = new
-        return out
 
     def project_zero(self, state):
         out = np.zeros_like(state)

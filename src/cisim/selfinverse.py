@@ -112,32 +112,26 @@ class SelfInverseTerm:
         M[np.arange(dim), self.perm] = self.vals
         return M
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.vals * psi[self.perm]
-
     def entry(self, row: int, col: int) -> complex:
         return self.vals[row] if self.perm[row] == col else 0.0
 
 
-def _split_arrays(perm: np.ndarray, vals: np.ndarray, zeta: float):
-    """(C integer array, unit phase array) for a pattern's values."""
-    mod = np.abs(vals)
+def split_arrays(values: np.ndarray, zeta: float):
+    """(C, phase): the modulus rounded to even multiples of zeta, scaled
+    by 1/zeta to integers, and the unit phase (1 where the value is 0)."""
+    mod = np.abs(values)
     C = 2.0 * np.round(mod / (2.0 * zeta))
-    phase = np.where(mod > 0, vals / np.where(mod > 0, mod, 1.0), 1.0)
+    phase = np.where(mod > 0, values / np.where(mod > 0, mod, 1.0), 1.0)
     return C.astype(np.int64), phase.astype(complex)
 
 
-def term_arrays(perm: np.ndarray, C: np.ndarray, phase: np.ndarray,
-                m: int, s: int):
-    """(perm, vals) realizing C_{m, s} for a pattern with slices C."""
-    on = C >= 2 * m
+def slice_values(C: np.ndarray, phase: np.ndarray, m: int, s: int) -> np.ndarray:
+    """Entries of C_{m, s}: the phase where C >= 2m, else +1 (s=1) or -1."""
     fill = 1.0 if s == 1 else -1.0
-    vals = np.where(on, phase, fill + 0.0j)
-    return perm.copy(), vals
+    return np.where(C >= 2 * m, phase, fill + 0.0j)
 
 
-def decompose(perm: np.ndarray, values: np.ndarray, zeta: float,
-              M: int | None = None, gamma=None, rho: int = 0):
+def decompose(perm: np.ndarray, values: np.ndarray, zeta: float):
     """Split one one-sparse Hermitian matrix into signed involutions.
 
     ``perm`` must be an involution and ``values`` Hermitian on it
@@ -151,18 +145,18 @@ def decompose(perm: np.ndarray, values: np.ndarray, zeta: float,
         raise PatternMismatch("perm is not an involution")
     if not np.allclose(values[perm], np.conj(values), atol=1e-12):
         raise PatternMismatch("values are not Hermitian on the pattern")
-    C, phase = _split_arrays(perm, values, zeta)
-    if M is None:
-        M = max(1, int(ceil(np.max(np.abs(C)) if len(C) else 1)))
+    C, phase = split_arrays(values, zeta)
+    M = max(1, int(ceil(np.max(np.abs(C)) if len(C) else 1)))
     terms = [
-        SelfInverseTerm(gamma, rho, m, s, *term_arrays(perm, C, phase, m, s))
+        SelfInverseTerm(None, 0, m, s, perm.copy(),
+                        slice_values(C, phase, m, s))
         for m in range(1, M + 1) for s in (1, 2)
     ]
     meta = DecompositionMeta(zeta=zeta, M=M, n_gamma=1, mu=1)
     return terms, meta
 
 
-def decompose_dense(matrix: np.ndarray, zeta: float, M: int | None = None):
+def decompose_dense(matrix: np.ndarray, zeta: float):
     """decompose() for an explicit dense one-sparse Hermitian matrix.
 
     The pattern is read off the nonzero structure; rows with no nonzero
@@ -181,7 +175,7 @@ def decompose_dense(matrix: np.ndarray, zeta: float, M: int | None = None):
             vals[x] = A[x, cols[0]]
     if not np.array_equal(perm[perm], np.arange(dim)):
         raise PatternMismatch("nonzero pattern is not an involution")
-    return decompose(perm, vals, zeta, M=M)
+    return decompose(perm, vals, zeta)
 
 
 def remove_zeros(c_m: np.ndarray, parent_pattern: np.ndarray):

@@ -9,7 +9,7 @@ from cisim.cli import main as cli_main
 from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
                           config_from_dict, doubled, exact_evolve, ingest,
                           load_config, run_pipeline, validate_config,
-                          verify_partition, Htilde_unrounded)
+                          verify_partition)
 from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidCounts,
                           NonOrthonormalBasisWarning)
 from cisim.integrals import IntegralTable
@@ -26,7 +26,7 @@ def h2_config():
 
 
 def test_budget_worked_example():
-    delta, zeta, eps_taylor = budget_errors(3e-3, 1.0, 100, 100)
+    delta, zeta, eps_taylor = budget_errors(3e-3, 1.0, 100)
     assert delta == pytest.approx(1e-5)
     assert zeta == pytest.approx(1e-5)
     assert eps_taylor == pytest.approx(1e-3)
@@ -156,7 +156,7 @@ def test_riemann_mode_family_consistency(tiny_riemann):
                             bounds=bounds, delta=deltas)
     from cisim.cimatrix import build_ci_matrix
     H2 = doubled(build_ci_matrix(table, 1))
-    unrounded = Htilde_unrounded(fam)
+    unrounded = fam.unrounded_dense()
     assert np.max(np.abs(unrounded - unrounded.conj().T)) < 1e-12
     # each entry combines at most two integrals, each within its delta
     worst = 2 * max(deltas.values())
@@ -235,6 +235,46 @@ def test_cli_report(tmp_path):
     assert rc == 0
     data = json.loads(out.read_text())
     assert data["schema"] == 1 and data["status"] == "OK"
+
+
+@pytest.mark.parametrize("command", ["report", "evolve"])
+def test_cli_error_is_one_line_and_exit_2(command, capsys):
+    rc = cli_main([command, "--config", H2_PATH, "--time", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: BudgetInfeasible: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_evolve_riemann_per_kind_delta(tmp_path, capsys):
+    # the per-kind delta mapping that the README documents for riemann mode
+    with open(H2_PATH) as fh:
+        data = json.load(fh)
+    bounds = derive_bounds(load_config(H2_PATH).orbitals)
+    grids = {"s0": 4, "s1": 4, "s2": 3}
+    data.update(eta=1, epsilon=0.5, time=0.2, overrides={
+        "zeta": 0.05,
+        "delta": {k: delta_for_grid(k, n, bounds) for k, n in grids.items()}})
+    path = tmp_path / "h2_riemann.json"
+    path.write_text(json.dumps(data))
+    rc = cli_main(["evolve", "--config", str(path), "--mode", "riemann"])
+    assert rc == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "r", "K", "lambda", "per_segment_deviation", "final_error_vs_exact"}
+
+
+def test_pipeline_rejects_oversized_basis_before_ingest(monkeypatch):
+    import cisim.driver as driver
+
+    def no_ingest(config):
+        raise AssertionError("ingest ran for a basis past the dense cap")
+
+    monkeypatch.setattr(driver, "ingest", no_ingest)
+    # (N, eta) = (14, 7): xi = 3432 > 2048
+    orbitals = [so((0, 0, 0.5 * k), 1.0) for k in range(14)]
+    cfg = ProblemConfig(nuclei=[(1.0, (0, 0, 0))], orbitals=orbitals, eta=7)
+    with pytest.raises(DimensionTooLarge):
+        run_pipeline(cfg)
 
 
 def test_cli_entry_point_runs():
