@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import (DIAGONAL_COLOR, INVALID, LEFT, ColorTuple,
-                       apply_color, movement_tuples)
+                       apply_color, color_of, double_colors, single_colors)
 from .determinants import Determinant, align_and_diff, enumerate_basis
-from .errors import InvalidCounts, MalformedGamma
+from .errors import InvalidCounts, MalformedGamma, PatternMismatch
 from .integrals import IntegralTable
 
 from math import comb
@@ -122,21 +122,21 @@ def build_ci_matrix(table: IntegralTable, eta: int) -> np.ndarray:
 # labelled one-sparse terms
 
 
+def label_selectors(color: ColorTuple, eta: int) -> list[tuple[int, int]]:
+    """Term selectors (i, j) that label a color, per the module docstring."""
+    if color.p == 0 and color.q == 0:
+        return [(i, j) for i in range(1, eta + 1) for j in range(i, eta + 1)]
+    if color.p == 0:
+        return [(i, 0) for i in range(1, eta + 1)]
+    return [(0, 0)]
+
+
 def enumerate_gammas(norb: int, eta: int) -> list[GammaIndex]:
     """All admissible term labels for a basis of size (N, eta)."""
-    out = []
-    for i in range(1, eta + 1):
-        for j in range(i, eta + 1):
-            out.append(GammaIndex(DIAGONAL_COLOR, i, j))
-    moves = movement_tuples(norb, eta)
-    for a, b, l, s in moves:
-        color = ColorTuple(0, 0, 1, 0, a, b, l, s)
-        for i in range(1, eta + 1):
-            out.append(GammaIndex(color, i, 0))
-    for m1 in moves:
-        for m2 in moves:
-            out.append(GammaIndex(ColorTuple(*m1, *m2), 0, 0))
-    return out
+    colors = ([DIAGONAL_COLOR] + single_colors(norb, eta)
+              + double_colors(norb, eta))
+    return [GammaIndex(c, i, j) for c in colors
+            for i, j in label_selectors(c, eta)]
 
 
 def count_gamma(norb: int, eta: int) -> int:
@@ -212,66 +212,37 @@ def gamma_matrix(gamma: GammaIndex, basis: list[Determinant],
     return M
 
 
+def labelled_edges(basis: list[Determinant]):
+    """(gamma, ia, ib, diff) for every ordered pair of basis indices whose
+    determinants differ in at most two orbitals, once per term selector.
+
+    Each partner is confirmed with the select oracle's map apply_color;
+    a disagreement with color_of raises PatternMismatch.
+    """
+    for ia, alpha in enumerate(basis):
+        for ib, beta in enumerate(basis):
+            diff = align_and_diff(alpha, beta)
+            if diff.count > 2:
+                continue
+            color = color_of(alpha, beta)
+            if apply_color(color, alpha, LEFT) != beta:
+                raise PatternMismatch(
+                    f"color {color} does not map {alpha.occ} to {beta.occ}")
+            for i, j in label_selectors(color, alpha.eta):
+                yield GammaIndex(color, i, j), ia, ib, diff
+
+
 def assemble_from_gammas(table: IntegralTable, eta: int) -> np.ndarray:
     """Sum of all labelled one-sparse terms; equals the CI matrix.
 
     Equivalent to accumulating gamma_entry over enumerate_gammas, but
-    memoizes the one-move maps so the double-color sweep shares work,
-    and reuses each resolved edge across its term selectors.
+    visits only the labelled edges, the entries where some label is
+    nonzero.
     """
-    from .coloring import _alt1_ok, _apply_move
-
-    norb = table.n
-    basis = enumerate_basis(norb, eta)
-    index = {d.occ: k for k, d in enumerate(basis)}
+    basis = enumerate_basis(table.n, eta)
     H = np.zeros((len(basis), len(basis)), dtype=complex)
-
-    for ia, det in enumerate(basis):
-        for sel_i in range(1, eta + 1):
-            for sel_j in range(sel_i, eta + 1):
-                H[ia, ia] += term_value(
-                    GammaIndex(DIAGONAL_COLOR, sel_i, sel_j),
-                    det, det, None, table)
-
-    moves = movement_tuples(norb, eta)
-    memo: dict = {}
-
-    def step(move, occ):
-        key = (move, occ)
-        if key not in memo:
-            memo[key] = _apply_move(*move, occ, LEFT, norb)
-        return memo[key]
-
-    for move in moves:
-        color = ColorTuple(0, 0, 1, 0, *move)
-        for ia, det in enumerate(basis):
-            res = step(move, det.occ)
-            if res is INVALID:
-                continue
-            beta = Determinant(res[0], norb)
-            diff = align_and_diff(det, beta)
-            ib = index[beta.occ]
-            for sel in range(1, eta + 1):
-                H[ia, ib] += term_value(
-                    GammaIndex(color, sel, 0), det, beta, diff, table)
-
-    for m1 in moves:
-        for ia, det in enumerate(basis):
-            r1 = step(m1, det.occ)
-            if r1 is INVALID:
-                continue
-            chi, x1, y1 = r1
-            for m2 in moves:
-                r2 = step(m2, chi)
-                if r2 is INVALID:
-                    continue
-                bocc, x2, y2 = r2
-                if not _alt1_ok(x1, y1, x2, y2):
-                    continue
-                beta = Determinant(bocc, norb)
-                diff = align_and_diff(det, beta)
-                H[ia, index[bocc]] += term_value(
-                    GammaIndex(ColorTuple(*m1, *m2)), det, beta, diff, table)
+    for gamma, ia, ib, diff in labelled_edges(basis):
+        H[ia, ib] += term_value(gamma, basis[ia], basis[ib], diff, table)
     return H
 
 

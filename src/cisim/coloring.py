@@ -27,8 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .determinants import Determinant
-from .errors import TooManyDifferences
+from .determinants import MAX_DENSE_DIM, Determinant, basis_size
+from .errors import DimensionTooLarge, TooManyDifferences
 
 LEFT = "left"
 RIGHT = "right"
@@ -326,8 +326,11 @@ def coloring_census(norb: int, eta: int) -> ColoringCensus:
 
     Walks every color against every node on both sides, memoizing the
     one-move maps so the double-color sweep stays quadratic in moves,
-    not in (moves x nodes).
+    not in (moves x nodes).  Bad counts raise before any work is done.
     """
+    xi = basis_size(norb, eta)
+    if xi > MAX_DENSE_DIM:
+        raise DimensionTooLarge(f"basis size {xi} > {MAX_DENSE_DIM}")
     dets = [occ for occ in itertools.combinations(range(1, norb + 1), eta)]
     index = {occ: i for i, occ in enumerate(dets)}
     moves = movement_tuples(norb, eta)

@@ -14,6 +14,9 @@ from math import comb
 
 from .errors import DuplicateOrbital, IndexOutOfRange, InvalidCounts
 
+# largest basis size xi that the dense oracles (eigh, census table) accept
+MAX_DENSE_DIM = 2048
+
 
 @dataclass(frozen=True, slots=True)
 class Determinant:

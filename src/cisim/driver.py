@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cimatrix import (assemble_from_gammas, build_ci_matrix, count_gamma,
-                       enumerate_gammas, sparsity_d, term_value)
-from .coloring import INVALID, LEFT, apply_color
-from .determinants import align_and_diff, basis_size, enumerate_basis
+                       enumerate_gammas, labelled_edges, sparsity_d,
+                       term_value)
+from .determinants import (MAX_DENSE_DIM, align_and_diff, basis_size,
+                           enumerate_basis)
 from .errors import (BudgetInfeasible, DimensionTooLarge, InvalidCounts,
                      NonOrthonormalBasisWarning)
 from .integrals import IntegralTable
@@ -38,8 +39,6 @@ from .quadrature import (plan_quadrature, riemann_S0, riemann_S1,
 
 SCHEMA_VERSION = 1
 OVERLAP_TOL = 1e-6
-# largest CI dimension xi that the dense eigendecomposition oracle accepts
-MAX_DENSE_DIM = 2048
 
 
 @dataclass
@@ -184,16 +183,15 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
                       grid_cap: int = 256) -> TermFamily:
     """Assemble the involution family for H on the double cover.
 
-    Every labelled color becomes one involution pattern over the 2 xi
-    nodes (side, determinant): side-0 rows pair with the side-1 row of
-    their color partner and vice versa, rows with an INVALID color stay
-    self-paired with value zero.  Entry values are Hermitized term by
-    term: the (alpha -> beta) and (beta -> alpha) expansions are
-    averaged as (a + conj(b)) / 2.
+    Every label that meets an edge becomes one involution pattern over the
+    2 xi nodes (side, determinant): side-0 rows pair with the side-1 row
+    of their color partner and vice versa, other rows stay self-paired
+    with value zero; labels with no edge are listed last and not stored.
+    Entry values are Hermitized term by term: the (alpha -> beta) and
+    (beta -> alpha) expansions are averaged as (a + conj(b)) / 2.
     """
     basis = enumerate_basis(table.n, eta)
     xi = len(basis)
-    index = {d.occ: k for k, d in enumerate(basis)}
     # term_value reads h1/g from the exact table or, per grid point, the engine
     source = table
     if mode == "riemann":
@@ -204,34 +202,33 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
+    # label -> (perm, {row: Hermitized values}), filled one edge at a time
+    live: dict = {}
+    for gamma, ia, ib, diff in labelled_edges(basis):
+        alpha, beta = basis[ia], basis[ib]
+        perm, vals = live.setdefault(gamma, (np.arange(2 * xi), {}))
+        x, y = ia, xi + ib
+        fwd = np.atleast_1d(term_value(gamma, alpha, beta, diff, source))
+        rev = np.atleast_1d(term_value(gamma, beta, alpha,
+                                       align_and_diff(beta, alpha), source))
+        herm = 0.5 * (fwd + np.conj(rev))
+        perm[x], perm[y] = y, x
+        vals[x] = herm
+        vals[y] = np.conj(herm)
+
+    # stored labels first, in enumeration order; the rest have no edge
     gammas = enumerate_gammas(table.n, eta)
+    stored = [g for g in gammas if g in live]
     perms, values = [], []
-    for gamma in gammas:
-        perm = np.arange(2 * xi)
-        vals: list = [None] * (2 * xi)
-        maxlen = 1
-        for ia, alpha in enumerate(basis):
-            beta = apply_color(gamma.color, alpha, LEFT)
-            if beta is INVALID:
-                continue
-            ib = index[beta.occ]
-            x, y = ia, xi + ib
-            diff = align_and_diff(alpha, beta)
-            diff_rev = align_and_diff(beta, alpha)
-            fwd = np.atleast_1d(term_value(gamma, alpha, beta, diff, source))
-            rev = np.atleast_1d(term_value(gamma, beta, alpha, diff_rev, source))
-            herm = 0.5 * (fwd + np.conj(rev))
-            perm[x], perm[y] = y, x
-            vals[x] = herm
-            vals[y] = np.conj(herm)
-            maxlen = max(maxlen, len(herm))
-        value = np.zeros((2 * xi, maxlen), dtype=complex)
-        for x, v in enumerate(vals):
-            if v is not None:
-                value[x, : len(v)] = v
+    for gamma in stored:
+        perm, vals = live[gamma]
+        value = np.zeros((2 * xi, max(map(len, vals.values()))), complex)
+        for x, v in vals.items():
+            value[x, : len(v)] = v
         perms.append(perm)
         values.append(value)
-    return TermFamily(perms, values, zeta, gammas=gammas)
+    return TermFamily(perms, values, zeta,
+                      gammas=stored + [g for g in gammas if g not in live])
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 The Hamiltonian enters as a family of Hermitian signed involutions,
 H = zeta sum_{l=1..L} sum_{rho=1..mu} H_{l, rho} with l = (s, m, gamma),
-held column-compressed by :class:`TermFamily`.  Evolution for time t is
+held column-compressed by :class:`TermFamily` (it stores only labels that
+meet an edge; L counts all Gamma labels).  Evolution for time t is
 split into r = ceil(zeta L mu t / ln 2) segments; each segment applies
 the Taylor expansion of exp(-i H t / r) truncated at order K through
 the walk operator
@@ -39,9 +40,11 @@ LN2 = log(2.0)
 class TermFamily:
     """Column-compressed equal-weight term family on a dim-state system.
 
-    One involution ``perms[g]`` per one-sparse label and a value array
-    ``values[g]`` of shape (dim, mu) holding the grid-point entries at
-    (x, perms[g][x]).  Rounding to multiples of 2 zeta and the
+    One involution ``perms[g]`` per stored one-sparse label and a value
+    array ``values[g]`` of shape (dim, mu) holding the grid-point entries
+    at (x, perms[g][x]).  ``gammas`` lists every label, stored ones first;
+    a label g >= len(perms) has no edge and acts as self-paired rows with
+    C = 0.  L = 2 M len(gammas).  Rounding to multiples of 2 zeta and the
     threshold split into 2 M signed involutions happen here, so the
     family exposes every H_{l, rho} without materializing them.
     """
@@ -64,7 +67,7 @@ class TermFamily:
         self._phase = [phase for _, phase in split]
         self.M = max([1] + [int(C.max()) for C in self._C if C.size])
         self.meta = DecompositionMeta(zeta=self.zeta, M=self.M,
-                                      n_gamma=len(self.perms), mu=self.mu)
+                                      n_gamma=len(self.gammas), mu=self.mu)
 
     @property
     def L(self) -> int:
@@ -84,6 +87,8 @@ class TermFamily:
     def term_pattern(self, ell: int, rho: int) -> tuple[np.ndarray, np.ndarray]:
         """(perm, vals) of H_{l, rho}: row x holds vals[x] at column perm[x]."""
         s, m, g = self.ell_parts(ell)
+        if g >= len(self.perms):  # a label with no edge: self-paired, C = 0
+            return np.arange(self.dim), slice_values(np.zeros(self.dim), 1.0, m, s)
         return self.perms[g], slice_values(self._C[g][:, rho],
                                            self._phase[g][:, rho], m, s)
 
@@ -98,7 +103,7 @@ class TermFamily:
         return vals * psi[perm]
 
     def _scatter(self, label_values) -> np.ndarray:
-        """Dense sum over labels g of label_values(g), summed over rho."""
+        """Dense sum over stored labels g of label_values(g), summed over rho."""
         H = np.zeros((self.dim, self.dim), dtype=complex)
         rows = np.arange(self.dim)
         for g, perm in enumerate(self.perms):

@@ -7,7 +7,7 @@ from cisim.cimatrix import (GammaIndex, assemble_from_gammas, build_ci_matrix,
                             sparsity_d)
 from cisim.coloring import DIAGONAL_COLOR, ColorTuple, color_of
 from cisim.determinants import Determinant, enumerate_basis
-from cisim.errors import InvalidCounts, MalformedGamma
+from cisim.errors import InvalidCounts, MalformedGamma, PatternMismatch
 from cisim.integrals import IntegralTable
 
 from conftest import brute_ci_entry, random_spinless_basis
@@ -81,6 +81,17 @@ def test_partition_identity(h2_table, mixed_table):
         H = build_ci_matrix(table, eta)
         Hg = assemble_from_gammas(table, eta)
         assert np.max(np.abs(H - Hg)) < 1e-12
+
+
+def test_labelled_edges_reject_a_color_the_oracle_disagrees_with(monkeypatch):
+    import cisim.cimatrix as cimatrix
+    basis = enumerate_basis(4, 2)
+    # per row: 3 diagonal selectors, 4 single partners x 2, 1 double partner
+    assert len(list(cimatrix.labelled_edges(basis))) == 6 * (3 + 4 * 2 + 1)
+    # every pair labelled diagonal: apply_color keeps alpha, not beta
+    monkeypatch.setattr(cimatrix, "color_of", lambda a, b: DIAGONAL_COLOR)
+    with pytest.raises(PatternMismatch):
+        list(cimatrix.labelled_edges(basis))
 
 
 def test_each_term_is_one_sparse(mixed_table):

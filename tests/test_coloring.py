@@ -5,7 +5,7 @@ from cisim.coloring import (DIAGONAL_COLOR, INVALID, LEFT, RIGHT, ColorTuple,
                             coloring_census, find_alphas, find_betas,
                             movement_tuples, single_colors, double_colors)
 from cisim.determinants import Determinant, enumerate_basis
-from cisim.errors import TooManyDifferences
+from cisim.errors import DimensionTooLarge, InvalidCounts, TooManyDifferences
 
 
 def occs(dets):
@@ -138,18 +138,37 @@ def test_degree_one_per_color():
                 seen.add(res.occ)
 
 
-def test_round_trip_sampled_large():
-    # beyond the exhaustive range: random pairs at N = 10, eta = 4
+@pytest.mark.parametrize("norb,eta", [(10, 4), (16, 8)])
+def test_round_trip_sampled_large(norb, eta):
+    # beyond the exhaustive range: alpha and a partner one or two orbital
+    # swaps away, so every sampled pair is connected
     import numpy as np
     rng = np.random.default_rng(33)
-    dets = enumerate_basis(10, 4)
-    checked = 0
-    while checked < 500:
-        a = dets[rng.integers(len(dets))]
-        b = dets[rng.integers(len(dets))]
-        if len(set(a.occ) - set(b.occ)) > 2:
-            continue
+    orbitals = np.arange(1, norb + 1)
+    for _ in range(500):
+        occ = rng.choice(orbitals, size=eta, replace=False)
+        empty = np.setdiff1d(orbitals, occ)
+        k = int(rng.integers(1, 3))
+        partner = set(occ) - set(rng.choice(occ, size=k, replace=False))
+        partner |= set(rng.choice(empty, size=k, replace=False))
+        a = Determinant(tuple(sorted(int(o) for o in occ)), norb)
+        b = Determinant(tuple(sorted(int(o) for o in partner)), norb)
         c = color_of(a, b)
         assert apply_color(c, a, LEFT) == b
         assert apply_color(c, b, RIGHT) == a
-        checked += 1
+
+
+@pytest.mark.parametrize("norb,eta,error", [
+    (4, 0, InvalidCounts), (4, -1, InvalidCounts), (14, 7, DimensionTooLarge)])
+def test_census_rejects_counts_before_any_work(norb, eta, error, monkeypatch):
+    import types
+    import cisim.coloring as coloring
+
+    def no_enumeration(*args):
+        raise AssertionError("the census enumerated determinants")
+
+    monkeypatch.setattr(coloring, "itertools",
+                        types.SimpleNamespace(combinations=no_enumeration))
+    monkeypatch.setattr(coloring, "movement_tuples", no_enumeration)
+    with pytest.raises(error):
+        coloring_census(norb, eta)

@@ -1,9 +1,11 @@
-"""Every function, class and method in src/cisim is used somewhere.
+"""Every function, class, method and import in src/cisim is used somewhere.
 
 A definition counts as used when its name appears as a name, an
 attribute or an imported name anywhere in src/cisim or tests/; its own
 ``def`` or ``class`` line does not count.  Dunder methods are called
-by the language and are exempt.
+by the language and are exempt.  An imported name counts as used when
+the importing module names it outside its import lines; the package's
+``__init__.py`` re-exports and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -54,3 +56,25 @@ def unused_definitions() -> list[str]:
 def test_no_unused_definitions():
     assert SOURCES and TESTS
     assert unused_definitions() == []
+
+
+def unused_imports() -> list[str]:
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.stem}.{bound}")
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from cisim.cimatrix import enumerate_gammas, gamma_entry, term_value
 from cisim.cli import main as cli_main
+from cisim.determinants import align_and_diff, enumerate_basis
 from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
                           config_from_dict, doubled, exact_evolve, ingest,
                           load_config, run_pipeline, validate_config,
@@ -96,6 +98,61 @@ def test_overlap_warning_fires():
 
 def test_partition_verifier(h2_table):
     assert verify_partition(h2_table, 2) < 1e-12
+
+
+def _per_label_family(table, eta):
+    """{label: (perm, values)} on the double cover, one label at a time.
+
+    Each label's rows come from gamma_entry, the per-label apply_color
+    path, and are Hermitized as (fwd + conj(rev)) / 2; labels whose
+    pattern stays the identity are left out.
+    """
+    basis = enumerate_basis(table.n, eta)
+    xi = len(basis)
+    index = {d.occ: k for k, d in enumerate(basis)}
+    out = {}
+    for gamma in enumerate_gammas(table.n, eta):
+        perm = np.arange(2 * xi)
+        vals = np.zeros((2 * xi, 1), dtype=complex)
+        for ia, alpha in enumerate(basis):
+            entry = gamma_entry(gamma, alpha, table)
+            if entry is None:
+                continue
+            beta = entry.beta
+            rev = term_value(gamma, beta, alpha, align_and_diff(beta, alpha),
+                             table)
+            x, y = ia, xi + index[beta.occ]
+            perm[x], perm[y] = y, x
+            vals[x] = 0.5 * (entry.value + np.conj(rev))
+            vals[y] = np.conj(vals[x])
+        if not np.array_equal(perm, np.arange(2 * xi)):
+            out[gamma] = perm, vals
+    return out
+
+
+@pytest.mark.parametrize("table_name,eta", [("h2_table", 2),
+                                            ("mixed_table", 2)])
+def test_family_labels_match_per_label_oracle(table_name, eta, request):
+    # verify_partition sees only the sum of the labels; this checks that
+    # every edge is filed under the label whose color reaches it
+    table = request.getfixturevalue(table_name)
+    expected = _per_label_family(table, eta)
+    fam = build_term_family(table, eta, zeta=0.25)
+    n_stored = len(fam.perms)
+    labels = enumerate_gammas(table.n, eta)
+    assert fam.gammas[:n_stored] == [g for g in labels if g in expected]
+    assert len(fam.gammas) == len(labels) and set(fam.gammas) == set(labels)
+    for g in range(n_stored):
+        perm, vals = expected[fam.gammas[g]]
+        assert np.array_equal(fam.perms[g], perm)
+        assert np.array_equal(fam.values[g], vals)
+    rows = np.arange(fam.dim)
+    for g in range(n_stored, len(fam.gammas)):
+        for s in (1, 2):
+            term = fam.term(fam.flat_ell(s, 1, g), 0)
+            assert term.gamma == fam.gammas[g]
+            assert np.array_equal(term.perm, rows)
+            assert np.array_equal(term.vals, np.full(fam.dim, 3 - 2 * s))
 
 
 @pytest.fixture(scope="module")
@@ -237,12 +294,19 @@ def test_cli_report(tmp_path):
     assert data["schema"] == 1 and data["status"] == "OK"
 
 
-@pytest.mark.parametrize("command", ["report", "evolve"])
-def test_cli_error_is_one_line_and_exit_2(command, capsys):
-    rc = cli_main([command, "--config", H2_PATH, "--time", "0"])
+@pytest.mark.parametrize("argv,error", [
+    pytest.param(["report", "--config", H2_PATH, "--time", "0"],
+                 "BudgetInfeasible", id="report"),
+    pytest.param(["evolve", "--config", H2_PATH, "--time", "0"],
+                 "BudgetInfeasible", id="evolve"),
+    pytest.param(["coloring-check", "--norb", "4", "--eta", "-1"],
+                 "InvalidCounts", id="coloring-check"),
+])
+def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
+    rc = cli_main(argv)
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("cisim: BudgetInfeasible: ")
+    assert err.startswith(f"cisim: {error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
