@@ -1,19 +1,16 @@
 """Desk-scale CI-matrix quantum-simulation pipeline with built-in oracles."""
 
 from .determinants import (Determinant, DiffReport, align_and_diff,
-                           determinant_at, enumerate_basis, index_of,
-                           make_determinant)
-from .orbitals import BasisBounds, SpinOrbital, derive_bounds, eval_orbital
+                           enumerate_basis)
+from .orbitals import BasisBounds, SpinOrbital, derive_bounds
 from .integrals import IntegralTable, reference_integral
 from .coloring import (INVALID, LEFT, RIGHT, ColorTuple, apply_color,
-                       apply_single, color_of, coloring_census, find_alphas,
-                       find_betas)
+                       color_of, coloring_census)
 from .cimatrix import (GammaIndex, OneSparseEntry, ci_entry, count_gamma,
                        enumerate_gammas, gamma_entry, sparsity_d)
-from .quadrature import (QuadratureSpec, RiemannTerm, hermitize, lambda_exact,
-                         plan_quadrature, riemann_S0, riemann_S1, riemann_S2)
-from .selfinverse import (DecompositionMeta, SelfInverseTerm, decompose,
-                          decompose_dense, remove_zeros, round_aleph, split_C)
+from .quadrature import (QuadratureSpec, lambda_exact, plan_quadrature,
+                         riemann_S0, riemann_S1, riemann_S2)
+from .selfinverse import DecompositionMeta, SelfInverseTerm
 from .lcu import RegisterSim, SegmentPlan, TermFamily, evolve, plan_segments
 from .driver import (ProblemConfig, RunReport, budget_errors, exact_evolve,
                      load_config, run_pipeline)

@@ -199,19 +199,6 @@ def gamma_entry(gamma: GammaIndex, alpha: Determinant,
         alpha, beta, term_value(gamma, alpha, beta, diff, table))
 
 
-def gamma_matrix(gamma: GammaIndex, basis: list[Determinant],
-                 table: IntegralTable, index: dict | None = None) -> np.ndarray:
-    """Dense matrix of one labelled term: entries at (alpha, partner)."""
-    if index is None:
-        index = {d.occ: k for k, d in enumerate(basis)}
-    M = np.zeros((len(basis), len(basis)), dtype=complex)
-    for ia, det in enumerate(basis):
-        entry = gamma_entry(gamma, det, table)
-        if entry is not None:
-            M[ia, index[entry.beta.occ]] += entry.value
-    return M
-
-
 def labelled_edges(basis: list[Determinant]):
     """(gamma, ia, ib, diff) for every ordered pair of basis indices whose
     determinants differ in at most two orbitals, once per term selector.

@@ -138,10 +138,10 @@ def cmd_quadrature(args):
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["rho", "re", "im", "bound"])
-    for term in terms:
-        w.writerow([term.rho, repr(float(term.value.real)),
-                    repr(float(term.value.imag)),
-                    repr(float(term.magnitude_bound))])
+    bound = repr(terms.bound)
+    for rho, value in enumerate(terms.values):
+        w.writerow([rho, repr(float(value.real)), repr(float(value.imag)),
+                    bound])
     _emit(buf.getvalue(), args.out)
     return 0
 

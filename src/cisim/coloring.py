@@ -216,23 +216,6 @@ def _apply_color_occ(c: ColorTuple, occ: tuple, side: str, norb: int):
 # public operations on Determinant values
 
 
-def find_alphas(beta: Determinant, p: int, l: int) -> list[Determinant]:
-    return [Determinant(c, beta.norb)
-            for c, _, _ in _find_alphas(beta.occ, p, l, beta.norb)]
-
-
-def find_betas(alpha: Determinant, p: int, l: int) -> list[Determinant]:
-    return [Determinant(c, alpha.norb)
-            for c, _, _ in _find_betas(alpha.occ, p, l, alpha.norb)]
-
-
-def apply_single(a, b, l, shift, node: Determinant, side: str):
-    res = _apply_move(a, b, l, shift, node.occ, side, node.norb)
-    if res is INVALID:
-        return INVALID
-    return Determinant(res[0], node.norb)
-
-
 def apply_color(color: ColorTuple, node: Determinant, side: str):
     res = _apply_color_occ(color, node.occ, side, node.norb)
     if res is INVALID:

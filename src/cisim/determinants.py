@@ -2,8 +2,7 @@
 
 A determinant is the ascending tuple of its eta occupied spin-orbital
 indices, each in 1..N.  The basis of all such tuples is ordered
-lexicographically, and ranking/unranking uses the combinatorial number
-system so that index_of and determinant_at are mutual inverses.
+lexicographically; a determinant's index is its position in that list.
 """
 
 from __future__ import annotations
@@ -20,12 +19,7 @@ MAX_DENSE_DIM = 2048
 
 @dataclass(frozen=True, slots=True)
 class Determinant:
-    """Ascending occupied-orbital list with sentinel accessors.
-
-    ``orb(0)`` returns 0 and ``orb(eta+1)`` returns N+1; these dummy
-    values let position arithmetic run off either end of the list
-    without special cases.
-    """
+    """Ascending occupied-orbital list over N = ``norb`` spin-orbitals."""
 
     occ: tuple[int, ...]
     norb: int
@@ -45,14 +39,6 @@ class Determinant:
     @property
     def eta(self) -> int:
         return len(self.occ)
-
-    def orb(self, i: int) -> int:
-        """1-based access with sentinels at positions 0 and eta+1."""
-        if i == 0:
-            return 0
-        if i == self.eta + 1:
-            return self.norb + 1
-        return self.occ[i - 1]
 
     def __iter__(self):
         return iter(self.occ)
@@ -81,26 +67,6 @@ class DiffReport:
     sign: int
 
 
-def sort_with_parity(values) -> tuple[tuple[int, ...], int]:
-    """Sort a list and return it with the parity of the sorting permutation."""
-    vals = list(values)
-    sign = 1
-    # insertion sort; each neighbour swap flips the parity
-    for i in range(1, len(vals)):
-        j = i
-        while j > 0 and vals[j - 1] > vals[j]:
-            vals[j - 1], vals[j] = vals[j], vals[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(vals), sign
-
-
-def make_determinant(orbitals, norb: int) -> tuple[Determinant, int]:
-    """Sort an orbital list into a determinant, returning the sort parity."""
-    occ, sign = sort_with_parity(orbitals)
-    return Determinant(occ, norb), sign
-
-
 def enumerate_basis(norb: int, eta: int) -> list[Determinant]:
     """All C(N, eta) determinants in lexicographic order."""
     if eta < 1 or eta > norb:
@@ -115,37 +81,6 @@ def basis_size(norb: int, eta: int) -> int:
     if eta < 1 or eta > norb:
         raise InvalidCounts(f"eta={eta} not in [1, N={norb}]")
     return comb(norb, eta)
-
-
-def index_of(det: Determinant) -> int:
-    """Lexicographic rank of a determinant within its basis."""
-    rank = 0
-    prev = 0
-    eta = det.eta
-    for i, c in enumerate(det.occ, start=1):
-        for v in range(prev + 1, c):
-            rank += comb(det.norb - v, eta - i)
-        prev = c
-    return rank
-
-
-def determinant_at(rank: int, norb: int, eta: int) -> Determinant:
-    """Inverse of index_of: the rank-th determinant in lexicographic order."""
-    if not 0 <= rank < basis_size(norb, eta):
-        raise IndexOutOfRange(f"rank {rank} out of range for ({norb},{eta})")
-    occ = []
-    v = 1
-    remaining = rank
-    for i in range(1, eta + 1):
-        while True:
-            block = comb(norb - v, eta - i)
-            if remaining < block:
-                break
-            remaining -= block
-            v += 1
-        occ.append(v)
-        v += 1
-    return Determinant(tuple(occ), norb)
 
 
 def _permutation_parity(perm) -> int:

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cimatrix import (assemble_from_gammas, build_ci_matrix, count_gamma,
-                       enumerate_gammas, labelled_edges, sparsity_d,
-                       term_value)
+from .cimatrix import (build_ci_matrix, count_gamma, enumerate_gammas,
+                       labelled_edges, sparsity_d, term_value)
 from .determinants import (MAX_DENSE_DIM, align_and_diff, basis_size,
                            enumerate_basis)
 from .errors import (BudgetInfeasible, DimensionTooLarge, InvalidCounts,
@@ -34,8 +33,8 @@ from .errors import (BudgetInfeasible, DimensionTooLarge, InvalidCounts,
 from .integrals import IntegralTable
 from .lcu import TermFamily, evolve
 from .orbitals import SpinOrbital, derive_bounds
-from .quadrature import (plan_quadrature, riemann_S0, riemann_S1,
-                         riemann_S2)
+from .quadrature import (DEFAULT_GRID_CAP, plan_quadrature, riemann_S0,
+                         riemann_S1, riemann_S2)
 
 SCHEMA_VERSION = 1
 OVERLAP_TOL = 1e-6
@@ -139,7 +138,7 @@ class _QuadratureEngine:
     mapping.
     """
 
-    def __init__(self, basis, nuclei, bounds, delta, grid_cap=256):
+    def __init__(self, basis, nuclei, bounds, delta, grid_cap):
         self.basis = basis
         self.nuclei = nuclei
         self.bounds = bounds
@@ -180,7 +179,7 @@ class _QuadratureEngine:
 
 def build_term_family(table: IntegralTable, eta: int, zeta: float,
                       mode: str = "exact", bounds=None, delta=None,
-                      grid_cap: int = 256) -> TermFamily:
+                      grid_cap: int = DEFAULT_GRID_CAP) -> TermFamily:
     """Assemble the involution family for H on the double cover.
 
     Every label that meets an edge becomes one involution pattern over the
@@ -303,7 +302,7 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     if not isinstance(delta, dict):
         delta = float(delta)
     zeta = float(config.overrides.get("zeta", zeta))
-    grid_cap = int(config.overrides.get("grid_cap", 256))
+    grid_cap = int(config.overrides.get("grid_cap", DEFAULT_GRID_CAP))
 
     t0 = time.perf_counter()
     family = build_term_family(table, eta, zeta, mode=mode, bounds=bounds,
@@ -366,9 +365,3 @@ def exact_evolve_operator(H: np.ndarray, t: float) -> np.ndarray:
     evals, vecs = np.linalg.eigh(H)
     return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
 
-
-def verify_partition(table: IntegralTable, eta: int) -> float:
-    """Max entrywise defect of the labelled-term sum against the CI matrix."""
-    H = build_ci_matrix(table, eta)
-    Hg = assemble_from_gammas(table, eta)
-    return float(np.max(np.abs(H - Hg)))

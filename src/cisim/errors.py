@@ -40,7 +40,7 @@ class DeltaTooSmall(CisimError):
 
 
 class SpecMismatch(CisimError):
-    """Two Riemann term lists were built from incompatible plans."""
+    """A Riemann sum was requested with a plan of another kind or nucleus."""
 
 
 class MalformedGamma(CisimError):

@@ -3,10 +3,12 @@
 The Hamiltonian enters as a family of Hermitian signed involutions,
 H = zeta sum_{l=1..L} sum_{rho=1..mu} H_{l, rho} with l = (s, m, gamma),
 held column-compressed by :class:`TermFamily` (it stores only labels that
-meet an edge; L counts all Gamma labels).  Evolution for time t is
-split into r = ceil(zeta L mu t / ln 2) segments; each segment applies
-the Taylor expansion of exp(-i H t / r) truncated at order K through
-the walk operator
+meet an edge; L counts all Gamma labels).  The select oracle's action on
+the system is ``TermFamily.term_pattern``: row x of H_{l, rho} holds
+vals[x] at column perm[x].  Evolution for time t is split into
+r = ceil(zeta L mu t / ln 2) segments; each segment applies the Taylor
+expansion of exp(-i H t / r) truncated at order K through the walk
+operator
 
     W = (B^+ x 1) select(V) (B x 1),   <0|W|0> = U~ / lambda,
 
@@ -28,8 +30,6 @@ from math import ceil, factorial, log
 
 import numpy as np
 
-from .coloring import INVALID, LEFT, apply_color
-from .determinants import Determinant
 from .errors import BudgetInfeasible
 from .selfinverse import (DecompositionMeta, SelfInverseTerm, slice_values,
                           split_arrays)
@@ -68,6 +68,7 @@ class TermFamily:
         self.M = max([1] + [int(C.max()) for C in self._C if C.size])
         self.meta = DecompositionMeta(zeta=self.zeta, M=self.M,
                                       n_gamma=len(self.gammas), mu=self.mu)
+        self._rounded = None
 
     @property
     def L(self) -> int:
@@ -79,10 +80,6 @@ class TermFamily:
         m = (ell // 2) % self.M + 1
         g = ell // (2 * self.M)
         return s, m, g
-
-    def flat_ell(self, s: int, m: int, g: int) -> int:
-        """Pack (s in 1..2, m in 1..M, gamma index) into a flat l."""
-        return (g * self.M + (m - 1)) * 2 + (s - 1)
 
     def term_pattern(self, ell: int, rho: int) -> tuple[np.ndarray, np.ndarray]:
         """(perm, vals) of H_{l, rho}: row x holds vals[x] at column perm[x]."""
@@ -97,11 +94,6 @@ class TermFamily:
         perm, vals = self.term_pattern(ell, rho)
         return SelfInverseTerm(self.gammas[g], rho, m, s, perm.copy(), vals)
 
-    def apply_term(self, ell: int, rho: int, psi: np.ndarray) -> np.ndarray:
-        """H_{l, rho} psi without building the matrix."""
-        perm, vals = self.term_pattern(ell, rho)
-        return vals * psi[perm]
-
     def _scatter(self, label_values) -> np.ndarray:
         """Dense sum over stored labels g of label_values(g), summed over rho."""
         H = np.zeros((self.dim, self.dim), dtype=complex)
@@ -111,8 +103,16 @@ class TermFamily:
         return H
 
     def rounded_dense(self) -> np.ndarray:
-        """zeta sum_{l, rho} H_{l, rho}: the rounded Hamiltonian, dense."""
-        return self._scatter(lambda g: self.zeta * self._C[g] * self._phase[g])
+        """zeta sum_{l, rho} H_{l, rho}: the rounded Hamiltonian, dense.
+
+        Built on the first call; every later call returns the same
+        read-only array.
+        """
+        if self._rounded is None:
+            self._rounded = self._scatter(
+                lambda g: self.zeta * self._C[g] * self._phase[g])
+            self._rounded.flags.writeable = False
+        return self._rounded
 
     def unrounded_dense(self) -> np.ndarray:
         """Dense sum of the family's raw (pre-rounding) values."""
@@ -171,86 +171,6 @@ def plan_segments(h_norm_bound: float, t: float, eps: float,
     lam = sum(x**k / factorial(k) for k in range(K + 1))
     return SegmentPlan(r=r, K=K, zeta=meta.zeta, L=meta.L, mu=meta.mu,
                        lam=lam, t=t, eps=eps)
-
-
-# ---------------------------------------------------------------------------
-# oracles
-
-
-def q_col(color, node: Determinant, side: str = LEFT) -> Determinant:
-    """Partner determinant under a color; the node itself when INVALID."""
-    res = apply_color(color, node, side)
-    return node if res is INVALID else res
-
-
-def encode_det(det: Determinant) -> int:
-    """Pack occupied orbitals into eta fields of ceil(log2(N+1)) bits."""
-    width = max(1, (det.norb).bit_length())
-    out = 0
-    for k in det.occ:
-        out = (out << width) | k
-    return out
-
-
-def q_col_xor(color, node: Determinant, scratch: int, side: str = LEFT) -> int:
-    """XOR the partner's encoding into a scratch register."""
-    return scratch ^ encode_det(q_col(color, node, side))
-
-
-def is_valid_occ(occ, norb: int) -> bool:
-    return (len(occ) >= 1 and all(1 <= v <= norb for v in occ)
-            and all(a < b for a, b in zip(occ, occ[1:])))
-
-
-def q_val(family: TermFamily, ell: int, rho: int, row: int, col: int,
-          row_occ=None, col_occ=None, norb: int = 0) -> complex:
-    """Entry of H_{l, rho} at (row, col); zero off the sparsity pattern.
-
-    When raw orbital lists are supplied, entries between distinct nodes
-    vanish if either list is not a valid determinant, so no amplitude
-    ever flows into Pauli-forbidden configurations.
-    """
-    if row_occ is not None and row != col:
-        if not (is_valid_occ(row_occ, norb) and is_valid_occ(col_occ, norb)):
-            return 0.0
-    return complex(family.term(ell, rho).entry(row, col))
-
-
-def select_h(family: TermFamily, ell: int, rho: int, psi: np.ndarray) -> np.ndarray:
-    """psi -> H_{l, rho} psi (the select oracle's system action)."""
-    return family.apply_term(ell, rho, psi)
-
-
-def select_h_with_scratch(family: TermFamily, ell: int, rho: int,
-                          joint: np.ndarray, encodings: np.ndarray) -> np.ndarray:
-    """select on (system x scratch) through the four-step oracle walk.
-
-    ``joint`` has shape (dim, 2^W); ``encodings[x]`` is the W-bit code
-    of node x.  The walk XORs the partner's code into the scratch,
-    picks up the +-1 entry, swaps the two registers, and uncomputes by
-    a second partner XOR, so a state entering with scratch |0> leaves
-    with scratch |0> and the system multiplied by H_{l, rho}.
-    """
-    term = family.term(ell, rho)
-    dim = family.dim
-    code_to_node = {int(c): x for x, c in enumerate(encodings)}
-    width = joint.shape[1]
-    out = np.zeros_like(joint)
-    for x in range(dim):
-        y = int(term.perm[x])
-        for s in range(width):
-            amp = joint[x, s]
-            if amp == 0.0:
-                continue
-            s1 = s ^ int(encodings[y])          # compute partner code
-            amp = amp * term.vals[x]            # value oracle phase
-            node2 = code_to_node.get(s1)        # swap system <-> scratch
-            if node2 is None:
-                continue                        # unreachable on clean input
-            s2 = int(encodings[x])
-            s3 = s2 ^ int(encodings[int(term.perm[node2])])  # uncompute
-            out[node2, s3] += amp
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -163,17 +163,6 @@ def eval_laplacian(phi: SpinOrbital, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_orbital(phi: SpinOrbital, r, order: str = "value"):
-    """Evaluate phi, grad phi, or laplacian phi at point(s) r."""
-    if order == "value":
-        return eval_value(phi, r)
-    if order == "gradient":
-        return eval_gradient(phi, r)
-    if order == "laplacian":
-        return eval_laplacian(phi, r)
-    raise ValueError(f"unknown order {order!r}")
-
-
 # ---------------------------------------------------------------------------
 # bound derivation and certification
 

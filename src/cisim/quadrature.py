@@ -77,35 +77,19 @@ class QuadratureSpec:
     zq: float = 0.0
     zeta_prime: float = ZETA_PRIME
 
-    def compatible(self, other: "QuadratureSpec") -> bool:
-        return (self.kind == other.kind and self.grid_n == other.grid_n
-                and self.delta == other.delta and self.q == other.q)
-
 
 class RiemannSum:
-    """Sequence of midpoint terms: value array plus a shared magnitude bound.
+    """Midpoint terms: value array plus the shared per-term magnitude bound.
 
-    Behaves as a sequence of (rho, value, magnitude_bound) records;
-    ``total`` reduces with exact (fsum) summation so reduction order
-    cannot matter.
+    ``values[rho]`` is term rho; ``total`` reduces with exact (fsum)
+    summation so reduction order cannot matter.
     """
 
-    __slots__ = ("values", "bound", "spec")
+    __slots__ = ("values", "bound")
 
-    def __init__(self, values: np.ndarray, bound: float, spec: QuadratureSpec):
+    def __init__(self, values: np.ndarray, bound: float):
         self.values = np.asarray(values, dtype=complex)
         self.bound = float(bound)
-        self.spec = spec
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        for rho, v in enumerate(self.values):
-            yield RiemannTerm(rho, v, self.bound)
-
-    def __getitem__(self, rho):
-        return RiemannTerm(rho, self.values[rho], self.bound)
 
     @property
     def total(self) -> complex:
@@ -113,13 +97,6 @@ class RiemannSum:
 
     def max_term(self) -> float:
         return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-
-
-@dataclass(frozen=True)
-class RiemannTerm:
-    rho: int
-    value: complex
-    magnitude_bound: float
 
 
 def _scale(kind: str, bounds: BasisBounds, zq: float = 1.0) -> float:
@@ -264,7 +241,7 @@ def riemann_S0(i, j, spec: QuadratureSpec, basis) -> RiemannSum:
     vals = 0.5 * np.sum(gi * gj, axis=-1) * vol
     if phi_i.spin != phi_j.spin:
         vals = np.zeros_like(vals)
-    return RiemannSum(vals, spec.term_bound, spec)
+    return RiemannSum(vals, spec.term_bound)
 
 
 def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei,
@@ -281,7 +258,7 @@ def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei,
     phi_i, phi_j = basis[i - 1], basis[j - 1]
     Zq, Rq = float(nuclei[q][0]), np.asarray(nuclei[q][1], dtype=float)
     if Zq == 0.0:
-        return RiemannSum(np.zeros(spec.mu), 0.0, spec)
+        return RiemannSum(np.zeros(spec.mu), 0.0)
     branch = force_branch or spec.coordinate_system
     n = spec.grid_n
     x1 = spec.x_trunc
@@ -297,7 +274,7 @@ def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei,
         vals = -16.0 * x1**2 * Zq * f1 * (2.0 * pi**2 / n**3)
     if phi_i.spin != phi_j.spin:
         vals = np.zeros_like(vals)
-    return RiemannSum(vals, spec.term_bound, spec)
+    return RiemannSum(vals, spec.term_bound)
 
 
 def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis,
@@ -343,17 +320,7 @@ def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis,
         vals = (zp**2 * x2**5 * f2).ravel() * (16.0 * pi**2 / n**6)
     if not spin_ok:
         vals = np.zeros_like(vals)
-    return RiemannSum(vals, spec.term_bound, spec)
-
-
-def hermitize(terms_ij: RiemannSum, terms_ji: RiemannSum) -> RiemannSum:
-    """Term-wise (a + conj(b)) / 2, making each term Hermitian-symmetric."""
-    if not terms_ij.spec.compatible(terms_ji.spec):
-        raise SpecMismatch("term lists come from different plans")
-    if len(terms_ij) != len(terms_ji):
-        raise SpecMismatch("term lists differ in length")
-    vals = 0.5 * (terms_ij.values + np.conj(terms_ji.values))
-    return RiemannSum(vals, terms_ij.bound, terms_ij.spec)
+    return RiemannSum(vals, spec.term_bound)
 
 
 def lambda_exact(mu_decay: float, x: float, c: float) -> tuple[float, float]:

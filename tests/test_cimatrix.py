@@ -3,7 +3,7 @@ import pytest
 
 from cisim.cimatrix import (GammaIndex, assemble_from_gammas, build_ci_matrix,
                             ci_entry, count_gamma, enumerate_gammas,
-                            gamma_census, gamma_entry, gamma_matrix,
+                            gamma_census, gamma_entry, labelled_edges,
                             sparsity_d)
 from cisim.coloring import DIAGONAL_COLOR, ColorTuple, color_of
 from cisim.determinants import Determinant, enumerate_basis
@@ -95,14 +95,14 @@ def test_labelled_edges_reject_a_color_the_oracle_disagrees_with(monkeypatch):
 
 
 def test_each_term_is_one_sparse(mixed_table):
+    # every label of the edge table the family is built from holds at most
+    # one entry per row and per column
     basis = enumerate_basis(mixed_table.n, 2)
-    index = {d.occ: k for k, d in enumerate(basis)}
-    rng = np.random.default_rng(8)
-    gammas = enumerate_gammas(mixed_table.n, 2)
-    for gi in rng.choice(len(gammas), size=300, replace=False):
-        M = gamma_matrix(gammas[gi], basis, mixed_table, index)
-        assert np.max(np.sum(np.abs(M) > 0, axis=1)) <= 1
-        assert np.max(np.sum(np.abs(M) > 0, axis=0)) <= 1
+    rows, cols = set(), set()
+    for gamma, ia, ib, _ in labelled_edges(basis):
+        assert (gamma, ia) not in rows and (gamma, ib) not in cols
+        rows.add((gamma, ia))
+        cols.add((gamma, ib))
 
 
 def test_count_gamma_matches_enumeration():

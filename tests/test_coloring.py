@@ -1,60 +1,54 @@
 import pytest
 
 from cisim.coloring import (DIAGONAL_COLOR, INVALID, LEFT, RIGHT, ColorTuple,
-                            apply_color, apply_single, color_of,
-                            coloring_census, find_alphas, find_betas,
+                            _apply_move, _find_alphas, _find_betas,
+                            apply_color, color_of, coloring_census,
                             movement_tuples, single_colors, double_colors)
 from cisim.determinants import Determinant, enumerate_basis
 from cisim.errors import DimensionTooLarge, InvalidCounts, TooManyDifferences
 
 
-def occs(dets):
-    return [d.occ for d in dets]
+def occs(cands):
+    return [c for c, _, _ in cands]
 
 
 def test_find_alphas_traced_examples():
-    assert occs(find_alphas(Determinant((1, 3, 5), 6), 1, 2)) == [(1, 2, 5)]
+    assert occs(_find_alphas((1, 3, 5), 1, 2, 6)) == [(1, 2, 5)]
     # sentinel beta_4 = N + 1 = 9 admits the second candidate
-    assert occs(find_alphas(Determinant((1, 5, 7), 8), 3, 2)) \
-        == [(1, 2, 7), (1, 4, 5)]
-    assert occs(find_alphas(Determinant((1, 2, 3), 6), 1, 1)) == []
+    assert occs(_find_alphas((1, 5, 7), 3, 2, 8)) == [(1, 2, 7), (1, 4, 5)]
+    assert occs(_find_alphas((1, 2, 3), 1, 1, 6)) == []
 
 
 def test_find_betas_traced_examples():
     # spacing tie (4 vs 4) fails the strict inequality: ties go to a = 0
-    assert occs(find_betas(Determinant((1, 2, 5), 6), 1, 2)) == []
+    assert occs(_find_betas((1, 2, 5), 1, 2, 6)) == []
     # moving 4 -> 5 in (1, 4, 9) keeps the same neighbours, so the
     # spacing tie (8 vs 8) rejects it as well
-    assert occs(find_betas(Determinant((1, 4, 9), 9), 1, 2)) == []
+    assert occs(_find_betas((1, 4, 9), 1, 2, 9)) == []
     # a crossing move shrinks the spacing: 5 -> 1 in (2, 3, 5) lands at
     # position 1 with spacing 2 < 4
-    assert occs(find_betas(Determinant((2, 3, 5), 6), -4, 1)) == [(1, 2, 3)]
+    assert occs(_find_betas((2, 3, 5), -4, 1, 6)) == [(1, 2, 3)]
     # two candidates, disambiguated by b
-    assert occs(find_betas(Determinant((3, 4, 7), 9), 5, 3)) \
-        == [(4, 7, 8), (3, 7, 9)]
+    assert occs(_find_betas((3, 4, 7), 5, 3, 9)) == [(4, 7, 8), (3, 7, 9)]
 
 
 def test_find_with_zero_shift():
-    b = Determinant((2, 4, 6), 8)
-    assert occs(find_alphas(b, 0, 2)) == [(2, 4, 6)]
+    b = (2, 4, 6)
+    assert occs(_find_alphas(b, 0, 2, 8)) == [(2, 4, 6)]
     # the strict mirror has no zero-shift fixed point
-    assert occs(find_betas(b, 0, 2)) == []
+    assert occs(_find_betas(b, 0, 2, 8)) == []
 
 
 def test_apply_single_examples():
-    a = Determinant((1, 2, 5), 6)
-    res = apply_single(0, 0, 2, 1, a, LEFT)
-    assert res.occ == (1, 3, 5)
-    b = Determinant((1, 5, 7), 8)
-    res = apply_single(0, 1, 2, 3, b, RIGHT)
-    assert res.occ == (1, 4, 5)
+    assert _apply_move(0, 0, 2, 1, (1, 2, 5), LEFT, 6)[0] == (1, 3, 5)
+    assert _apply_move(0, 1, 2, 3, (1, 5, 7), RIGHT, 8)[0] == (1, 4, 5)
 
 
 def test_apply_single_out_of_range_is_invalid():
-    a = Determinant((1, 2), 4)
-    assert apply_single(0, 0, 2, 3, a, LEFT) is INVALID   # 2 + 3 > N
-    assert apply_single(0, 0, 1, -1, a, LEFT) is INVALID  # 1 - 1 < 1
-    assert apply_single(0, 0, 1, 1, a, LEFT) is INVALID   # collision with 2
+    a = (1, 2)
+    assert _apply_move(0, 0, 2, 3, a, LEFT, 4) is INVALID   # 2 + 3 > N
+    assert _apply_move(0, 0, 1, -1, a, LEFT, 4) is INVALID  # 1 - 1 < 1
+    assert _apply_move(0, 0, 1, 1, a, LEFT, 4) is INVALID   # collision with 2
 
 
 def test_apply_color_diagonal():

@@ -2,44 +2,43 @@ import itertools
 
 import pytest
 
-from cisim.determinants import (Determinant, align_and_diff, basis_size,
-                                determinant_at, enumerate_basis, index_of,
-                                make_determinant, sort_with_parity)
+from cisim.coloring import _orb
+from cisim.determinants import (Determinant, _permutation_parity,
+                                align_and_diff, basis_size, enumerate_basis)
 from cisim.errors import DuplicateOrbital, IndexOutOfRange, InvalidCounts
 
 from conftest import inversion_parity
 
+# The parity of sorting an orbital list is the parity of its rank
+# sequence, which align_and_diff computes with _permutation_parity.
+
 
 def test_make_determinant_sorted():
-    det, sign = make_determinant([1, 2, 3], 4)
-    assert det.occ == (1, 2, 3) and sign == +1
+    assert _permutation_parity([0, 1, 2]) == +1
 
 
 def test_make_determinant_one_swap():
-    det, sign = make_determinant([2, 1, 3], 4)
-    assert det.occ == (1, 2, 3) and sign == -1
+    assert _permutation_parity([1, 0, 2]) == -1
 
 
 def test_make_determinant_parity_oracle():
     # [3,1,2] has two inversions; cross-check with the brute-force count
-    det, sign = make_determinant([3, 1, 2], 4)
-    assert det.occ == (1, 2, 3)
-    assert sign == inversion_parity([3, 1, 2]) == +1
+    assert _permutation_parity([2, 0, 1]) == inversion_parity([3, 1, 2]) == +1
 
 
 def test_sort_parity_matches_oracle_exhaustive():
     for perm in itertools.permutations([1, 2, 3, 4]):
-        _, sign = sort_with_parity(perm)
-        assert sign == inversion_parity(perm)
+        assert _permutation_parity([v - 1 for v in perm]) \
+            == inversion_parity(perm)
 
 
 def test_make_determinant_errors():
     with pytest.raises(DuplicateOrbital):
-        make_determinant([1, 1, 2], 4)
+        Determinant((1, 1, 2), 4)
     with pytest.raises(IndexOutOfRange):
-        make_determinant([0, 2], 4)
+        Determinant((0, 2), 4)
     with pytest.raises(IndexOutOfRange):
-        make_determinant([2, 5], 4)
+        Determinant((2, 5), 4)
 
 
 def test_enumerate_basis_4_2():
@@ -58,20 +57,13 @@ def test_enumerate_basis_edges():
         enumerate_basis(3, 0)
 
 
-@pytest.mark.parametrize("norb,eta", [(4, 2), (6, 3), (8, 4), (7, 1)])
-def test_rank_unrank_inverse(norb, eta):
-    dets = enumerate_basis(norb, eta)
-    for i, det in enumerate(dets):
-        assert index_of(det) == i
-        assert determinant_at(i, norb, eta).occ == det.occ
-
-
 def test_sentinel_accessors():
-    det = Determinant((2, 5), 6)
-    assert det.orb(0) == 0
-    assert det.orb(1) == 2
-    assert det.orb(2) == 5
-    assert det.orb(3) == 7
+    # position 0 reads 0 and position eta + 1 reads N + 1
+    occ = (2, 5)
+    assert _orb(occ, 6, 0) == 0
+    assert _orb(occ, 6, 1) == 2
+    assert _orb(occ, 6, 2) == 5
+    assert _orb(occ, 6, 3) == 7
 
 
 def test_align_identity():

@@ -5,20 +5,23 @@ import sys
 import numpy as np
 import pytest
 
-from cisim.cimatrix import enumerate_gammas, gamma_entry, term_value
+from cisim.cimatrix import (assemble_from_gammas, build_ci_matrix,
+                            enumerate_gammas, gamma_entry, term_value)
 from cisim.cli import main as cli_main
 from cisim.determinants import align_and_diff, enumerate_basis
 from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
-                          config_from_dict, doubled, exact_evolve, ingest,
-                          load_config, run_pipeline, validate_config,
-                          verify_partition)
+                          certified_bounds, config_from_dict, doubled,
+                          exact_evolve, ingest, load_config, run_pipeline,
+                          validate_config)
 from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidCounts,
                           NonOrthonormalBasisWarning)
 from cisim.integrals import IntegralTable
-from cisim.quadrature import delta_for_grid
+from cisim.lcu import TermFamily
+from cisim.quadrature import delta_for_grid, plan_quadrature, riemann_S0
 from cisim.orbitals import derive_bounds
 
 from conftest import so
+from oracles import flat_ell
 
 H2_PATH = "configs/h2.json"
 
@@ -97,7 +100,8 @@ def test_overlap_warning_fires():
 
 
 def test_partition_verifier(h2_table):
-    assert verify_partition(h2_table, 2) < 1e-12
+    H = build_ci_matrix(h2_table, 2)
+    assert np.max(np.abs(H - assemble_from_gammas(h2_table, 2))) < 1e-12
 
 
 def _per_label_family(table, eta):
@@ -133,7 +137,7 @@ def _per_label_family(table, eta):
 @pytest.mark.parametrize("table_name,eta", [("h2_table", 2),
                                             ("mixed_table", 2)])
 def test_family_labels_match_per_label_oracle(table_name, eta, request):
-    # verify_partition sees only the sum of the labels; this checks that
+    # assemble_from_gammas sees only the sum of the labels; this checks that
     # every edge is filed under the label whose color reaches it
     table = request.getfixturevalue(table_name)
     expected = _per_label_family(table, eta)
@@ -149,7 +153,7 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
     rows = np.arange(fam.dim)
     for g in range(n_stored, len(fam.gammas)):
         for s in (1, 2):
-            term = fam.term(fam.flat_ell(s, 1, g), 0)
+            term = fam.term(flat_ell(fam, s, 1, g), 0)
             assert term.gamma == fam.gammas[g]
             assert np.array_equal(term.perm, rows)
             assert np.array_equal(term.vals, np.full(fam.dim, 3 - 2 * s))
@@ -174,6 +178,21 @@ def test_pipeline_ledger_sound(h2_report):
     # the measured error never exceeds what the ledger claims
     assert h2_report.l2_error_vs_exact <= h2_report.error_ledger["total"]
     assert h2_report.fidelity > 1 - 2 * h2_report.error_ledger["total"]
+
+
+def test_pipeline_builds_rounded_dense_once(monkeypatch):
+    # run_pipeline and evolve's taylor_block share one dense scatter
+    calls = []
+    scatter = TermFamily._scatter
+
+    def counted(self, label_values):
+        calls.append(1)
+        return scatter(self, label_values)
+
+    monkeypatch.setattr(TermFamily, "_scatter", counted)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        run_pipeline(h2_config(), mode="exact")
+    assert len(calls) == 1
 
 
 def test_pipeline_deterministic():
@@ -211,7 +230,6 @@ def test_riemann_mode_family_consistency(tiny_riemann):
     basis, nuclei, bounds, table, deltas = tiny_riemann
     fam = build_term_family(table, 1, zeta=0.02, mode="riemann",
                             bounds=bounds, delta=deltas)
-    from cisim.cimatrix import build_ci_matrix
     H2 = doubled(build_ci_matrix(table, 1))
     unrounded = fam.unrounded_dense()
     assert np.max(np.abs(unrounded - unrounded.conj().T)) < 1e-12
@@ -272,6 +290,14 @@ def test_cli_quadrature(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "rho,re,im,bound"
     assert len(lines) == 1 + 8**3
+    cfg = h2_config()
+    bounds = certified_bounds(cfg)
+    delta = delta_for_grid("s0", 8, bounds)
+    spec = plan_quadrature("s0", 1, 3, delta, bounds, cfg.orbitals)
+    terms = riemann_S0(1, 3, spec, cfg.orbitals)
+    assert lines[1:] == [
+        f"{rho},{float(v.real)!r},{float(v.imag)!r},{terms.bound!r}"
+        for rho, v in enumerate(terms.values)]
 
 
 def test_cli_evolve(tmp_path):

@@ -11,7 +11,8 @@ from cisim.errors import UnsupportedAngularMomentum
 from cisim.integrals import (IntegralTable, boys, eri_chemist, kinetic,
                              kinetic_gradient_form, nuclear_attraction,
                              overlap, reference_integral)
-from cisim.orbitals import SpinOrbital, eval_orbital, s_orbital
+from cisim.orbitals import (SpinOrbital, eval_gradient, eval_laplacian,
+                            eval_value, s_orbital)
 
 from conftest import so
 
@@ -35,8 +36,8 @@ def test_kinetic_s_gaussian_with_quadrature_cross_check():
     assert kinetic(g, g) == pytest.approx(1.5, abs=1e-12)
     # radial quadrature of -1/2 phi lap(phi), independent route
     val = quad(lambda r: -0.5 * 4 * pi * r * r
-               * eval_orbital(g, (r, 0.0, 0.0), "value")
-               * eval_orbital(g, (r, 0.0, 0.0), "laplacian"), 0, 12,
+               * eval_value(g, (r, 0.0, 0.0))
+               * eval_laplacian(g, (r, 0.0, 0.0)), 0, 12,
                limit=200)[0]
     assert val == pytest.approx(1.5, abs=1e-9)
 
@@ -176,7 +177,7 @@ def test_kinetic_numeric_grid_cross_check():
     axis = (np.arange(n) + 0.5) * (2 * half / n) - half
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
-    gp = eval_orbital(p, pts, "gradient")
-    gd = eval_orbital(d, pts, "gradient")
+    gp = eval_gradient(p, pts)
+    gd = eval_gradient(d, pts)
     numeric = 0.5 * np.sum(gp * gd) * (2 * half / n) ** 3
     assert abs(numeric - exact) < 1e-5

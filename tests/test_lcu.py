@@ -7,10 +7,11 @@ from scipy.linalg import expm
 from cisim.coloring import DIAGONAL_COLOR, INVALID, LEFT, apply_color
 from cisim.determinants import Determinant, enumerate_basis
 from cisim.errors import BudgetInfeasible
-from cisim.lcu import (RegisterSim, SegmentPlan, TermFamily, encode_det,
-                       evolve, oaa_block, plan_segments, prepare_b, q_col,
-                       q_col_xor, q_val, select_h, select_h_with_scratch,
-                       taylor_block)
+from cisim.lcu import (RegisterSim, SegmentPlan, TermFamily, evolve,
+                       oaa_block, plan_segments, prepare_b, taylor_block)
+
+from oracles import (apply_term, encode_det, flat_ell, q_col, q_col_xor,
+                     q_val, select_h_with_scratch)
 
 LN2 = log(2.0)
 
@@ -63,7 +64,7 @@ def generic_family(rng, dim=8, n_gamma=3, mu=2, zeta=0.05):
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# gate-level oracle model
 
 
 def test_q_col_diagonal():
@@ -134,9 +135,9 @@ def test_select_h_matches_dense_and_is_involution():
         rho = int(rng.integers(fam.mu))
         psi = rng.normal(size=fam.dim) + 1j * rng.normal(size=fam.dim)
         dense = fam.term(ell, rho).as_dense()
-        out = select_h(fam, ell, rho, psi)
+        out = apply_term(fam, ell, rho, psi)
         assert np.allclose(out, dense @ psi, atol=1e-12)
-        assert np.allclose(select_h(fam, ell, rho, out), psi, atol=1e-12)
+        assert np.allclose(apply_term(fam, ell, rho, out), psi, atol=1e-12)
 
 
 def test_select_h_scratch_returns_to_zero():
@@ -149,7 +150,7 @@ def test_select_h_scratch_returns_to_zero():
     joint[:, 0] = psi
     out = select_h_with_scratch(fam, 1, 0, joint, codes)
     assert np.linalg.norm(out[:, 1:]) < 1e-12
-    assert np.allclose(out[:, 0], select_h(fam, 1, 0, psi), atol=1e-12)
+    assert np.allclose(out[:, 0], apply_term(fam, 1, 0, psi), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +392,7 @@ def test_ell_packing_roundtrip():
     for ell in range(fam.L):
         s, m, g = fam.ell_parts(ell)
         assert 1 <= s <= 2 and 1 <= m <= fam.M and 0 <= g < len(fam.perms)
-        assert fam.flat_ell(s, m, g) == ell
+        assert flat_ell(fam, s, m, g) == ell
 
 
 def test_select_h_diagonal_term_applies_phases_only():
@@ -402,7 +403,7 @@ def test_select_h_diagonal_term_applies_phases_only():
     vals = np.array([0.5, -0.5, 0.5, -0.5, 0.5])[:, None].astype(complex)
     fam = TermFamily([perm], [vals], zeta=0.25)
     psi = rng.normal(size=5) + 1j * rng.normal(size=5)
-    out = select_h(fam, 0, 0, psi)
+    out = apply_term(fam, 0, 0, psi)
     assert np.allclose(np.abs(out), np.abs(psi))
     assert np.allclose(np.abs(out / psi), 1.0)
 

@@ -4,19 +4,20 @@ from scipy.optimize import minimize_scalar
 
 from cisim.errors import BoundViolated, UnsupportedAngularMomentum
 from cisim.orbitals import (BasisBounds, SpinOrbital, certify_bounds,
-                            derive_bounds, eval_orbital, s_orbital)
+                            derive_bounds, eval_gradient, eval_laplacian,
+                            eval_value, s_orbital)
 
 from conftest import so
 
 
 def test_gradient_vanishes_at_center():
     g = so((0.0, 0.0, 0.0), 1.0, normalized=False)
-    assert np.allclose(eval_orbital(g, (0.0, 0.0, 0.0), "gradient"), 0.0)
+    assert np.allclose(eval_gradient(g, (0.0, 0.0, 0.0)), 0.0)
 
 
 def test_value_direct_substitution():
     g = so((0.0, 0.0, 0.0), 1.0, normalized=False)
-    assert eval_orbital(g, (1.0, 0.0, 0.0), "value") == pytest.approx(np.exp(-1.0))
+    assert eval_value(g, (1.0, 0.0, 0.0)) == pytest.approx(np.exp(-1.0))
 
 
 def _fd_laplacian(phi, r, h=1e-4):
@@ -25,9 +26,9 @@ def _fd_laplacian(phi, r, h=1e-4):
     for d in range(3):
         e = np.zeros(3)
         e[d] = h
-        out += (eval_orbital(phi, r + e, "value")
-                - 2.0 * eval_orbital(phi, r, "value")
-                + eval_orbital(phi, r - e, "value")) / h**2
+        out += (eval_value(phi, r + e)
+                - 2.0 * eval_value(phi, r)
+                + eval_value(phi, r - e)) / h**2
     return out
 
 
@@ -37,14 +38,14 @@ def _fd_gradient(phi, r, h=1e-4):
     for d in range(3):
         e = np.zeros(3)
         e[d] = h
-        out[d] = (eval_orbital(phi, r + e, "value")
-                  - eval_orbital(phi, r - e, "value")) / (2.0 * h)
+        out[d] = (eval_value(phi, r + e)
+                  - eval_value(phi, r - e)) / (2.0 * h)
     return out
 
 
 def test_laplacian_finite_difference_example():
     g = so((0.0, 0.0, 0.0), 1.0, normalized=False)
-    exact = eval_orbital(g, (1.0, 0.0, 0.0), "laplacian")
+    exact = eval_laplacian(g, (1.0, 0.0, 0.0))
     assert abs(exact - _fd_laplacian(g, (1.0, 0.0, 0.0))) < 1e-6
 
 
@@ -56,8 +57,8 @@ def test_derivatives_match_finite_differences(powers):
     scale = 1.0
     for _ in range(100):
         r = rng.uniform(-1.5, 1.5, size=3)
-        grad = eval_orbital(phi, r, "gradient")
-        lap = eval_orbital(phi, r, "laplacian")
+        grad = eval_gradient(phi, r)
+        lap = eval_laplacian(phi, r)
         assert np.linalg.norm(grad - _fd_gradient(phi, r)) \
             <= 1e-5 * max(np.linalg.norm(grad), scale)
         assert abs(lap - _fd_laplacian(phi, r)) <= 1e-5 * max(abs(lap), scale)
@@ -104,7 +105,7 @@ def test_decay_envelope_random_points():
         dirs = rng.normal(size=(10_000, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         pts = c + radii[:, None] * dirs
-        vals = np.abs(eval_orbital(phi, pts, "value"))
+        vals = np.abs(eval_value(phi, pts))
         cap = bounds.phi_max * np.exp(-bounds.alpha_decay * radii / bounds.x_max)
         assert np.all(vals <= cap * (1 + 1e-9))
 
@@ -116,8 +117,8 @@ def test_gradient_and_laplacian_caps_hold():
     b = derive_bounds(basis)
     pts = rng.uniform(-4, 4, size=(5000, 3))
     for phi in basis:
-        grad = np.linalg.norm(eval_orbital(phi, pts, "gradient"), axis=-1)
-        lap = np.abs(eval_orbital(phi, pts, "laplacian"))
+        grad = np.linalg.norm(eval_gradient(phi, pts), axis=-1)
+        lap = np.abs(eval_laplacian(phi, pts))
         assert np.all(grad <= b.gamma1 * b.phi_max / b.x_max * (1 + 1e-9))
         assert np.all(lap <= b.gamma2 * b.phi_max / b.x_max**2 * (1 + 1e-9))
 

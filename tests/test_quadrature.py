@@ -1,18 +1,19 @@
 from dataclasses import replace
-from math import e, exp, pi, sqrt
+from math import e, exp, fsum, pi, sqrt
 
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
-from cisim.errors import DeltaTooLarge, DeltaTooSmall, SpecMismatch
-from cisim.integrals import (eri_chemist, kinetic_gradient_form,
-                             nuclear_attraction)
+from cisim.driver import build_term_family
+from cisim.errors import DeltaTooLarge, DeltaTooSmall
+from cisim.integrals import (IntegralTable, eri_chemist,
+                             kinetic_gradient_form, nuclear_attraction)
 from cisim.orbitals import BasisBounds, derive_bounds, s_orbital
-from cisim.quadrature import (ZETA_PRIME, delta_for_grid, hermitize,
-                              k0_constant, k1_constant, k2_constant,
-                              lambda_exact, plan_quadrature, riemann_S0,
-                              riemann_S1, riemann_S2)
+from cisim.quadrature import (ZETA_PRIME, delta_for_grid, k0_constant,
+                              k1_constant, k2_constant, lambda_exact,
+                              plan_quadrature, riemann_S0, riemann_S1,
+                              riemann_S2)
 
 
 UNIT = BasisBounds(phi_max=1.0, x_max=1.0, alpha_decay=1.0,
@@ -144,30 +145,24 @@ def test_s2_distant_branch_terms_finite():
 
 
 def test_hermitize(sbasis):
+    # with no nuclei an eta = 1 family holds kinetic terms only; each row
+    # of a label pairs (side 0, alpha) with (side 1, beta), xi = 2
     basis, _, bounds = sbasis
     delta = delta_for_grid("s0", 16, bounds)
+    fam = build_term_family(IntegralTable(basis), 1, zeta=0.01,
+                            mode="riemann", bounds=bounds, delta=delta)
+    row = {(x, int(p[x])): fam.values[g][x]
+           for g, p in enumerate(fam.perms) for x in range(2)}
+    h_ij, h_ji, h_ii = row[0, 3], row[1, 2], row[0, 2]
     spec = plan_quadrature("s0", 1, 2, delta, bounds, basis)
     ij = riemann_S0(1, 2, spec, basis)
     ji = riemann_S0(2, 1, spec, basis)
-    h_ij = hermitize(ij, ji)
-    h_ji = hermitize(ji, ij)
-    assert np.allclose(h_ij.values, np.conj(h_ji.values))
+    assert np.array_equal(h_ij, 0.5 * (ij.values + np.conj(ji.values)))
+    assert np.allclose(h_ij, np.conj(h_ji))
     # i = j collapses to the real part
-    ii = riemann_S0(1, 1, spec, basis)
-    h_ii = hermitize(ii, ii)
-    assert np.allclose(h_ii.values.imag, 0.0)
+    assert np.allclose(h_ii.imag, 0.0)
     exact = kinetic_gradient_form(basis[0], basis[1])
-    assert abs(h_ij.total - exact) <= delta
-
-
-def test_hermitize_spec_mismatch(sbasis):
-    basis, _, bounds = sbasis
-    s16 = plan_quadrature("s0", 1, 2, delta_for_grid("s0", 16, bounds),
-                          bounds, basis)
-    s8 = plan_quadrature("s0", 1, 2, delta_for_grid("s0", 8, bounds),
-                         bounds, basis)
-    with pytest.raises(SpecMismatch):
-        hermitize(riemann_S0(1, 2, s16, basis), riemann_S0(2, 1, s8, basis))
+    assert abs(complex(fsum(h_ij.real), fsum(h_ij.imag)) - exact) <= delta
 
 
 def test_monotone_convergence_trend(sbasis):

@@ -1,19 +1,44 @@
 import numpy as np
-import pytest
 
-from cisim.errors import PatternMismatch
-from cisim.selfinverse import (decompose, decompose_dense, reconstruct,
-                               remove_zeros, round_aleph, round_modulus,
-                               split_C)
+from cisim.lcu import TermFamily
+from cisim.selfinverse import slice_values, split_arrays
+
+
+def _rounded(values, zeta):
+    """zeta C phase: the value the split must reproduce."""
+    C, phase = split_arrays(np.asarray(values, dtype=complex), zeta)
+    return zeta * C * phase
+
+
+def _one_label(perm, vals, zeta):
+    """A family holding one label at one grid point."""
+    return TermFamily([perm], [np.asarray(vals, dtype=complex)[:, None]], zeta)
+
+
+def _term_sum(fam):
+    """zeta-weighted dense sum of every emitted term of a one-point family."""
+    rows = np.arange(fam.dim)
+    H = np.zeros((fam.dim, fam.dim), dtype=complex)
+    for ell in range(fam.L):
+        term = fam.term(ell, 0)
+        H[rows, term.perm] += fam.zeta * term.vals
+    return H
 
 
 def test_round_examples():
-    assert round_aleph(1.3, 0.5) == 1.0
-    assert round_aleph(0.0, 0.3) == 0.0
+    def r(value, zeta):
+        return _rounded([value], zeta)[0]
+
+    assert r(1.3, 0.5) == 1.0
+    assert r(0.0, 0.3) == 0.0
     # value exactly zeta: 0.5 steps from zero, ties go to the even multiple
-    assert round_aleph(0.5, 0.5) == 0.0
-    assert round_aleph(1.5, 0.5) == 2.0  # 1.5 steps -> even multiple 2
-    assert abs(round_aleph(1.3 + 0.7j, 0.5) - (1.0 + 1.0j)) < 1e-15
+    assert r(0.5, 0.5) == 0.0
+    assert r(1.5, 0.5) == 2.0  # 1.5 steps -> even multiple 2
+    # a complex entry keeps its phase and rounds its modulus (1.48 -> 1)
+    z = 1.3 + 0.7j
+    assert abs(r(z, 0.5) - z / abs(z)) < 1e-15
+    C, _ = split_arrays(np.array([1.3, 0.0, 0.5, 1.5, z]), 0.5)
+    assert C.dtype == np.int64 and list(C) == [2, 0, 0, 4, 2]
 
 
 def test_round_error_within_zeta():
@@ -21,37 +46,37 @@ def test_round_error_within_zeta():
     for _ in range(200):
         z = complex(rng.normal(), rng.normal())
         zeta = float(rng.uniform(0.01, 0.5))
-        r = round_aleph(z, zeta)
-        assert abs(r.real - z.real) <= zeta + 1e-12
-        assert abs(r.imag - z.imag) <= zeta + 1e-12
-        rm = round_modulus(z, zeta)
+        rm = _rounded([z], zeta)[0]
+        assert abs(rm.real - z.real) <= zeta + 1e-12
+        assert abs(rm.imag - z.imag) <= zeta + 1e-12
         assert abs(abs(rm) - abs(z)) <= zeta + 1e-12
         assert abs(rm - z) <= zeta + 1e-12
 
 
+def _slice_pair_sum(C, phase, m):
+    return slice_values(C, phase, m, 1) + slice_values(C, phase, m, 2)
+
+
 def test_split_two_sided_rule():
-    # C = 4 contributes +2 at the first two thresholds and nothing after
-    assert [split_C(4, m) for m in (1, 2, 3)] == [2, 2, 0]
-    assert [split_C(-4, m) for m in (1, 2, 3)] == [-2, -2, 0]
-    assert split_C(0, 1) == 0
+    # C = 4 contributes +2 at the first two thresholds and nothing after;
+    # a negative entry carries its sign in the phase
+    zeta = 0.25
+    C, phase = split_arrays(np.array([4, -4, 0], dtype=complex) * zeta, zeta)
+    assert [list(_slice_pair_sum(C, phase, m)) for m in (1, 2, 3)] \
+        == [[2, -2, 0], [2, -2, 0], [0, 0, 0]]
 
 
 def test_split_reconstructs_even_integers():
     # the scaled entries are always even after rounding; the threshold
     # slices sum back exactly
-    M = 5
+    M, zeta = 5, 0.25
     for c in range(-10, 11, 2):
-        assert sum(split_C(c, m) for m in range(1, M + 1)) == c
+        C, phase = split_arrays(np.array([c * zeta], dtype=complex), zeta)
+        assert sum(_slice_pair_sum(C, phase, m)[0]
+                   for m in range(1, M + 1)) == c
 
 
-def test_split_odd_inputs_truncate_toward_zero():
-    M = 6
-    for c in range(-11, 12):
-        total = sum(split_C(c, m) for m in range(1, M + 1))
-        assert total == 2 * int(c / 2)
-
-
-def _random_involution_matrix(rng, dim, zeta=None):
+def _random_involution_matrix(rng, dim):
     idx = list(range(dim))
     rng.shuffle(idx)
     perm = np.arange(dim)
@@ -69,25 +94,18 @@ def _random_involution_matrix(rng, dim, zeta=None):
 
 
 def test_remove_zeros_placement():
+    # C = 2 on the pair (0, 1), C = 0 on the pair (2, 3)
     perm = np.array([1, 0, 3, 2])
-    c_m = np.array([2, 2, 0, 0])
-    (p1, s1), (p2, s2) = remove_zeros(c_m, perm)
-    assert np.array_equal(p1, perm) and np.array_equal(p2, perm)
+    fam = _one_label(perm, [0.5, 0.5, 0.0, 0.0], zeta=0.25)
+    t1, t2 = fam.term(0, 0), fam.term(1, 0)   # m = 1, s = 1 and s = 2
+    assert (t1.m, t1.s, t2.m, t2.s) == (1, 1, 1, 2)
+    assert np.array_equal(t1.perm, perm) and np.array_equal(t2.perm, perm)
     # nonzero entries split equally; zero columns get +1 / -1 fixups
-    assert list(s1) == [1, 1, 1, 1]
-    assert list(s2) == [1, 1, -1, -1]
-    dense1 = np.zeros((4, 4), complex)
-    dense1[np.arange(4), p1] = s1
-    dense2 = np.zeros((4, 4), complex)
-    dense2[np.arange(4), p2] = s2
-    for d in (dense1, dense2):
+    assert list(t1.vals) == [1, 1, 1, 1]
+    assert list(t2.vals) == [1, 1, -1, -1]
+    for d in (t1.as_dense(), t2.as_dense()):
         assert np.allclose(d @ d, np.eye(4))
         assert np.allclose(d, d.conj().T)
-
-
-def test_remove_zeros_pattern_check():
-    with pytest.raises(PatternMismatch):
-        remove_zeros(np.array([2, 0]), np.array([1, 1]))
 
 
 def test_terms_are_hermitian_involutions():
@@ -95,8 +113,9 @@ def test_terms_are_hermitian_involutions():
     for trial in range(20):
         dim = int(rng.integers(4, 64))
         perm, vals = _random_involution_matrix(rng, dim)
-        terms, meta = decompose(perm, vals, zeta=0.1)
-        assert len(terms) == 2 * meta.M
+        fam = _one_label(perm, vals, zeta=0.1)
+        terms = [fam.term(ell, 0) for ell in range(fam.L)]
+        assert len(terms) == 2 * fam.M
         for t in terms:
             D = t.as_dense()
             assert np.allclose(D, D.conj().T)
@@ -110,38 +129,40 @@ def test_decompose_exact_multiples_reconstruct_exactly():
     perm = np.array([1, 0, 2, 4, 3])
     zeta = 0.05
     vals = np.array([4, 4, -2, 6, 6], dtype=complex) * 2 * zeta
-    terms, meta = decompose(perm, vals, zeta)
-    H = reconstruct(terms, zeta, 5)
+    fam = _one_label(perm, vals, zeta)
+    H = _term_sum(fam)
     dense = np.zeros((5, 5), complex)
     dense[np.arange(5), perm] = vals
     assert np.max(np.abs(H - dense)) < 1e-14
+    assert np.max(np.abs(fam.rounded_dense() - dense)) < 1e-14
 
 
 def test_decompose_random_within_zeta():
     rng = np.random.default_rng(23)
     dim, zeta = 32, 1e-3
     perm, vals = _random_involution_matrix(rng, dim)
-    terms, meta = decompose(perm, vals, zeta)
-    H = reconstruct(terms, zeta, dim)
+    fam = _one_label(perm, vals, zeta)
+    H = _term_sum(fam)
     dense = np.zeros((dim, dim), complex)
     dense[np.arange(dim), perm] = vals
     assert np.max(np.abs(H - dense)) <= zeta + 1e-12
-    # and the reconstruction equals the rounded values exactly
+    # and the reconstruction equals the modulus-rounded values exactly
     rounded = np.zeros_like(dense)
     for x in range(dim):
-        rounded[x, perm[x]] = round_modulus(vals[x], zeta)
+        v = vals[x]
+        step = 2.0 * zeta * np.round(abs(v) / (2.0 * zeta))
+        rounded[x, perm[x]] = v / abs(v) * step if v != 0 else 0.0
     assert np.max(np.abs(H - rounded)) < 1e-12
+    assert np.max(np.abs(fam.rounded_dense() - rounded)) < 1e-12
 
 
 def test_decompose_diagonal_entries():
     # self-paired rows (alpha = beta) go through the same construction
-    perm = np.arange(4)
-    vals = np.array([0.2, -0.4, 0.0, 0.6], dtype=complex)
-    terms, meta = decompose(perm, vals, zeta=0.1)
-    H = reconstruct(terms, 0.1, 4)
+    fam = _one_label(np.arange(4), [0.2, -0.4, 0.0, 0.6], zeta=0.1)
+    H = _term_sum(fam)
     assert np.allclose(np.diag(H), [0.2, -0.4, 0.0, 0.6])
-    for t in terms:
-        D = t.as_dense()
+    for ell in range(fam.L):
+        D = fam.term(ell, 0).as_dense()
         assert np.allclose(D @ D, np.eye(4))
 
 
@@ -149,15 +170,7 @@ def test_decompose_dense_roundtrip():
     A = np.zeros((4, 4), complex)
     A[0, 1] = A[1, 0] = 0.35
     A[2, 2] = -0.15
-    terms, meta = decompose_dense(A, zeta=0.05)
-    H = reconstruct(terms, 0.05, 4)
-    assert np.max(np.abs(H - A)) <= 0.05 + 1e-12
-
-
-def test_decompose_rejects_non_hermitian():
-    perm = np.array([1, 0])
-    vals = np.array([1.0, 2.0], dtype=complex)  # not symmetric
-    with pytest.raises(PatternMismatch):
-        decompose(perm, vals, zeta=0.1)
-    with pytest.raises(PatternMismatch):
-        decompose(np.array([1, 1]), np.array([1.0, 1.0]), zeta=0.1)
+    fam = _one_label(np.array([1, 0, 2, 3]), [0.35, 0.35, -0.15, 0.0],
+                     zeta=0.05)
+    assert np.max(np.abs(fam.rounded_dense() - A)) <= 0.05 + 1e-12
+    assert np.max(np.abs(_term_sum(fam) - A)) <= 0.05 + 1e-12
