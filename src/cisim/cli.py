@@ -30,26 +30,33 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _add_common(p):
-    p.add_argument("--config", help="problem config JSON")
-    p.add_argument("--epsilon", type=float, help="total error target override")
-    p.add_argument("--time", type=float, help="evolution time override")
-    p.add_argument("--delta", type=float, help="integral accuracy override")
-    p.add_argument("--zeta", type=float, help="rounding precision override")
-    p.add_argument("--mode", choices=["exact", "riemann"], default="exact")
-    p.add_argument("--output", choices=["json", "csv"], default="json")
-    p.add_argument("--out", help="write to this path instead of stdout")
+_FLAGS = {
+    "config": dict(help="problem config JSON"),
+    "epsilon": dict(type=float, help="total error target override"),
+    "time": dict(type=float, help="evolution time override"),
+    "delta": dict(type=float, help="integral accuracy override"),
+    "zeta": dict(type=float, help="rounding precision override"),
+    "mode": dict(choices=["exact", "riemann"], default="exact"),
+    "output": dict(choices=["json", "csv"], default="json"),
+    "out": dict(help="write to this path instead of stdout"),
+}
+
+
+def _add_flags(p, *names):
+    """Register the shared flags this subcommand's handler reads."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _load(args):
     config = load_config(args.config)
     if args.epsilon is not None:
         config.epsilon = args.epsilon
-    if args.time is not None:
+    if getattr(args, "time", None) is not None:
         config.time = args.time
-    if args.delta is not None:
+    if getattr(args, "delta", None) is not None:
         config.overrides["delta"] = args.delta
-    if args.zeta is not None:
+    if getattr(args, "zeta", None) is not None:
         config.overrides["zeta"] = args.zeta
     return config
 
@@ -189,17 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="validity and coverage census of the edge coloring")
     p.add_argument("--norb", type=int, required=True)
     p.add_argument("--eta", type=int, required=True)
-    p.add_argument("--output", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
+    _add_flags(p, "output", "out")
     p.set_defaults(fn=cmd_coloring_check)
 
     p = sub.add_parser("build-hamiltonian",
                        help="dense CI matrix and labelled-term census")
-    _add_common(p)
+    _add_flags(p, "config", "epsilon", "output", "out")
     p.set_defaults(fn=cmd_build_hamiltonian)
 
     p = sub.add_parser("quadrature", help="dump per-term Riemann CSV")
-    _add_common(p)
+    _add_flags(p, "config", "epsilon", "time", "delta", "out")
     p.add_argument("--kind", choices=["s0", "s1", "s2"], required=True)
     p.add_argument("--orbitals", required=True,
                    help="comma-separated 1-based indices: i,j or i,j,k,l")
@@ -209,11 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_quadrature)
 
     p = sub.add_parser("evolve", help="segmented Taylor evolution summary")
-    _add_common(p)
+    _add_flags(p, "config", "epsilon", "time", "delta", "zeta", "mode", "out")
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("report", help="full pipeline run report")
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(fn=cmd_report)
     return parser
 

@@ -6,13 +6,18 @@ must map a node on one side to at most one partner on the other side,
 and the two directions must be mutual inverses.
 
 A color is the 8-tuple (a1, b1, l1, p, a2, b2, l2, q).  Each 4-tuple
-describes one orbital move: the occupied orbital shifts by p (signed,
-not modular), l is its position in the sorted occupied list of either
-the left node (a = 0) or the right node (a = 1), and b picks between
-the at most two candidates the spacing rule leaves open.  A single
-difference puts its move in the second 4-tuple with p = 0; p = q = 0 is
-the diagonal family.  Two differences compose two moves through an
-intermediate list, and only the composition that maps the smaller
+(a, b, l, shift) is one move rule, read left to right: an occupied
+orbital of the left node shifts by `shift` (signed, not modular) into
+the right node.  The spacing predicate gives a = 0 when the right list
+is at least as spread out around the move as the left list (ties too),
+else a = 1; l is the moved orbital's position in the sorted list of the
+left node (a = 0) or the right node (a = 1).  The node whose list l
+indexes moves directly, then checks the predicate and that b picks it
+back; the other node searches for the at most two candidates the
+predicate admits, and b picks one.  A single difference puts its move in
+the second 4-tuple with p = 0; p = q = 0 is the diagonal family.  Two
+differences compose two moves, in order from the left node and reversed
+from the right node, and only the composition that maps the smaller
 differing orbital of the left node to the smaller differing orbital of
 the right node first is accepted, so each edge keeps exactly one color.
 
@@ -25,6 +30,7 @@ that node: the matrix element is zero and the node is unchanged.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .determinants import MAX_DENSE_DIM, Determinant, basis_size
@@ -74,54 +80,39 @@ def _spacing(occ: tuple, norb: int, i: int) -> int:
     return _orb(occ, norb, i + 1) - _orb(occ, norb, i - 1)
 
 
-def _replace_sorted(occ: tuple, pos: int, new_val: int) -> tuple[tuple, int]:
-    """Drop occ[pos-1], insert new_val; returns the tuple and its new position."""
-    vals = list(occ)
-    del vals[pos - 1]
-    k = 0
-    while k < len(vals) and vals[k] < new_val:
-        k += 1
-    vals.insert(k, new_val)
-    return tuple(vals), k + 1
+def _move_to(occ: tuple, k: int, v: int, norb: int):
+    """occ with occ[k-1] replaced by v, and v's position; None when v
+    leaves [1, N] or lands on another occupied orbital."""
+    if v == occ[k - 1]:
+        return occ, k
+    if not 1 <= v <= norb or v in occ:
+        return None
+    rest = occ[:k - 1] + occ[k:]
+    pos = bisect_left(rest, v)
+    return rest[:pos] + (v,) + rest[pos:], pos + 1
 
 
-def _find_alphas(beta: tuple, p: int, l: int, norb: int):
-    """Candidates for the left node, given the right node.
+def _spacing_a(occ: tuple, k: int, new: tuple, pos: int, side: str,
+               norb: int) -> int:
+    """Spacing predicate a (0 or 1) of a move from occ, on side, to new."""
+    here, there = _spacing(occ, norb, k), _spacing(new, norb, pos)
+    left, right = (here, there) if side == LEFT else (there, here)
+    return int(right < left)
 
-    The moved orbital sits at position l of the left list; each
-    candidate records (occ, moved_from, moved_to).  Spacing rule:
-    accept only when the right list is at least as spread out around
-    the move as the left list (ties belong to a = 0).
+
+def _candidates(occ: tuple, a: int, l: int, shift: int, norb: int):
+    """Partners of occ, the node whose list l does not index, in b order.
+
+    Each is (partner, x, y) with x -> y the moved orbital read left to right.
     """
+    side, s = (RIGHT, -shift) if a == 0 else (LEFT, shift)
     out = []
-    eta = len(beta)
-    for j in range(1, eta + 1):
-        v = beta[j - 1] - p
-        if p != 0 and not (1 <= v <= norb and v not in beta):
-            continue
-        if p == 0:
-            cand, i = beta, j
-        else:
-            cand, i = _replace_sorted(beta, j, v)
-        if i == l and _spacing(beta, norb, j) >= _spacing(cand, norb, i):
-            out.append((cand, beta[j - 1], v))
-    return out
-
-
-def _find_betas(alpha: tuple, p: int, l: int, norb: int):
-    """Mirror of _find_alphas with the strict spacing inequality (a = 1)."""
-    out = []
-    eta = len(alpha)
-    for i in range(1, eta + 1):
-        v = alpha[i - 1] + p
-        if p != 0 and not (1 <= v <= norb and v not in alpha):
-            continue
-        if p == 0:
-            cand, j = alpha, i
-        else:
-            cand, j = _replace_sorted(alpha, i, v)
-        if j == l and _spacing(cand, norb, j) < _spacing(alpha, norb, i):
-            out.append((cand, alpha[i - 1], v))
+    for k, x in enumerate(occ, 1):
+        if bisect_left(occ, x + s) + (s <= 0) != l:
+            continue  # x + s would not sit at position l of the partner
+        moved = _move_to(occ, k, x + s, norb)
+        if moved is not None and _spacing_a(occ, k, *moved, side, norb) == a:
+            out.append((moved[0], x, x + s) if a else (moved[0], x + s, x))
     return out
 
 
@@ -132,47 +123,20 @@ def _apply_move(a, b, l, shift, occ, side, norb):
     occupied in the left node and the value it becomes in the right
     node, regardless of which side the input node is on.
     """
-    eta = len(occ)
-    if not 1 <= l <= eta:
+    if not 1 <= l <= len(occ):
         return INVALID
-    if a == 0 and side == RIGHT:
-        # given the right node, search for left candidates
-        cands = _find_alphas(occ, shift, l, norb)
-        k = len(cands)
-        if k == 0 or (k == 1 and b != 0) or b >= k:
-            return INVALID
-        cand, frm, to = cands[b]
-        return cand, to, frm
-    if a == 0 and side == LEFT:
-        v = occ[l - 1] + shift
-        if shift != 0 and not (1 <= v <= norb and v not in occ):
-            return INVALID
-        new, j = (occ, l) if shift == 0 else _replace_sorted(occ, l, v)
-        if _spacing(new, norb, j) < _spacing(occ, norb, l):
-            return INVALID
-        cands = _find_alphas(new, shift, l, norb)
-        k = len(cands)
-        if (k == 1 and b == 0) or (k == 2 and b < k and cands[b][0] == occ):
-            return new, occ[l - 1], v
+    if side != (LEFT if a == 0 else RIGHT):
+        # l indexes the partner's list: b picks one of the candidates
+        cands = _candidates(occ, a, l, shift, norb)
+        return cands[b] if b < len(cands) else INVALID
+    # l indexes this node's list: move directly, then b must pick it back
+    s = shift if side == LEFT else -shift
+    moved = _move_to(occ, l, occ[l - 1] + s, norb)
+    if moved is None or _spacing_a(occ, l, *moved, side, norb) != a:
         return INVALID
-    if a == 1 and side == LEFT:
-        cands = _find_betas(occ, shift, l, norb)
-        k = len(cands)
-        if k == 0 or (k == 1 and b != 0) or b >= k:
-            return INVALID
-        cand, frm, to = cands[b]
-        return cand, frm, to
-    # a == 1, side == RIGHT
-    v = occ[l - 1] - shift
-    if shift != 0 and not (1 <= v <= norb and v not in occ):
-        return INVALID
-    new, i = (occ, l) if shift == 0 else _replace_sorted(occ, l, v)
-    if not _spacing(occ, norb, l) < _spacing(new, norb, i):
-        return INVALID
-    cands = _find_betas(new, shift, l, norb)
-    k = len(cands)
-    if (k == 1 and b == 0) or (k == 2 and b < k and cands[b][0] == occ):
-        return new, v, occ[l - 1]
+    cands = _candidates(moved[0], a, l, shift, norb)
+    if b < len(cands) <= 2 and cands[b][0] == occ:
+        return (moved[0],) + cands[b][1:]
     return INVALID
 
 
@@ -186,30 +150,27 @@ def _alt1_ok(x1, y1, x2, y2) -> bool:
 
 
 def _apply_color_occ(c: ColorTuple, occ: tuple, side: str, norb: int):
+    """The color's moves in order from the left, reversed from the right;
+    a double move is judged on its pairs read left to right."""
     if c.p == 0 and c.q == 0:
         return occ
-    if c.p == 0:
-        res = _apply_move(c.a2, c.b2, c.l2, c.q, occ, side, norb)
-        return res[0] if res is not INVALID else INVALID
-    if side == LEFT:
-        r1 = _apply_move(c.a1, c.b1, c.l1, c.p, occ, LEFT, norb)
-        if r1 is INVALID:
+    moves = [(c.a2, c.b2, c.l2, c.q)]
+    if c.p != 0:
+        moves.insert(0, (c.a1, c.b1, c.l1, c.p))
+    if side == RIGHT:
+        moves.reverse()
+    pairs = []
+    for move in moves:
+        res = _apply_move(*move, occ, side, norb)
+        if res is INVALID:
             return INVALID
-        chi, x1, y1 = r1
-        r2 = _apply_move(c.a2, c.b2, c.l2, c.q, chi, LEFT, norb)
-        if r2 is INVALID:
-            return INVALID
-        beta, x2, y2 = r2
-        return beta if _alt1_ok(x1, y1, x2, y2) else INVALID
-    r2 = _apply_move(c.a2, c.b2, c.l2, c.q, occ, RIGHT, norb)
-    if r2 is INVALID:
+        occ = res[0]
+        pairs.append(res[1:])
+    if side == RIGHT:
+        pairs.reverse()
+    if len(pairs) == 2 and not _alt1_ok(*pairs[0], *pairs[1]):
         return INVALID
-    chi, x2, y2 = r2
-    r1 = _apply_move(c.a1, c.b1, c.l1, c.p, chi, RIGHT, norb)
-    if r1 is INVALID:
-        return INVALID
-    alpha, x1, y1 = r1
-    return alpha if _alt1_ok(x1, y1, x2, y2) else INVALID
+    return occ
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +191,10 @@ def _single_color_parts(src: tuple, dst: tuple, norb: int):
     i = src.index(x) + 1
     j = dst.index(y) + 1
     shift = y - x
-    if _spacing(dst, norb, j) >= _spacing(src, norb, i):
-        a, l = 0, i
-        cands = _find_alphas(dst, shift, l, norb)
-        b = next(k for k, (c, _, _) in enumerate(cands) if c == src)
-    else:
-        a, l = 1, j
-        cands = _find_betas(src, shift, l, norb)
-        b = next(k for k, (c, _, _) in enumerate(cands) if c == dst)
+    a = _spacing_a(src, i, dst, j, LEFT, norb)
+    l, node, partner = (i, dst, src) if a == 0 else (j, src, dst)
+    cands = _candidates(node, a, l, shift, norb)
+    b = next(k for k, (c, _, _) in enumerate(cands) if c == partner)
     return a, b, l, shift
 
 
@@ -254,7 +211,7 @@ def color_of(alpha: Determinant, beta: Determinant) -> ColorTuple:
     if count == 1:
         a, b, l, shift = _single_color_parts(aocc, bocc, norb)
         return ColorTuple(0, 0, 1, 0, a, b, l, shift)
-    chi, _ = _replace_sorted(aocc, aocc.index(only_a[0]) + 1, only_b[0])
+    chi, _ = _move_to(aocc, aocc.index(only_a[0]) + 1, only_b[0], norb)
     a1, b1, l1, p = _single_color_parts(aocc, chi, norb)
     a2, b2, l2, q = _single_color_parts(chi, bocc, norb)
     return ColorTuple(a1, b1, l1, p, a2, b2, l2, q)

@@ -241,20 +241,31 @@ def _grid_over_basis(basis, half_width: float, n: int) -> np.ndarray:
     return g.reshape(-1, 3)
 
 
-def _polish_max(fn, start: np.ndarray) -> float:
-    res = minimize(lambda x: -fn(x[None, :])[0], start, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-    return -res.fun
-
-
-def _sup_on_grid(basis, fn_per_orbital, grid) -> tuple[float, int, np.ndarray]:
+def _sup(basis, magnitude, grid) -> float:
+    """Largest magnitude(phi, r) over the basis on the grid, refined by a
+    local optimizer started from the best grid point."""
     best, best_orb, best_pt = -1.0, 0, grid[0]
     for idx, phi in enumerate(basis):
-        vals = fn_per_orbital(phi, grid)
+        vals = magnitude(phi, grid)
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, best_orb, best_pt = float(vals[k]), idx, grid[k]
-    return best, best_orb, best_pt
+    res = minimize(lambda x: -magnitude(basis[best_orb], x[None, :])[0],
+                   best_pt, method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
+    return max(best, -res.fun)
+
+
+# (name, pointwise magnitude, radial envelope, cap(bounds)) of each
+# certified cap, in the order the checks run
+_CAPS = (
+    ("phi_max", lambda p, g: np.abs(eval_value(p, g)), _radial_envelope,
+     lambda b: b.phi_max),
+    ("gamma1", lambda p, g: np.linalg.norm(eval_gradient(p, g), axis=-1),
+     _radial_grad_envelope, lambda b: b.gamma1 * b.phi_max / b.x_max),
+    ("gamma2", lambda p, g: np.abs(eval_laplacian(p, g)),
+     _radial_lap_envelope, lambda b: b.gamma2 * b.phi_max / b.x_max**2),
+)
 
 
 def _certify_decay(phi: SpinOrbital, phi_max: float, x_max: float,
@@ -307,10 +318,7 @@ def derive_bounds(basis, alpha_decay: float = 1.0, grid_points: int = 64) -> Bas
 
     # provisional phi_max on a coarse region so the decay search can run
     grid = _grid_over_basis(basis, 3.0 * x_max + 1.0, grid_points)
-    phi_max, which, at = _sup_on_grid(
-        basis, lambda p, g: np.abs(eval_value(p, g)), grid)
-    phi_max = max(phi_max, _polish_max(
-        lambda g: np.abs(eval_value(basis[which], g)), at))
+    phi_max = _sup(basis, _CAPS[0][1], grid)
 
     for _ in range(200):
         try:
@@ -325,22 +333,8 @@ def derive_bounds(basis, alpha_decay: float = 1.0, grid_points: int = 64) -> Bas
 
     # final grid over the certified region
     grid = _grid_over_basis(basis, 3.0 * x_max, grid_points)
-
-    sup_phi, which, at = _sup_on_grid(
-        basis, lambda p, g: np.abs(eval_value(p, g)), grid)
-    sup_phi = max(sup_phi, _polish_max(
-        lambda g: np.abs(eval_value(basis[which], g)), at))
-    phi_max = sup_phi
-
-    sup_grad, which, at = _sup_on_grid(
-        basis, lambda p, g: np.linalg.norm(eval_gradient(p, g), axis=-1), grid)
-    sup_grad = max(sup_grad, _polish_max(
-        lambda g: np.linalg.norm(eval_gradient(basis[which], g), axis=-1), at))
-
-    sup_lap, which, at = _sup_on_grid(
-        basis, lambda p, g: np.abs(eval_laplacian(p, g)), grid)
-    sup_lap = max(sup_lap, _polish_max(
-        lambda g: np.abs(eval_laplacian(basis[which], g)), at))
+    phi_max, sup_grad, sup_lap = (_sup(basis, magnitude, grid)
+                                  for _, magnitude, _, _ in _CAPS)
 
     bounds = BasisBounds(
         phi_max=phi_max,
@@ -362,18 +356,11 @@ def certify_bounds(basis, bounds: BasisBounds, grid_points: int = 64):
     """
     grid = _grid_over_basis(basis, 3.0 * bounds.x_max, grid_points)
     tol = 1 + 1e-9
-    caps = (
-        ("phi_max", lambda p, g: np.abs(eval_value(p, g)), bounds.phi_max),
-        ("gamma1", lambda p, g: np.linalg.norm(eval_gradient(p, g), axis=-1),
-         bounds.gamma1 * bounds.phi_max / bounds.x_max),
-        ("gamma2", lambda p, g: np.abs(eval_laplacian(p, g)),
-         bounds.gamma2 * bounds.phi_max / bounds.x_max**2),
-    )
-    for name, fn, cap in caps:
+    for name, magnitude, _, cap in _CAPS:
         for idx, phi in enumerate(basis):
-            vals = fn(phi, grid)
+            vals = magnitude(phi, grid)
             k = int(np.argmax(vals))
-            if vals[k] > cap * tol:
+            if vals[k] > cap(bounds) * tol:
                 raise BoundViolated(
                     f"{name} cap violated by orbital {idx} at {grid[k]}",
                     orbital=idx, location=tuple(grid[k]), quantity=name,
@@ -381,15 +368,8 @@ def certify_bounds(basis, bounds: BasisBounds, grid_points: int = 64):
     # any point outside the sampled union is at least 3 x_max from every
     # center, so radial tail envelopes cover the exterior
     r_edge = 3.0 * bounds.x_max
-    tails = (
-        ("phi_max", _radial_envelope, bounds.phi_max),
-        ("gamma1", _radial_grad_envelope,
-         bounds.gamma1 * bounds.phi_max / bounds.x_max),
-        ("gamma2", _radial_lap_envelope,
-         bounds.gamma2 * bounds.phi_max / bounds.x_max**2),
-    )
     for idx, phi in enumerate(basis):
-        for name, env, cap in tails:
-            _tail_below_cap(phi, env, r_edge, cap, idx, name)
+        for name, _, envelope, cap in _CAPS:
+            _tail_below_cap(phi, envelope, r_edge, cap(bounds), idx, name)
         _certify_decay(phi, bounds.phi_max, bounds.x_max,
                        bounds.alpha_decay, idx)

@@ -5,9 +5,14 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cisim.integrals import IntegralTable
 from cisim.orbitals import SpinOrbital, primitive_norm
+
+# property tests draw the same examples on every run, with no time limit
+settings.register_profile("cisim", derandomize=True, deadline=None)
+settings.load_profile("cisim")
 
 
 def so(center, exponent, spin="up", powers=(0, 0, 0), normalized=True):

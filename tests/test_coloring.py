@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cisim.coloring import (DIAGONAL_COLOR, INVALID, LEFT, RIGHT, ColorTuple,
-                            _apply_move, _find_alphas, _find_betas,
+                            _apply_move, _candidates,
                             apply_color, color_of, coloring_census,
                             movement_tuples, single_colors, double_colors)
 from cisim.determinants import Determinant, enumerate_basis
@@ -13,30 +17,30 @@ def occs(cands):
 
 
 def test_find_alphas_traced_examples():
-    assert occs(_find_alphas((1, 3, 5), 1, 2, 6)) == [(1, 2, 5)]
+    assert occs(_candidates((1, 3, 5), 0, 2, 1, 6)) == [(1, 2, 5)]
     # sentinel beta_4 = N + 1 = 9 admits the second candidate
-    assert occs(_find_alphas((1, 5, 7), 3, 2, 8)) == [(1, 2, 7), (1, 4, 5)]
-    assert occs(_find_alphas((1, 2, 3), 1, 1, 6)) == []
+    assert occs(_candidates((1, 5, 7), 0, 2, 3, 8)) == [(1, 2, 7), (1, 4, 5)]
+    assert occs(_candidates((1, 2, 3), 0, 1, 1, 6)) == []
 
 
 def test_find_betas_traced_examples():
     # spacing tie (4 vs 4) fails the strict inequality: ties go to a = 0
-    assert occs(_find_betas((1, 2, 5), 1, 2, 6)) == []
+    assert occs(_candidates((1, 2, 5), 1, 2, 1, 6)) == []
     # moving 4 -> 5 in (1, 4, 9) keeps the same neighbours, so the
     # spacing tie (8 vs 8) rejects it as well
-    assert occs(_find_betas((1, 4, 9), 1, 2, 9)) == []
+    assert occs(_candidates((1, 4, 9), 1, 2, 1, 9)) == []
     # a crossing move shrinks the spacing: 5 -> 1 in (2, 3, 5) lands at
     # position 1 with spacing 2 < 4
-    assert occs(_find_betas((2, 3, 5), -4, 1, 6)) == [(1, 2, 3)]
+    assert occs(_candidates((2, 3, 5), 1, 1, -4, 6)) == [(1, 2, 3)]
     # two candidates, disambiguated by b
-    assert occs(_find_betas((3, 4, 7), 5, 3, 9)) == [(4, 7, 8), (3, 7, 9)]
+    assert occs(_candidates((3, 4, 7), 1, 3, 5, 9)) == [(4, 7, 8), (3, 7, 9)]
 
 
 def test_find_with_zero_shift():
     b = (2, 4, 6)
-    assert occs(_find_alphas(b, 0, 2, 8)) == [(2, 4, 6)]
+    assert occs(_candidates(b, 0, 2, 0, 8)) == [(2, 4, 6)]
     # the strict mirror has no zero-shift fixed point
-    assert occs(_find_betas(b, 0, 2, 8)) == []
+    assert occs(_candidates(b, 1, 2, 0, 8)) == []
 
 
 def test_apply_single_examples():
@@ -150,6 +154,68 @@ def test_round_trip_sampled_large(norb, eta):
         c = color_of(a, b)
         assert apply_color(c, a, LEFT) == b
         assert apply_color(c, b, RIGHT) == a
+
+
+# sha256 of repr((alpha.occ, beta.occ, color_of(alpha, beta))) over every
+# ordered pair one or two orbitals apart, in enumerate_basis order.  A
+# valid re-coloring only regroups edges among labels, which neither the
+# census nor the reports can see, so the labels themselves are pinned.
+COLORING_DIGESTS = {
+    (6, 3): "1853b81c02c32ed1c53726c8850c20efcd73bf50578a1abf43be995da4381887",
+    (8, 4): "b545e15f6afe321ed29774768396e85e5a37694b6cd1bcfc94137339c19a2e32",
+}
+
+
+@pytest.mark.parametrize("norb,eta", sorted(COLORING_DIGESTS))
+def test_coloring_is_pinned(norb, eta):
+    digest = hashlib.sha256()
+    dets = enumerate_basis(norb, eta)
+    for a in dets:
+        for b in dets:
+            if 1 <= len(set(a.occ) - set(b.occ)) <= 2:
+                digest.update(repr((a.occ, b.occ, color_of(a, b))).encode())
+    assert digest.hexdigest() == COLORING_DIGESTS[norb, eta]
+
+
+@st.composite
+def connected_pairs(draw):
+    """alpha and a partner one or two orbital changes away, N <= 16."""
+    norb = draw(st.integers(2, 16))
+    eta = draw(st.integers(1, min(8, norb - 1)))
+    alpha = draw(st.lists(st.integers(1, norb), min_size=eta,
+                          max_size=eta, unique=True))
+    empty = sorted(set(range(1, norb + 1)) - set(alpha))
+    k = draw(st.integers(1, min(2, eta, len(empty))))
+    drop = draw(st.lists(st.sampled_from(alpha), min_size=k, max_size=k,
+                         unique=True))
+    add = draw(st.lists(st.sampled_from(empty), min_size=k, max_size=k,
+                        unique=True))
+    beta = (set(alpha) - set(drop)) | set(add)
+    return norb, tuple(sorted(alpha)), tuple(sorted(beta))
+
+
+@settings(max_examples=300)
+@given(connected_pairs())
+def test_each_move_is_undone_from_the_other_side(pair):
+    # past the census range: every move of color_of(alpha, beta), applied
+    # to each node of the path alpha -> chi -> beta from either side, is
+    # undone by the same move from the other side with the same x -> y
+    norb, alpha, beta = pair
+    c = color_of(Determinant(alpha, norb), Determinant(beta, norb))
+    moves = [(c.a2, c.b2, c.l2, c.q)]
+    if c.p != 0:
+        moves.insert(0, (c.a1, c.b1, c.l1, c.p))
+    path = [alpha]
+    for move in moves:
+        path.append(_apply_move(*move, path[-1], LEFT, norb)[0])
+    assert path[-1] == beta
+    for move in moves:
+        for node in path:
+            for side, back in ((LEFT, RIGHT), (RIGHT, LEFT)):
+                res = _apply_move(*move, node, side, norb)
+                if res is not INVALID:
+                    new, x, y = res
+                    assert _apply_move(*move, new, back, norb) == (node, x, y)
 
 
 @pytest.mark.parametrize("norb,eta,error", [

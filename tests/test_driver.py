@@ -336,6 +336,27 @@ def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("evolve", "--output", "csv"),
+    ("quadrature", "--output", "json"),
+    ("quadrature", "--mode", "riemann"),
+    ("quadrature", "--zeta", "0.1"),
+    ("build-hamiltonian", "--time", "0.5"),
+    ("build-hamiltonian", "--delta", "0.1"),
+    ("build-hamiltonian", "--zeta", "0.1"),
+    ("build-hamiltonian", "--mode", "riemann"),
+])
+def test_cli_rejects_a_flag_its_command_ignores(command, flag, value,
+                                               capsys):
+    argv = [command, "--config", H2_PATH, flag, value]
+    if command == "quadrature":
+        argv += ["--kind", "s0", "--orbitals", "1,3", "--grid-n", "4"]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 def test_cli_evolve_riemann_per_kind_delta(tmp_path, capsys):
     # the per-kind delta mapping that the README documents for riemann mode
     with open(H2_PATH) as fh:

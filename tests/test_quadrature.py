@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 
 from cisim.driver import build_term_family
-from cisim.errors import DeltaTooLarge, DeltaTooSmall
+from cisim.errors import DeltaTooLarge, DeltaTooSmall, SpecMismatch
 from cisim.integrals import (IntegralTable, eri_chemist,
                              kinetic_gradient_form, nuclear_attraction)
 from cisim.orbitals import BasisBounds, derive_bounds, s_orbital
@@ -105,6 +105,21 @@ def test_s1_zero_charge(sbasis):
     spec = plan_quadrature("s1", 1, 1, 1e-3, bounds, basis, nuclei, q=0)
     rs = riemann_S1(1, 1, 0, spec, basis, nuclei)
     assert np.all(rs.values == 0)
+
+
+def test_riemann_rejects_a_plan_of_another_kind_or_nucleus(sbasis):
+    basis, nuclei, bounds = sbasis
+    s0 = plan_quadrature("s0", 1, 2, delta_for_grid("s0", 4, bounds),
+                         bounds, basis)
+    s1 = plan_quadrature("s1", 1, 2,
+                         delta_for_grid("s1", 4, bounds, zq=nuclei[0][0]),
+                         bounds, basis, nuclei, q=0)
+    with pytest.raises(SpecMismatch):
+        riemann_S0(1, 2, s1, basis)
+    with pytest.raises(SpecMismatch):
+        riemann_S1(1, 2, 1, s1, basis, nuclei)  # planned for nucleus 0
+    with pytest.raises(SpecMismatch):
+        riemann_S2(1, 2, 1, 2, s0, basis)
 
 
 def test_s1_singular_branch_within_delta(sbasis):
