@@ -17,9 +17,9 @@ from .coloring import coloring_census
 from .determinants import enumerate_basis
 from .driver import (budget_errors, certified_bounds, count_gamma, ingest,
                      load_config, run_pipeline, validate_config)
-from .errors import CisimError
-from .quadrature import (delta_for_grid, plan_quadrature, riemann_S0,
-                         riemann_S1, riemann_S2)
+from .errors import CisimError, InvalidCounts
+from .quadrature import (delta_for_grid, nucleus_charge, plan_quadrature,
+                         riemann_S0, riemann_S1, riemann_S2)
 
 
 def _emit(text: str, out_path):
@@ -31,7 +31,7 @@ def _emit(text: str, out_path):
 
 
 _FLAGS = {
-    "config": dict(help="problem config JSON"),
+    "config": dict(required=True, help="problem config JSON"),
     "epsilon": dict(type=float, help="total error target override"),
     "time": dict(type=float, help="evolution time override"),
     "delta": dict(type=float, help="integral accuracy override"),
@@ -113,14 +113,18 @@ def cmd_build_hamiltonian(args):
 
 
 def cmd_quadrature(args):
+    idx = [int(x) for x in args.orbitals.split(",")]
+    kind = args.kind
+    want = 4 if kind == "s2" else 2
+    if len(idx) != want:
+        raise InvalidCounts(f"{kind} takes {want} orbital indices, "
+                            f"got {len(idx)}")
     config = _load(args)
     validate_config(config)
     bounds = certified_bounds(config)
-    idx = [int(x) for x in args.orbitals.split(",")]
-    kind = args.kind
     zq = 1.0
     if kind == "s1":
-        zq = float(config.nuclei[args.q][0])
+        zq = nucleus_charge(config.nuclei, args.q)
     if args.grid_n is not None:
         delta = delta_for_grid(kind, args.grid_n, bounds, zq=zq)
     elif args.delta is not None:

@@ -25,13 +25,19 @@ Moving off either end of the occupied list uses the sentinel values 0
 and N+1.  Whenever a shift leaves [1, N], collides with an occupied
 orbital, or fails a spacing or back-check, the color is INVALID for
 that node: the matrix element is zero and the node is unchanged.
+
+The census walks one table of the valid left moves of every node for
+its single and double edges and undoes each edge from the right; it
+calls only `_apply_move` and `_alt1_ok`, never `apply_color`'s composition.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 from .determinants import MAX_DENSE_DIM, Determinant, basis_size
 from .errors import DimensionTooLarge, TooManyDifferences
@@ -264,98 +270,51 @@ class ColoringCensus:
 def coloring_census(norb: int, eta: int) -> ColoringCensus:
     """Exhaustively verify uniqueness, coverage, reversibility, injectivity.
 
-    Walks every color against every node on both sides, memoizing the
-    one-move maps so the double-color sweep stays quadratic in moves,
-    not in (moves x nodes).  Bad counts raise before any work is done.
+    Tabulates once the valid moves from the LEFT of every node, walks each
+    node's single edges node -> chi and, through chi's row of the table,
+    its double edges node -> chi -> beta that `_alt1_ok` accepts, and
+    undoes every edge from the RIGHT.  A node has C(eta, k) C(N - eta, k)
+    partners k orbitals away.  Bad counts raise before any work.
     """
     xi = basis_size(norb, eta)
     if xi > MAX_DENSE_DIM:
         raise DimensionTooLarge(f"basis size {xi} > {MAX_DENSE_DIM}")
-    dets = [occ for occ in itertools.combinations(range(1, norb + 1), eta)]
-    index = {occ: i for i, occ in enumerate(dets)}
+    dets = list(itertools.combinations(range(1, norb + 1), eta))
     moves = movement_tuples(norb, eta)
+    table = {occ: [] for occ in dets}
+    for occ in dets:
+        for move in moves:
+            res = _apply_move(*move, occ, LEFT, norb)
+            if res is not INVALID:
+                table[occ].append((move, res))
 
-    memo_left: dict[tuple, object] = {}
-    memo_right: dict[tuple, object] = {}
-
-    def step(move, occ, side):
-        memo = memo_left if side == LEFT else memo_right
-        key = (move, occ)
-        if key not in memo:
-            memo[key] = _apply_move(*move, occ, side, norb)
-        return memo[key]
-
-    pair_count = [[0] * len(dets) for _ in dets]
+    edges = Counter((occ, occ) for occ in dets)  # the diagonal color
+    images = Counter()  # (single move, image): > 1 is not injective
     inverse_failures = 0
-    injectivity_failures = 0
+    for occ in dets:
+        for m1, (chi, x1, y1) in table[occ]:
+            edges[occ, chi] += 1
+            images[m1, chi] += 1
+            back = _apply_move(*m1, chi, RIGHT, norb)
+            undone = back is not INVALID and back[0] == occ
+            inverse_failures += not undone
+            for m2, (beta, x2, y2) in table[chi]:
+                if _alt1_ok(x1, y1, x2, y2):
+                    edges[occ, beta] += 1
+                    back = _apply_move(*m2, beta, RIGHT, norb)
+                    inverse_failures += not (
+                        undone and back is not INVALID and back[0] == chi)
 
-    # diagonal family: one canonical color covering every (alpha, alpha)
-    for i in range(len(dets)):
-        pair_count[i][i] += 1
-
-    for move in moves:
-        seen = set()
-        for occ in dets:
-            res = step(move, occ, LEFT)
-            if res is INVALID:
-                continue
-            tgt = res[0]
-            pair_count[index[occ]][index[tgt]] += 1
-            if tgt in seen:
-                injectivity_failures += 1
-            seen.add(tgt)
-            back = step(move, tgt, RIGHT)
-            if back is INVALID or back[0] != occ:
-                inverse_failures += 1
-
-    for m1 in moves:
-        for occ in dets:
-            r1 = step(m1, occ, LEFT)
-            if r1 is INVALID:
-                continue
-            chi, x1, y1 = r1
-            for m2 in moves:
-                r2 = step(m2, chi, LEFT)
-                if r2 is INVALID:
-                    continue
-                beta, x2, y2 = r2
-                if not _alt1_ok(x1, y1, x2, y2):
-                    continue
-                pair_count[index[occ]][index[beta]] += 1
-                # reverse pass through the same color
-                b2 = step(m2, beta, RIGHT)
-                ok = False
-                if b2 is not INVALID and b2[0] == chi:
-                    b1 = step(m1, chi, RIGHT)
-                    ok = b1 is not INVALID and b1[0] == occ
-                if not ok:
-                    inverse_failures += 1
-
-    duplicates = 0
-    uncovered = 0
-    found = 0
-    expected = 0
-    for ia, aocc in enumerate(dets):
-        for ib, bocc in enumerate(dets):
-            diff = len(set(aocc) - set(bocc))
-            c = pair_count[ia][ib]
-            if diff <= 2:
-                expected += 1
-                if c == 0:
-                    uncovered += 1
-                else:
-                    found += 1
-                    if c > 1:
-                        duplicates += 1
-            elif c != 0:
-                duplicates += 1
-
+    near = {pair for pair in edges if len(set(pair[0]) - set(pair[1])) <= 2}
+    expected = xi * sum(comb(eta, k) * comb(norb - eta, k) for k in range(3))
     return ColoringCensus(
-        norb=norb, eta=eta, n_nodes=len(dets),
+        norb=norb, eta=eta, n_nodes=xi,
         n_single_colors=len(moves),
         n_double_colors=len(moves) ** 2,
-        edges_expected=expected, edges_found=found,
-        duplicate_edges=duplicates, uncovered_edges=uncovered,
+        edges_expected=expected, edges_found=len(near),
+        duplicate_edges=sum(1 for pair, c in edges.items()
+                            if c > 1 or pair not in near),
+        uncovered_edges=expected - len(near),
         inverse_failures=inverse_failures,
-        injectivity_failures=injectivity_failures,
+        injectivity_failures=sum(c - 1 for c in images.values()),
     )

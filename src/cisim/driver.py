@@ -28,8 +28,8 @@ from .cimatrix import (build_ci_matrix, count_gamma, enumerate_gammas,
                        labelled_edges, sparsity_d, term_value)
 from .determinants import (MAX_DENSE_DIM, align_and_diff, basis_size,
                            enumerate_basis)
-from .errors import (BudgetInfeasible, DimensionTooLarge, InvalidCounts,
-                     NonOrthonormalBasisWarning)
+from .errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
+                     InvalidCounts, NonOrthonormalBasisWarning)
 from .integrals import IntegralTable
 from .lcu import TermFamily, evolve
 from .orbitals import SpinOrbital, derive_bounds
@@ -76,8 +76,12 @@ def config_from_dict(data: dict) -> ProblemConfig:
 
 
 def load_config(path) -> ProblemConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            return config_from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # JSONDecodeError and a SpinOrbital's own checks are ValueErrors
+        raise InvalidConfig(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def validate_config(config: ProblemConfig):

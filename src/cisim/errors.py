@@ -14,7 +14,12 @@ class IndexOutOfRange(CisimError):
 
 
 class InvalidCounts(CisimError):
-    """Electron/orbital counts are inconsistent (eta < 1 or eta > N)."""
+    """A count is inconsistent: eta < 1 or eta > N, or the number of
+    orbital indices given for an integral kind."""
+
+
+class InvalidConfig(CisimError):
+    """A config file is missing, is not JSON, or does not describe a problem."""
 
 
 class BoundViolated(CisimError):

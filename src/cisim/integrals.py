@@ -26,7 +26,7 @@ from math import erf, exp, pi, sqrt
 import numpy as np
 
 from .errors import UnsupportedAngularMomentum
-from .orbitals import MAX_ANGULAR, SpinOrbital
+from .orbitals import MAX_ANGULAR, SpinOrbital, d1_terms, d2_terms
 
 BOYS_SWITCH = 25.0
 
@@ -102,22 +102,6 @@ def _overlap_prim(a, powers_a, A, b, powers_b, B) -> float:
     return out
 
 
-def _d1_terms(n: int, expo: float):
-    """d/dx of x^n e^{-a x^2} as [(power, coefficient)] pairs."""
-    terms = [(n + 1, -2.0 * expo)]
-    if n > 0:
-        terms.append((n - 1, float(n)))
-    return terms
-
-
-def _d2_terms(n: int, expo: float):
-    """d2/dx2 of x^n e^{-a x^2} as [(power, coefficient)] pairs."""
-    terms = [(n, -2.0 * expo * (2 * n + 1)), (n + 2, 4.0 * expo * expo)]
-    if n > 1:
-        terms.append((n - 2, float(n * (n - 1))))
-    return terms
-
-
 def _check_am(*orbitals: SpinOrbital):
     for phi in orbitals:
         if phi.total_power > MAX_ANGULAR:
@@ -149,7 +133,7 @@ def kinetic(bra: SpinOrbital, ket: SpinOrbital) -> float:
     def prim(a, b):
         total = 0.0
         for d in range(3):
-            for n, coef in _d2_terms(ket.powers[d], b):
+            for n, coef in d2_terms(ket.powers[d], b):
                 powers = list(ket.powers)
                 powers[d] = n
                 total += coef * _overlap_prim(
@@ -171,10 +155,10 @@ def kinetic_gradient_form(bra: SpinOrbital, ket: SpinOrbital) -> float:
     def prim(a, b):
         total = 0.0
         for d in range(3):
-            for na, ca in _d1_terms(bra.powers[d], a):
+            for na, ca in d1_terms(bra.powers[d], a):
                 pa = list(bra.powers)
                 pa[d] = na
-                for nb, cb in _d1_terms(ket.powers[d], b):
+                for nb, cb in d1_terms(ket.powers[d], b):
                     pb = list(ket.powers)
                     pb[d] = nb
                     total += ca * cb * _overlap_prim(

@@ -30,6 +30,7 @@ from scipy.optimize import minimize
 from .errors import BoundViolated, UnsupportedAngularMomentum
 
 MAX_ANGULAR = 2  # s, p, d
+GRID_POINTS = 64  # per-axis samples of the bound-search grid
 
 
 @dataclass(frozen=True)
@@ -117,13 +118,29 @@ def eval_value(phi: SpinOrbital, pts: np.ndarray) -> np.ndarray:
     return poly * out
 
 
-def eval_gradient(phi: SpinOrbital, pts: np.ndarray) -> np.ndarray:
-    """grad phi at an (..., 3) array of points, shape (..., 3)."""
+def d1_terms(n: int, expo: float):
+    """d/dx of x^n e^{-a x^2} as [(power, coefficient)] pairs."""
+    terms = [(n + 1, -2.0 * expo)]
+    if n > 0:
+        terms.append((n - 1, float(n)))
+    return terms
+
+
+def d2_terms(n: int, expo: float):
+    """d2/dx2 of x^n e^{-a x^2} as [(power, coefficient)] pairs."""
+    terms = [(n, -2.0 * expo * (2 * n + 1)), (n + 2, 4.0 * expo * expo)]
+    if n > 1:
+        terms.append((n - 2, float(n * (n - 1))))
+    return terms
+
+
+def _axis_parts(phi: SpinOrbital, pts: np.ndarray, terms):
+    """(d, part) per primitive and axis: the primitive's derivative along d
+    by the term table `terms`, its terms summed in their listed order."""
     pts = np.asarray(pts, dtype=float)
     rel = pts - np.asarray(phi.center)
     r2 = np.sum(rel * rel, axis=-1)
     monos = [_mono(rel[..., d], n) for d, n in enumerate(phi.powers)]
-    grad = np.zeros_like(rel)
     for a, c in phi.primitives:
         g = c * np.exp(-a * r2)
         for d, n in enumerate(phi.powers):
@@ -131,35 +148,23 @@ def eval_gradient(phi: SpinOrbital, pts: np.ndarray) -> np.ndarray:
             for d2 in range(3):
                 if d2 != d:
                     others = others * monos[d2]
-            u = rel[..., d]
-            # d/du [u^n e^{-a u^2}] = (n u^{n-1} - 2 a u^{n+1}) e^{-a u^2}
-            dpoly = -2.0 * a * _mono(u, n + 1)
-            if n > 0:
-                dpoly = dpoly + n * _mono(u, n - 1)
-            grad[..., d] += others * dpoly * g
+            poly = sum(k * _mono(rel[..., d], p) for p, k in terms(n, a))
+            yield d, others * poly * g
+
+
+def eval_gradient(phi: SpinOrbital, pts: np.ndarray) -> np.ndarray:
+    """grad phi at an (..., 3) array of points, shape (..., 3)."""
+    grad = np.zeros(np.shape(pts))
+    for d, part in _axis_parts(phi, pts, d1_terms):
+        grad[..., d] += part
     return grad
 
 
 def eval_laplacian(phi: SpinOrbital, pts: np.ndarray) -> np.ndarray:
     """laplacian of phi at an (..., 3) array of points."""
-    pts = np.asarray(pts, dtype=float)
-    rel = pts - np.asarray(phi.center)
-    r2 = np.sum(rel * rel, axis=-1)
-    monos = [_mono(rel[..., d], n) for d, n in enumerate(phi.powers)]
-    out = np.zeros_like(r2)
-    for a, c in phi.primitives:
-        g = c * np.exp(-a * r2)
-        for d, n in enumerate(phi.powers):
-            others = np.ones_like(r2)
-            for d2 in range(3):
-                if d2 != d:
-                    others = others * monos[d2]
-            u = rel[..., d]
-            # d2/du2 [u^n e^{-a u^2}]
-            term = -2.0 * a * (2 * n + 1) * _mono(u, n) + 4.0 * a * a * _mono(u, n + 2)
-            if n > 1:
-                term = term + n * (n - 1) * _mono(u, n - 2)
-            out += others * term * g
+    out = np.zeros(np.shape(pts)[:-1])
+    for _, part in _axis_parts(phi, pts, d2_terms):
+        out += part
     return out
 
 
@@ -295,12 +300,12 @@ def _certify_decay(phi: SpinOrbital, phi_max: float, x_max: float,
         )
 
 
-def derive_bounds(basis, alpha_decay: float = 1.0, grid_points: int = 64) -> BasisBounds:
+def derive_bounds(basis, alpha_decay: float = 1.0) -> BasisBounds:
     """Certified (phi_max, x_max, alpha, gamma1, gamma2) for a Gaussian basis.
 
     phi_max, gamma1 and gamma2 come from a dense grid search refined by a
     local optimizer; the grid covers the union of cubes of half-width
-    3 x_max around the centers (at least grid_points^3 samples) and the
+    3 x_max around the centers (GRID_POINTS^3 samples) and the
     exterior is covered by analytic radial tails.  x_max is the smallest
     candidate radius for which the exponential decay envelope certifies
     for every orbital.
@@ -317,7 +322,7 @@ def derive_bounds(basis, alpha_decay: float = 1.0, grid_points: int = 64) -> Bas
     x_max = max(width, 1e-6)
 
     # provisional phi_max on a coarse region so the decay search can run
-    grid = _grid_over_basis(basis, 3.0 * x_max + 1.0, grid_points)
+    grid = _grid_over_basis(basis, 3.0 * x_max + 1.0, GRID_POINTS)
     phi_max = _sup(basis, _CAPS[0][1], grid)
 
     for _ in range(200):
@@ -332,7 +337,7 @@ def derive_bounds(basis, alpha_decay: float = 1.0, grid_points: int = 64) -> Bas
                             quantity="decay")
 
     # final grid over the certified region
-    grid = _grid_over_basis(basis, 3.0 * x_max, grid_points)
+    grid = _grid_over_basis(basis, 3.0 * x_max, GRID_POINTS)
     phi_max, sup_grad, sup_lap = (_sup(basis, magnitude, grid)
                                   for _, magnitude, _, _ in _CAPS)
 
@@ -343,18 +348,18 @@ def derive_bounds(basis, alpha_decay: float = 1.0, grid_points: int = 64) -> Bas
         gamma1=sup_grad * x_max / phi_max,
         gamma2=sup_lap * x_max**2 / phi_max,
     )
-    certify_bounds(basis, bounds, grid_points=grid_points)
+    certify_bounds(basis, bounds)
     return bounds
 
 
-def certify_bounds(basis, bounds: BasisBounds, grid_points: int = 64):
+def certify_bounds(basis, bounds: BasisBounds):
     """Re-check certified bounds; raises BoundViolated on any failure.
 
     The value/gradient/Laplacian caps are checked on the dense interior
     grid plus radial tails; the decay envelope is checked analytically
     orbital by orbital.
     """
-    grid = _grid_over_basis(basis, 3.0 * bounds.x_max, grid_points)
+    grid = _grid_over_basis(basis, 3.0 * bounds.x_max, GRID_POINTS)
     tol = 1 + 1e-9
     for name, magnitude, _, cap in _CAPS:
         for idx, phi in enumerate(basis):

@@ -32,7 +32,8 @@ from math import ceil, log, pi, sqrt
 
 import numpy as np
 
-from .errors import DeltaTooLarge, DeltaTooSmall, SpecMismatch
+from .errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
+                     SpecMismatch)
 from .orbitals import BasisBounds, eval_gradient, eval_value
 
 ZETA_PRIME = 2.0 * sqrt(3.0) + 3.0  # two-electron singular-branch geometry
@@ -114,21 +115,31 @@ def _log_factor(kind: str) -> tuple[float, int]:
     return (1.0, 7) if kind == "s2" else (2.0, 4)
 
 
+def nucleus_charge(nuclei, q) -> float:
+    """Charge of nucleus q (0-based); IndexOutOfRange when q names none."""
+    if q is None or not 0 <= q < len(nuclei):
+        raise IndexOutOfRange(
+            f"nucleus index {q} not in [0, {len(nuclei) - 1}]")
+    return float(nuclei[q][0])
+
+
 def plan_quadrature(kind, i, j, delta, bounds, basis, nuclei=(), k=None, l=None,
                     q=None, grid_cap=DEFAULT_GRID_CAP) -> QuadratureSpec:
     """Build the prescribed grid plan for one integral.
 
-    Checks the admissibility window for delta, computes the truncation
-    half-width and per-axis grid count, chooses the cartesian or
-    spherical-polar branch from the geometry, and records the per-term
-    magnitude bound.
+    Checks the orbital (1-based) and nucleus indices and the admissibility
+    window for delta, computes the truncation half-width and per-axis grid
+    count, chooses the cartesian or spherical-polar branch from the
+    geometry, and records the per-term magnitude bound.
     """
+    for index in (i, j, k, l) if kind == "s2" else (i, j):
+        if not 1 <= index <= len(basis):
+            raise IndexOutOfRange(
+                f"orbital index {index} not in [1, {len(basis)}]")
     alpha = bounds.alpha_decay
     zq = 1.0
     if kind == "s1":
-        if q is None:
-            raise ValueError("s1 plans need a nucleus index q")
-        zq = float(nuclei[q][0])
+        zq = nucleus_charge(nuclei, q)
         if zq == 0.0:
             # zero charge: the integral is exactly zero; emit a trivial plan
             return QuadratureSpec(kind, delta, bounds, bounds.x_max, 1, 1,

@@ -124,6 +124,37 @@ def test_census_counts_diagonal_and_offdiagonal():
     assert census.edges_found == 36
 
 
+def _redirect_one_left_move(a, b, l, shift, occ, side, norb):
+    res = _apply_move(a, b, l, shift, occ, side, norb)
+    if (a, b, l, shift, occ, side) == (0, 0, 1, 1, (1, 3, 5), LEFT):
+        return ((2, 3, 4),) + res[1:]
+    return res
+
+
+def _drop_right_a1_b0(a, b, l, shift, occ, side, norb):
+    if side == RIGHT and (a, b) == (1, 0):
+        return INVALID
+    return _apply_move(a, b, l, shift, occ, side, norb)
+
+
+@pytest.mark.parametrize("name,fault,counts", [
+    ("_alt1_ok", lambda *pairs: True, dict(duplicate_edges=380)),
+    ("_alt1_ok", lambda *pairs: False,
+     dict(edges_found=200, uncovered_edges=180)),
+    ("_apply_move", _drop_right_a1_b0, dict(inverse_failures=72)),
+    ("_apply_move", _redirect_one_left_move,
+     dict(injectivity_failures=1, duplicate_edges=1, uncovered_edges=1,
+          inverse_failures=5)),
+], ids=["alt1-always", "alt1-never", "right-a1-b0-invalid", "left-redirect"])
+def test_census_catches_each_fault(name, fault, counts, monkeypatch):
+    # every other census test runs on the correct coloring
+    import cisim.coloring as coloring
+    monkeypatch.setattr(coloring, name, fault)
+    census = coloring_census(6, 3)
+    assert {k: getattr(census, k) for k in counts} == counts
+    assert census.valid is False
+
+
 def test_degree_one_per_color():
     # fixed color, fixed side: the map hits each target at most once
     dets = enumerate_basis(6, 2)

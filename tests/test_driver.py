@@ -13,8 +13,8 @@ from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
                           certified_bounds, config_from_dict, doubled,
                           exact_evolve, ingest, load_config, run_pipeline,
                           validate_config)
-from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidCounts,
-                          NonOrthonormalBasisWarning)
+from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
+                          InvalidCounts, NonOrthonormalBasisWarning)
 from cisim.integrals import IntegralTable
 from cisim.lcu import TermFamily
 from cisim.quadrature import delta_for_grid, plan_quadrature, riemann_S0
@@ -327,6 +327,26 @@ def test_cli_report(tmp_path):
                  "BudgetInfeasible", id="evolve"),
     pytest.param(["coloring-check", "--norb", "4", "--eta", "-1"],
                  "InvalidCounts", id="coloring-check"),
+    # 1-based orbital and 0-based nucleus indices; negative ones are not
+    # Python's count from the end
+    pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s0",
+                  "--orbitals", "0,4", "--grid-n", "4"],
+                 "IndexOutOfRange", id="quadrature-orbital-0"),
+    pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s0",
+                  "--orbitals", "1,9", "--grid-n", "4"],
+                 "IndexOutOfRange", id="quadrature-orbital-9"),
+    pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s1",
+                  "--orbitals", "1,3", "--q", "-1", "--grid-n", "4"],
+                 "IndexOutOfRange", id="quadrature-nucleus--1"),
+    pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s1",
+                  "--orbitals", "1,3", "--q", "5", "--grid-n", "4"],
+                 "IndexOutOfRange", id="quadrature-nucleus-5"),
+    pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s0",
+                  "--orbitals", "1", "--grid-n", "4"],
+                 "InvalidCounts", id="quadrature-one-index"),
+    pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s2",
+                  "--orbitals", "1,2", "--grid-n", "4"],
+                 "InvalidCounts", id="quadrature-s2-two-indices"),
 ])
 def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
     rc = cli_main(argv)
@@ -334,6 +354,48 @@ def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"cisim: {error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-hamiltonian"], ["quadrature", "--kind", "s0", "--orbitals", "1,3"],
+    ["evolve"], ["report"]], ids=lambda argv: argv[0])
+def test_cli_requires_config(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "required: --config" in capsys.readouterr().err
+
+
+def _drop_eta(data):
+    del data["eta"]
+
+
+def _negative_exponent(data):
+    data["orbitals"][0]["primitives"][0][0] = -1.0
+
+
+@pytest.mark.parametrize("text,edit,cause", [
+    pytest.param(None, None, FileNotFoundError, id="missing"),
+    pytest.param("{eta: 2", None, json.JSONDecodeError, id="not-json"),
+    pytest.param(None, _drop_eta, KeyError, id="no-eta"),
+    pytest.param(None, _negative_exponent, ValueError, id="negative-exponent"),
+])
+def test_unusable_config_is_one_typed_error(text, edit, cause, tmp_path,
+                                            capsys):
+    if edit is not None:
+        with open(H2_PATH) as fh:
+            data = json.load(fh)
+        edit(data)
+        text = json.dumps(data)
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(InvalidConfig) as exc:
+        load_config(str(path))
+    assert type(exc.value.__cause__) is cause
+    assert cli_main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: InvalidConfig: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -6,7 +6,8 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 
 from cisim.driver import build_term_family
-from cisim.errors import DeltaTooLarge, DeltaTooSmall, SpecMismatch
+from cisim.errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
+                          SpecMismatch)
 from cisim.integrals import (IntegralTable, eri_chemist,
                              kinetic_gradient_form, nuclear_attraction)
 from cisim.orbitals import BasisBounds, derive_bounds, s_orbital
@@ -120,6 +121,21 @@ def test_riemann_rejects_a_plan_of_another_kind_or_nucleus(sbasis):
         riemann_S1(1, 2, 1, s1, basis, nuclei)  # planned for nucleus 0
     with pytest.raises(SpecMismatch):
         riemann_S2(1, 2, 1, 2, s0, basis)
+
+
+@pytest.mark.parametrize("kind,indices,q", [
+    ("s0", (0, 1), None), ("s0", (1, 3), None), ("s1", (-1, 1), 0),
+    ("s2", (1, 2, 0, 1), None), ("s2", (1, 2, 1, 3), None),
+    ("s1", (1, 2), -1), ("s1", (1, 2), 2), ("s1", (1, 2), None)])
+def test_plan_rejects_an_index_outside_the_basis_or_nuclei(kind, indices, q,
+                                                          sbasis):
+    # 1-based orbitals and 0-based nuclei: a negative index is not
+    # Python's count from the end
+    basis, nuclei, bounds = sbasis
+    i, j, *kl = indices
+    with pytest.raises(IndexOutOfRange):
+        plan_quadrature(kind, i, j, delta_for_grid(kind, 4, bounds), bounds,
+                        basis, nuclei, *kl, q=q)
 
 
 def test_s1_singular_branch_within_delta(sbasis):
