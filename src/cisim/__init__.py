@@ -8,8 +8,7 @@ from .coloring import (INVALID, LEFT, RIGHT, ColorTuple, apply_color,
                        color_of, coloring_census)
 from .cimatrix import (GammaIndex, OneSparseEntry, ci_entry, count_gamma,
                        enumerate_gammas, gamma_entry, sparsity_d)
-from .quadrature import (QuadratureSpec, lambda_exact, plan_quadrature,
-                         riemann_S0, riemann_S1, riemann_S2)
+from .quadrature import QuadratureSpec, lambda_exact, riemann_terms
 from .selfinverse import DecompositionMeta, SelfInverseTerm
 from .lcu import RegisterSim, SegmentPlan, TermFamily, evolve, plan_segments
 from .driver import (ProblemConfig, RunReport, budget_errors, exact_evolve,

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import (DIAGONAL_COLOR, INVALID, LEFT, ColorTuple,
-                       apply_color, color_of, double_colors, single_colors)
+                       apply_color, color_of, double_colors, movement_tuples,
+                       single_colors)
 from .determinants import Determinant, align_and_diff, enumerate_basis
 from .errors import InvalidCounts, MalformedGamma, PatternMismatch
 from .integrals import IntegralTable
@@ -137,6 +138,18 @@ def enumerate_gammas(norb: int, eta: int) -> list[GammaIndex]:
               + double_colors(norb, eta))
     return [GammaIndex(c, i, j) for c in colors
             for i, j in label_selectors(c, eta)]
+
+
+def label_key(norb: int, eta: int):
+    """Sort key that puts labels in the order enumerate_gammas lists them."""
+    rank = {move: k for k, move in enumerate(movement_tuples(norb, eta))}
+
+    def key(gamma: GammaIndex):
+        c = gamma.color
+        # a zero-shift move (diagonal, a single's first move) ranks first
+        return (rank.get((c.a1, c.b1, c.l1, c.p), -1),
+                rank.get((c.a2, c.b2, c.l2, c.q), -1), gamma.i, gamma.j)
+    return key
 
 
 def count_gamma(norb: int, eta: int) -> int:

@@ -15,11 +15,11 @@ import sys
 from .cimatrix import build_ci_matrix, gamma_census
 from .coloring import coloring_census
 from .determinants import enumerate_basis
-from .driver import (budget_errors, certified_bounds, count_gamma, ingest,
-                     load_config, run_pipeline, validate_config)
+from .driver import (budget_errors, count_gamma, ingest, load_config,
+                     run_pipeline, validate_config)
 from .errors import CisimError, InvalidCounts
-from .quadrature import (delta_for_grid, nucleus_charge, plan_quadrature,
-                         riemann_S0, riemann_S1, riemann_S2)
+from .orbitals import derive_bounds
+from .quadrature import KINDS, delta_for_grid, nucleus_charge, riemann_terms
 
 
 def _emit(text: str, out_path):
@@ -112,19 +112,20 @@ def cmd_build_hamiltonian(args):
     return 0
 
 
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers; argparse turns a ValueError into exit 2."""
+    return [int(x) for x in text.split(",")]
+
+
 def cmd_quadrature(args):
-    idx = [int(x) for x in args.orbitals.split(",")]
-    kind = args.kind
-    want = 4 if kind == "s2" else 2
-    if len(idx) != want:
-        raise InvalidCounts(f"{kind} takes {want} orbital indices, "
+    kind, idx, rule = args.kind, args.orbitals, KINDS[args.kind]
+    if len(idx) != rule.n_indices:
+        raise InvalidCounts(f"{kind} takes {rule.n_indices} orbital indices, "
                             f"got {len(idx)}")
     config = _load(args)
     validate_config(config)
-    bounds = certified_bounds(config)
-    zq = 1.0
-    if kind == "s1":
-        zq = nucleus_charge(config.nuclei, args.q)
+    bounds = derive_bounds(config.orbitals)
+    zq = nucleus_charge(config.nuclei, args.q) if rule.per_nucleus else 1.0
     if args.grid_n is not None:
         delta = delta_for_grid(kind, args.grid_n, bounds, zq=zq)
     elif args.delta is not None:
@@ -132,20 +133,8 @@ def cmd_quadrature(args):
     else:
         delta, _, _ = budget_errors(config.epsilon, config.time,
                                     count_gamma(config.norb, config.eta))
-    if kind == "s0":
-        spec = plan_quadrature("s0", idx[0], idx[1], delta, bounds,
-                               config.orbitals)
-        terms = riemann_S0(idx[0], idx[1], spec, config.orbitals)
-    elif kind == "s1":
-        spec = plan_quadrature("s1", idx[0], idx[1], delta, bounds,
-                               config.orbitals, config.nuclei, q=args.q)
-        terms = riemann_S1(idx[0], idx[1], args.q, spec, config.orbitals,
-                           config.nuclei)
-    else:
-        spec = plan_quadrature("s2", idx[0], idx[1], delta, bounds,
-                               config.orbitals, k=idx[2], l=idx[3])
-        terms = riemann_S2(idx[0], idx[1], idx[2], idx[3], spec,
-                           config.orbitals)
+    terms = riemann_terms(kind, idx, delta, bounds, config.orbitals,
+                          config.nuclei, args.q)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["rho", "re", "im", "bound"])
@@ -210,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quadrature", help="dump per-term Riemann CSV")
     _add_flags(p, "config", "epsilon", "time", "delta", "out")
-    p.add_argument("--kind", choices=["s0", "s1", "s2"], required=True)
-    p.add_argument("--orbitals", required=True,
+    p.add_argument("--kind", choices=list(KINDS), required=True)
+    p.add_argument("--orbitals", type=int_list, required=True,
                    help="comma-separated 1-based indices: i,j or i,j,k,l")
     p.add_argument("--q", type=int, default=0, help="nucleus index for s1")
     p.add_argument("--grid-n", type=int, dest="grid_n",

@@ -18,13 +18,14 @@ back out at the end, which commutes with the exact evolution.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cimatrix import (build_ci_matrix, count_gamma, enumerate_gammas,
+from .cimatrix import (build_ci_matrix, count_gamma, label_key,
                        labelled_edges, sparsity_d, term_value)
 from .determinants import (MAX_DENSE_DIM, align_and_diff, basis_size,
                            enumerate_basis)
@@ -33,8 +34,7 @@ from .errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
 from .integrals import IntegralTable
 from .lcu import TermFamily, evolve
 from .orbitals import SpinOrbital, derive_bounds
-from .quadrature import (DEFAULT_GRID_CAP, plan_quadrature, riemann_S0,
-                         riemann_S1, riemann_S2)
+from .quadrature import KINDS, riemann_terms
 
 SCHEMA_VERSION = 1
 OVERLAP_TOL = 1e-6
@@ -84,13 +84,29 @@ def load_config(path) -> ProblemConfig:
         raise InvalidConfig(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _positive_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 def validate_config(config: ProblemConfig):
+    """Reject bad counts, an infeasible epsilon and unusable overrides."""
     if not 1 <= config.eta <= config.norb:
         raise InvalidCounts(
             f"eta={config.eta} not in [1, N={config.norb}]")
     if not 1e-10 < config.epsilon < 1.0:
         raise BudgetInfeasible(
             f"epsilon={config.epsilon} outside (1e-10, 1)")
+    # zeta is a number; delta a number or one per integral kind
+    overrides = dict(config.overrides)
+    delta = overrides.pop("delta", 1.0)
+    per_kind = delta if isinstance(delta, dict) else dict.fromkeys(KINDS, delta)
+    numbers = [overrides.pop("zeta", 1.0), *per_kind.values()]
+    if overrides or set(per_kind) != set(KINDS) \
+            or not all(map(_positive_number, numbers)):
+        raise InvalidConfig(
+            f"overrides {config.overrides!r}: only zeta and delta are read, "
+            f"each a finite number > 0; delta may map {sorted(KINDS)} to one")
 
 
 def budget_errors(epsilon: float, t: float, n_gamma: int):
@@ -107,11 +123,16 @@ def budget_errors(epsilon: float, t: float, n_gamma: int):
     return delta, zeta, eps_taylor
 
 
+def _check_dense(dim: int):
+    """DimensionTooLarge past the dense oracles' cap on a matrix side."""
+    if dim > MAX_DENSE_DIM:
+        raise DimensionTooLarge(f"dimension {dim} > {MAX_DENSE_DIM}")
+
+
 def exact_evolve(H: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """Eigendecomposition reference for exp(-i H t) psi0."""
     H = np.asarray(H)
-    if H.shape[0] > MAX_DENSE_DIM:
-        raise DimensionTooLarge(f"dimension {H.shape[0]} > {MAX_DENSE_DIM}")
+    _check_dense(H.shape[0])
     evals, vecs = np.linalg.eigh(H)
     return vecs @ (np.exp(-1j * evals * t) * (vecs.conj().T @ psi0))
 
@@ -142,54 +163,42 @@ class _QuadratureEngine:
     mapping.
     """
 
-    def __init__(self, basis, nuclei, bounds, delta, grid_cap):
+    def __init__(self, basis, nuclei, bounds, delta):
         self.basis = basis
         self.nuclei = nuclei
         self.bounds = bounds
         self.delta = delta
-        self.grid_cap = grid_cap
         self._cache: dict = {}
 
-    def _delta(self, kind: str) -> float:
-        if isinstance(self.delta, dict):
-            return float(self.delta[kind])
-        return float(self.delta)
+    def _terms(self, kind: str, indices, q=None) -> np.ndarray:
+        key = (kind, indices, q)
+        if key not in self._cache:
+            delta = self.delta[kind] if isinstance(self.delta, dict) \
+                else self.delta
+            self._cache[key] = riemann_terms(
+                kind, indices, float(delta), self.bounds, self.basis,
+                self.nuclei, q).values
+        return self._cache[key]
 
     def h1(self, i: int, j: int) -> np.ndarray:
         """Kinetic terms followed by one block per nucleus."""
-        key = ("h1", i, j)
-        if key not in self._cache:
-            spec0 = plan_quadrature("s0", i, j, self._delta("s0"), self.bounds,
-                                    self.basis, grid_cap=self.grid_cap)
-            pieces = [riemann_S0(i, j, spec0, self.basis).values]
-            for q in range(len(self.nuclei)):
-                spec1 = plan_quadrature("s1", i, j, self._delta("s1"),
-                                        self.bounds, self.basis, self.nuclei,
-                                        q=q, grid_cap=self.grid_cap)
-                pieces.append(
-                    riemann_S1(i, j, q, spec1, self.basis, self.nuclei).values)
-            self._cache[key] = np.concatenate(pieces)
-        return self._cache[key]
+        return np.concatenate([self._terms("s0", (i, j))]
+                              + [self._terms("s1", (i, j), q)
+                                 for q in range(len(self.nuclei))])
 
     def g(self, i: int, j: int, k: int, l: int) -> np.ndarray:
-        key = ("g", i, j, k, l)
-        if key not in self._cache:
-            spec = plan_quadrature("s2", i, j, self._delta("s2"), self.bounds,
-                                   self.basis, k=k, l=l,
-                                   grid_cap=self.grid_cap)
-            self._cache[key] = riemann_S2(i, j, k, l, spec, self.basis).values
-        return self._cache[key]
+        return self._terms("s2", (i, j, k, l))
 
 
 def build_term_family(table: IntegralTable, eta: int, zeta: float,
-                      mode: str = "exact", bounds=None, delta=None,
-                      grid_cap: int = DEFAULT_GRID_CAP) -> TermFamily:
+                      mode: str = "exact", bounds=None,
+                      delta=None) -> TermFamily:
     """Assemble the involution family for H on the double cover.
 
     Every label that meets an edge becomes one involution pattern over the
     2 xi nodes (side, determinant): side-0 rows pair with the side-1 row
     of their color partner and vice versa, other rows stay self-paired
-    with value zero; labels with no edge are listed last and not stored.
+    with value zero; labels with no edge are counted, not stored.
     Entry values are Hermitized term by term: the (alpha -> beta) and
     (beta -> alpha) expansions are averaged as (a + conj(b)) / 2.
     """
@@ -200,8 +209,7 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     if mode == "riemann":
         if bounds is None or delta is None:
             raise ValueError("riemann mode needs certified bounds and delta")
-        source = _QuadratureEngine(table.basis, table.nuclei, bounds, delta,
-                                   grid_cap)
+        source = _QuadratureEngine(table.basis, table.nuclei, bounds, delta)
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -219,19 +227,16 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
         vals[x] = herm
         vals[y] = np.conj(herm)
 
-    # stored labels first, in enumeration order; the rest have no edge
-    gammas = enumerate_gammas(table.n, eta)
-    stored = [g for g in gammas if g in live]
+    # stored labels in enumeration order; L still counts every label
     perms, values = [], []
-    for gamma in stored:
+    for gamma in sorted(live, key=label_key(table.n, eta)):
         perm, vals = live[gamma]
         value = np.zeros((2 * xi, max(map(len, vals.values()))), complex)
         for x, v in vals.items():
             value[x, : len(v)] = v
         perms.append(perm)
         values.append(value)
-    return TermFamily(perms, values, zeta,
-                      gammas=stored + [g for g in gammas if g not in live])
+    return TermFamily(perms, values, zeta, n_gamma=count_gamma(table.n, eta))
 
 
 @dataclass
@@ -277,21 +282,16 @@ def ingest(config: ProblemConfig) -> IntegralTable:
     return table
 
 
-def certified_bounds(config: ProblemConfig):
-    """Certified basis envelope; only the quadrature layer reads it."""
-    alpha_decay = float(config.overrides.get("alpha_decay", 1.0))
-    return derive_bounds(config.orbitals, alpha_decay=alpha_decay)
-
-
 def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     """Full run: representation, decomposition, evolution, verification."""
     xi = basis_size(config.norb, config.eta)
-    if xi > MAX_DENSE_DIM:
-        raise DimensionTooLarge(f"CI dimension {xi} > {MAX_DENSE_DIM}")
+    # the ledger's dense oracle runs on the double cover, side 2 xi
+    _check_dense(2 * xi)
     timings: dict = {}
     t0 = time.perf_counter()
     table = ingest(config)
-    bounds = certified_bounds(config) if mode == "riemann" else None
+    # the certified envelope: only the quadrature layer reads it
+    bounds = derive_bounds(config.orbitals) if mode == "riemann" else None
     timings["ingest_s"] = time.perf_counter() - t0
 
     norb, eta = config.norb, config.eta
@@ -306,11 +306,10 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     if not isinstance(delta, dict):
         delta = float(delta)
     zeta = float(config.overrides.get("zeta", zeta))
-    grid_cap = int(config.overrides.get("grid_cap", DEFAULT_GRID_CAP))
 
     t0 = time.perf_counter()
     family = build_term_family(table, eta, zeta, mode=mode, bounds=bounds,
-                               delta=delta, grid_cap=grid_cap)
+                               delta=delta)
     timings["decomposition_s"] = time.perf_counter() - t0
 
     H2 = doubled(H)
@@ -366,6 +365,8 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
 
 
 def exact_evolve_operator(H: np.ndarray, t: float) -> np.ndarray:
+    """Eigendecomposition reference for the operator exp(-i H t)."""
+    _check_dense(H.shape[0])
     evals, vecs = np.linalg.eigh(H)
     return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
 

@@ -41,7 +41,7 @@ class DeltaTooLarge(CisimError):
 
 
 class DeltaTooSmall(CisimError):
-    """Requested quadrature error needs a grid beyond the configured cap."""
+    """Requested quadrature error needs a grid past the cap of 256 per axis."""
 
 
 class SpecMismatch(CisimError):

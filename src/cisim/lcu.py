@@ -42,18 +42,17 @@ class TermFamily:
 
     One involution ``perms[g]`` per stored one-sparse label and a value
     array ``values[g]`` of shape (dim, mu) holding the grid-point entries
-    at (x, perms[g][x]).  ``gammas`` lists every label, stored ones first;
-    a label g >= len(perms) has no edge and acts as self-paired rows with
-    C = 0.  L = 2 M len(gammas).  Rounding to multiples of 2 zeta and the
-    threshold split into 2 M signed involutions happen here, so the
-    family exposes every H_{l, rho} without materializing them.
+    at (x, perms[g][x]).  ``n_gamma`` counts all labels (default: the
+    stored ones); a label g >= len(perms) has no edge and acts as
+    self-paired rows with C = 0.  L = 2 M n_gamma.  Rounding to multiples
+    of 2 zeta and the threshold split into 2 M signed involutions happen
+    here, so the family exposes every H_{l, rho} without materializing them.
     """
 
-    def __init__(self, perms, values, zeta: float, gammas=None):
+    def __init__(self, perms, values, zeta: float, n_gamma=None):
         self.perms = [np.asarray(p) for p in perms]
         self.values = [np.atleast_2d(np.asarray(v, dtype=complex)) for v in values]
         self.zeta = float(zeta)
-        self.gammas = list(gammas) if gammas is not None else list(range(len(perms)))
         if not self.perms:
             raise ValueError("empty term family")
         self.dim = len(self.perms[0])
@@ -66,8 +65,9 @@ class TermFamily:
         self._C = [C for C, _ in split]
         self._phase = [phase for _, phase in split]
         self.M = max([1] + [int(C.max()) for C in self._C if C.size])
-        self.meta = DecompositionMeta(zeta=self.zeta, M=self.M,
-                                      n_gamma=len(self.gammas), mu=self.mu)
+        self.meta = DecompositionMeta(
+            zeta=self.zeta, M=self.M, mu=self.mu,
+            n_gamma=len(self.perms) if n_gamma is None else n_gamma)
         self._rounded = None
 
     @property
@@ -92,7 +92,7 @@ class TermFamily:
     def term(self, ell: int, rho: int) -> SelfInverseTerm:
         s, m, g = self.ell_parts(ell)
         perm, vals = self.term_pattern(ell, rho)
-        return SelfInverseTerm(self.gammas[g], rho, m, s, perm.copy(), vals)
+        return SelfInverseTerm(g, rho, m, s, perm.copy(), vals)
 
     def _scatter(self, label_values) -> np.ndarray:
         """Dense sum over stored labels g of label_values(g), summed over rho."""

@@ -31,6 +31,7 @@ from .errors import BoundViolated, UnsupportedAngularMomentum
 
 MAX_ANGULAR = 2  # s, p, d
 GRID_POINTS = 64  # per-axis samples of the bound-search grid
+ALPHA_DECAY = 1.0  # alpha in |phi| <= phi_max e^{-alpha r / x_max}
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def _certify_decay(phi: SpinOrbital, phi_max: float, x_max: float,
         )
 
 
-def derive_bounds(basis, alpha_decay: float = 1.0) -> BasisBounds:
+def derive_bounds(basis) -> BasisBounds:
     """Certified (phi_max, x_max, alpha, gamma1, gamma2) for a Gaussian basis.
 
     phi_max, gamma1 and gamma2 come from a dense grid search refined by a
@@ -312,8 +313,6 @@ def derive_bounds(basis, alpha_decay: float = 1.0) -> BasisBounds:
     """
     if len(basis) == 0:
         raise ValueError("empty basis")
-    if alpha_decay <= 0:
-        raise ValueError("alpha_decay must be positive")
 
     # candidate x_max: start near the widest orbital's size and grow until
     # the decay envelope certifies for all orbitals
@@ -328,7 +327,7 @@ def derive_bounds(basis, alpha_decay: float = 1.0) -> BasisBounds:
     for _ in range(200):
         try:
             for idx, phi in enumerate(basis):
-                _certify_decay(phi, phi_max, x_max, alpha_decay, idx)
+                _certify_decay(phi, phi_max, x_max, ALPHA_DECAY, idx)
             break
         except BoundViolated:
             x_max *= 1.2
@@ -344,7 +343,7 @@ def derive_bounds(basis, alpha_decay: float = 1.0) -> BasisBounds:
     bounds = BasisBounds(
         phi_max=phi_max,
         x_max=x_max,
-        alpha_decay=alpha_decay,
+        alpha_decay=ALPHA_DECAY,
         gamma1=sup_grad * x_max / phi_max,
         gamma2=sup_lap * x_max**2 / phi_max,
     )

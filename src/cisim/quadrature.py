@@ -9,14 +9,15 @@ the certified basis envelope (phi_max, x_max, alpha, gamma1, gamma2):
     S2  (electron repulsion)       int phi_i*(1) phi_j*(2) phi_k(1) phi_l(2)
                                        / |r1 - r2|
 
-For a requested accuracy delta the truncation half-width is
-x_trunc = (2/alpha) x_max log(scale/delta) (1/alpha for S2), the grid is
-grid_n = ceil((scale/delta) [(2/alpha) log(scale/delta)]^4) per axis
-(exponent 7 and prefactor 1/alpha for S2), and every term's magnitude is
-bounded a priori.  ``scale`` is K0 phi_max^2 x_max, K1 Z_q phi_max^2
+Each kind has one rule in ``KINDS``.  For a requested accuracy delta and
+u = scale/delta the truncation half-width is x_trunc = (pref/alpha) x_max
+log u (pref = 2, or 1 for S2), the grid is grid_n = ceil(u [(pref/alpha)
+log u]^expn) per axis (expn = 4, or 7 for S2), and every term's magnitude
+is bounded a priori.  ``scale`` is K0 phi_max^2 x_max, K1 Z_q phi_max^2
 x_max^2, or K2 phi_max^4 x_max^5 for the three kinds.  Requests outside
-0 < delta <= e^{-alpha/2} scale (e^{-alpha} for S2) are rejected rather
-than silently adjusted, as are grids beyond the configured per-axis cap.
+0 < delta <= e^{-alpha/pref} scale, where x_trunc would fall below x_max,
+are rejected rather than silently adjusted, as are grids beyond the cap
+of 256 per axis.
 
 S1 and S2 switch to spherical-polar grids that absorb the Coulomb
 singularity into the volume element whenever the singularity can fall
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import ceil, log, pi, sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
 from .orbitals import BasisBounds, eval_gradient, eval_value
 
 ZETA_PRIME = 2.0 * sqrt(3.0) + 3.0  # two-electron singular-branch geometry
-DEFAULT_GRID_CAP = 256
+GRID_CAP = 256  # per-axis grid count; mu reaches 256^3 (S0, S1), 256^6 (S2)
 
 
 def k0_constant(b: BasisBounds) -> float:
@@ -56,6 +58,54 @@ def k2_constant(b: BasisBounds) -> float:
     a = b.alpha_decay
     return 128.0 * pi * (a + 2.0) / a**6 \
         + 2161.0 * pi**2 * (20.0 * b.gamma1 + sqrt(2.0))
+
+
+@dataclass(frozen=True)
+class KindRule:
+    """How one integral kind is truncated, gridded and bounded.
+
+    For u = scale/delta the truncation half-width is (pref/alpha) x_max
+    log u, the per-axis grid count is ceil(u ((pref/alpha) log u)^expn)
+    and mu = grid_n^dim.  A Coulomb kind takes the spherical-polar branch
+    when its singularity lies closer than reach x_trunc + x_max to c_i.
+    """
+
+    n_indices: int                 # orbital indices: i, j (and k, l)
+    dim: int
+    pref: float
+    expn: int
+    scale: Callable                # (bounds, Z_q) -> scale
+    term_bound: Callable           # (bounds, Z_q, u, mu) -> per-term bound
+    reach: float = 0.0             # 0: no singularity
+    per_nucleus: bool = False      # one integral per nucleus q
+
+    def edge(self, alpha: float) -> float:
+        """Admissibility factor: delta <= edge scale keeps x_trunc >= x_max."""
+        return math.exp(-alpha / self.pref)
+
+    def grid_count(self, u: float, alpha: float) -> int:
+        return ceil(u * ((self.pref / alpha) * log(u)) ** self.expn)
+
+
+KINDS = {
+    "s0": KindRule(
+        2, 3, 2.0, 4,
+        lambda b, zq: k0_constant(b) * b.phi_max**2 * b.x_max,
+        lambda b, zq, u, mu: (32.0 * b.gamma1**2 / b.alpha_decay**3)
+        * b.phi_max**2 * b.x_max * log(u) ** 3 / mu),
+    "s1": KindRule(
+        2, 3, 2.0, 4,
+        lambda b, zq: k1_constant(b) * zq * b.phi_max**2 * b.x_max**2,
+        lambda b, zq, u, mu: (256.0 * pi**2 / b.alpha_decay**3) * zq
+        * b.phi_max**2 * b.x_max**2 * log(u) ** 3 / mu,
+        reach=sqrt(3.0), per_nucleus=True),
+    "s2": KindRule(
+        4, 6, 1.0, 7,
+        lambda b, zq: k2_constant(b) * b.phi_max**4 * b.x_max**5,
+        lambda b, zq, u, mu: (672.0 * pi**2 / b.alpha_decay**6)
+        * b.phi_max**4 * b.x_max**5 * log(u) ** 6 / mu,
+        reach=2.0 * sqrt(3.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -100,21 +150,6 @@ class RiemannSum:
         return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
 
 
-def _scale(kind: str, bounds: BasisBounds, zq: float = 1.0) -> float:
-    if kind == "s0":
-        return k0_constant(bounds) * bounds.phi_max**2 * bounds.x_max
-    if kind == "s1":
-        return k1_constant(bounds) * zq * bounds.phi_max**2 * bounds.x_max**2
-    if kind == "s2":
-        return k2_constant(bounds) * bounds.phi_max**4 * bounds.x_max**5
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _log_factor(kind: str) -> tuple[float, int]:
-    """(truncation prefactor multiplier of x_max/alpha, grid exponent)."""
-    return (1.0, 7) if kind == "s2" else (2.0, 4)
-
-
 def nucleus_charge(nuclei, q) -> float:
     """Charge of nucleus q (0-based); IndexOutOfRange when q names none."""
     if q is None or not 0 <= q < len(nuclei):
@@ -124,7 +159,7 @@ def nucleus_charge(nuclei, q) -> float:
 
 
 def plan_quadrature(kind, i, j, delta, bounds, basis, nuclei=(), k=None, l=None,
-                    q=None, grid_cap=DEFAULT_GRID_CAP) -> QuadratureSpec:
+                    q=None) -> QuadratureSpec:
     """Build the prescribed grid plan for one integral.
 
     Checks the orbital (1-based) and nucleus indices and the admissibility
@@ -132,86 +167,65 @@ def plan_quadrature(kind, i, j, delta, bounds, basis, nuclei=(), k=None, l=None,
     count, chooses the cartesian or spherical-polar branch from the
     geometry, and records the per-term magnitude bound.
     """
-    for index in (i, j, k, l) if kind == "s2" else (i, j):
+    rule = KINDS[kind]
+    for index in (i, j, k, l)[:rule.n_indices]:
         if not 1 <= index <= len(basis):
             raise IndexOutOfRange(
                 f"orbital index {index} not in [1, {len(basis)}]")
     alpha = bounds.alpha_decay
     zq = 1.0
-    if kind == "s1":
+    if rule.per_nucleus:
         zq = nucleus_charge(nuclei, q)
         if zq == 0.0:
             # zero charge: the integral is exactly zero; emit a trivial plan
             return QuadratureSpec(kind, delta, bounds, bounds.x_max, 1, 1,
                                   "cartesian", 0.0, q=q, zq=0.0)
-    scale = _scale(kind, bounds, zq)
-    edge = exp_edge(kind, alpha)
+    scale = rule.scale(bounds, zq)
+    edge = rule.edge(alpha)
     if not 0.0 < delta <= edge * scale:
         raise DeltaTooLarge(
             f"delta={delta:g} outside admissible (0, {edge * scale:g}] for {kind}")
-    pref, expn = _log_factor(kind)
     u = scale / delta
-    x_trunc = (pref / alpha) * bounds.x_max * log(u)
-    grid_n = ceil(u * ((pref / alpha) * log(u)) ** expn)
-    if grid_n > grid_cap:
+    x_trunc = (rule.pref / alpha) * bounds.x_max * log(u)
+    grid_n = rule.grid_count(u, alpha)
+    if grid_n > GRID_CAP:
         raise DeltaTooSmall(
-            f"delta={delta:g} needs grid_n={grid_n} > cap {grid_cap} for {kind}")
-    dim = 6 if kind == "s2" else 3
-    mu = grid_n**dim
+            f"delta={delta:g} needs grid_n={grid_n} > cap {GRID_CAP} for {kind}")
+    mu = grid_n**rule.dim
 
     coord = "cartesian"
-    if kind == "s1":
+    if rule.reach:
+        # the singularity: nucleus q for S1, electron 2's center c_j for S2
         ci = np.asarray(basis[i - 1].center)
-        Rq = np.asarray(nuclei[q][1])
-        if np.linalg.norm(Rq - ci) < sqrt(3.0) * x_trunc + bounds.x_max:
+        other = np.asarray(nuclei[q][1] if rule.per_nucleus
+                           else basis[j - 1].center)
+        if np.linalg.norm(ci - other) < rule.reach * x_trunc + bounds.x_max:
             coord = "spherical_polar"
-        bnd = (256.0 * pi**2 / alpha**3) * zq * bounds.phi_max**2 \
-            * bounds.x_max**2 * log(u) ** 3 / mu
-    elif kind == "s0":
-        bnd = (32.0 * bounds.gamma1**2 / alpha**3) * bounds.phi_max**2 \
-            * bounds.x_max * log(u) ** 3 / mu
-    else:
-        ci = np.asarray(basis[i - 1].center)
-        cj = np.asarray(basis[j - 1].center)
-        if np.linalg.norm(ci - cj) < 2.0 * sqrt(3.0) * x_trunc + bounds.x_max:
-            coord = "spherical_polar"
-        bnd = (672.0 * pi**2 / alpha**6) * bounds.phi_max**4 \
-            * bounds.x_max**5 * log(u) ** 6 / mu
-
     return QuadratureSpec(kind, delta, bounds, x_trunc, grid_n, mu, coord,
-                          bnd, q=q, zq=zq)
-
-
-def exp_edge(kind: str, alpha: float) -> float:
-    """Admissibility factor: delta <= edge * scale."""
-    return math.exp(-alpha) if kind == "s2" else math.exp(-alpha / 2.0)
+                          rule.term_bound(bounds, zq, u, mu), q=q, zq=zq)
 
 
 def delta_for_grid(kind, grid_n, bounds, zq: float = 1.0) -> float:
     """Largest admissible delta whose plan uses at most grid_n per axis.
 
     Inverts the grid formula by bisection on u = scale/delta, where the
-    per-axis count ceil(u ((pref/alpha) log u)^expn) is nondecreasing.
+    per-axis count is nondecreasing in u.
     """
+    rule = KINDS[kind]
     alpha = bounds.alpha_decay
-    scale = _scale(kind, bounds, zq)
-    pref, expn = _log_factor(kind)
-
-    def count(u):
-        return ceil(u * ((pref / alpha) * log(u)) ** expn)
-
-    lo = 1.0 / exp_edge(kind, alpha)   # admissibility edge
-    if count(lo) > grid_n:
+    scale = rule.scale(bounds, zq)
+    lo = 1.0 / rule.edge(alpha)   # admissibility edge
+    if rule.grid_count(lo, alpha) > grid_n:
         raise DeltaTooLarge(
             f"no admissible delta reaches grid_n <= {grid_n} for {kind}")
     hi = lo
-    while count(hi * 2.0) <= grid_n:
+    while rule.grid_count(hi * 2.0, alpha) <= grid_n:
         hi *= 2.0
     # bracket: hi feasible, 2*hi infeasible; find the largest feasible u
     top = hi * 2.0
     for _ in range(200):
         mid = 0.5 * (hi + top)
-        if count(mid) <= grid_n:
+        if rule.grid_count(mid, alpha) <= grid_n:
             hi = mid
         else:
             top = mid
@@ -255,14 +269,12 @@ def riemann_S0(i, j, spec: QuadratureSpec, basis) -> RiemannSum:
     return RiemannSum(vals, spec.term_bound)
 
 
-def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei,
-               force_branch: str | None = None) -> RiemannSum:
+def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei) -> RiemannSum:
     """Midpoint terms of -Z_q phi_i* phi_j / |R_q - r|.
 
     Cartesian branch integrates over C_x1(c_i); the spherical-polar
     branch integrates over the ball B_{4 x1}(R_q) with the singularity
-    absorbed into the volume form.  force_branch overrides the planned
-    branch (used to test branch consistency near the threshold).
+    absorbed into the volume form.
     """
     if spec.kind != "s1" or spec.q != q:
         raise SpecMismatch("spec does not match this s1 request")
@@ -270,10 +282,9 @@ def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei,
     Zq, Rq = float(nuclei[q][0]), np.asarray(nuclei[q][1], dtype=float)
     if Zq == 0.0:
         return RiemannSum(np.zeros(spec.mu), 0.0)
-    branch = force_branch or spec.coordinate_system
     n = spec.grid_n
     x1 = spec.x_trunc
-    if branch == "cartesian":
+    if spec.coordinate_system == "cartesian":
         pts = _cube_centers(phi_i.center, x1, n)
         vol = (2.0 * x1 / n) ** 3
         dist = np.linalg.norm(Rq - pts, axis=-1)
@@ -288,8 +299,7 @@ def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei,
     return RiemannSum(vals, spec.term_bound)
 
 
-def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis,
-               force_branch: str | None = None) -> RiemannSum:
+def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis) -> RiemannSum:
     """Midpoint terms of <ij|kl>: phi_i*(1) phi_j*(2) phi_k(1) phi_l(2) / r12.
 
     Electron 1 is truncated around c_i and electron 2 around c_j.  The
@@ -302,11 +312,10 @@ def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis,
         raise SpecMismatch("spec kind is not s2")
     phi = [basis[x - 1] for x in (i, j, k, l)]
     spin_ok = phi[0].spin == phi[2].spin and phi[1].spin == phi[3].spin
-    branch = force_branch or spec.coordinate_system
     n = spec.grid_n
     x2 = spec.x_trunc
     ci = np.asarray(phi[0].center, dtype=float)
-    if branch == "cartesian":
+    if spec.coordinate_system == "cartesian":
         p1 = _cube_centers(phi[0].center, x2, n)
         p2 = _cube_centers(phi[1].center, x2, n)
         vol = (2.0 * x2 / n) ** 6
@@ -332,6 +341,19 @@ def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis,
     if not spin_ok:
         vals = np.zeros_like(vals)
     return RiemannSum(vals, spec.term_bound)
+
+
+def riemann_terms(kind, indices, delta, bounds, basis, nuclei=(),
+                  q=None) -> RiemannSum:
+    """Plan one integral and return its midpoint terms: ``indices`` holds
+    its KINDS[kind].n_indices 1-based orbitals, ``q`` an s1 nucleus."""
+    i, j, *kl = indices
+    spec = plan_quadrature(kind, i, j, delta, bounds, basis, nuclei, *kl, q=q)
+    if kind == "s0":
+        return riemann_S0(i, j, spec, basis)
+    if kind == "s1":
+        return riemann_S1(i, j, q, spec, basis, nuclei)
+    return riemann_S2(i, j, *kl, spec, basis)
 
 
 def lambda_exact(mu_decay: float, x: float, c: float) -> tuple[float, float]:

@@ -55,7 +55,7 @@ class SelfInverseTerm:
     phase, never zero.
     """
 
-    gamma: object
+    gamma: int                     # label index in the family
     rho: int
     m: int
     s: int

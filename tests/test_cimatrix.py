@@ -3,8 +3,8 @@ import pytest
 
 from cisim.cimatrix import (GammaIndex, assemble_from_gammas, build_ci_matrix,
                             ci_entry, count_gamma, enumerate_gammas,
-                            gamma_census, gamma_entry, labelled_edges,
-                            sparsity_d)
+                            gamma_census, gamma_entry, label_key,
+                            labelled_edges, sparsity_d)
 from cisim.coloring import DIAGONAL_COLOR, ColorTuple, color_of
 from cisim.determinants import Determinant, enumerate_basis
 from cisim.errors import InvalidCounts, MalformedGamma, PatternMismatch
@@ -108,6 +108,13 @@ def test_each_term_is_one_sparse(mixed_table):
 def test_count_gamma_matches_enumeration():
     for norb, eta in [(4, 2), (5, 3), (6, 1), (8, 4)]:
         assert count_gamma(norb, eta) == len(enumerate_gammas(norb, eta))
+
+
+@pytest.mark.parametrize("norb,eta", [(4, 1), (5, 2), (6, 3)])
+def test_label_key_sorts_labels_into_enumeration_order(norb, eta):
+    labels = enumerate_gammas(norb, eta)
+    shuffled = list(reversed(labels[1::2])) + labels[::2]
+    assert sorted(shuffled, key=label_key(norb, eta)) == labels
 
 
 def test_no_exchange_diagonal_labels_for_single_electron():

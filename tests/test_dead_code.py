@@ -49,6 +49,8 @@ REFERENCES = {
         "per-label entry via apply_color; tests rebuild the family from it",
     "cimatrix.assemble_from_gammas":
         "label-sum side of the partition identity (criterion 2)",
+    "cimatrix.enumerate_gammas":
+        "every admissible label, listed; criterion 9 checks count_gamma on it",
     "integrals.kinetic_gradient_form":
         "closed-form kinetic integral the S0 Riemann sums are judged against",
     "integrals.reference_integral":

@@ -10,9 +10,9 @@ from cisim.cimatrix import (assemble_from_gammas, build_ci_matrix,
 from cisim.cli import main as cli_main
 from cisim.determinants import align_and_diff, enumerate_basis
 from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
-                          certified_bounds, config_from_dict, doubled,
-                          exact_evolve, ingest, load_config, run_pipeline,
-                          validate_config)
+                          config_from_dict, doubled, exact_evolve,
+                          exact_evolve_operator, ingest, load_config,
+                          run_pipeline, validate_config)
 from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
                           InvalidCounts, NonOrthonormalBasisWarning)
 from cisim.integrals import IntegralTable
@@ -68,6 +68,15 @@ def test_exact_evolve_basics():
 def test_exact_evolve_dimension_cap():
     with pytest.raises(DimensionTooLarge):
         exact_evolve(np.eye(3000), np.zeros(3000), 1.0)
+
+
+def test_exact_evolve_operator_dimension_cap(monkeypatch):
+    def no_eigh(H):
+        raise AssertionError("eigh ran past the dense cap")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(DimensionTooLarge):
+        exact_evolve_operator(np.broadcast_to(0.0, (2049, 2049)), 1.0)
 
 
 def test_config_roundtrip(tmp_path):
@@ -138,23 +147,25 @@ def _per_label_family(table, eta):
                                             ("mixed_table", 2)])
 def test_family_labels_match_per_label_oracle(table_name, eta, request):
     # assemble_from_gammas sees only the sum of the labels; this checks that
-    # every edge is filed under the label whose color reaches it
+    # every edge is filed under the label whose color reaches it, that the
+    # stored labels keep enumeration order and that the others are counted
     table = request.getfixturevalue(table_name)
     expected = _per_label_family(table, eta)
     fam = build_term_family(table, eta, zeta=0.25)
     n_stored = len(fam.perms)
     labels = enumerate_gammas(table.n, eta)
-    assert fam.gammas[:n_stored] == [g for g in labels if g in expected]
-    assert len(fam.gammas) == len(labels) and set(fam.gammas) == set(labels)
+    stored = [g for g in labels if g in expected]
+    assert n_stored == len(stored)
+    assert fam.meta.n_gamma == len(labels)
     for g in range(n_stored):
-        perm, vals = expected[fam.gammas[g]]
+        perm, vals = expected[stored[g]]
         assert np.array_equal(fam.perms[g], perm)
         assert np.array_equal(fam.values[g], vals)
     rows = np.arange(fam.dim)
-    for g in range(n_stored, len(fam.gammas)):
+    for g in range(n_stored, fam.meta.n_gamma):
         for s in (1, 2):
             term = fam.term(flat_ell(fam, s, 1, g), 0)
-            assert term.gamma == fam.gammas[g]
+            assert term.gamma == g
             assert np.array_equal(term.perm, rows)
             assert np.array_equal(term.vals, np.full(fam.dim, 3 - 2 * s))
 
@@ -291,7 +302,7 @@ def test_cli_quadrature(tmp_path):
     assert lines[0] == "rho,re,im,bound"
     assert len(lines) == 1 + 8**3
     cfg = h2_config()
-    bounds = certified_bounds(cfg)
+    bounds = derive_bounds(cfg.orbitals)
     delta = delta_for_grid("s0", 8, bounds)
     spec = plan_quadrature("s0", 1, 3, delta, bounds, cfg.orbitals)
     terms = riemann_S0(1, 3, spec, cfg.orbitals)
@@ -366,6 +377,15 @@ def test_cli_requires_config(argv, capsys):
     assert "required: --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("orbitals", ["a,b", "1,", "1.5,2"])
+def test_cli_quadrature_rejects_non_integer_orbitals(orbitals, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["quadrature", "--config", H2_PATH, "--kind", "s0",
+                  "--orbitals", orbitals, "--grid-n", "4"])
+    assert exc.value.code == 2
+    assert "argument --orbitals: invalid" in capsys.readouterr().err
+
+
 def _drop_eta(data):
     del data["eta"]
 
@@ -374,11 +394,40 @@ def _negative_exponent(data):
     data["orbitals"][0]["primitives"][0][0] = -1.0
 
 
+def _overrides(**overrides):
+    def edit(data):
+        data["overrides"] = overrides
+    return edit
+
+
+# an unusable override is found by validate_config, not by a failed parse
+NO_CAUSE = type(None)
+DELTAS = {"s0": 0.1, "s1": 0.1, "s2": 0.1}
+
+
 @pytest.mark.parametrize("text,edit,cause", [
     pytest.param(None, None, FileNotFoundError, id="missing"),
     pytest.param("{eta: 2", None, json.JSONDecodeError, id="not-json"),
     pytest.param(None, _drop_eta, KeyError, id="no-eta"),
     pytest.param(None, _negative_exponent, ValueError, id="negative-exponent"),
+    pytest.param(None, _overrides(zeta="abc"), NO_CAUSE, id="zeta-text"),
+    pytest.param(None, _overrides(zeta=-1), NO_CAUSE, id="zeta-negative"),
+    pytest.param(None, _overrides(zeta=float("nan")), NO_CAUSE,
+                 id="zeta-nan"),
+    pytest.param(None, _overrides(zeta=True), NO_CAUSE, id="zeta-bool"),
+    pytest.param(None, _overrides(zetta=0.1), NO_CAUSE, id="misspelt-key"),
+    pytest.param(None, _overrides(grid_cap=8), NO_CAUSE, id="grid-cap"),
+    pytest.param(None, _overrides(alpha_decay=2.0), NO_CAUSE,
+                 id="alpha-decay"),
+    pytest.param(None, _overrides(delta=0), NO_CAUSE, id="delta-zero"),
+    pytest.param(None, _overrides(delta=float("inf")), NO_CAUSE,
+                 id="delta-inf"),
+    pytest.param(None, _overrides(delta={"s0": 0.1, "s1": 0.1}), NO_CAUSE,
+                 id="delta-missing-kind"),
+    pytest.param(None, _overrides(delta={**DELTAS, "s3": 0.1}), NO_CAUSE,
+                 id="delta-extra-kind"),
+    pytest.param(None, _overrides(delta={**DELTAS, "s2": "x"}), NO_CAUSE,
+                 id="delta-kind-text"),
 ])
 def test_unusable_config_is_one_typed_error(text, edit, cause, tmp_path,
                                             capsys):
@@ -391,7 +440,7 @@ def test_unusable_config_is_one_typed_error(text, edit, cause, tmp_path,
     if text is not None:
         path.write_text(text)
     with pytest.raises(InvalidConfig) as exc:
-        load_config(str(path))
+        validate_config(load_config(str(path)))
     assert type(exc.value.__cause__) is cause
     assert cli_main(["report", "--config", str(path)]) == 2
     err = capsys.readouterr().err
@@ -443,11 +492,14 @@ def test_pipeline_rejects_oversized_basis_before_ingest(monkeypatch):
         raise AssertionError("ingest ran for a basis past the dense cap")
 
     monkeypatch.setattr(driver, "ingest", no_ingest)
-    # (N, eta) = (14, 7): xi = 3432 > 2048
-    orbitals = [so((0, 0, 0.5 * k), 1.0) for k in range(14)]
-    cfg = ProblemConfig(nuclei=[(1.0, (0, 0, 0))], orbitals=orbitals, eta=7)
-    with pytest.raises(DimensionTooLarge):
-        run_pipeline(cfg)
+    # (N, eta) = (14, 7): xi = 3432 > 2048; (13, 5): xi = 1287, but the
+    # ledger's dense oracle runs on the double cover, 2 xi = 2574 > 2048
+    for norb, eta in [(14, 7), (13, 5)]:
+        orbitals = [so((0, 0, 0.5 * k), 1.0) for k in range(norb)]
+        cfg = ProblemConfig(nuclei=[(1.0, (0, 0, 0))], orbitals=orbitals,
+                            eta=eta)
+        with pytest.raises(DimensionTooLarge):
+            run_pipeline(cfg)
 
 
 def test_cli_entry_point_runs():

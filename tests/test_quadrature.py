@@ -1,11 +1,12 @@
-from dataclasses import replace
+import hashlib
+from dataclasses import fields, replace
 from math import e, exp, fsum, pi, sqrt
 
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
-from cisim.driver import build_term_family
+from cisim.driver import build_term_family, load_config
 from cisim.errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
                           SpecMismatch)
 from cisim.integrals import (IntegralTable, eri_chemist,
@@ -16,6 +17,7 @@ from cisim.quadrature import (ZETA_PRIME, delta_for_grid, k0_constant,
                               plan_quadrature, riemann_S0, riemann_S1,
                               riemann_S2)
 
+from conftest import so
 
 UNIT = BasisBounds(phi_max=1.0, x_max=1.0, alpha_decay=1.0,
                    gamma1=1.0, gamma2=1.0)
@@ -57,7 +59,7 @@ def test_plan_delta_too_large():
 def test_plan_delta_too_small():
     with pytest.raises(DeltaTooSmall):
         plan_quadrature("s0", 1, 1, 1e-12, UNIT,
-                        [s_orbital((0, 0, 0), 1.0)], grid_cap=256)
+                        [s_orbital((0, 0, 0), 1.0)])
 
 
 def test_s1_branch_threshold(sbasis):
@@ -217,7 +219,8 @@ def test_branch_consistency_near_threshold(sbasis):
     spec = plan_quadrature("s1", 1, 1, delta, bounds, basis, nuclei, q=0)
     exact = nuclear_attraction(basis[0], basis[0], 1.0, nuclei[0][1])
     for branch in ("cartesian", "spherical_polar"):
-        rs = riemann_S1(1, 1, 0, spec, basis, nuclei, force_branch=branch)
+        rs = riemann_S1(1, 1, 0, replace(spec, coordinate_system=branch),
+                        basis, nuclei)
         assert abs(rs.total - exact) <= delta
 
 
@@ -227,8 +230,74 @@ def test_s2_branch_consistency(sbasis):
     spec = plan_quadrature("s2", 1, 2, delta, bounds, basis, k=1, l=2)
     exact = eri_chemist(basis[0], basis[0], basis[1], basis[1])
     for branch in ("cartesian", "spherical_polar"):
-        rs = riemann_S2(1, 2, 1, 2, spec, basis, force_branch=branch)
+        rs = riemann_S2(1, 2, 1, 2, replace(spec, coordinate_system=branch),
+                        basis)
         assert abs(rs.total - exact) <= delta
+
+
+@pytest.fixture(scope="module")
+def pinned_problems():
+    """(basis, nuclei, bounds) of configs/h2.json and of a p/d basis."""
+    h2 = load_config("configs/h2.json")
+    # the far orbital and nucleus put the Coulomb kinds on their
+    # cartesian branch; the chargeless nucleus gets the trivial plan
+    pd = [so((0.0, 0.0, 0.0), 1.2, powers=(1, 0, 0)),
+          so((0.4, 0.0, 0.3), 0.9, powers=(0, 0, 2)),
+          so((0.0, 0.0, 200.0), 1.0)]
+    pd_nuclei = [(1.0, (0.0, 0.0, 0.0)), (2.0, (0.4, 0.0, 0.3)),
+                 (1.0, (0.0, 0.0, -200.0)), (0.0, (1.0, 1.0, 1.0))]
+    return {"h2": (h2.orbitals, h2.nuclei, derive_bounds(h2.orbitals)),
+            "pd": (pd, pd_nuclei, derive_bounds(pd))}
+
+
+def _pinned_plans(basis, nuclei, bounds):
+    for n in (4, 8):
+        for i, j in ((1, 1), (1, 2)):
+            yield plan_quadrature("s0", i, j, delta_for_grid("s0", n, bounds),
+                                  bounds, basis)
+            for q, (zq, _) in enumerate(nuclei):
+                yield plan_quadrature(
+                    "s1", i, j, delta_for_grid("s1", n, bounds, zq=zq),
+                    bounds, basis, nuclei, q=q)
+    for n in (3, 4):
+        for i, j, k, l in ((1, 1, 1, 1), (1, 2, 2, 1), (1, 3, 3, 1)):
+            yield plan_quadrature("s2", i, j, delta_for_grid("s2", n, bounds),
+                                  bounds, basis, k=k, l=l)
+
+
+def _pinned_deltas(nuclei, bounds):
+    for kind in ("s0", "s1", "s2"):
+        charges = sorted({z for z, _ in nuclei}) if kind == "s1" else [1.0]
+        for zq in charges:
+            for n in range(1, 65):
+                try:
+                    delta = delta_for_grid(kind, n, bounds, zq=zq)
+                except DeltaTooLarge:
+                    continue
+                yield f"{kind} {zq!r} {n} {delta!r}"
+
+
+# sha256 digests computed before the per-kind rule table was introduced
+QUADRATURE_PINS = {
+    "h2": ("8625d4967144701cb6aa3ef95f666b50253ceca8c253b72a04cbb74f2a64f18f",
+           "ae12a12b87ceeeef6871788039bd5cf97d682c26ffa386e9d4e4a67d99984a37"),
+    "pd": ("f287798387cd74ad33fc96a05806b9b623072036f57f6f89810172a9558cb199",
+           "bb224d70bb9156f67e4675cb1c61ae95692e7a24e778a218fb3eb92d473af99d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_PINS))
+def test_quadrature_is_pinned(name, pinned_problems):
+    # the approx checks above cannot see a reordered formula; every plan
+    # field and every grid-derived delta must keep its exact float
+    basis, nuclei, bounds = pinned_problems[name]
+    plans = "\n".join(
+        repr(tuple(getattr(spec, f.name) for f in fields(spec)))
+        for spec in _pinned_plans(basis, nuclei, bounds))
+    deltas = "\n".join(_pinned_deltas(nuclei, bounds))
+    assert (hashlib.sha256(plans.encode()).hexdigest(),
+            hashlib.sha256(deltas.encode()).hexdigest()) \
+        == QUADRATURE_PINS[name]
 
 
 # ---------------------------------------------------------------------------
