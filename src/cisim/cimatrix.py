@@ -61,12 +61,6 @@ class GammaIndex:
             if self.i < 1:
                 raise MalformedGamma("single-difference labels need i >= 1")
 
-    @property
-    def family(self) -> str:
-        if self.color.p == 0 and self.color.q == 0:
-            return "diagonal"
-        return "single" if self.color.p == 0 else "double"
-
 
 @dataclass(frozen=True, slots=True)
 class OneSparseEntry:

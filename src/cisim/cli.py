@@ -12,11 +12,11 @@ import io
 import json
 import sys
 
-from .cimatrix import build_ci_matrix, gamma_census
+from .cimatrix import build_ci_matrix, count_gamma, gamma_census
 from .coloring import coloring_census
 from .determinants import enumerate_basis
-from .driver import (budget_errors, count_gamma, ingest, load_config,
-                     run_pipeline, validate_config)
+from .driver import (ingest, load_config, run_budget, run_pipeline,
+                     validate_config)
 from .errors import CisimError, InvalidCounts
 from .orbitals import derive_bounds
 from .quadrature import KINDS, delta_for_grid, nucleus_charge, riemann_terms
@@ -50,7 +50,7 @@ def _add_flags(p, *names):
 
 def _load(args):
     config = load_config(args.config)
-    if args.epsilon is not None:
+    if getattr(args, "epsilon", None) is not None:
         config.epsilon = args.epsilon
     if getattr(args, "time", None) is not None:
         config.time = args.time
@@ -128,11 +128,8 @@ def cmd_quadrature(args):
     zq = nucleus_charge(config.nuclei, args.q) if rule.per_nucleus else 1.0
     if args.grid_n is not None:
         delta = delta_for_grid(kind, args.grid_n, bounds, zq=zq)
-    elif args.delta is not None:
-        delta = args.delta
     else:
-        delta, _, _ = budget_errors(config.epsilon, config.time,
-                                    count_gamma(config.norb, config.eta))
+        delta = run_budget(config)[0][kind]
     terms = riemann_terms(kind, idx, delta, bounds, config.orbitals,
                           config.nuclei, args.q)
     buf = io.StringIO()
@@ -194,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-hamiltonian",
                        help="dense CI matrix and labelled-term census")
-    _add_flags(p, "config", "epsilon", "output", "out")
+    _add_flags(p, "config", "output", "out")
     p.set_defaults(fn=cmd_build_hamiltonian)
 
     p = sub.add_parser("quadrature", help="dump per-term Riemann CSV")

@@ -18,7 +18,6 @@ back out at the end, which commutes with the exact evolution.
 from __future__ import annotations
 
 import json
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from .errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
                      InvalidCounts, NonOrthonormalBasisWarning)
 from .integrals import IntegralTable
 from .lcu import TermFamily, evolve
-from .orbitals import SpinOrbital, derive_bounds
+from .orbitals import SpinOrbital, derive_bounds, finite_number, is_point
 from .quadrature import KINDS, riemann_terms
 
 SCHEMA_VERSION = 1
@@ -65,10 +64,15 @@ def config_from_dict(data: dict) -> ProblemConfig:
         for o in data["orbitals"]
     ]
     nuclei = [(float(n["Z"]), tuple(n["R"])) for n in data["nuclei"]]
+    if not all(finite_number(z) and is_point(r) for z, r in nuclei):
+        raise ValueError("each nucleus needs a finite Z and 3 finite numbers R")
+    eta = data["eta"]
+    if not isinstance(eta, int) or isinstance(eta, bool):
+        raise ValueError(f"eta={eta!r} is not an integer")
     return ProblemConfig(
         nuclei=nuclei,
         orbitals=orbitals,
-        eta=int(data["eta"]),
+        eta=eta,
         time=float(data.get("time", 1.0)),
         epsilon=float(data.get("epsilon", 1e-2)),
         overrides=dict(data.get("overrides", {})),
@@ -84,29 +88,18 @@ def load_config(path) -> ProblemConfig:
         raise InvalidConfig(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _positive_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
-
-
 def validate_config(config: ProblemConfig):
-    """Reject bad counts, an infeasible epsilon and unusable overrides."""
+    """Reject bad counts, an infeasible epsilon or time and, through
+    ``run_budget``, unusable overrides; no integral is computed."""
     if not 1 <= config.eta <= config.norb:
         raise InvalidCounts(
             f"eta={config.eta} not in [1, N={config.norb}]")
     if not 1e-10 < config.epsilon < 1.0:
         raise BudgetInfeasible(
             f"epsilon={config.epsilon} outside (1e-10, 1)")
-    # zeta is a number; delta a number or one per integral kind
-    overrides = dict(config.overrides)
-    delta = overrides.pop("delta", 1.0)
-    per_kind = delta if isinstance(delta, dict) else dict.fromkeys(KINDS, delta)
-    numbers = [overrides.pop("zeta", 1.0), *per_kind.values()]
-    if overrides or set(per_kind) != set(KINDS) \
-            or not all(map(_positive_number, numbers)):
-        raise InvalidConfig(
-            f"overrides {config.overrides!r}: only zeta and delta are read, "
-            f"each a finite number > 0; delta may map {sorted(KINDS)} to one")
+    if not (finite_number(config.time) and config.time > 0):
+        raise BudgetInfeasible(f"time={config.time} must be finite and > 0")
+    run_budget(config)
 
 
 def budget_errors(epsilon: float, t: float, n_gamma: int):
@@ -121,6 +114,25 @@ def budget_errors(epsilon: float, t: float, n_gamma: int):
     eps_taylor = epsilon / 3.0
     delta = zeta = epsilon / (3.0 * t * n_gamma)
     return delta, zeta, eps_taylor
+
+
+def run_budget(config: ProblemConfig):
+    """(delta, zeta, eps_taylor): ``budget_errors``'s split, with each
+    override in place of its share; delta maps every integral kind to its
+    accuracy, and an override delta may be one number for all of them.
+    InvalidConfig for another key or a value not a finite number > 0."""
+    delta, zeta, eps_taylor = budget_errors(
+        config.epsilon, config.time, count_gamma(config.norb, config.eta))
+    overrides = dict(config.overrides)
+    delta = overrides.pop("delta", delta)
+    per_kind = delta if isinstance(delta, dict) else dict.fromkeys(KINDS, delta)
+    zeta = overrides.pop("zeta", zeta)
+    if overrides or set(per_kind) != set(KINDS) or not all(
+            finite_number(x) and x > 0 for x in [zeta, *per_kind.values()]):
+        raise InvalidConfig(
+            f"overrides {config.overrides!r}: only zeta and delta are read, "
+            f"each a finite number > 0; delta may map {sorted(KINDS)} to one")
+    return {k: float(per_kind[k]) for k in KINDS}, float(zeta), eps_taylor
 
 
 def _check_dense(dim: int):
@@ -155,13 +167,9 @@ def extract_plus(state: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class _QuadratureEngine:
-    """Cached Riemann-sum evaluation of h1 and g entries for the assembly.
-
-    ``delta`` is one accuracy for every integral or a per-kind mapping
-    {'s0': ..., 's1': ..., 's2': ...}; the three families have very
-    different admissible windows, so desk-scale runs usually pass a
-    mapping.
-    """
+    """Cached Riemann-sum evaluation of h1 and g entries for the assembly;
+    ``delta`` maps each integral kind to its accuracy, as ``run_budget``
+    returns it."""
 
     def __init__(self, basis, nuclei, bounds, delta):
         self.basis = basis
@@ -173,10 +181,8 @@ class _QuadratureEngine:
     def _terms(self, kind: str, indices, q=None) -> np.ndarray:
         key = (kind, indices, q)
         if key not in self._cache:
-            delta = self.delta[kind] if isinstance(self.delta, dict) \
-                else self.delta
             self._cache[key] = riemann_terms(
-                kind, indices, float(delta), self.bounds, self.basis,
+                kind, indices, self.delta[kind], self.bounds, self.basis,
                 self.nuclei, q).values
         return self._cache[key]
 
@@ -297,15 +303,9 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     norb, eta = config.norb, config.eta
     t0 = time.perf_counter()
     H = build_ci_matrix(table, eta)
-    n_gamma = count_gamma(norb, eta)
     timings["ci_matrix_s"] = time.perf_counter() - t0
 
-    delta, zeta, eps_taylor = budget_errors(config.epsilon, config.time,
-                                            n_gamma)
-    delta = config.overrides.get("delta", delta)
-    if not isinstance(delta, dict):
-        delta = float(delta)
-    zeta = float(config.overrides.get("zeta", zeta))
+    delta, zeta, eps_taylor = run_budget(config)
 
     t0 = time.perf_counter()
     family = build_term_family(table, eta, zeta, mode=mode, bounds=bounds,
@@ -329,7 +329,7 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     timings["evolution_s"] = time.perf_counter() - t0
 
     # measured per-segment Taylor + amplification defect, dense and exact;
-    # budget_errors rejected t <= 0, so evolve ran r >= 1 segments
+    # validate_config rejected t <= 0, so evolve ran r >= 1 segments
     seg_exact = exact_evolve_operator(Htilde, config.time / info.r)
     taylor_err = info.r * float(np.linalg.norm(info.segment - seg_exact, 2))
 
@@ -352,10 +352,10 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     dims = {
         "N": norb, "eta": eta, "xi": xi,
         "d": sparsity_d(norb, eta),
-        "Gamma": n_gamma,
+        "Gamma": family.meta.n_gamma,
         "L": family.L, "M": family.M, "mu": family.mu,
         "r": info.r, "K": info.K, "lambda": info.lam,
-        "delta": delta if not isinstance(delta, dict) else dict(delta),
+        "delta": delta,
         "zeta": zeta,
     }
     return RunReport(status=status, dims=dims, error_ledger=ledger,

@@ -25,8 +25,7 @@ from math import erf, exp, pi, sqrt
 
 import numpy as np
 
-from .errors import UnsupportedAngularMomentum
-from .orbitals import MAX_ANGULAR, SpinOrbital, d1_terms, d2_terms
+from .orbitals import SpinOrbital, d1_terms, d2_terms
 
 BOYS_SWITCH = 25.0
 
@@ -102,13 +101,6 @@ def _overlap_prim(a, powers_a, A, b, powers_b, B) -> float:
     return out
 
 
-def _check_am(*orbitals: SpinOrbital):
-    for phi in orbitals:
-        if phi.total_power > MAX_ANGULAR:
-            raise UnsupportedAngularMomentum(
-                f"powers {phi.powers} beyond d functions")
-
-
 def _contracted(fn, bra: SpinOrbital, ket: SpinOrbital) -> float:
     out = 0.0
     for a, ca in bra.primitives:
@@ -119,7 +111,6 @@ def _contracted(fn, bra: SpinOrbital, ket: SpinOrbital) -> float:
 
 def overlap(bra: SpinOrbital, ket: SpinOrbital) -> float:
     """Spatial overlap <bra|ket> (no spin factor)."""
-    _check_am(bra, ket)
     return _contracted(
         lambda a, b: _overlap_prim(a, bra.powers, bra.center,
                                    b, ket.powers, ket.center),
@@ -128,7 +119,6 @@ def overlap(bra: SpinOrbital, ket: SpinOrbital) -> float:
 
 def kinetic(bra: SpinOrbital, ket: SpinOrbital) -> float:
     """-1/2 <bra| grad^2 |ket> via the Laplacian expansion of the ket."""
-    _check_am(bra, ket)
 
     def prim(a, b):
         total = 0.0
@@ -150,7 +140,6 @@ def kinetic_gradient_form(bra: SpinOrbital, ket: SpinOrbital) -> float:
     computed through an independent expansion (first derivatives on both
     sides instead of second derivatives on one).
     """
-    _check_am(bra, ket)
 
     def prim(a, b):
         total = 0.0
@@ -219,7 +208,6 @@ def _coulomb_attraction_prim(a, powers_a, A, b, powers_b, B, C) -> float:
 
 def nuclear_attraction(bra: SpinOrbital, ket: SpinOrbital, Z: float, R) -> float:
     """-Z <bra| 1/|R - r| |ket>; zero charge short-circuits to zero."""
-    _check_am(bra, ket)
     if Z == 0.0:
         return 0.0
     return -Z * _contracted(
@@ -258,7 +246,6 @@ def _eri_prim(a, pa, A, b, pb, B, c, pc, C, d, pd, D) -> float:
 def eri_chemist(pa: SpinOrbital, pb: SpinOrbital,
                 pc: SpinOrbital, pd: SpinOrbital) -> float:
     """Spatial (ab|cd): a,b on electron 1 and c,d on electron 2."""
-    _check_am(pa, pb, pc, pd)
     out = 0.0
     for a, ca in pa.primitives:
         for b, cb in pb.primitives:

@@ -22,7 +22,8 @@ exponential), and raises BoundViolated instead of adjusting silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import isfinite, sqrt
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,6 +35,16 @@ GRID_POINTS = 64  # per-axis samples of the bound-search grid
 ALPHA_DECAY = 1.0  # alpha in |phi| <= phi_max e^{-alpha r / x_max}
 
 
+def finite_number(x) -> bool:
+    """A finite real number, numpy scalars included; a bool is not one."""
+    return isinstance(x, Real) and not isinstance(x, bool) and isfinite(x)
+
+
+def is_point(p) -> bool:
+    """Three finite numbers: a center or a nuclear position."""
+    return len(p) == 3 and all(map(finite_number, p))
+
+
 @dataclass(frozen=True)
 class SpinOrbital:
     center: tuple[float, float, float]
@@ -42,12 +53,18 @@ class SpinOrbital:
     spin: str = "up"
 
     def __post_init__(self):
+        if not is_point(self.center):
+            raise ValueError("orbital center must be 3 finite numbers")
         if len(self.primitives) < 1:
             raise ValueError("orbital needs at least one primitive")
-        if any(e <= 0 for e, _ in self.primitives):
-            raise ValueError("all Gaussian exponents must be positive")
-        if any(p < 0 for p in self.powers):
-            raise ValueError("Cartesian powers must be non-negative")
+        if not all(finite_number(e) and e > 0 and finite_number(c)
+                   for e, c in self.primitives):
+            raise ValueError("each exponent must be finite and > 0, "
+                             "each coefficient finite")
+        if len(self.powers) != 3 or not all(
+                isinstance(p, Integral) and not isinstance(p, bool) and p >= 0
+                for p in self.powers):
+            raise ValueError("Cartesian powers must be 3 non-negative integers")
         if sum(self.powers) > MAX_ANGULAR:
             raise UnsupportedAngularMomentum(
                 f"total Cartesian power {sum(self.powers)} exceeds d functions"
@@ -74,29 +91,6 @@ class BasisBounds:
         for name in ("phi_max", "x_max", "alpha_decay", "gamma1", "gamma2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-
-
-def primitive_norm(exponent: float, powers=(0, 0, 0)) -> float:
-    """L2 normalization constant of a single Cartesian primitive."""
-    def fac2(n):
-        out = 1
-        while n > 1:
-            out *= n
-            n -= 2
-        return out
-
-    nx, ny, nz = powers
-    l = nx + ny + nz
-    return (
-        (2 * exponent / pi) ** 0.75
-        * (4 * exponent) ** (l / 2)
-        / sqrt(fac2(2 * nx - 1) * fac2(2 * ny - 1) * fac2(2 * nz - 1))
-    )
-
-
-def s_orbital(center, exponent, spin="up", normalized=True) -> SpinOrbital:
-    c = primitive_norm(exponent) if normalized else 1.0
-    return SpinOrbital(tuple(center), ((exponent, c),), (0, 0, 0), spin)
 
 
 def _mono(u: np.ndarray, n: int) -> np.ndarray:

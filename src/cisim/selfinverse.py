@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetInfeasible
+
 
 @dataclass(frozen=True)
 class DecompositionMeta:
@@ -71,9 +73,14 @@ class SelfInverseTerm:
 
 def split_arrays(values: np.ndarray, zeta: float):
     """(C, phase): the modulus rounded to even multiples of zeta, scaled
-    by 1/zeta to integers, and the unit phase (1 where the value is 0)."""
+    by 1/zeta to integers, and the unit phase (1 where the value is 0).
+    BudgetInfeasible when a count would not fit in int64."""
     mod = np.abs(values)
     C = 2.0 * np.round(mod / (2.0 * zeta))
+    if C.size and not C.max() < 2.0**63:
+        raise BudgetInfeasible(
+            f"zeta={zeta:g} rounds an entry to {C.max():g} multiples of zeta, "
+            "past int64")
     phase = np.where(mod > 0, values / np.where(mod > 0, mod, 1.0), 1.0)
     return C.astype(np.int64), phase.astype(complex)
 

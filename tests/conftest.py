@@ -1,18 +1,36 @@
 """Shared fixtures and independent oracles used across the suite."""
 
 import itertools
-from math import factorial
+from math import factorial, pi, sqrt
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from cisim.integrals import IntegralTable
-from cisim.orbitals import SpinOrbital, primitive_norm
+from cisim.orbitals import SpinOrbital
 
 # property tests draw the same examples on every run, with no time limit
 settings.register_profile("cisim", derandomize=True, deadline=None)
 settings.load_profile("cisim")
+
+
+def primitive_norm(exponent: float, powers=(0, 0, 0)) -> float:
+    """L2 normalization constant of a single Cartesian primitive."""
+    def fac2(n):
+        out = 1
+        while n > 1:
+            out *= n
+            n -= 2
+        return out
+
+    nx, ny, nz = powers
+    l = nx + ny + nz
+    return (
+        (2 * exponent / pi) ** 0.75
+        * (4 * exponent) ** (l / 2)
+        / sqrt(fac2(2 * nx - 1) * fac2(2 * ny - 1) * fac2(2 * nz - 1))
+    )
 
 
 def so(center, exponent, spin="up", powers=(0, 0, 0), normalized=True):

@@ -119,7 +119,7 @@ def test_label_key_sorts_labels_into_enumeration_order(norb, eta):
 
 def test_no_exchange_diagonal_labels_for_single_electron():
     labels = enumerate_gammas(5, 1)
-    diag = [g for g in labels if g.family == "diagonal"]
+    diag = [g for g in labels if g.color == DIAGONAL_COLOR]
     assert len(diag) == 1 and diag[0].i == diag[0].j == 1
 
 

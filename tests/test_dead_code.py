@@ -2,10 +2,12 @@
 
 A definition counts as used when its name appears as a name, an
 attribute or an imported name anywhere in src/cisim or tests/; its own
-``def`` or ``class`` line does not count.  Dunder methods are called
-by the language and are exempt.  An imported name counts as used when
-the importing module names it outside its import lines; the package's
-``__init__.py`` re-exports and ``from __future__`` imports are exempt.
+``def`` or ``class`` line does not count.  A method or property of a
+class counts only through attribute access, so a local variable of the
+same name does not hide it.  Dunder methods are called by the language
+and are exempt.  An imported name counts as used when the importing
+module names it outside its import lines; the package's ``__init__.py``
+re-exports and ``from __future__`` imports are exempt.
 
 A definition that only tests name must be a reference the tests judge
 the program against, listed in ``REFERENCES`` with the reason; any other
@@ -21,26 +23,29 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _references(tree) -> set[str]:
-    names = set()
+def _references(tree) -> tuple[set[str], set[str]]:
+    """(bare and imported names, attribute names) used in a module."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
-    return names
+    return names, attributes
 
 
-def _definitions(node, prefix: str):
-    """(qualified name, bare name) of every definition, nested ones too."""
+def _definitions(node, prefix: str, in_class: bool = False):
+    """(qualified name, bare name, is a class member) of every definition,
+    nested ones too."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, DEFINITIONS):
-            yield f"{prefix}.{child.name}", child.name
-            yield from _definitions(child, f"{prefix}.{child.name}")
+            yield f"{prefix}.{child.name}", child.name, in_class
+            yield from _definitions(child, f"{prefix}.{child.name}",
+                                    isinstance(child, ast.ClassDef))
         else:
-            yield from _definitions(child, prefix)
+            yield from _definitions(child, prefix, in_class)
 
 
 # definitions that no src/cisim module names: what the tests compare against
@@ -59,16 +64,18 @@ REFERENCES = {
         "truncation bound (ln 2)^(K+1)/(K+1)! that K and lambda are held to",
     "lcu.SegmentPlan.ancilla_qubits":
         "selection-register width of the paper's qubit count",
+    "lcu.TermFamily.term":
+        "one involution C_{gamma, rho, m, s} for the identities of criterion 6",
     "lcu.RegisterSim":
         "register-level walk that checks the dense-block path (criterion 7)",
     "lcu.RegisterSim.block_of_w":
         "<0|W|0> on the registers, compared with U~ / lambda",
     "lcu.RegisterSim.oaa_apply":
         "register-level amplified segment, compared with the dense one",
-    "orbitals.s_orbital":
-        "normalized s-type Gaussian that the test bases are built from",
     "quadrature.RiemannSum.max_term":
         "largest term, held to the a-priori term bound (criterion 4)",
+    "quadrature.RiemannSum.total":
+        "exactly summed Riemann sum, compared with the closed-form integral",
     "quadrature.lambda_exact":
         "closed-form screened-Coulomb integral checked by Monte Carlo",
     "selfinverse.SelfInverseTerm.as_dense":
@@ -78,14 +85,17 @@ REFERENCES = {
 
 def unused_definitions(paths) -> list[str]:
     """Definitions in src/cisim whose name no file in ``paths`` uses."""
-    used = set()
+    names, attributes = set(), set()
     for path in paths:
-        used |= _references(ast.parse(path.read_text()))
+        n, a = _references(ast.parse(path.read_text()))
+        names |= n
+        attributes |= a
     unused = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
-        for qualname, name in _definitions(tree, path.stem):
+        for qualname, name, member in _definitions(tree, path.stem):
             dunder = name.startswith("__") and name.endswith("__")
+            used = attributes if member else names | attributes
             if not dunder and name not in used:
                 unused.append(qualname)
     return unused

@@ -311,6 +311,26 @@ def test_cli_quadrature(tmp_path):
         for rho, v in enumerate(terms.values)]
 
 
+def test_cli_quadrature_plans_with_the_config_delta(tmp_path):
+    # with no --grid-n, the config's delta for the kind sets the grid
+    with open(H2_PATH) as fh:
+        data = json.load(fh)
+    bounds = derive_bounds(load_config(H2_PATH).orbitals)
+    data["overrides"] = {"delta": {k: delta_for_grid(k, 8, bounds)
+                                   for k in ("s0", "s1", "s2")}}
+    path = tmp_path / "h2_delta.json"
+    path.write_text(json.dumps(data))
+    outs = []
+    for argv in (["--config", str(path)],
+                 ["--config", H2_PATH, "--grid-n", "8"]):
+        out = tmp_path / f"terms{len(outs)}.csv"
+        assert cli_main(["quadrature", "--kind", "s0", "--orbitals", "1,3",
+                         *argv, "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 8**3
+
+
 def test_cli_evolve(tmp_path):
     out = tmp_path / "evolve.json"
     rc = cli_main(["evolve", "--config", H2_PATH, "--epsilon", "0.03",
@@ -336,6 +356,16 @@ def test_cli_report(tmp_path):
                  "BudgetInfeasible", id="report"),
     pytest.param(["evolve", "--config", H2_PATH, "--time", "0"],
                  "BudgetInfeasible", id="evolve"),
+    pytest.param(["report", "--config", H2_PATH, "--time", "nan"],
+                 "BudgetInfeasible", id="time-nan"),
+    pytest.param(["evolve", "--config", H2_PATH, "--time", "inf"],
+                 "BudgetInfeasible", id="time-inf"),
+    # the budget's zeta, or the override, would round entries to counts
+    # past int64
+    pytest.param(["report", "--config", H2_PATH, "--time", "1e300"],
+                 "BudgetInfeasible", id="time-1e300"),
+    pytest.param(["report", "--config", H2_PATH, "--zeta", "1e-20"],
+                 "BudgetInfeasible", id="zeta-1e-20"),
     pytest.param(["coloring-check", "--norb", "4", "--eta", "-1"],
                  "InvalidCounts", id="coloring-check"),
     # 1-based orbital and 0-based nucleus indices; negative ones are not
@@ -390,8 +420,14 @@ def _drop_eta(data):
     del data["eta"]
 
 
-def _negative_exponent(data):
-    data["orbitals"][0]["primitives"][0][0] = -1.0
+def _set(*keys, value):
+    """Edit that puts value at data[k0][k1]...[kn]."""
+    def edit(data):
+        *path, last = keys
+        for key in path:
+            data = data[key]
+        data[last] = value
+    return edit
 
 
 def _overrides(**overrides):
@@ -409,7 +445,29 @@ DELTAS = {"s0": 0.1, "s1": 0.1, "s2": 0.1}
     pytest.param(None, None, FileNotFoundError, id="missing"),
     pytest.param("{eta: 2", None, json.JSONDecodeError, id="not-json"),
     pytest.param(None, _drop_eta, KeyError, id="no-eta"),
-    pytest.param(None, _negative_exponent, ValueError, id="negative-exponent"),
+    pytest.param(None, _set("orbitals", 0, "primitives", 0, 0, value=-1.0),
+                 ValueError, id="negative-exponent"),
+    pytest.param(None, _set("orbitals", 0, "primitives", 0, 0,
+                            value=float("inf")),
+                 ValueError, id="infinite-exponent"),
+    pytest.param(None, _set("orbitals", 0, "primitives", 0, 1,
+                            value=float("nan")),
+                 ValueError, id="nan-coefficient"),
+    pytest.param(None, _set("orbitals", 0, "center", value=[0.0, 0.0]),
+                 ValueError, id="center-of-2"),
+    pytest.param(None, _set("orbitals", 0, "center", 2, value=float("nan")),
+                 ValueError, id="nan-center"),
+    pytest.param(None, _set("orbitals", 0, "powers", value=[0, 0]),
+                 ValueError, id="powers-of-2"),
+    pytest.param(None, _set("orbitals", 0, "powers", value=[0, 0, 1.5]),
+                 ValueError, id="fractional-power"),
+    pytest.param(None, _set("nuclei", 0, "Z", value=float("nan")),
+                 ValueError, id="nan-charge"),
+    pytest.param(None, _set("nuclei", 0, "R", value=[0.0, 0.0]),
+                 ValueError, id="position-of-2"),
+    pytest.param(None, _set("eta", value=2.5), ValueError, id="eta-2.5"),
+    pytest.param(None, _set("eta", value="2"), ValueError, id="eta-text"),
+    pytest.param(None, _set("eta", value=True), ValueError, id="eta-bool"),
     pytest.param(None, _overrides(zeta="abc"), NO_CAUSE, id="zeta-text"),
     pytest.param(None, _overrides(zeta=-1), NO_CAUSE, id="zeta-negative"),
     pytest.param(None, _overrides(zeta=float("nan")), NO_CAUSE,
@@ -456,6 +514,7 @@ def test_unusable_config_is_one_typed_error(text, edit, cause, tmp_path,
     ("build-hamiltonian", "--delta", "0.1"),
     ("build-hamiltonian", "--zeta", "0.1"),
     ("build-hamiltonian", "--mode", "riemann"),
+    ("build-hamiltonian", "--epsilon", "0.03"),
 ])
 def test_cli_rejects_a_flag_its_command_ignores(command, flag, value,
                                                capsys):

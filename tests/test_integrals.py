@@ -12,7 +12,7 @@ from cisim.integrals import (IntegralTable, boys, eri_chemist, kinetic,
                              kinetic_gradient_form, nuclear_attraction,
                              overlap, reference_integral)
 from cisim.orbitals import (SpinOrbital, eval_gradient, eval_laplacian,
-                            eval_value, s_orbital)
+                            eval_value)
 
 from conftest import so
 
@@ -32,7 +32,7 @@ def test_boys_against_gamma_oracle():
 
 
 def test_kinetic_s_gaussian_with_quadrature_cross_check():
-    g = s_orbital((0.0, 0.0, 0.0), 1.0)
+    g = so((0.0, 0.0, 0.0), 1.0)
     assert kinetic(g, g) == pytest.approx(1.5, abs=1e-12)
     # radial quadrature of -1/2 phi lap(phi), independent route
     val = quad(lambda r: -0.5 * 4 * pi * r * r
@@ -43,13 +43,13 @@ def test_kinetic_s_gaussian_with_quadrature_cross_check():
 
 
 def test_nuclear_zero_charge():
-    g = s_orbital((0.0, 0.0, 0.0), 1.0)
+    g = so((0.0, 0.0, 0.0), 1.0)
     assert nuclear_attraction(g, g, 0.0, (0.3, 0.0, 0.0)) == 0.0
     assert reference_integral("nuclear", (1, 1, 0), [g], [(0.0, (0, 0, 0))]) == 0
 
 
 def test_nuclear_on_center_analytic():
-    g = s_orbital((0.0, 0.0, 0.0), 1.0)
+    g = so((0.0, 0.0, 0.0), 1.0)
     assert nuclear_attraction(g, g, 1.0, (0.0, 0.0, 0.0)) \
         == pytest.approx(-2.0 * sqrt(2.0 / pi), abs=1e-12)
 
@@ -57,7 +57,7 @@ def test_nuclear_on_center_analytic():
 def test_eri_same_center_quadrature_oracle():
     # Coulomb self-energy of the normalized gaussian density, as a 1d
     # radial integral over the erf potential
-    g = s_orbital((0.0, 0.0, 0.0), 1.0)
+    g = so((0.0, 0.0, 0.0), 1.0)
     from scipy.special import erf
     a2 = 2.0
     oracle = quad(lambda r: 4 * pi * r * (a2 / pi) ** 1.5
@@ -112,14 +112,14 @@ def test_orthogonal_p_pair():
 
 
 def test_separated_gaussians_negligible():
-    a = s_orbital((0.0, 0.0, 0.0), 1.0)
-    b = s_orbital((20.0, 0.0, 0.0), 1.0)
+    a = so((0.0, 0.0, 0.0), 1.0)
+    b = so((20.0, 0.0, 0.0), 1.0)
     assert abs(kinetic_gradient_form(a, b)) < 1e-20
 
 
 def test_spin_orthogonality():
-    up = s_orbital((0.0, 0.0, 0.0), 1.0, spin="up")
-    dn = s_orbital((0.0, 0.0, 0.0), 1.0, spin="down")
+    up = so((0.0, 0.0, 0.0), 1.0, spin="up")
+    dn = so((0.0, 0.0, 0.0), 1.0, spin="down")
     table = IntegralTable([up, dn], [(1.0, (0, 0, 0))])
     assert table.h1(1, 2) == 0
     assert table.g(1, 1, 2, 1) == 0      # bra/ket spin flip on electron 1

@@ -5,7 +5,7 @@ from scipy.optimize import minimize_scalar
 from cisim.errors import BoundViolated, UnsupportedAngularMomentum
 from cisim.orbitals import (BasisBounds, SpinOrbital, certify_bounds,
                             derive_bounds, eval_gradient, eval_laplacian,
-                            eval_value, s_orbital)
+                            eval_value)
 
 from conftest import so
 
@@ -70,13 +70,13 @@ def test_unsupported_angular_momentum():
 
 
 def test_phi_max_normalized_s_gaussian():
-    basis = [s_orbital((0.0, 0.0, 0.0), 1.0)]
+    basis = [so((0.0, 0.0, 0.0), 1.0)]
     bounds = derive_bounds(basis)
     assert bounds.phi_max == pytest.approx((2.0 / np.pi) ** 0.75, abs=1e-9)
 
 
 def test_phi_max_two_identical_distant():
-    basis = [s_orbital((0.0, 0.0, 0.0), 1.0), s_orbital((10.0, 0.0, 0.0), 1.0)]
+    basis = [so((0.0, 0.0, 0.0), 1.0), so((10.0, 0.0, 0.0), 1.0)]
     one = derive_bounds(basis[:1])
     two = derive_bounds(basis)
     assert two.phi_max == pytest.approx(one.phi_max, rel=1e-9)
@@ -124,7 +124,7 @@ def test_gradient_and_laplacian_caps_hold():
 
 
 def test_certification_failure_is_an_error():
-    basis = [s_orbital((0.0, 0.0, 0.0), 1.0)]
+    basis = [so((0.0, 0.0, 0.0), 1.0)]
     good = derive_bounds(basis)
     bad = BasisBounds(phi_max=good.phi_max / 2, x_max=good.x_max,
                       alpha_decay=good.alpha_decay, gamma1=good.gamma1,

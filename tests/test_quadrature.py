@@ -11,7 +11,7 @@ from cisim.errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
                           SpecMismatch)
 from cisim.integrals import (IntegralTable, eri_chemist,
                              kinetic_gradient_form, nuclear_attraction)
-from cisim.orbitals import BasisBounds, derive_bounds, s_orbital
+from cisim.orbitals import BasisBounds, derive_bounds
 from cisim.quadrature import (ZETA_PRIME, delta_for_grid, k0_constant,
                               k1_constant, k2_constant, lambda_exact,
                               plan_quadrature, riemann_S0, riemann_S1,
@@ -25,8 +25,8 @@ UNIT = BasisBounds(phi_max=1.0, x_max=1.0, alpha_decay=1.0,
 
 @pytest.fixture(scope="module")
 def sbasis():
-    basis = [s_orbital((0.0, 0.0, 0.0), 1.0),
-             s_orbital((0.6, 0.0, 0.3), 1.5)]
+    basis = [so((0.0, 0.0, 0.0), 1.0),
+             so((0.6, 0.0, 0.3), 1.5)]
     nuclei = [(1.0, (0.0, 0.0, 0.0)), (2.0, (0.6, 0.0, 0.3))]
     return basis, nuclei, derive_bounds(basis)
 
@@ -43,7 +43,7 @@ def test_plan_s0_worked_example():
     # delta at scale/e makes the grid formula collapse to ceil(e * 2^4)
     K0 = k0_constant(UNIT)
     spec = plan_quadrature("s0", 1, 1, K0 / e, UNIT,
-                           [s_orbital((0, 0, 0), 1.0)])
+                           [so((0, 0, 0), 1.0)])
     assert spec.grid_n == 44
     assert spec.mu == 44**3
     assert spec.x_trunc == pytest.approx(2.0)  # (2/alpha) x_max log(e)
@@ -53,13 +53,13 @@ def test_plan_delta_too_large():
     K0 = k0_constant(UNIT)
     with pytest.raises(DeltaTooLarge):
         plan_quadrature("s0", 1, 1, K0 * exp(-0.5) * 1.0001, UNIT,
-                        [s_orbital((0, 0, 0), 1.0)])
+                        [so((0, 0, 0), 1.0)])
 
 
 def test_plan_delta_too_small():
     with pytest.raises(DeltaTooSmall):
         plan_quadrature("s0", 1, 1, 1e-12, UNIT,
-                        [s_orbital((0, 0, 0), 1.0)])
+                        [so((0, 0, 0), 1.0)])
 
 
 def test_s1_branch_threshold(sbasis):
@@ -91,9 +91,9 @@ def test_s0_within_delta_and_term_bound(sbasis):
 
 
 def test_s0_separated_orbitals_below_delta():
-    basis = [s_orbital((0.0, 0.0, 0.0), 1.0)]
+    basis = [so((0.0, 0.0, 0.0), 1.0)]
     bounds = derive_bounds(basis)
-    far = s_orbital((40.0 * bounds.x_max, 0.0, 0.0), 1.0)
+    far = so((40.0 * bounds.x_max, 0.0, 0.0), 1.0)
     basis2 = [basis[0], far]
     bounds2 = derive_bounds(basis2)
     delta = delta_for_grid("s0", 16, bounds2)
@@ -164,9 +164,9 @@ def test_s2_nearby_branch_within_delta(sbasis):
 
 
 def test_s2_distant_branch_terms_finite():
-    basis = [s_orbital((0.0, 0.0, 0.0), 1.0)]
+    basis = [so((0.0, 0.0, 0.0), 1.0)]
     bounds1 = derive_bounds(basis)
-    far = s_orbital((100.0 * bounds1.x_max, 0.0, 0.0), 1.0)
+    far = so((100.0 * bounds1.x_max, 0.0, 0.0), 1.0)
     basis2 = [basis[0], far]
     bounds = derive_bounds(basis2)
     delta = delta_for_grid("s2", 4, bounds)
@@ -183,7 +183,8 @@ def test_hermitize(sbasis):
     basis, _, bounds = sbasis
     delta = delta_for_grid("s0", 16, bounds)
     fam = build_term_family(IntegralTable(basis), 1, zeta=0.01,
-                            mode="riemann", bounds=bounds, delta=delta)
+                            mode="riemann", bounds=bounds,
+                            delta=dict.fromkeys(("s0", "s1", "s2"), delta))
     row = {(x, int(p[x])): fam.values[g][x]
            for g, p in enumerate(fam.perms) for x in range(2)}
     h_ij, h_ji, h_ii = row[0, 3], row[1, 2], row[0, 2]

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from cisim.errors import BudgetInfeasible
 from cisim.lcu import TermFamily
 from cisim.selfinverse import slice_values, split_arrays
 
@@ -74,6 +76,15 @@ def test_split_reconstructs_even_integers():
         C, phase = split_arrays(np.array([c * zeta], dtype=complex), zeta)
         assert sum(_slice_pair_sum(C, phase, m)[0]
                    for m in range(1, M + 1)) == c
+
+
+def test_split_rejects_counts_past_int64():
+    # C = 2 round(v / (2 zeta)) fits up to 2^63 - 1024, the largest float
+    # below 2^63; from 2^63 on the cast to int64 would wrap
+    C, _ = split_arrays(np.array([2.0**62 - 512]), 0.5)
+    assert C[0] == 2**63 - 1024
+    with pytest.raises(BudgetInfeasible):
+        split_arrays(np.array([2.0**62]), 0.5)
 
 
 def _random_involution_matrix(rng, dim):
