@@ -3,9 +3,9 @@
 from .determinants import (Determinant, DiffReport, align_and_diff,
                            enumerate_basis)
 from .orbitals import BasisBounds, SpinOrbital, derive_bounds
-from .integrals import IntegralTable, reference_integral
-from .coloring import (INVALID, LEFT, RIGHT, ColorTuple, apply_color,
-                       color_of, coloring_census)
+from .integrals import IntegralTable
+from .coloring import (LEFT, RIGHT, ColorTuple, apply_color, color_of,
+                       coloring_census)
 from .cimatrix import (GammaIndex, OneSparseEntry, ci_entry, count_gamma,
                        enumerate_gammas, gamma_entry, sparsity_d)
 from .quadrature import QuadratureSpec, lambda_exact, riemann_terms

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import (DIAGONAL_COLOR, INVALID, LEFT, ColorTuple,
-                       apply_color, color_of, double_colors, movement_tuples,
-                       single_colors)
-from .determinants import Determinant, align_and_diff, enumerate_basis
-from .errors import InvalidCounts, MalformedGamma, PatternMismatch
+from .coloring import (DIAGONAL_COLOR, LEFT, ColorTuple, apply_color,
+                       color_of, double_colors, movement_tuples, single_colors)
+from .determinants import (Determinant, align_and_diff, basis_size,
+                           enumerate_basis)
+from .errors import MalformedGamma, PatternMismatch
 from .integrals import IntegralTable
 
 from math import comb
@@ -95,8 +95,7 @@ def ci_entry(alpha: Determinant, beta: Determinant, table: IntegralTable) -> com
 
 def sparsity_d(norb: int, eta: int) -> int:
     """Maximum nonzeros per CI row: C(eta,2) C(N-eta,2) + eta (N-eta) + 1."""
-    if eta < 1 or eta > norb:
-        raise InvalidCounts(f"eta={eta} not in [1, N={norb}]")
+    basis_size(norb, eta)
     return comb(eta, 2) * comb(norb - eta, 2) + eta * (norb - eta) + 1
 
 
@@ -148,10 +147,7 @@ def label_key(norb: int, eta: int):
 
 def count_gamma(norb: int, eta: int) -> int:
     """Closed-form size of the admissible label family."""
-    if eta < 1 or eta > norb:
-        raise InvalidCounts(f"eta={eta} not in [1, N={norb}]")
-    n_moves = 8 * eta * (norb - 1)
-    return eta * (eta + 1) // 2 + n_moves * eta + n_moves**2
+    return gamma_census(norb, eta)["total"]
 
 
 def term_value(gamma: GammaIndex, src: Determinant, dst: Determinant,
@@ -192,14 +188,14 @@ def gamma_entry(gamma: GammaIndex, alpha: Determinant,
     """The single matrix element of one labelled term in row alpha.
 
     Resolves the partner through the coloring; returns None when the
-    color is INVALID for alpha (zero row, orbitals unchanged).
+    color gives alpha no partner (zero row, orbitals unchanged).
     """
     c = gamma.color
     if c.p == 0 and c.q == 0:
         return OneSparseEntry(
             alpha, alpha, term_value(gamma, alpha, alpha, None, table))
     beta = apply_color(c, alpha, LEFT)
-    if beta is INVALID:
+    if beta is None:
         return None
     diff = align_and_diff(alpha, beta)
     return OneSparseEntry(
@@ -242,13 +238,9 @@ def assemble_from_gammas(table: IntegralTable, eta: int) -> np.ndarray:
 
 def gamma_census(norb: int, eta: int) -> dict:
     """Counts of the admissible label family, by family."""
+    d = sparsity_d(norb, eta)
     n_moves = 8 * eta * (norb - 1)
-    return {
-        "norb": norb,
-        "eta": eta,
-        "diagonal": eta * (eta + 1) // 2,
-        "single": n_moves * eta,
-        "double": n_moves**2,
-        "total": count_gamma(norb, eta),
-        "sparsity_d": sparsity_d(norb, eta),
-    }
+    families = {"diagonal": eta * (eta + 1) // 2, "single": n_moves * eta,
+                "double": n_moves**2}
+    return {"norb": norb, "eta": eta, **families,
+            "total": sum(families.values()), "sparsity_d": d}

@@ -30,6 +30,12 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _emit_csv(rows, out_path):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _emit(buf.getvalue(), out_path)
+
+
 _FLAGS = {
     "config": dict(required=True, help="problem config JSON"),
     "epsilon": dict(type=float, help="total error target override"),
@@ -77,11 +83,7 @@ def cmd_coloring_check(args):
         "gamma_count": count_gamma(args.norb, args.eta),
     }
     if args.output == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(payload.keys())
-        w.writerow(payload.values())
-        _emit(buf.getvalue(), args.out)
+        _emit_csv([payload.keys(), payload.values()], args.out)
     else:
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0 if census.valid else 1
@@ -93,14 +95,9 @@ def cmd_build_hamiltonian(args):
     H = build_ci_matrix(table, config.eta)
     census = gamma_census(config.norb, config.eta)
     if args.output == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["row", "col", "re", "im"])
-        for i in range(H.shape[0]):
-            for j in range(H.shape[1]):
-                w.writerow([i, j, repr(float(H[i, j].real)),
-                            repr(float(H[i, j].imag))])
-        _emit(buf.getvalue(), args.out)
+        _emit_csv([["row", "col", "re", "im"]] + [
+            [i, j, repr(float(v.real)), repr(float(v.imag))]
+            for i, row in enumerate(H) for j, v in enumerate(row)], args.out)
     else:
         payload = {
             "basis": [list(d.occ) for d in enumerate_basis(config.norb, config.eta)],
@@ -132,14 +129,10 @@ def cmd_quadrature(args):
         delta = run_budget(config)[0][kind]
     terms = riemann_terms(kind, idx, delta, bounds, config.orbitals,
                           config.nuclei, args.q)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["rho", "re", "im", "bound"])
     bound = repr(terms.bound)
-    for rho, value in enumerate(terms.values):
-        w.writerow([rho, repr(float(value.real)), repr(float(value.imag)),
-                    bound])
-    _emit(buf.getvalue(), args.out)
+    _emit_csv([["rho", "re", "im", "bound"]] + [
+        [rho, repr(float(v.real)), repr(float(v.imag)), bound]
+        for rho, v in enumerate(terms.values)], args.out)
     return 0
 
 
@@ -160,17 +153,18 @@ def cmd_report(args):
     config = _load(args)
     report = run_pipeline(config, mode=args.mode)
     if args.output == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
         flat = report.to_dict()
-        w.writerow(["key", "value"])
+        rows = [["key", "value"]]
         for section in ("dims", "error_ledger"):
             for k, v in flat[section].items():
-                w.writerow([f"{section}.{k}", v])
-        w.writerow(["status", flat["status"]])
-        w.writerow(["fidelity", flat["fidelity"]])
-        w.writerow(["l2_error_vs_exact", flat["l2_error_vs_exact"]])
-        _emit(buf.getvalue(), args.out)
+                if isinstance(v, dict):  # dims.delta: one row per kind
+                    rows += [[f"{section}.{k}.{kind}", x]
+                             for kind, x in v.items()]
+                else:
+                    rows.append([f"{section}.{k}", v])
+        rows += [[k, flat[k]] for k in ("status", "fidelity",
+                                        "l2_error_vs_exact")]
+        _emit_csv(rows, args.out)
     else:
         _emit(report.to_json() + "\n", args.out)
     return 0

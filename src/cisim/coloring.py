@@ -23,8 +23,8 @@ the right node first is accepted, so each edge keeps exactly one color.
 
 Moving off either end of the occupied list uses the sentinel values 0
 and N+1.  Whenever a shift leaves [1, N], collides with an occupied
-orbital, or fails a spacing or back-check, the color is INVALID for
-that node: the matrix element is zero and the node is unchanged.
+orbital, or fails a spacing or back-check, the color gives that node no
+partner (None): the matrix element is zero and the node is unchanged.
 
 The census walks one table of the valid left moves of every node for
 its single and double edges and undoes each edge from the right; it
@@ -39,24 +39,11 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .determinants import MAX_DENSE_DIM, Determinant, basis_size
-from .errors import DimensionTooLarge, TooManyDifferences
+from .determinants import Determinant, basis_size, check_dense
+from .errors import TooManyDifferences
 
 LEFT = "left"
 RIGHT = "right"
-
-
-class _Invalid:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INVALID"
-
-    def __bool__(self):
-        return False
-
-
-INVALID = _Invalid()
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,27 +110,27 @@ def _candidates(occ: tuple, a: int, l: int, shift: int, norb: int):
 
 
 def _apply_move(a, b, l, shift, occ, side, norb):
-    """One 4-tuple move; returns (new_occ, moved_from, moved_to) or INVALID.
+    """One 4-tuple move; returns (new_occ, moved_from, moved_to) or None.
 
     moved_from / moved_to are oriented left-to-right: the orbital value
     occupied in the left node and the value it becomes in the right
     node, regardless of which side the input node is on.
     """
     if not 1 <= l <= len(occ):
-        return INVALID
+        return None
     if side != (LEFT if a == 0 else RIGHT):
         # l indexes the partner's list: b picks one of the candidates
         cands = _candidates(occ, a, l, shift, norb)
-        return cands[b] if b < len(cands) else INVALID
+        return cands[b] if b < len(cands) else None
     # l indexes this node's list: move directly, then b must pick it back
     s = shift if side == LEFT else -shift
     moved = _move_to(occ, l, occ[l - 1] + s, norb)
     if moved is None or _spacing_a(occ, l, *moved, side, norb) != a:
-        return INVALID
+        return None
     cands = _candidates(moved[0], a, l, shift, norb)
     if b < len(cands) <= 2 and cands[b][0] == occ:
         return (moved[0],) + cands[b][1:]
-    return INVALID
+    return None
 
 
 def _alt1_ok(x1, y1, x2, y2) -> bool:
@@ -168,14 +155,14 @@ def _apply_color_occ(c: ColorTuple, occ: tuple, side: str, norb: int):
     pairs = []
     for move in moves:
         res = _apply_move(*move, occ, side, norb)
-        if res is INVALID:
-            return INVALID
+        if res is None:
+            return None
         occ = res[0]
         pairs.append(res[1:])
     if side == RIGHT:
         pairs.reverse()
     if len(pairs) == 2 and not _alt1_ok(*pairs[0], *pairs[1]):
-        return INVALID
+        return None
     return occ
 
 
@@ -184,10 +171,9 @@ def _apply_color_occ(c: ColorTuple, occ: tuple, side: str, norb: int):
 
 
 def apply_color(color: ColorTuple, node: Determinant, side: str):
+    """The partner of node under color, or None when it has none."""
     res = _apply_color_occ(color, node.occ, side, node.norb)
-    if res is INVALID:
-        return INVALID
-    return Determinant(res, node.norb)
+    return None if res is None else Determinant(res, node.norb)
 
 
 def _single_color_parts(src: tuple, dst: tuple, norb: int):
@@ -277,15 +263,14 @@ def coloring_census(norb: int, eta: int) -> ColoringCensus:
     partners k orbitals away.  Bad counts raise before any work.
     """
     xi = basis_size(norb, eta)
-    if xi > MAX_DENSE_DIM:
-        raise DimensionTooLarge(f"basis size {xi} > {MAX_DENSE_DIM}")
+    check_dense(xi)
     dets = list(itertools.combinations(range(1, norb + 1), eta))
     moves = movement_tuples(norb, eta)
     table = {occ: [] for occ in dets}
     for occ in dets:
         for move in moves:
             res = _apply_move(*move, occ, LEFT, norb)
-            if res is not INVALID:
+            if res is not None:
                 table[occ].append((move, res))
 
     edges = Counter((occ, occ) for occ in dets)  # the diagonal color
@@ -296,14 +281,14 @@ def coloring_census(norb: int, eta: int) -> ColoringCensus:
             edges[occ, chi] += 1
             images[m1, chi] += 1
             back = _apply_move(*m1, chi, RIGHT, norb)
-            undone = back is not INVALID and back[0] == occ
+            undone = back is not None and back[0] == occ
             inverse_failures += not undone
             for m2, (beta, x2, y2) in table[chi]:
                 if _alt1_ok(x1, y1, x2, y2):
                     edges[occ, beta] += 1
                     back = _apply_move(*m2, beta, RIGHT, norb)
                     inverse_failures += not (
-                        undone and back is not INVALID and back[0] == chi)
+                        undone and back is not None and back[0] == chi)
 
     near = {pair for pair in edges if len(set(pair[0]) - set(pair[1])) <= 2}
     expected = xi * sum(comb(eta, k) * comb(norb - eta, k) for k in range(3))

@@ -11,10 +11,17 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DuplicateOrbital, IndexOutOfRange, InvalidCounts
+from .errors import (DimensionTooLarge, DuplicateOrbital, IndexOutOfRange,
+                     InvalidCounts)
 
 # largest basis size xi that the dense oracles (eigh, census table) accept
 MAX_DENSE_DIM = 2048
+
+
+def check_dense(dim: int):
+    """DimensionTooLarge past the dense oracles' cap on a matrix side."""
+    if dim > MAX_DENSE_DIM:
+        raise DimensionTooLarge(f"dimension {dim} > {MAX_DENSE_DIM}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,12 +47,6 @@ class Determinant:
     def eta(self) -> int:
         return len(self.occ)
 
-    def __iter__(self):
-        return iter(self.occ)
-
-    def __len__(self):
-        return len(self.occ)
-
 
 @dataclass(frozen=True, slots=True)
 class DiffReport:
@@ -69,8 +70,7 @@ class DiffReport:
 
 def enumerate_basis(norb: int, eta: int) -> list[Determinant]:
     """All C(N, eta) determinants in lexicographic order."""
-    if eta < 1 or eta > norb:
-        raise InvalidCounts(f"eta={eta} not in [1, N={norb}]")
+    basis_size(norb, eta)
     return [
         Determinant(occ, norb)
         for occ in itertools.combinations(range(1, norb + 1), eta)
@@ -78,6 +78,7 @@ def enumerate_basis(norb: int, eta: int) -> list[Determinant]:
 
 
 def basis_size(norb: int, eta: int) -> int:
+    """C(N, eta); InvalidCounts unless 1 <= eta <= N."""
     if eta < 1 or eta > norb:
         raise InvalidCounts(f"eta={eta} not in [1, N={norb}]")
     return comb(norb, eta)

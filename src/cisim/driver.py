@@ -26,12 +26,11 @@ import numpy as np
 
 from .cimatrix import (build_ci_matrix, count_gamma, label_key,
                        labelled_edges, sparsity_d, term_value)
-from .determinants import (MAX_DENSE_DIM, align_and_diff, basis_size,
+from .determinants import (align_and_diff, basis_size, check_dense,
                            enumerate_basis)
-from .errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
-                     InvalidCounts, NonOrthonormalBasisWarning)
+from .errors import BudgetInfeasible, InvalidConfig, NonOrthonormalBasisWarning
 from .integrals import IntegralTable
-from .lcu import TermFamily, evolve
+from .lcu import EPS_FLOOR, TermFamily, evolve
 from .orbitals import SpinOrbital, derive_bounds, finite_number, is_point
 from .quadrature import KINDS, riemann_terms
 
@@ -66,15 +65,17 @@ def config_from_dict(data: dict) -> ProblemConfig:
     nuclei = [(float(n["Z"]), tuple(n["R"])) for n in data["nuclei"]]
     if not all(finite_number(z) and is_point(r) for z, r in nuclei):
         raise ValueError("each nucleus needs a finite Z and 3 finite numbers R")
-    eta = data["eta"]
+    eta, t, eps = data["eta"], data.get("time", 1.0), data.get("epsilon", 1e-2)
     if not isinstance(eta, int) or isinstance(eta, bool):
         raise ValueError(f"eta={eta!r} is not an integer")
+    if not (finite_number(t) and finite_number(eps)):
+        raise ValueError(f"time={t!r} and epsilon={eps!r} must be numbers")
     return ProblemConfig(
         nuclei=nuclei,
         orbitals=orbitals,
         eta=eta,
-        time=float(data.get("time", 1.0)),
-        epsilon=float(data.get("epsilon", 1e-2)),
+        time=float(t),
+        epsilon=float(eps),
         overrides=dict(data.get("overrides", {})),
     )
 
@@ -89,17 +90,17 @@ def load_config(path) -> ProblemConfig:
 
 
 def validate_config(config: ProblemConfig):
-    """Reject bad counts, an infeasible epsilon or time and, through
-    ``run_budget``, unusable overrides; no integral is computed."""
-    if not 1 <= config.eta <= config.norb:
-        raise InvalidCounts(
-            f"eta={config.eta} not in [1, N={config.norb}]")
-    if not 1e-10 < config.epsilon < 1.0:
-        raise BudgetInfeasible(
-            f"epsilon={config.epsilon} outside (1e-10, 1)")
+    """Reject bad counts, an infeasible epsilon or time, a Taylor share
+    that evolve would reject and, through ``run_budget``, unusable
+    overrides; no integral is computed."""
+    basis_size(config.norb, config.eta)
+    if not 0.0 < config.epsilon < 1.0:
+        raise BudgetInfeasible(f"epsilon={config.epsilon} outside (0, 1)")
     if not (finite_number(config.time) and config.time > 0):
         raise BudgetInfeasible(f"time={config.time} must be finite and > 0")
-    run_budget(config)
+    if run_budget(config)[2] <= EPS_FLOOR:
+        raise BudgetInfeasible(f"epsilon={config.epsilon}: its Taylor share "
+                               f"epsilon/3 is at or below {EPS_FLOOR}")
 
 
 def budget_errors(epsilon: float, t: float, n_gamma: int):
@@ -109,7 +110,7 @@ def budget_errors(epsilon: float, t: float, n_gamma: int):
     rounding layers accumulate linearly over time across the labelled
     terms, so their per-term budgets divide by t and the term count.
     """
-    if epsilon <= 1e-10 or t <= 0 or n_gamma < 1:
+    if epsilon <= 0 or t <= 0 or n_gamma < 1:
         raise BudgetInfeasible("epsilon, t and the term count must be positive")
     eps_taylor = epsilon / 3.0
     delta = zeta = epsilon / (3.0 * t * n_gamma)
@@ -135,16 +136,10 @@ def run_budget(config: ProblemConfig):
     return {k: float(per_kind[k]) for k in KINDS}, float(zeta), eps_taylor
 
 
-def _check_dense(dim: int):
-    """DimensionTooLarge past the dense oracles' cap on a matrix side."""
-    if dim > MAX_DENSE_DIM:
-        raise DimensionTooLarge(f"dimension {dim} > {MAX_DENSE_DIM}")
-
-
 def exact_evolve(H: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """Eigendecomposition reference for exp(-i H t) psi0."""
     H = np.asarray(H)
-    _check_dense(H.shape[0])
+    check_dense(H.shape[0])
     evals, vecs = np.linalg.eigh(H)
     return vecs @ (np.exp(-1j * evals * t) * (vecs.conj().T @ psi0))
 
@@ -219,30 +214,28 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
-    # label -> (perm, {row: Hermitized values}), filled one edge at a time
+    # label -> (perm, Hermitized values), filled one edge at a time; the
+    # label's kind (h1 or g) fixes the width, so its first edge sizes it
     live: dict = {}
     for gamma, ia, ib, diff in labelled_edges(basis):
         alpha, beta = basis[ia], basis[ib]
-        perm, vals = live.setdefault(gamma, (np.arange(2 * xi), {}))
         x, y = ia, xi + ib
         fwd = np.atleast_1d(term_value(gamma, alpha, beta, diff, source))
         rev = np.atleast_1d(term_value(gamma, beta, alpha,
                                        align_and_diff(beta, alpha), source))
         herm = 0.5 * (fwd + np.conj(rev))
+        if gamma not in live:
+            width = len(herm)
+            live[gamma] = np.arange(2 * xi), np.zeros((2 * xi, width), complex)
+        perm, value = live[gamma]
         perm[x], perm[y] = y, x
-        vals[x] = herm
-        vals[y] = np.conj(herm)
+        value[x] = herm
+        value[y] = np.conj(herm)
 
     # stored labels in enumeration order; L still counts every label
-    perms, values = [], []
-    for gamma in sorted(live, key=label_key(table.n, eta)):
-        perm, vals = live[gamma]
-        value = np.zeros((2 * xi, max(map(len, vals.values()))), complex)
-        for x, v in vals.items():
-            value[x, : len(v)] = v
-        perms.append(perm)
-        values.append(value)
-    return TermFamily(perms, values, zeta, n_gamma=count_gamma(table.n, eta))
+    order = sorted(live, key=label_key(table.n, eta))
+    return TermFamily([live[g][0] for g in order], [live[g][1] for g in order],
+                      zeta, n_gamma=count_gamma(table.n, eta))
 
 
 @dataclass
@@ -292,7 +285,7 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     """Full run: representation, decomposition, evolution, verification."""
     xi = basis_size(config.norb, config.eta)
     # the ledger's dense oracle runs on the double cover, side 2 xi
-    _check_dense(2 * xi)
+    check_dense(2 * xi)
     timings: dict = {}
     t0 = time.perf_counter()
     table = ingest(config)
@@ -366,7 +359,7 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
 
 def exact_evolve_operator(H: np.ndarray, t: float) -> np.ndarray:
     """Eigendecomposition reference for the operator exp(-i H t)."""
-    _check_dense(H.shape[0])
+    check_dense(H.shape[0])
     evals, vecs = np.linalg.eigh(H)
     return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
 

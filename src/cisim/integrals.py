@@ -257,35 +257,6 @@ def eri_chemist(pa: SpinOrbital, pb: SpinOrbital,
     return out
 
 
-def reference_integral(kind: str, indices, basis, nuclei=()) -> complex:
-    """Dispatch for single reference integrals; 1-based orbital indices.
-
-    kind 'kinetic' takes (i, j); 'nuclear' takes (i, j, q) with q a
-    0-based index into nuclei; 'coulomb' takes (i, j, k, l) and returns
-    <ij|kl> with the module's index convention.
-    """
-    if kind == "kinetic":
-        i, j = indices
-        bi, bj = basis[i - 1], basis[j - 1]
-        if bi.spin != bj.spin:
-            return 0.0 + 0.0j
-        return complex(kinetic(bi, bj))
-    if kind == "nuclear":
-        i, j, q = indices
-        bi, bj = basis[i - 1], basis[j - 1]
-        if bi.spin != bj.spin:
-            return 0.0 + 0.0j
-        Z, R = nuclei[q]
-        return complex(nuclear_attraction(bi, bj, Z, R))
-    if kind == "coulomb":
-        i, j, k, l = indices
-        bi, bj, bk, bl = (basis[x - 1] for x in (i, j, k, l))
-        if bi.spin != bk.spin or bj.spin != bl.spin:
-            return 0.0 + 0.0j
-        return complex(eri_chemist(bi, bk, bj, bl))
-    raise ValueError(f"unknown integral kind {kind!r}")
-
-
 class IntegralTable:
     """Dense one- and two-electron integral tables for a spin-orbital basis.
 

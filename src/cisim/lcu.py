@@ -35,6 +35,8 @@ from .selfinverse import (DecompositionMeta, SelfInverseTerm, slice_values,
                           split_arrays)
 
 LN2 = log(2.0)
+EPS_FLOOR = 1e-10  # smallest Taylor-truncation budget evolve accepts
+MAX_SEGMENTS = 10**7  # largest segment count r a plan may ask for
 
 
 class TermFamily:
@@ -153,6 +155,7 @@ def plan_segments(h_norm_bound: float, t: float, eps: float,
     r = ceil(zeta L mu t / ln 2) makes the per-segment weight at most
     ln 2 (and zeta L mu bounds the Hamiltonian norm, so r >= |H| t);
     K is the smallest order with (ln 2)^{K+1} / (K+1)! <= eps / (2 r).
+    BudgetInfeasible past MAX_SEGMENTS segments.
     """
     if not 0.0 < eps < 1.0:
         raise BudgetInfeasible(f"eps={eps} outside (0, 1)")
@@ -162,6 +165,8 @@ def plan_segments(h_norm_bound: float, t: float, eps: float,
     if weight < h_norm_bound - 1e-9:
         raise ValueError("term family cannot bound the Hamiltonian norm")
     r = max(1, ceil(weight * t / LN2))
+    if r > MAX_SEGMENTS:
+        raise BudgetInfeasible(f"{r} evolution segments > {MAX_SEGMENTS}")
     K = 1
     while LN2 ** (K + 1) / factorial(K + 1) > eps / (2.0 * r):
         K += 1
@@ -213,18 +218,13 @@ class EvolutionInfo:
         return float(sum(self.per_segment_deviation))
 
 
-def oaa_segment(segment_op: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply one amplified segment and renormalize, returning the deviation."""
-    out = segment_op @ psi
-    norm = float(np.linalg.norm(out))
-    return out / norm, abs(1.0 - norm)
-
-
 def evolve(family: TermFamily, psi0: np.ndarray, t: float, eps: float,
            h_norm_bound: float | None = None):
-    """r amplified segments of the truncated-Taylor walk, dense path."""
-    if eps <= 1e-10:
-        raise BudgetInfeasible(f"eps={eps} at or below the 1e-10 numeric floor")
+    """r amplified segments of the truncated-Taylor walk, dense path; each
+    renormalizes and records its norm deviation."""
+    if eps <= EPS_FLOOR:
+        raise BudgetInfeasible(
+            f"eps={eps} at or below the {EPS_FLOOR} numeric floor")
     psi = np.asarray(psi0, dtype=complex).copy()
     if t == 0.0:
         return psi, EvolutionInfo(r=0, K=0, lam=1.0)
@@ -235,8 +235,10 @@ def evolve(family: TermFamily, psi0: np.ndarray, t: float, eps: float,
     seg = oaa_block(U, plan.lam)
     info = EvolutionInfo(r=plan.r, K=plan.K, lam=plan.lam, segment=seg)
     for _ in range(plan.r):
-        psi, dev = oaa_segment(seg, psi)
-        info.per_segment_deviation.append(dev)
+        out = seg @ psi
+        norm = float(np.linalg.norm(out))
+        psi = out / norm
+        info.per_segment_deviation.append(abs(1.0 - norm))
     return psi, info
 
 

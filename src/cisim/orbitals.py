@@ -26,7 +26,6 @@ from math import isfinite, sqrt
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BoundViolated, UnsupportedAngularMomentum
 
@@ -244,6 +243,8 @@ def _grid_over_basis(basis, half_width: float, n: int) -> np.ndarray:
 def _sup(basis, magnitude, grid) -> float:
     """Largest magnitude(phi, r) over the basis on the grid, refined by a
     local optimizer started from the best grid point."""
+    # scipy loads here, not at import: only derive_bounds reaches this
+    from scipy.optimize import minimize
     best, best_orb, best_pt = -1.0, 0, grid[0]
     for idx, phi in enumerate(basis):
         vals = magnitude(phi, grid)

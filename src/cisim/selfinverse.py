@@ -17,8 +17,8 @@ to every stored label.
 
 Matrices are represented by a full-involution pattern: an index array
 ``perm`` with perm[perm[x]] = x giving each row's partner column, and a
-value array with vals[perm[x]] = conj(vals[x]).  Rows whose color is
-INVALID are self-paired (perm[x] = x) with value zero.
+value array with vals[perm[x]] = conj(vals[x]).  Rows that the color
+gives no partner are self-paired (perm[x] = x) with value zero.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The pipeline applies each H_{l, rho} as one array operation on the
 pattern that ``TermFamily.term_pattern`` returns.  The paper builds the
 same action from oracles on binary registers: Q_col XORs the encoding of
 a node's color partner into a scratch register (the node itself when
-the color is INVALID for it), Q_val supplies the +-1 entry and never
+the color gives it no partner), Q_val supplies the +-1 entry and never
 moves amplitude into a list that is not a valid determinant, and a
 second partner XOR uncomputes the scratch.  The tests check this model
 against the family as claims of the paper.
@@ -12,7 +12,7 @@ against the family as claims of the paper.
 
 import numpy as np
 
-from cisim.coloring import INVALID, LEFT, apply_color
+from cisim.coloring import LEFT, apply_color
 from cisim.determinants import Determinant
 from cisim.lcu import TermFamily
 
@@ -30,9 +30,9 @@ def apply_term(family: TermFamily, ell: int, rho: int,
 
 
 def q_col(color, node: Determinant, side: str = LEFT) -> Determinant:
-    """Partner determinant under a color; the node itself when INVALID."""
+    """Partner determinant under a color; the node itself when it has none."""
     res = apply_color(color, node, side)
-    return node if res is INVALID else res
+    return node if res is None else res
 
 
 def encode_det(det: Determinant) -> int:

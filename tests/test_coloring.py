@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisim.coloring import (DIAGONAL_COLOR, INVALID, LEFT, RIGHT, ColorTuple,
+from cisim.coloring import (DIAGONAL_COLOR, LEFT, RIGHT, ColorTuple,
                             _apply_move, _candidates,
                             apply_color, color_of, coloring_census,
                             movement_tuples, single_colors, double_colors)
@@ -50,9 +50,9 @@ def test_apply_single_examples():
 
 def test_apply_single_out_of_range_is_invalid():
     a = (1, 2)
-    assert _apply_move(0, 0, 2, 3, a, LEFT, 4) is INVALID   # 2 + 3 > N
-    assert _apply_move(0, 0, 1, -1, a, LEFT, 4) is INVALID  # 1 - 1 < 1
-    assert _apply_move(0, 0, 1, 1, a, LEFT, 4) is INVALID   # collision with 2
+    assert _apply_move(0, 0, 2, 3, a, LEFT, 4) is None   # 2 + 3 > N
+    assert _apply_move(0, 0, 1, -1, a, LEFT, 4) is None  # 1 - 1 < 1
+    assert _apply_move(0, 0, 1, 1, a, LEFT, 4) is None   # collision with 2
 
 
 def test_apply_color_diagonal():
@@ -102,7 +102,7 @@ def test_crossed_double_pairing_is_invalid():
     t1 = _single_color_parts(a.occ, chi, 6)
     t2 = _single_color_parts(chi, b.occ, 6)
     crossed = ColorTuple(*t1, *t2)
-    assert apply_color(crossed, a, LEFT) is INVALID
+    assert apply_color(crossed, a, LEFT) is None
 
 
 def test_single_color_count():
@@ -133,7 +133,7 @@ def _redirect_one_left_move(a, b, l, shift, occ, side, norb):
 
 def _drop_right_a1_b0(a, b, l, shift, occ, side, norb):
     if side == RIGHT and (a, b) == (1, 0):
-        return INVALID
+        return None
     return _apply_move(a, b, l, shift, occ, side, norb)
 
 
@@ -162,7 +162,7 @@ def test_degree_one_per_color():
         seen = set()
         for d in dets:
             res = apply_color(color, d, LEFT)
-            if res is not INVALID:
+            if res is not None:
                 assert res.occ not in seen
                 seen.add(res.occ)
 
@@ -244,7 +244,7 @@ def test_each_move_is_undone_from_the_other_side(pair):
         for node in path:
             for side, back in ((LEFT, RIGHT), (RIGHT, LEFT)):
                 res = _apply_move(*move, node, side, norb)
-                if res is not INVALID:
+                if res is not None:
                     new, x, y = res
                     assert _apply_move(*move, new, back, norb) == (node, x, y)
 

@@ -58,8 +58,6 @@ REFERENCES = {
         "every admissible label, listed; criterion 9 checks count_gamma on it",
     "integrals.kinetic_gradient_form":
         "closed-form kinetic integral the S0 Riemann sums are judged against",
-    "integrals.reference_integral":
-        "closed-form integral by kind, checked against the integral table",
     "lcu.SegmentPlan.taylor_tail":
         "truncation bound (ln 2)^(K+1)/(K+1)! that K and lambda are held to",
     "lcu.SegmentPlan.ancilla_qubits":

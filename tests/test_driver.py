@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -351,6 +352,30 @@ def test_cli_report(tmp_path):
     assert data["schema"] == 1 and data["status"] == "OK"
 
 
+def test_cli_report_csv_dims_are_numbers(tmp_path):
+    out = tmp_path / "report.csv"
+    rc = cli_main(["report", "--config", H2_PATH, "--output", "csv",
+                   "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        dims = {k: v for k, v in csv.reader(fh) if k.startswith("dims.")}
+    assert {"dims.delta.s0", "dims.delta.s1", "dims.delta.s2"} <= set(dims)
+    for value in dims.values():
+        float(value)
+
+
+def test_exact_pipeline_does_not_load_scipy():
+    # scipy.optimize serves only derive_bounds, which exact mode skips
+    code = ("import sys, warnings; warnings.simplefilter('ignore'); "
+            "from cisim.driver import load_config, run_pipeline; "
+            f"run_pipeline(load_config({H2_PATH!r})); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("argv,error", [
     pytest.param(["report", "--config", H2_PATH, "--time", "0"],
                  "BudgetInfeasible", id="report"),
@@ -366,6 +391,9 @@ def test_cli_report(tmp_path):
                  "BudgetInfeasible", id="time-1e300"),
     pytest.param(["report", "--config", H2_PATH, "--zeta", "1e-20"],
                  "BudgetInfeasible", id="zeta-1e-20"),
+    # about 7.8e13 evolution segments, past the plan's cap
+    pytest.param(["report", "--config", H2_PATH, "--time", "1e10"],
+                 "BudgetInfeasible", id="time-1e10"),
     pytest.param(["coloring-check", "--norb", "4", "--eta", "-1"],
                  "InvalidCounts", id="coloring-check"),
     # 1-based orbital and 0-based nucleus indices; negative ones are not
@@ -395,6 +423,21 @@ def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"cisim: {error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_epsilon_below_the_evolve_floor_fails_before_any_integral(
+        monkeypatch, capsys):
+    import cisim.driver as driver
+
+    def no_table(*args):
+        raise AssertionError("integrals built for an epsilon evolve rejects")
+
+    monkeypatch.setattr(driver, "IntegralTable", no_table)
+    # the Taylor share epsilon/3 = 6.7e-11 is below evolve's 1e-10 floor
+    rc = cli_main(["report", "--config", H2_PATH, "--epsilon", "2e-10"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: BudgetInfeasible: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -468,6 +511,9 @@ DELTAS = {"s0": 0.1, "s1": 0.1, "s2": 0.1}
     pytest.param(None, _set("eta", value=2.5), ValueError, id="eta-2.5"),
     pytest.param(None, _set("eta", value="2"), ValueError, id="eta-text"),
     pytest.param(None, _set("eta", value=True), ValueError, id="eta-bool"),
+    pytest.param(None, _set("time", value=True), ValueError, id="time-bool"),
+    pytest.param(None, _set("epsilon", value="0.02"), ValueError,
+                 id="epsilon-text"),
     pytest.param(None, _overrides(zeta="abc"), NO_CAUSE, id="zeta-text"),
     pytest.param(None, _overrides(zeta=-1), NO_CAUSE, id="zeta-negative"),
     pytest.param(None, _overrides(zeta=float("nan")), NO_CAUSE,

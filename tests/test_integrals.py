@@ -10,7 +10,7 @@ from scipy.special import gammainc
 from cisim.errors import UnsupportedAngularMomentum
 from cisim.integrals import (IntegralTable, boys, eri_chemist, kinetic,
                              kinetic_gradient_form, nuclear_attraction,
-                             overlap, reference_integral)
+                             overlap)
 from cisim.orbitals import (SpinOrbital, eval_gradient, eval_laplacian,
                             eval_value)
 
@@ -45,7 +45,6 @@ def test_kinetic_s_gaussian_with_quadrature_cross_check():
 def test_nuclear_zero_charge():
     g = so((0.0, 0.0, 0.0), 1.0)
     assert nuclear_attraction(g, g, 0.0, (0.3, 0.0, 0.0)) == 0.0
-    assert reference_integral("nuclear", (1, 1, 0), [g], [(0.0, (0, 0, 0))]) == 0
 
 
 def test_nuclear_on_center_analytic():
@@ -124,16 +123,6 @@ def test_spin_orthogonality():
     assert table.h1(1, 2) == 0
     assert table.g(1, 1, 2, 1) == 0      # bra/ket spin flip on electron 1
     assert table.g(1, 2, 1, 2) != 0      # spins conserved per electron
-
-
-def test_reference_integral_dispatch(h2_basis):
-    basis, nuclei = h2_basis
-    v = reference_integral("kinetic", (1, 1), basis)
-    assert v == pytest.approx(kinetic(basis[0], basis[0]))
-    w = reference_integral("coulomb", (1, 2, 1, 2), basis)
-    assert w != 0
-    with pytest.raises(ValueError):
-        reference_integral("overlap", (1, 1), basis)
 
 
 def test_angular_momentum_rejected_at_construction():

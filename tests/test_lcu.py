@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cisim.coloring import DIAGONAL_COLOR, INVALID, LEFT, apply_color
+from cisim.coloring import DIAGONAL_COLOR, LEFT, apply_color
 from cisim.determinants import Determinant, enumerate_basis
 from cisim.errors import BudgetInfeasible
 from cisim.lcu import (RegisterSim, SegmentPlan, TermFamily, evolve,
@@ -82,7 +82,7 @@ def test_q_col_matches_apply_color():
         node = dets[rng.integers(len(dets))]
         expected = apply_color(c, node, LEFT)
         got = q_col(c, node, LEFT)
-        if expected is INVALID:
+        if expected is None:
             assert got == node
         else:
             assert got == expected
@@ -212,6 +212,17 @@ def test_lambda_window_at_exact_segments():
         assert plan.r == r
         tail = plan.taylor_tail
         assert 2.0 - 2.0 * tail < plan.lam <= 2.0
+
+
+def test_plan_segments_caps_the_segment_count():
+    # r = ceil(lambda t / ln 2) grows with t; past the cap no plan is made
+    from cisim import lcu
+    fam = generic_family(np.random.default_rng(15))
+    per_segment = LN2 / fam.meta.lambda_weight
+    t = lcu.MAX_SEGMENTS * per_segment * (1 - 1e-9)
+    assert plan_segments(0.1, t, 1e-3, fam.meta).r == lcu.MAX_SEGMENTS
+    with pytest.raises(BudgetInfeasible):
+        plan_segments(0.1, 2 * t, 1e-3, fam.meta)
 
 
 def test_plan_segments_bad_eps():
