@@ -2,13 +2,19 @@
 
 The Hamiltonian enters as a family of Hermitian signed involutions,
 H = zeta sum_{l=1..L} sum_{rho=1..mu} H_{l, rho} with l = (s, m, gamma),
-held column-compressed by :class:`TermFamily` (it stores only labels that
-meet an edge; L counts all Gamma labels).  The select oracle's action on
-the system is ``TermFamily.term_pattern``: row x of H_{l, rho} holds
-vals[x] at column perm[x].  Evolution for time t is split into
-r = ceil(zeta L mu t / ln 2) segments; each segment applies the Taylor
-expansion of exp(-i H t / r) truncated at order K through the walk
-operator
+held column-compressed by :class:`TermFamily`.  It stores only labels
+that meet an edge, and label gamma contributes 2 M_gamma terms, so
+L = sum_gamma 2 M_gamma counts the terms that exist, not the paper's
+2 M Gamma.  The select oracle's action on the system is
+``TermFamily.term_pattern``: row x of H_{l, rho} holds vals[x] at column
+perm[x].  Evolution for time t is split into r = ceil(zeta L mu t / ln 2)
+segments.  A cancelling pair of terms +I and -I, each of weight pad / 2,
+tops the weight up to lambda' = zeta L mu + pad = r ln 2 / t, so each
+segment has weight x = lambda' t / r = ln 2 exactly, the value at which
+amplification is exact (Berry, Childs, Cleve, Kothari and Somma,
+arXiv:1412.4687); the pad leaves H unchanged.  Each segment applies the
+Taylor expansion of exp(-i H t / r) truncated at order K through the
+walk operator
 
     W = (B^+ x 1) select(V) (B x 1),   <0|W|0> = U~ / lambda,
 
@@ -44,11 +50,15 @@ class TermFamily:
 
     One involution ``perms[g]`` per stored one-sparse label and a value
     array ``values[g]`` of shape (dim, mu) holding the grid-point entries
-    at (x, perms[g][x]).  ``n_gamma`` counts all labels (default: the
-    stored ones); a label g >= len(perms) has no edge and acts as
-    self-paired rows with C = 0.  L = 2 M n_gamma.  Rounding to multiples
-    of 2 zeta and the threshold split into 2 M signed involutions happen
-    here, so the family exposes every H_{l, rho} without materializing them.
+    at (x, perms[g][x]).  Rounding to multiples of 2 zeta and the
+    threshold split happen here, so the family exposes every H_{l, rho}
+    without materializing them.  Label g splits into 2 M_g signed
+    involutions, M_g = max C_g / 2, so L = sum_g 2 M_g and a label whose
+    entries all round to zero adds no term; ``M`` is max_g M_g.  Label
+    g's terms hold consecutive flat l values, after those of every label
+    before it.
+    ``n_gamma`` counts all labels, stored or not (default: the stored
+    ones); only ``meta.lambda_paper`` reads it.
     """
 
     def __init__(self, perms, values, zeta: float, n_gamma=None):
@@ -66,9 +76,12 @@ class TermFamily:
         split = [split_arrays(v, self.zeta) for v in self.values]
         self._C = [C for C, _ in split]
         self._phase = [phase for _, phase in split]
-        self.M = max([1] + [int(C.max()) for C in self._C if C.size])
+        # C is even, so max C_g / 2 slices rebuild label g exactly
+        self.M_g = np.array([int(C.max(initial=0)) // 2 for C in self._C])
+        self.M = int(self.M_g.max())
+        self._offsets = np.concatenate([[0], np.cumsum(2 * self.M_g)])
         self.meta = DecompositionMeta(
-            zeta=self.zeta, M=self.M, mu=self.mu,
+            zeta=self.zeta, L=int(self._offsets[-1]), mu=self.mu, M=self.M,
             n_gamma=len(self.perms) if n_gamma is None else n_gamma)
         self._rounded = None
 
@@ -78,16 +91,16 @@ class TermFamily:
 
     def ell_parts(self, ell: int) -> tuple[int, int, int]:
         """Unpack a flat l in 0..L-1 into (s, m, gamma index)."""
-        s = ell % 2 + 1
-        m = (ell // 2) % self.M + 1
-        g = ell // (2 * self.M)
-        return s, m, g
+        if not 0 <= ell < self.L:
+            raise IndexError(f"l={ell} outside 0..{self.L - 1}")
+        # the last label whose first l is <= ell; labels with M_g = 0 own none
+        g = int(np.searchsorted(self._offsets, ell, side="right")) - 1
+        local = ell - int(self._offsets[g])
+        return local % 2 + 1, local // 2 + 1, g
 
     def term_pattern(self, ell: int, rho: int) -> tuple[np.ndarray, np.ndarray]:
         """(perm, vals) of H_{l, rho}: row x holds vals[x] at column perm[x]."""
         s, m, g = self.ell_parts(ell)
-        if g >= len(self.perms):  # a label with no edge: self-paired, C = 0
-            return np.arange(self.dim), slice_values(np.zeros(self.dim), 1.0, m, s)
         return self.perms[g], slice_values(self._C[g][:, rho],
                                            self._phase[g][:, rho], m, s)
 
@@ -131,11 +144,13 @@ class SegmentPlan:
     lam: float
     t: float
     eps: float
+    pad: float = 0.0   # summed weight of the cancelling +I, -I pair
 
     @property
     def x(self) -> float:
-        """Per-segment weight zeta L mu t / r; at most ln 2."""
-        return self.zeta * self.L * self.mu * self.t / self.r
+        """Per-segment weight (zeta L mu + pad) t / r; ln 2 on every plan
+        from ``plan_segments``."""
+        return (self.zeta * self.L * self.mu + self.pad) * self.t / self.r
 
     @property
     def taylor_tail(self) -> float:
@@ -143,9 +158,17 @@ class SegmentPlan:
 
     @property
     def ancilla_qubits(self) -> int:
-        """Selection-register width: unary k plus K binary (l, rho) slots."""
-        return self.K * (1 + max(1, ceil(np.log2(max(self.L, 2))))
+        """Selection-register width: unary k plus K binary (l, rho) slots;
+        a padded plan's l register also holds the two pad terms."""
+        n_ell = self.L + (2 if self.pad else 0)
+        return self.K * (1 + max(1, ceil(np.log2(max(n_ell, 2))))
                          + max(1, ceil(np.log2(max(self.mu, 2)))))
+
+
+def segment_count(weight: float, t: float) -> int:
+    """r = ceil(weight t / ln 2), at least 1: the fewest segments of
+    weight at most ln 2 that cover time t."""
+    return max(1, ceil(weight * t / LN2))
 
 
 def plan_segments(h_norm_bound: float, t: float, eps: float,
@@ -153,9 +176,10 @@ def plan_segments(h_norm_bound: float, t: float, eps: float,
     """Segment count and truncation order for a target accuracy.
 
     r = ceil(zeta L mu t / ln 2) makes the per-segment weight at most
-    ln 2 (and zeta L mu bounds the Hamiltonian norm, so r >= |H| t);
-    K is the smallest order with (ln 2)^{K+1} / (K+1)! <= eps / (2 r).
-    BudgetInfeasible past MAX_SEGMENTS segments.
+    ln 2 (and zeta L mu bounds the norm of the rounded Hamiltonian, so
+    r >= |H~| t); the pad then raises it to ln 2, where amplification
+    is exact.  K is the smallest order with (ln 2)^{K+1} / (K+1)! <=
+    eps / (2 r).  BudgetInfeasible past MAX_SEGMENTS segments.
     """
     if not 0.0 < eps < 1.0:
         raise BudgetInfeasible(f"eps={eps} outside (0, 1)")
@@ -164,7 +188,7 @@ def plan_segments(h_norm_bound: float, t: float, eps: float,
     weight = meta.lambda_weight
     if weight < h_norm_bound - 1e-9:
         raise ValueError("term family cannot bound the Hamiltonian norm")
-    r = max(1, ceil(weight * t / LN2))
+    r = segment_count(weight, t)
     if r > MAX_SEGMENTS:
         raise BudgetInfeasible(f"{r} evolution segments > {MAX_SEGMENTS}")
     K = 1
@@ -172,10 +196,17 @@ def plan_segments(h_norm_bound: float, t: float, eps: float,
         K += 1
         if K > 200:
             raise BudgetInfeasible("truncation order would exceed 200")
-    x = weight * t / r
+    pad = max(0.0, r * LN2 / t - weight) if t > 0.0 else 0.0
+    x = (weight + pad) * t / r
     lam = sum(x**k / factorial(k) for k in range(K + 1))
     return SegmentPlan(r=r, K=K, zeta=meta.zeta, L=meta.L, mu=meta.mu,
-                       lam=lam, t=t, eps=eps)
+                       lam=lam, t=t, eps=eps, pad=pad)
+
+
+def hermitian_norm(A: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix: its largest |eigenvalue|."""
+    w = np.linalg.eigvalsh(A)
+    return float(max(abs(w[0]), abs(w[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +260,7 @@ def evolve(family: TermFamily, psi0: np.ndarray, t: float, eps: float,
     if t == 0.0:
         return psi, EvolutionInfo(r=0, K=0, lam=1.0)
     if h_norm_bound is None:
-        h_norm_bound = float(np.linalg.norm(family.rounded_dense(), 2))
+        h_norm_bound = hermitian_norm(family.rounded_dense())
     plan = plan_segments(h_norm_bound, t, eps, family.meta)
     U = taylor_block(family, plan)
     seg = oaa_block(U, plan.lam)
@@ -264,10 +295,13 @@ class RegisterSim:
     """Explicit state-vector walk on (k unary) x (l, rho registers) x system.
 
     The unary register is a (K+1)-level axis holding |1^k 0^{K-k}>;
-    each of the K selection slots carries one L-level and one mu-level
-    register.  B is the tensor product of a unitary completing the
-    sqrt(w_k / lambda) column on the unary axis with uniform-column
-    unitaries on every selection register.
+    each of the K selection slots carries one l register and one
+    mu-level register.  The l register has the family's L levels, plus
+    levels L (+I) and L + 1 (-I) for the pad pair of a padded plan.  B is
+    the tensor product of a unitary completing the sqrt(w_k / lambda)
+    column on the unary axis, one completing the column of the l weights
+    (zeta mu for each family term, pad / 2 for each pad term), normalized
+    and square-rooted, and a uniform-column unitary on the mu register.
     """
 
     def __init__(self, family: TermFamily, plan: SegmentPlan):
@@ -277,10 +311,14 @@ class RegisterSim:
         self.L = family.L
         self.mu = family.mu
         self.dim = family.dim
-        self.shape = (self.K + 1,) + (self.L,) * self.K \
+        n_pad = 2 if plan.pad else 0
+        self.n_ell = self.L + n_pad
+        self.shape = (self.K + 1,) + (self.n_ell,) * self.K \
             + (self.mu,) * self.K + (self.dim,)
+        ell_weights = np.concatenate([np.full(self.L, family.zeta * self.mu),
+                                      np.full(n_pad, plan.pad / 2.0)])
         self._bk = _householder_to(prepare_b(plan))
-        self._bl = _householder_to(np.full(self.L, 1.0 / np.sqrt(self.L)))
+        self._bl = _householder_to(np.sqrt(ell_weights / ell_weights.sum()))
         self._br = _householder_to(np.full(self.mu, 1.0 / np.sqrt(self.mu)))
 
     def zero_state(self, psi: np.ndarray) -> np.ndarray:
@@ -304,9 +342,16 @@ class RegisterSim:
             state = self._apply_axis(state, Ur, 1 + self.K + slot)
         return state
 
+    def _term_pattern(self, ell, rho):
+        """The family's term, or +I (l = L) and -I (l = L + 1) of the pad."""
+        if ell < self.L:
+            return self.family.term_pattern(ell, rho)
+        return np.arange(self.dim), np.full(self.dim, 1.0 if ell == self.L
+                                            else -1.0, dtype=complex)
+
     def _term_batch(self, ell, rho, block, sign, bn):
         """sign * term action on a block; bn trailing batch axes."""
-        perm, vals = self.family.term_pattern(ell, rho)
+        perm, vals = self._term_pattern(ell, rho)
         sys_ax = block.ndim - 1 - bn
         moved = np.moveaxis(block, sys_ax, -1)
         out = sign * moved[..., perm] * vals
@@ -324,7 +369,7 @@ class RegisterSim:
             rho_ax = 1 + self.K + slot
             new = out.copy()
             for k in range(slot + 1, self.K + 1):
-                for ell in range(self.L):
+                for ell in range(self.n_ell):
                     for rho in range(self.mu):
                         idx = [slice(None)] * len(self.shape)
                         idx[0] = k

@@ -13,7 +13,9 @@ whenever M >= C / 2: a slice below its threshold contributes a +1/-1
 pair that cancels.  Every slice half is a Hermitian signed involution
 (entries e^{i theta} pair with e^{-i theta}); for real input this is the
 textbook +-1 construction.  :class:`lcu.TermFamily` applies the kernel
-to every stored label.
+to every stored label g with its own slice count M_g = max C_g / 2, the
+fewest that reconstruct the label; any further slice, and any label with
+no edge, would only add such cancelling pairs.
 
 Matrices are represented by a full-involution pattern: an index array
 ``perm`` with perm[perm[x]] = x giving each row's partner column, and a
@@ -32,20 +34,27 @@ from .errors import BudgetInfeasible
 
 @dataclass(frozen=True)
 class DecompositionMeta:
-    """Shape of the equal-weight unitary sum H = zeta sum_{l, rho} H_{l, rho}."""
+    """Shape of the equal-weight unitary sum H = zeta sum_{l, rho} H_{l, rho}.
+
+    L = sum_g 2 M_g counts the terms that exist, so ``lambda_weight`` =
+    zeta L mu is the weight the evolution pays.  ``lambda_paper`` is the
+    weight of the paper's uniform layout, 2 M slices (M = max_g M_g) for
+    each of all n_gamma labels, including labels with no edge.
+    """
 
     zeta: float
+    L: int
+    mu: int
     M: int
     n_gamma: int
-    mu: int
-
-    @property
-    def L(self) -> int:
-        return 2 * self.M * self.n_gamma
 
     @property
     def lambda_weight(self) -> float:
         return self.zeta * self.L * self.mu
+
+    @property
+    def lambda_paper(self) -> float:
+        return self.zeta * 2 * self.M * self.n_gamma * self.mu
 
 
 @dataclass(frozen=True)

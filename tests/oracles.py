@@ -18,8 +18,10 @@ from cisim.lcu import TermFamily
 
 
 def flat_ell(family: TermFamily, s: int, m: int, g: int) -> int:
-    """Pack (s in 1..2, m in 1..M, gamma index) into a flat l."""
-    return (g * family.M + (m - 1)) * 2 + (s - 1)
+    """Pack (s in 1..2, m in 1..M_g, stored label g) into a flat l: label
+    g's 2 M_g terms follow those of every label before it."""
+    first = sum(2 * int(family.M_g[h]) for h in range(g))
+    return first + 2 * (m - 1) + (s - 1)
 
 
 def apply_term(family: TermFamily, ell: int, rho: int,

@@ -150,25 +150,30 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
     # assemble_from_gammas sees only the sum of the labels; this checks that
     # every edge is filed under the label whose color reaches it, that the
     # stored labels keep enumeration order and that the others are counted
+    # but add no term
+    zeta = 0.25
     table = request.getfixturevalue(table_name)
     expected = _per_label_family(table, eta)
-    fam = build_term_family(table, eta, zeta=0.25)
+    fam = build_term_family(table, eta, zeta=zeta)
     n_stored = len(fam.perms)
     labels = enumerate_gammas(table.n, eta)
     stored = [g for g in labels if g in expected]
     assert n_stored == len(stored)
     assert fam.meta.n_gamma == len(labels)
+    slices = []
     for g in range(n_stored):
         perm, vals = expected[stored[g]]
         assert np.array_equal(fam.perms[g], perm)
         assert np.array_equal(fam.values[g], vals)
-    rows = np.arange(fam.dim)
-    for g in range(n_stored, fam.meta.n_gamma):
-        for s in (1, 2):
-            term = fam.term(flat_ell(fam, s, 1, g), 0)
-            assert term.gamma == g
-            assert np.array_equal(term.perm, rows)
-            assert np.array_equal(term.vals, np.full(fam.dim, 3 - 2 * s))
+        # M_g = max C_g / 2, with C the modulus rounded to even multiples
+        slices.append(int(np.max(np.round(np.abs(vals) / (2 * zeta)))))
+    assert list(fam.M_g) == slices
+    # the flat l values address exactly the 2 M_g terms of each stored label
+    addressed = [fam.ell_parts(ell) for ell in range(fam.L)]
+    assert addressed == [(s, m, g) for g in range(n_stored)
+                         for m in range(1, slices[g] + 1) for s in (1, 2)]
+    assert all(fam.term(flat_ell(fam, s, m, g), 0).gamma == g
+               for s, m, g in addressed)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +195,40 @@ def test_pipeline_ledger_sound(h2_report):
     # the measured error never exceeds what the ledger claims
     assert h2_report.l2_error_vs_exact <= h2_report.error_ledger["total"]
     assert h2_report.fidelity > 1 - 2 * h2_report.error_ledger["total"]
+
+
+def test_pipeline_ledger_total_leaves_out_projection(h2_report):
+    # the summed norm loss is bounded by the taylor entry, so it is a
+    # diagnostic: the total adds the three layers once each
+    ledger = h2_report.error_ledger
+    assert ledger["total"] == (ledger["taylor"] + ledger["rounding"]
+                               + ledger["quadrature"])
+    assert 0.0 <= ledger["projection"] <= ledger["taylor"] * (1 + 1e-3)
+
+
+def test_pipeline_reports_the_paper_cost(h2_report):
+    # the run pays for the terms that exist; the paper's 2 M Gamma layout
+    # and the segment count it would need sit beside them
+    dims = h2_report.dims
+    assert dims["Gamma_live"] == 37
+    assert dims["lambda_paper"] == pytest.approx(
+        dims["zeta"] * 2 * dims["M"] * dims["Gamma"] * dims["mu"])
+    assert dims["r_paper"] == int(np.ceil(dims["lambda_paper"] / np.log(2)))
+    assert dims["L"] <= 2 * dims["M"] * dims["Gamma_live"]
+    assert dims["r"] <= 20 < dims["r_paper"]
+
+
+def test_pipeline_zeta_that_rounds_every_entry_to_zero():
+    # no term survives the rounding, so L = 0, |H~| = 0 bounds the plan and
+    # the pad pair carries the whole weight of one segment
+    cfg = h2_config()
+    cfg.overrides = {"zeta": 100.0}
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rep = run_pipeline(cfg, mode="exact")
+    assert rep.dims["L"] == 0 and rep.dims["M"] == 0
+    assert rep.dims["r"] == 1
+    assert rep.status == "OVER_BUDGET"
+    assert rep.l2_error_vs_exact <= rep.error_ledger["total"]
 
 
 def test_pipeline_builds_rounded_dense_once(monkeypatch):

@@ -8,7 +8,8 @@ from cisim.coloring import DIAGONAL_COLOR, LEFT, apply_color
 from cisim.determinants import Determinant, enumerate_basis
 from cisim.errors import BudgetInfeasible
 from cisim.lcu import (RegisterSim, SegmentPlan, TermFamily, evolve,
-                       oaa_block, plan_segments, prepare_b, taylor_block)
+                       hermitian_norm, oaa_block, plan_segments, prepare_b,
+                       segment_count, taylor_block)
 
 from oracles import (apply_term, encode_det, flat_ell, q_col, q_col_xor,
                      q_val, select_h_with_scratch)
@@ -45,6 +46,20 @@ def small_family(rng, dim=5, n_gamma=2, mu=2, zeta=0.25, cmax=1):
         perm = _random_involution(rng, dim)
         values.append(_sym_values(rng, perm, mu, pool))
         perms.append(perm)
+    return TermFamily(perms, values, zeta)
+
+
+def unequal_family(rng, dim=4, mu=2, zeta=0.25, cmaxes=(1, 2, 0)):
+    """One label per entry of cmaxes, whose largest entry is 2 zeta cmax,
+    so M_g = cmax; a label with cmax = 0 rounds to zero everywhere."""
+    perms, values = [], []
+    for cmax in cmaxes:
+        perm = _random_involution(rng, dim)
+        vals = _sym_values(rng, perm, mu,
+                           [2 * zeta * k for k in range(-cmax, cmax + 1)])
+        vals[0, 0] = vals[perm[0], 0] = 2 * zeta * cmax
+        perms.append(perm)
+        values.append(vals)
     return TermFamily(perms, values, zeta)
 
 
@@ -225,6 +240,34 @@ def test_plan_segments_caps_the_segment_count():
         plan_segments(0.1, 2 * t, 1e-3, fam.meta)
 
 
+def test_plan_segments_pads_each_segment_to_ln2():
+    # r comes from the unpadded weight; the +-I pad then makes x = ln 2
+    rng = np.random.default_rng(29)
+    fam = generic_family(rng)
+    weight = fam.meta.lambda_weight
+    for t in (1e-3, 0.37, 1.0, 2.5, 17.0):
+        plan = plan_segments(0.1, t, 1e-4, fam.meta)
+        assert plan.r == segment_count(weight, t)
+        assert plan.pad >= 0.0
+        assert plan.x == pytest.approx(LN2, abs=1e-12)
+        assert 2.0 - 2.0 * plan.taylor_tail < plan.lam <= 2.0
+
+
+def test_plan_segments_zero_weight_family_is_all_pad():
+    # every entry rounds to zero: no term, L = 0, and the pad is the weight
+    perm = np.array([1, 0, 2])
+    fam = TermFamily([perm], [np.array([[0.1], [0.1], [-0.05]])], zeta=1.0)
+    assert fam.L == 0 and fam.M == 0 and not fam.rounded_dense().any()
+    plan = plan_segments(0.0, 2.0, 1e-3, fam.meta)
+    assert plan.r == 1
+    assert plan.pad == pytest.approx(LN2 / 2.0)
+    assert plan.x == pytest.approx(LN2, abs=1e-12)
+    psi = np.array([0.6, 0.0, 0.8j])
+    out, info = evolve(fam, psi, 2.0, 1e-3)
+    assert info.r == 1
+    assert np.allclose(out, psi, atol=1e-12)
+
+
 def test_plan_segments_bad_eps():
     rng = np.random.default_rng(14)
     fam = generic_family(rng)
@@ -258,6 +301,24 @@ def test_oaa_exact_at_lambda_two():
     uu, _, vt = np.linalg.svd(U)
     Q = uu @ vt
     assert np.max(np.abs(oaa_block(Q, 2.0) - Q)) < 1e-12
+
+
+def test_register_path_matches_dense_with_unequal_slices_and_pad():
+    # labels with M_g = 1, 2 and 0, and a plan whose pad pair is nonzero
+    rng = np.random.default_rng(30)
+    fam = unequal_family(rng)
+    assert list(fam.M_g) == [1, 2, 0] and fam.L == 6
+    plan = plan_segments(0.01, 0.4 / fam.meta.lambda_weight, 0.05, fam.meta)
+    assert plan.r == 1 and plan.pad > 0 and plan.K <= 3
+    sim = RegisterSim(fam, plan)
+    assert sim.n_ell == fam.L + 2
+    U = taylor_block(fam, plan)
+    assert np.max(np.abs(sim.block_of_w() - U / plan.lam)) < 1e-10
+    seg = oaa_block(U, plan.lam)
+    for _ in range(3):
+        psi = rng.normal(size=fam.dim) + 1j * rng.normal(size=fam.dim)
+        psi /= np.linalg.norm(psi)
+        assert np.max(np.abs(sim.oaa_apply(psi) - seg @ psi)) < 1e-10
 
 
 def test_register_path_agrees_with_dense_block():
@@ -374,10 +435,18 @@ def test_b_prepares_declared_state():
     marg = np.sum(np.abs(state) ** 2,
                   axis=tuple(range(1, state.ndim)))
     assert np.allclose(marg, w / w.sum(), atol=1e-12)
-    # and each k-block is uniform over the selection registers
-    flat = np.abs(state[1]).reshape(-1, 4)
-    nonzero = flat[:, 0]
-    assert np.allclose(nonzero, nonzero[0], atol=1e-12)
+    # each l register weighs a family term zeta mu and a pad term pad / 2,
+    # and each rho register is uniform
+    assert plan.pad > 0 and sim.n_ell == fam.L + 2
+    ell_w = np.array([fam.zeta * fam.mu] * fam.L + [plan.pad / 2] * 2)
+    block = np.abs(state[1]) ** 2
+    for slot in range(plan.K):
+        others = tuple(a for a in range(block.ndim) if a != slot)
+        assert np.allclose(block.sum(axis=others) / block.sum(),
+                           ell_w / ell_w.sum(), atol=1e-12)
+        others = tuple(a for a in range(block.ndim) if a != plan.K + slot)
+        assert np.allclose(block.sum(axis=others) / block.sum(),
+                           1.0 / fam.mu, atol=1e-12)
 
 
 def test_evolve_matches_exponential_and_conserves_energy():
@@ -398,12 +467,49 @@ def test_evolve_matches_exponential_and_conserves_energy():
 
 
 def test_ell_packing_roundtrip():
+    # label g owns 2 M_g consecutive l values; the zero label owns none
     rng = np.random.default_rng(26)
-    fam = generic_family(rng)
+    fam = unequal_family(rng, dim=6, cmaxes=(2, 0, 3, 1))
+    assert list(fam.M_g) == [2, 0, 3, 1]
+    assert fam.M == 3 and fam.L == 2 * (2 + 0 + 3 + 1)
+    seen = []
     for ell in range(fam.L):
         s, m, g = fam.ell_parts(ell)
-        assert 1 <= s <= 2 and 1 <= m <= fam.M and 0 <= g < len(fam.perms)
+        assert 1 <= s <= 2 and 1 <= m <= fam.M_g[g]
         assert flat_ell(fam, s, m, g) == ell
+        seen.append(g)
+    assert seen == [0] * 4 + [2] * 6 + [3] * 2
+    for ell in (-1, fam.L):
+        with pytest.raises(IndexError):
+            fam.ell_parts(ell)
+
+
+def test_unequal_slices_rebuild_the_rounded_hamiltonian():
+    # every term keeps weight zeta, and dropping the slices past max C_g / 2
+    # (and the zero label's) leaves the rounded sum unchanged
+    rng = np.random.default_rng(27)
+    fam = unequal_family(rng, dim=6, mu=3, cmaxes=(2, 0, 3, 1))
+    recon = np.zeros((fam.dim, fam.dim), dtype=complex)
+    rows = np.arange(fam.dim)
+    for ell in range(fam.L):
+        for rho in range(fam.mu):
+            perm, vals = fam.term_pattern(ell, rho)
+            recon[rows, perm] += fam.zeta * vals
+    assert np.max(np.abs(recon - fam.rounded_dense())) < 1e-12
+    assert fam.meta.lambda_weight == pytest.approx(fam.zeta * fam.L * fam.mu)
+    assert fam.meta.lambda_paper == pytest.approx(
+        fam.zeta * 2 * fam.M * len(fam.perms) * fam.mu)
+
+
+def test_hermitian_norm_matches_the_svd_norm():
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 5, 12, 40):
+        for _ in range(5):
+            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            A = A + A.conj().T
+            assert abs(hermitian_norm(A) - np.linalg.norm(A, 2)) < 1e-12
+    assert hermitian_norm(np.zeros((3, 3))) == 0.0
+    assert hermitian_norm(-np.eye(4)) == 1.0
 
 
 def test_select_h_diagonal_term_applies_phases_only():
@@ -424,3 +530,13 @@ def test_ancilla_count_reported():
                        eps=0.1)
     # 3 unary qubits + 3 x (3 + 1) selection qubits
     assert plan.ancilla_qubits == 3 * (1 + 3 + 1)
+
+
+def test_ancilla_count_includes_the_pad_terms():
+    # L = 7 fits 3 bits; with the two pad terms the l register needs 4
+    plan = SegmentPlan(r=1, K=3, zeta=0.1, L=7, mu=2, lam=2.0, t=1.0,
+                       eps=0.1)
+    padded = SegmentPlan(r=1, K=3, zeta=0.1, L=7, mu=2, lam=2.0, t=1.0,
+                         eps=0.1, pad=0.3)
+    assert plan.ancilla_qubits == 3 * (1 + 3 + 1)
+    assert padded.ancilla_qubits == 3 * (1 + 4 + 1)
