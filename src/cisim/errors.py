@@ -23,7 +23,8 @@ class InvalidConfig(CisimError):
 
 
 class BoundViolated(CisimError):
-    """A certified basis bound fails at some sampled point."""
+    """A certified basis bound fails: a cap, the decay envelope, or the
+    search for either."""
 
     def __init__(self, message, orbital=None, location=None, quantity=None):
         super().__init__(message)

@@ -13,10 +13,18 @@ quadrature layer:
     |grad phi| <= gamma1 phi_max / x_max                 everywhere
     |laplacian phi| <= gamma2 phi_max / x_max^2          everywhere
 
-Certification combines a dense grid over the union of cubes of
-half-width 3 x_max around the centers with analytic radial tail bounds
-(a Gaussian times a polynomial is eventually dominated by any
-exponential), and raises BoundViolated instead of adjusting silently.
+Each quantity is bounded, over all directions at radius r from the
+orbital's center, by a radial envelope sum_t w_t r^k_t e^{-a_t r^2}.
+Every term is unimodal with its peak at sqrt(k/2a), so on a cell
+[r0, r1] it is largest at that peak clipped to the cell, and the sum of
+those maxima bounds the envelope on the cell (near a peak of the sum, a
+Taylor bound about the cell's midpoint is tighter); past every peak the
+envelope falls, so one value covers the tail.  envelope_sup halves cells
+until their bounds meet the envelope's sampled values, so each cap is a
+certified supremum over all of space, not the best of a set of samples.
+The decay envelope is the same problem with e^{alpha r / x_max} folded
+into each term.  A failed check raises BoundViolated instead of
+adjusting silently.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import numpy as np
 from .errors import BoundViolated, UnsupportedAngularMomentum
 
 MAX_ANGULAR = 2  # s, p, d
-GRID_POINTS = 64  # per-axis samples of the bound-search grid
 ALPHA_DECAY = 1.0  # alpha in |phi| <= phi_max e^{-alpha r / x_max}
 
 
@@ -154,186 +161,140 @@ def eval_gradient(phi: SpinOrbital, pts: np.ndarray) -> np.ndarray:
     return grad
 
 
-def eval_laplacian(phi: SpinOrbital, pts: np.ndarray) -> np.ndarray:
-    """laplacian of phi at an (..., 3) array of points."""
-    out = np.zeros(np.shape(pts)[:-1])
-    for _, part in _axis_parts(phi, pts, d2_terms):
-        out += part
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bound derivation and certification
 
+REL_TOL = 1e-10  # envelope_sup exceeds the envelope's supremum by at most this
+ROUNDING = 1e-13  # relative margin over the rounding of an envelope's value
 
-def _radial_envelope(phi: SpinOrbital, r: np.ndarray) -> np.ndarray:
-    """Upper bound on sup over directions of |phi| at radius r from its center.
+# Per certified cap: the direction factor, the radial envelope's
+# (weight, power) terms for one primitive of exponent a and total power L
+# (to be scaled by |c| and summed), and the cap the bounds imply.
+# |x^nx y^ny z^nz| <= r^L on the sphere of radius r; a sum over the three
+# directions costs sqrt(3) for the gradient and 3 for the Laplacian, but
+# an s-orbital is radial, |grad phi| = |f'| and lap phi = f'' + 2 f'/r.
+_CAPS = {
+    "phi_max": (1.0, lambda a, L: ((1.0, L),),
+                lambda b: b.phi_max),
+    "gamma1": (sqrt(3.0), lambda a, L: ((2.0 * a, L + 1), (L, L - 1)),
+               lambda b: b.gamma1 * b.phi_max / b.x_max),
+    "gamma2": (3.0, lambda a, L: ((2.0 * a * (2 * L + 3), L),
+                                  (4.0 * a * a, L + 2), (L * (L - 1), L - 2)),
+               lambda b: b.gamma2 * b.phi_max / b.x_max**2),
+}
 
-    |x^nx y^ny z^nz| <= r^L on the sphere of radius r, so
-    |phi| <= r^L sum_p |c_p| e^{-a_p r^2}.
+
+def _terms(*columns):
+    """(w, k, a) float arrays of the terms w r^k e^{-a r^2 + rate r},
+    without the terms of weight 0."""
+    w, k, a = (np.asarray(col, dtype=float) for col in columns)
+    keep = w != 0
+    return w[keep], k[keep], a[keep]
+
+
+def _peaks(terms, rate) -> np.ndarray:
+    """Where each term w r^k e^{-a r^2 + rate r} peaks over r >= 0; it
+    rises before and falls after."""
+    _, k, a = terms
+    return (rate + np.sqrt(rate * rate + 8.0 * a * k)) / (4.0 * a)
+
+
+def _sum_max(terms, rate, lo, hi) -> np.ndarray:
+    """Per cell [lo, hi], the sum of each term's maximum on the cell (its
+    peak clipped to the cell), or of its value where lo = hi."""
+    w, k, a = terms
+    r = np.clip(_peaks(terms, rate), lo[:, None], hi[:, None])
+    return np.sum(w * r**k * np.exp(r * (rate - a * r)), axis=1)
+
+
+def envelope_sup(phi: SpinOrbital, quantity: str, r_from: float = 0.0,
+                 rate: float = 0.0) -> float:
+    """Certified sup over r >= r_from of quantity's radial envelope times
+    e^{rate r} (rate >= 0), at most REL_TOL + ROUNDING above the true
+    supremum.
+
+    A cell [m - h, m + h] gets the smaller of two bounds on the envelope
+    g: the sum of its terms' maxima, and the Taylor bound
+    g(m) + |g'(m)| h + M h^2 / 2, where M sums the cell maxima of the
+    positive terms of g''.  The first is exact for one term but loose by
+    O(h) where rising and falling terms meet; the second is loose by
+    O(h^2) near a peak of g.  Past the last term peak every term falls,
+    so that point's value covers the tail.  Cells whose bound exceeds the
+    best value seen by more than REL_TOL are halved until none is left.
     """
-    L = phi.total_power
-    out = np.zeros_like(r)
-    for a, c in phi.primitives:
-        out += abs(c) * np.exp(-a * r * r)
-    return np.where(r > 0, r**L, 0.0 if L else 1.0) * out
+    factor, per_primitive, _ = _CAPS[quantity]
+    factor = factor if phi.total_power else 1.0
+    rows = [(factor * abs(c) * wt, kt, e) for e, c in phi.primitives
+            for wt, kt in per_primitive(e, phi.total_power)]
+    w, k, a = terms = _terms(*zip(*rows))
+    if not len(w):
+        return 0.0
+    slope = _terms(np.r_[w * k, w * rate, -2.0 * a * w],
+                   np.r_[k - 1, k, k + 1], np.tile(a, 3))
+    curve = _terms(np.r_[w * k * (k - 1), 2.0 * w * k * rate,
+                         w * rate * rate, 4.0 * a * a * w],
+                   np.r_[k - 2, k - 1, k, k + 2], np.tile(a, 4))
+    r_last = np.array([max(r_from, float(_peaks(terms, rate).max()))])
+    best = sup = float(_sum_max(terms, rate, r_last, r_last)[0])
+    edges = np.linspace(r_from, r_last[0], 65)
+    lo, hi = edges[:-1], edges[1:]
+    for _ in range(100):
+        if not len(lo):
+            return sup * (1.0 + ROUNDING)
+        m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        at_m = _sum_max(terms, rate, m, m)
+        best = max(best, float(at_m.max()))
+        bound = np.minimum(
+            _sum_max(terms, rate, lo, hi),
+            at_m + np.abs(_sum_max(slope, rate, m, m)) * h
+            + 0.5 * h * h * _sum_max(curve, rate, lo, hi))
+        open_ = bound > best * (1.0 + REL_TOL)
+        sup = max(sup, float(bound[~open_].max(initial=0.0)))
+        lo, hi = np.r_[lo[open_], m[open_]], np.r_[m[open_], hi[open_]]
+    raise BoundViolated(f"{quantity} envelope supremum did not converge",
+                        quantity=quantity)
 
 
-def _min_exponent(phi: SpinOrbital) -> float:
-    return min(a for a, _ in phi.primitives)
+def _decays(phi: SpinOrbital, phi_max: float, x_max: float,
+            alpha: float) -> bool:
+    """|phi| <= phi_max exp(-alpha r / x_max) for all r >= x_max."""
+    return envelope_sup(phi, "phi_max", x_max, alpha / x_max) \
+        <= phi_max * (1 + 1e-12)
 
 
-def _radial_grad_envelope(phi: SpinOrbital, r: np.ndarray) -> np.ndarray:
-    """Upper bound on sup over directions of |grad phi| at radius r."""
-    L = phi.total_power
-    out = np.zeros_like(r)
-    for a, c in phi.primitives:
-        poly = 2.0 * a * r ** (L + 1)
-        if L > 0:
-            poly = poly + L * r ** (L - 1)
-        out += abs(c) * poly * np.exp(-a * r * r)
-    return sqrt(3.0) * out
-
-
-def _radial_lap_envelope(phi: SpinOrbital, r: np.ndarray) -> np.ndarray:
-    """Upper bound on sup over directions of |laplacian phi| at radius r."""
-    L = phi.total_power
-    out = np.zeros_like(r)
-    for a, c in phi.primitives:
-        poly = 2.0 * a * (2 * L + 3) * r**L + 4.0 * a * a * r ** (L + 2)
-        if L > 1:
-            poly = poly + L * (L - 1) * r ** (L - 2)
-        out += 3.0 * abs(c) * poly * np.exp(-a * r * r)
-    return out
-
-
-def _tail_below_cap(phi, envelope_fn, r_edge: float, cap: float,
-                    orbital_idx: int, quantity: str):
-    """Certify envelope(r) <= cap for all r >= r_edge.
-
-    Every envelope term is a power times a Gaussian, each strictly
-    decreasing once 2 a_min r^2 exceeds the power; it is enough that
-    r_edge lies past that turnover and the envelope fits at r_edge.
-    """
-    a_min = _min_exponent(phi)
-    L = phi.total_power
-    if 2.0 * a_min * r_edge**2 <= L + 2:
-        raise BoundViolated(
-            f"certification region too small for orbital {orbital_idx}",
-            orbital=orbital_idx, quantity=quantity,
-        )
-    val = float(envelope_fn(phi, np.array([r_edge]))[0])
-    if val > cap * (1 + 1e-9):
-        raise BoundViolated(
-            f"{quantity} tail exceeds cap for orbital {orbital_idx}",
-            orbital=orbital_idx, location=r_edge, quantity=quantity,
-        )
-
-
-def _grid_over_basis(basis, half_width: float, n: int) -> np.ndarray:
-    """Dense n^3 grid over the union's bounding box, flattened to (n^3, 3)."""
-    centers = np.array([phi.center for phi in basis])
-    lo = centers.min(axis=0) - half_width
-    hi = centers.max(axis=0) + half_width
-    axes = [np.linspace(lo[d], hi[d], n) for d in range(3)]
-    g = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return g.reshape(-1, 3)
-
-
-def _sup(basis, magnitude, grid) -> float:
-    """Largest magnitude(phi, r) over the basis on the grid, refined by a
-    local optimizer started from the best grid point."""
-    # scipy loads here, not at import: only derive_bounds reaches this
-    from scipy.optimize import minimize
-    best, best_orb, best_pt = -1.0, 0, grid[0]
+def _shapes(basis) -> list:
+    """(index, orbital) of the first orbital of each distinct set of
+    primitives and total power: no envelope depends on anything else."""
+    first = {}
     for idx, phi in enumerate(basis):
-        vals = magnitude(phi, grid)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, best_orb, best_pt = float(vals[k]), idx, grid[k]
-    res = minimize(lambda x: -magnitude(basis[best_orb], x[None, :])[0],
-                   best_pt, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-    return max(best, -res.fun)
-
-
-# (name, pointwise magnitude, radial envelope, cap(bounds)) of each
-# certified cap, in the order the checks run
-_CAPS = (
-    ("phi_max", lambda p, g: np.abs(eval_value(p, g)), _radial_envelope,
-     lambda b: b.phi_max),
-    ("gamma1", lambda p, g: np.linalg.norm(eval_gradient(p, g), axis=-1),
-     _radial_grad_envelope, lambda b: b.gamma1 * b.phi_max / b.x_max),
-    ("gamma2", lambda p, g: np.abs(eval_laplacian(p, g)),
-     _radial_lap_envelope, lambda b: b.gamma2 * b.phi_max / b.x_max**2),
-)
-
-
-def _certify_decay(phi: SpinOrbital, phi_max: float, x_max: float,
-                   alpha: float, orbital_idx: int):
-    """Check |phi| <= phi_max exp(-alpha r / x_max) for all r >= x_max.
-
-    Uses the radial envelope on a dense log grid plus the analytic fact
-    that log(envelope) + alpha r / x_max is eventually strictly
-    decreasing (its derivative L/r - 2 a_min r + alpha/x_max is negative
-    for large r), so checking up to that turnover radius suffices.
-    """
-    a_min = _min_exponent(phi)
-    L = phi.total_power
-    ax = alpha / x_max
-    # turnover radius past which the log-ratio strictly decreases
-    r_turn = (ax + sqrt(ax * ax + 8.0 * a_min * max(L, 1))) / (2.0 * a_min)
-    r_stop = max(2.0 * x_max, 2.0 * r_turn)
-    rs = np.geomspace(x_max, r_stop, 4000)
-    env = _radial_envelope(phi, rs)
-    target = phi_max * np.exp(-alpha * rs / x_max)
-    bad = env > target * (1 + 1e-12)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise BoundViolated(
-            f"decay envelope fails for orbital {orbital_idx} at radius {rs[k]:.4g}",
-            orbital=orbital_idx, location=float(rs[k]), quantity="decay",
-        )
+        first.setdefault((phi.primitives, phi.total_power), idx)
+    return [(idx, basis[idx]) for idx in first.values()]
 
 
 def derive_bounds(basis) -> BasisBounds:
     """Certified (phi_max, x_max, alpha, gamma1, gamma2) for a Gaussian basis.
 
-    phi_max, gamma1 and gamma2 come from a dense grid search refined by a
-    local optimizer; the grid covers the union of cubes of half-width
-    3 x_max around the centers (GRID_POINTS^3 samples) and the
-    exterior is covered by analytic radial tails.  x_max is the smallest
-    candidate radius for which the exponential decay envelope certifies
-    for every orbital.
+    phi_max and the gradient and Laplacian suprema behind gamma1 and
+    gamma2 are the largest envelope_sup over the basis.  x_max is the
+    first radius, from the widest orbital's size up by factors of 1.2,
+    at which the decay envelope certifies for every orbital.
     """
     if len(basis) == 0:
         raise ValueError("empty basis")
-
-    # candidate x_max: start near the widest orbital's size and grow until
-    # the decay envelope certifies for all orbitals
-    width = max(sqrt((phi.total_power + 1.0) / (2.0 * _min_exponent(phi)))
-                for phi in basis)
+    shapes = _shapes(basis)
+    phi_max, sup_grad, sup_lap = (
+        max(envelope_sup(phi, name) for _, phi in shapes) for name in _CAPS)
+    width = max(sqrt((phi.total_power + 1.0)
+                     / (2.0 * min(a for a, _ in phi.primitives)))
+                for _, phi in shapes)
     x_max = max(width, 1e-6)
-
-    # provisional phi_max on a coarse region so the decay search can run
-    grid = _grid_over_basis(basis, 3.0 * x_max + 1.0, GRID_POINTS)
-    phi_max = _sup(basis, _CAPS[0][1], grid)
-
     for _ in range(200):
-        try:
-            for idx, phi in enumerate(basis):
-                _certify_decay(phi, phi_max, x_max, ALPHA_DECAY, idx)
+        if all(_decays(phi, phi_max, x_max, ALPHA_DECAY) for _, phi in shapes):
             break
-        except BoundViolated:
-            x_max *= 1.2
+        x_max *= 1.2
     else:
         raise BoundViolated("no x_max certified the decay envelope",
                             quantity="decay")
-
-    # final grid over the certified region
-    grid = _grid_over_basis(basis, 3.0 * x_max, GRID_POINTS)
-    phi_max, sup_grad, sup_lap = (_sup(basis, magnitude, grid)
-                                  for _, magnitude, _, _ in _CAPS)
 
     bounds = BasisBounds(
         phi_max=phi_max,
@@ -349,26 +310,19 @@ def derive_bounds(basis) -> BasisBounds:
 def certify_bounds(basis, bounds: BasisBounds):
     """Re-check certified bounds; raises BoundViolated on any failure.
 
-    The value/gradient/Laplacian caps are checked on the dense interior
-    grid plus radial tails; the decay envelope is checked analytically
-    orbital by orbital.
+    Every orbital's envelope_sup of each quantity must lie within its
+    cap, and its decay envelope must hold past x_max.
     """
-    grid = _grid_over_basis(basis, 3.0 * bounds.x_max, GRID_POINTS)
-    tol = 1 + 1e-9
-    for name, magnitude, _, cap in _CAPS:
-        for idx, phi in enumerate(basis):
-            vals = magnitude(phi, grid)
-            k = int(np.argmax(vals))
-            if vals[k] > cap(bounds) * tol:
+    for idx, phi in _shapes(basis):
+        for name, (_, _, cap) in _CAPS.items():
+            sup = envelope_sup(phi, name)
+            if sup > cap(bounds) * (1 + 1e-9):
                 raise BoundViolated(
-                    f"{name} cap violated by orbital {idx} at {grid[k]}",
-                    orbital=idx, location=tuple(grid[k]), quantity=name,
-                )
-    # any point outside the sampled union is at least 3 x_max from every
-    # center, so radial tail envelopes cover the exterior
-    r_edge = 3.0 * bounds.x_max
-    for idx, phi in enumerate(basis):
-        for name, _, envelope, cap in _CAPS:
-            _tail_below_cap(phi, envelope, r_edge, cap(bounds), idx, name)
-        _certify_decay(phi, bounds.phi_max, bounds.x_max,
-                       bounds.alpha_decay, idx)
+                    f"{name} cap violated by orbital {idx}: its envelope "
+                    f"reaches {sup:.6g} > {cap(bounds):.6g}",
+                    orbital=idx, quantity=name)
+        if not _decays(phi, bounds.phi_max, bounds.x_max, bounds.alpha_decay):
+            raise BoundViolated(
+                f"decay envelope fails for orbital {idx} past "
+                f"x_max = {bounds.x_max:.4g}",
+                orbital=idx, location=bounds.x_max, quantity="decay")

@@ -229,7 +229,12 @@ def delta_for_grid(kind, grid_n, bounds, zq: float = 1.0) -> float:
             hi = mid
         else:
             top = mid
-    return scale / hi
+    delta = scale / hi
+    # scale / (scale / hi) can round above hi: step delta up until the
+    # plan's own u fits (a chargeless nucleus has scale 0 and no grid)
+    while delta and rule.grid_count(scale / delta, alpha) > grid_n:
+        delta = math.nextafter(delta, math.inf)
+    return delta
 
 
 def _cube_centers(center, half_width, n) -> np.ndarray:

@@ -1,20 +1,27 @@
-"""Gate-level model of the paper's oracle walk over a term family.
+"""Independent models the tests judge the program against.
 
-The pipeline applies each H_{l, rho} as one array operation on the
-pattern that ``TermFamily.term_pattern`` returns.  The paper builds the
-same action from oracles on binary registers: Q_col XORs the encoding of
-a node's color partner into a scratch register (the node itself when
-the color gives it no partner), Q_val supplies the +-1 entry and never
-moves amplitude into a list that is not a valid determinant, and a
-second partner XOR uncomputes the scratch.  The tests check this model
-against the family as claims of the paper.
+Gate-level model of the paper's oracle walk over a term family.  The
+pipeline applies each H_{l, rho} as one array operation on the pattern
+that ``TermFamily.term_pattern`` returns.  The paper builds the same
+action from oracles on binary registers: Q_col XORs the encoding of a
+node's color partner into a scratch register (the node itself when the
+color gives it no partner), Q_val supplies the +-1 entry and never moves
+amplitude into a list that is not a valid determinant, and a second
+partner XOR uncomputes the scratch.  The tests check this model against
+the family as claims of the paper.
+
+Sampled maxima of an orbital's value, gradient and Laplacian, found by a
+dense three-dimensional grid and a local optimizer.  A sample is a lower
+bound on a supremum, so the certified caps must lie above it.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 
 from cisim.coloring import LEFT, apply_color
 from cisim.determinants import Determinant
 from cisim.lcu import TermFamily
+from cisim.orbitals import _axis_parts, d2_terms, eval_gradient, eval_value
 
 
 def flat_ell(family: TermFamily, s: int, m: int, g: int) -> int:
@@ -100,3 +107,47 @@ def select_h_with_scratch(family: TermFamily, ell: int, rho: int,
             s3 = s2 ^ int(encodings[int(perm[node2])])  # uncompute
             out[node2, s3] += amp
     return out
+
+
+# ---------------------------------------------------------------------------
+# sampled maxima of the certified quantities
+
+
+def eval_laplacian(phi, pts: np.ndarray) -> np.ndarray:
+    """laplacian of phi at an (..., 3) array of points."""
+    out = np.zeros(np.shape(pts)[:-1])
+    for _, part in _axis_parts(phi, pts, d2_terms):
+        out += part
+    return out
+
+
+# the pointwise magnitude behind each certified cap
+MAGNITUDES = {
+    "phi_max": lambda phi, pts: np.abs(eval_value(phi, pts)),
+    "gamma1": lambda phi, pts: np.linalg.norm(eval_gradient(phi, pts),
+                                              axis=-1),
+    "gamma2": lambda phi, pts: np.abs(eval_laplacian(phi, pts)),
+}
+
+
+def sampled_max(basis, quantity: str, half_width: float,
+                n: int = 64) -> float:
+    """Largest magnitude of ``quantity`` over the basis at the points of an
+    n^3 grid over the centers' bounding box widened by ``half_width``,
+    refined by Nelder-Mead from the best point."""
+    magnitude = MAGNITUDES[quantity]
+    centers = np.array([phi.center for phi in basis])
+    axes = [np.linspace(lo, hi, n) for lo, hi in
+            zip(centers.min(axis=0) - half_width,
+                centers.max(axis=0) + half_width)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    best, best_phi, best_pt = -1.0, basis[0], grid[0]
+    for phi in basis:
+        vals = magnitude(phi, grid)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_phi, best_pt = float(vals[k]), phi, grid[k]
+    res = minimize(lambda x: -magnitude(best_phi, x[None, :])[0], best_pt,
+                   method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
+    return max(best, float(-res.fun))

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +352,17 @@ def test_cli_quadrature(tmp_path):
         for rho, v in enumerate(terms.values)]
 
 
+def test_cli_quadrature_grid_n_is_the_row_count(tmp_path):
+    # at 63 per axis, scale / (scale / u) once rounded above u, and the
+    # plan took 64
+    out = tmp_path / "terms.csv"
+    assert cli_main(["quadrature", "--config", H2_PATH, "--kind", "s0",
+                     "--orbitals", "1,3", "--grid-n", "63",
+                     "--out", str(out)]) == 0
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 1 + 63**3
+
+
 def test_cli_quadrature_plans_with_the_config_delta(tmp_path):
     # with no --grid-n, the config's delta for the kind sets the grid
     with open(H2_PATH) as fh:
@@ -403,16 +415,32 @@ def test_cli_report_csv_dims_are_numbers(tmp_path):
         float(value)
 
 
-def test_exact_pipeline_does_not_load_scipy():
-    # scipy.optimize serves only derive_bounds, which exact mode skips
+def _scipy_modules_after_run(path, mode):
+    """The scipy modules a fresh process holds after one pipeline run."""
     code = ("import sys, warnings; warnings.simplefilter('ignore'); "
             "from cisim.driver import load_config, run_pipeline; "
-            f"run_pipeline(load_config({H2_PATH!r})); "
+            f"run_pipeline(load_config({path!r}), mode={mode!r}); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_exact_pipeline_does_not_load_scipy():
+    assert _scipy_modules_after_run(H2_PATH, "exact") == "[]\n"
+
+
+def test_riemann_pipeline_does_not_load_scipy(tmp_path):
+    # certifying the basis bounds needs no optimizer either
+    path = _riemann_h2_config(tmp_path)
+    assert _scipy_modules_after_run(path, "riemann") == "[]\n"
+
+
+def test_no_source_file_names_scipy():
+    sources = Path(__file__).resolve().parents[1] / "src" / "cisim"
+    assert [p.name for p in sorted(sources.glob("*.py"))
+            if "scipy" in p.read_text()] == []
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -612,8 +640,9 @@ def test_cli_rejects_a_flag_its_command_ignores(command, flag, value,
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
-def test_cli_evolve_riemann_per_kind_delta(tmp_path, capsys):
-    # the per-kind delta mapping that the README documents for riemann mode
+def _riemann_h2_config(tmp_path) -> str:
+    """A copy of configs/h2.json small enough for riemann mode, with the
+    per-kind delta mapping that the README documents (grids 4/4/3)."""
     with open(H2_PATH) as fh:
         data = json.load(fh)
     bounds = derive_bounds(load_config(H2_PATH).orbitals)
@@ -623,7 +652,12 @@ def test_cli_evolve_riemann_per_kind_delta(tmp_path, capsys):
         "delta": {k: delta_for_grid(k, n, bounds) for k, n in grids.items()}})
     path = tmp_path / "h2_riemann.json"
     path.write_text(json.dumps(data))
-    rc = cli_main(["evolve", "--config", str(path), "--mode", "riemann"])
+    return str(path)
+
+
+def test_cli_evolve_riemann_per_kind_delta(tmp_path, capsys):
+    path = _riemann_h2_config(tmp_path)
+    rc = cli_main(["evolve", "--config", path, "--mode", "riemann"])
     assert rc == 0
     assert set(json.loads(capsys.readouterr().out)) == {
         "r", "K", "lambda", "per_segment_deviation", "final_error_vs_exact"}

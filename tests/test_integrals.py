@@ -11,10 +11,10 @@ from cisim.errors import UnsupportedAngularMomentum
 from cisim.integrals import (IntegralTable, boys, eri_chemist, kinetic,
                              kinetic_gradient_form, nuclear_attraction,
                              overlap)
-from cisim.orbitals import (SpinOrbital, eval_gradient, eval_laplacian,
-                            eval_value)
+from cisim.orbitals import SpinOrbital, eval_gradient, eval_value
 
 from conftest import so
+from oracles import eval_laplacian
 
 
 def _boys_oracle(m, T):

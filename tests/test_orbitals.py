@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from cisim.driver import load_config
 from cisim.errors import BoundViolated, UnsupportedAngularMomentum
 from cisim.orbitals import (BasisBounds, SpinOrbital, certify_bounds,
-                            derive_bounds, eval_gradient, eval_laplacian,
-                            eval_value)
+                            derive_bounds, eval_gradient, eval_value)
 
 from conftest import so
+from oracles import eval_laplacian, sampled_max
 
 
 def test_gradient_vanishes_at_center():
@@ -110,10 +113,14 @@ def test_decay_envelope_random_points():
         assert np.all(vals <= cap * (1 + 1e-9))
 
 
+def _mixed_basis(rng):
+    return [so(rng.normal(scale=0.5, size=3), float(rng.uniform(0.6, 1.8)),
+               powers=p) for p in ((0, 0, 0), (0, 1, 0), (1, 0, 1))]
+
+
 def test_gradient_and_laplacian_caps_hold():
     rng = np.random.default_rng(13)
-    basis = [so(rng.normal(scale=0.5, size=3), float(rng.uniform(0.6, 1.8)),
-                powers=p) for p in ((0, 0, 0), (0, 1, 0), (1, 0, 1))]
+    basis = _mixed_basis(rng)
     b = derive_bounds(basis)
     pts = rng.uniform(-4, 4, size=(5000, 3))
     for phi in basis:
@@ -124,14 +131,55 @@ def test_gradient_and_laplacian_caps_hold():
 
 
 def test_certification_failure_is_an_error():
+    # halving a field breaks the check it feeds, and the error names it
     basis = [so((0.0, 0.0, 0.0), 1.0)]
     good = derive_bounds(basis)
-    bad = BasisBounds(phi_max=good.phi_max / 2, x_max=good.x_max,
-                      alpha_decay=good.alpha_decay, gamma1=good.gamma1,
-                      gamma2=good.gamma2)
-    with pytest.raises(BoundViolated) as err:
-        certify_bounds(basis, bad)
-    assert err.value.quantity is not None
+    for field, quantity in (("phi_max", "phi_max"), ("gamma1", "gamma1"),
+                            ("gamma2", "gamma2"), ("x_max", "decay")):
+        bad = replace(good, **{field: getattr(good, field) / 2})
+        with pytest.raises(BoundViolated) as err:
+            certify_bounds(basis, bad)
+        assert err.value.quantity == quantity
+
+
+# the supremum each cap of BasisBounds stands for
+CAPS = {"phi_max": lambda b: b.phi_max,
+        "gamma1": lambda b: b.gamma1 * b.phi_max / b.x_max,
+        "gamma2": lambda b: b.gamma2 * b.phi_max / b.x_max**2}
+
+CAP_BASES = {
+    "h2": lambda: load_config("configs/h2.json").orbitals,
+    "p-d": lambda: [so((0.0, 0.0, 0.0), 1.2, powers=(1, 0, 0)),
+                    so((0.4, 0.0, 0.3), 0.9, powers=(0, 0, 2)),
+                    so((0.0, 0.0, 200.0), 1.0)],
+    "mixed-sign-s": lambda: [SpinOrbital((0.1, 0.0, -0.2),
+                                         ((0.8, 1.0), (2.5, -0.6)))],
+    "d-xy": lambda: [so((0.0, 0.3, 0.0), 1.1, powers=(1, 1, 0))],
+    "s-p-d": lambda: _mixed_basis(np.random.default_rng(13)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_BASES))
+def test_caps_cover_the_sampled_maximum(name):
+    # a grid search finds a lower bound on each supremum; a certified cap
+    # must lie above it
+    basis = CAP_BASES[name]()
+    bounds = derive_bounds(basis)
+    for quantity, cap in CAPS.items():
+        assert cap(bounds) >= sampled_max(basis, quantity, 3.0 * bounds.x_max)
+
+
+@pytest.mark.parametrize("a,c", [(1.0, 0.7127054703549901), (0.3, -2.0),
+                                 (7.5, 0.05)])
+def test_single_primitive_s_caps_are_exact(a, c):
+    # |phi| peaks at the center, |grad phi| = 2 a |c| r e^{-a r^2} at
+    # r = 1/sqrt(2a), and |lap phi| = |c| |4 a^2 r^2 - 6 a| e^{-a r^2} at 0
+    bounds = derive_bounds([SpinOrbital((0.3, 0.0, -1.0), ((a, c),))])
+    exact = {"phi_max": abs(c),
+             "gamma1": np.sqrt(2.0 * a) * abs(c) * np.exp(-0.5),
+             "gamma2": 6.0 * a * abs(c)}
+    for quantity, cap in CAPS.items():
+        assert cap(bounds) == pytest.approx(exact[quantity], rel=1e-9)
 
 
 def test_bounds_require_positive_fields():

@@ -238,7 +238,12 @@ def test_s2_branch_consistency(sbasis):
 
 @pytest.fixture(scope="module")
 def pinned_problems():
-    """(basis, nuclei, bounds) of configs/h2.json and of a p/d basis."""
+    """(basis, nuclei, bounds) of configs/h2.json and of a p/d basis.
+
+    The bounds are fixed literals, the values an earlier bound search
+    gave, so the pins judge the quadrature formulas and not the search;
+    their numpy reprs enter the plan digests.
+    """
     h2 = load_config("configs/h2.json")
     # the far orbital and nucleus put the Coulomb kinds on their
     # cartesian branch; the chargeless nucleus gets the trivial plan
@@ -247,8 +252,14 @@ def pinned_problems():
           so((0.0, 0.0, 200.0), 1.0)]
     pd_nuclei = [(1.0, (0.0, 0.0, 0.0)), (2.0, (0.4, 0.0, 0.3)),
                  (1.0, (0.0, 0.0, -200.0)), (0.0, (1.0, 1.0, 1.0))]
-    return {"h2": (h2.orbitals, h2.nuclei, derive_bounds(h2.orbitals)),
-            "pd": (pd, pd_nuclei, derive_bounds(pd))}
+    h2_bounds = BasisBounds(
+        np.float64(0.7127054703549901), 1.0182337649086284, 1.0,
+        np.float64(0.8734041499861922), np.float64(6.220799999999999))
+    pd_bounds = BasisBounds(
+        np.float64(0.7127054703549902), 2.2308384074154715, 1.0,
+        np.float64(5.603697282015729), np.float64(49.1054018370445))
+    return {"h2": (h2.orbitals, h2.nuclei, h2_bounds),
+            "pd": (pd, pd_nuclei, pd_bounds)}
 
 
 def _pinned_plans(basis, nuclei, bounds):
@@ -278,12 +289,32 @@ def _pinned_deltas(nuclei, bounds):
                 yield f"{kind} {zq!r} {n} {delta!r}"
 
 
-# sha256 digests computed before the per-kind rule table was introduced
+@pytest.mark.parametrize("name", ["h2", "pd"])
+def test_delta_for_grid_plans_fit_the_grid(name, pinned_problems):
+    # the delta returned for grid_n must plan at most grid_n per axis,
+    # though scale / (scale / u) may round above u
+    basis, nuclei, bounds = pinned_problems[name]
+    for kind in ("s0", "s1", "s2"):
+        for q in range(len(nuclei)) if kind == "s1" else [None]:
+            zq = nuclei[q][0] if kind == "s1" else 1.0
+            for n in range(1, 65):
+                try:
+                    delta = delta_for_grid(kind, n, bounds, zq=zq)
+                except DeltaTooLarge:
+                    continue
+                spec = plan_quadrature(kind, 1, 1, delta, bounds, basis,
+                                       nuclei, k=1, l=1, q=q)
+                assert spec.grid_n <= n, (kind, zq, n)
+
+
+# sha256 digests of (plans, deltas); the plan digests date from before the
+# per-kind rule table, the delta digests from delta_for_grid's fix for
+# the round trip that overshot the grid in 15 of these cases
 QUADRATURE_PINS = {
     "h2": ("8625d4967144701cb6aa3ef95f666b50253ceca8c253b72a04cbb74f2a64f18f",
-           "ae12a12b87ceeeef6871788039bd5cf97d682c26ffa386e9d4e4a67d99984a37"),
+           "7d5daed8f0e9c85bf4d185f7c37dfe00bbf397305eb92fbbff1905c72a0c3ac2"),
     "pd": ("f287798387cd74ad33fc96a05806b9b623072036f57f6f89810172a9558cb199",
-           "bb224d70bb9156f67e4675cb1c61ae95692e7a24e778a218fb3eb92d473af99d"),
+           "69d48eaac4bad0985a2b6acf34dc18737ecf769293c419c5c5f76ba9c1cdf32d"),
 }
 
 
