@@ -35,7 +35,7 @@ import numpy as np
 from .coloring import (DIAGONAL_COLOR, LEFT, ColorTuple, apply_color,
                        color_of, double_colors, movement_tuples, single_colors)
 from .determinants import (Determinant, align_and_diff, basis_size,
-                           enumerate_basis)
+                           check_dense, enumerate_basis)
 from .errors import MalformedGamma, PatternMismatch
 from .integrals import IntegralTable
 
@@ -103,6 +103,7 @@ def build_ci_matrix(table: IntegralTable, eta: int) -> np.ndarray:
     """Dense CI matrix over the lexicographic determinant basis."""
     basis = enumerate_basis(table.n, eta)
     dim = len(basis)
+    check_dense(dim)
     H = np.zeros((dim, dim), dtype=complex)
     for ia, da in enumerate(basis):
         for ib in range(ia, dim):

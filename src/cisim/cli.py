@@ -142,7 +142,7 @@ def cmd_evolve(args):
         "r": report.dims["r"],
         "K": report.dims["K"],
         "lambda": report.dims["lambda"],
-        "per_segment_deviation": report.per_segment_deviation,
+        "max_segment_deviation": report.max_segment_deviation,
         "final_error_vs_exact": report.l2_error_vs_exact,
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .determinants import (align_and_diff, basis_size, check_dense,
 from .errors import BudgetInfeasible, InvalidConfig, NonOrthonormalBasisWarning
 from .integrals import IntegralTable
 from .lcu import (EPS_FLOOR, TermFamily, evolve, hermitian_norm,
-                  segment_count)
+                  segment_count, segment_error)
 from .orbitals import SpinOrbital, derive_bounds, finite_number, is_point
 from .quadrature import KINDS, riemann_terms
 
@@ -247,27 +247,14 @@ class RunReport:
     error_ledger: dict
     fidelity: float
     l2_error_vs_exact: float
-    per_segment_deviation: list
+    max_segment_deviation: float
     timings: dict
 
     def to_dict(self) -> dict:
-        devs = self.per_segment_deviation
-        return {
-            "schema": SCHEMA_VERSION,
-            "status": self.status,
-            "dims": self.dims,
-            "error_ledger": self.error_ledger,
-            "fidelity": self.fidelity,
-            "l2_error_vs_exact": self.l2_error_vs_exact,
-            "max_segment_deviation": max(devs) if devs else 0.0,
-            "timings": self.timings,
-        }
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
-    def to_json(self, with_timings=True) -> str:
-        d = self.to_dict()
-        if not with_timings:
-            d.pop("timings")
-        return json.dumps(d, indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def ingest(config: ProblemConfig) -> IntegralTable:
@@ -286,7 +273,7 @@ def ingest(config: ProblemConfig) -> IntegralTable:
 def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     """Full run: representation, decomposition, evolution, verification."""
     xi = basis_size(config.norb, config.eta)
-    # the ledger's dense oracle runs on the double cover, side 2 xi
+    # evolution and the ledger are dense on the double cover, side 2 xi
     check_dense(2 * xi)
     timings: dict = {}
     t0 = time.perf_counter()
@@ -307,39 +294,39 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
                                delta=delta)
     timings["decomposition_s"] = time.perf_counter() - t0
 
-    H2 = doubled(H)
-    Htilde = family.rounded_dense()
-    # exact mode has no discretization: its unrounded family is H2 itself
-    unrounded = family.unrounded_dense() if mode == "riemann" else H2
-    quadrature_err = hermitian_norm(H2 - unrounded) * config.time
-    rounding_err = hermitian_norm(unrounded - Htilde) * config.time
-
     t0 = time.perf_counter()
+    Htilde = family.rounded_dense()
+    # one spectrum of H~, the rounded Hamiltonian the family sums, bounds
+    # the plan's weight (H2 may exceed it where entries round down) and
+    # gives the Taylor entry
+    spectrum = np.linalg.eigvalsh(Htilde)
     psi0 = np.zeros(xi, dtype=complex)
     psi0[0] = 1.0
-    psi_emb = embed_plus(psi0)
-    # evolve checks the LCU weight against |H~|, the rounded Hamiltonian
-    # it sums; H2 may exceed it where entries round down
-    psi_out, info = evolve(family, psi_emb, config.time, eps_taylor)
+    psi_out, info = evolve(family, embed_plus(psi0), config.time, eps_taylor,
+                           h_norm_bound=float(np.max(np.abs(spectrum))))
     psi_final, proj_dev = extract_plus(psi_out)
     timings["evolution_s"] = time.perf_counter() - t0
 
-    # measured per-segment Taylor + amplification defect, dense and exact;
+    t0 = time.perf_counter()
+    H2 = doubled(H)
+    # exact mode has no discretization: its unrounded family is H2 itself
+    unrounded = family.unrounded_dense() if mode == "riemann" else H2
+    # per-segment Taylor + amplification defect, read off H~'s spectrum;
     # validate_config rejected t <= 0, so evolve ran r >= 1 segments
-    seg_exact = exact_evolve_operator(Htilde, config.time / info.r)
-    taylor_err = info.r * float(np.linalg.norm(info.segment - seg_exact, 2))
-
+    taylor_err = info.r * segment_error(spectrum, config.time / info.r,
+                                        info.K, info.lam)
+    rounding_err = hermitian_norm(unrounded - Htilde) * config.time
+    quadrature_err = hermitian_norm(H2 - unrounded) * config.time
     ledger = {
         "taylor": taylor_err,
         "rounding": rounding_err,
         "quadrature": quadrature_err,
         # summed norm loss: each segment's is at most |seg - exp|, which
         # taylor already counts, so it is reported but not added
-        "projection": float(info.total_deviation + proj_dev),
+        "projection": float(info.norm_loss_sum + proj_dev),
     }
     ledger["total"] = taylor_err + rounding_err + quadrature_err
 
-    t0 = time.perf_counter()
     psi_ref = exact_evolve(H, psi0, config.time)
     l2 = float(np.linalg.norm(psi_final - psi_ref))
     fid = float(np.abs(np.vdot(psi_ref, psi_final)) ** 2)
@@ -354,6 +341,7 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
         "Gamma": family.meta.n_gamma, "Gamma_live": len(family.perms),
         "L": family.L, "M": family.M, "mu": family.mu,
         "r": info.r, "K": info.K, "lambda": info.lam,
+        "lambda_weight": family.meta.lambda_weight,
         "lambda_paper": lambda_paper,
         "r_paper": segment_count(lambda_paper, config.time),
         "delta": delta,
@@ -361,13 +349,5 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     }
     return RunReport(status=status, dims=dims, error_ledger=ledger,
                      fidelity=fid, l2_error_vs_exact=l2,
-                     per_segment_deviation=list(info.per_segment_deviation),
+                     max_segment_deviation=info.norm_loss_max,
                      timings=timings)
-
-
-def exact_evolve_operator(H: np.ndarray, t: float) -> np.ndarray:
-    """Eigendecomposition reference for the operator exp(-i H t)."""
-    check_dense(H.shape[0])
-    evals, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
-

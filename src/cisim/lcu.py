@@ -31,7 +31,7 @@ registers and the system explicitly.  They agree wherever both run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, factorial, log
 
 import numpy as np
@@ -236,23 +236,34 @@ def oaa_block(U: np.ndarray, lam: float) -> np.ndarray:
     return (3.0 / lam) * U - (4.0 / lam**3) * (U @ U.conj().T @ U)
 
 
+def segment_error(spectrum: np.ndarray, tau: float, K: int,
+                  lam: float) -> float:
+    """max_j |f(lambda_j) - exp(-i lambda_j tau)| over a spectrum of H~: the
+    2-norm distance of the amplified segment f(H~), with U~ = p(H~) the
+    order-K Taylor polynomial and f = (3/lam) p - (4/lam^3) p |p|^2, from
+    exp(-i H~ tau); both are functions of the Hermitian H~."""
+    z = -1j * tau * np.asarray(spectrum)
+    p = np.ones_like(z)
+    for k in range(K, 0, -1):
+        p = 1.0 + (z / k) * p
+    f = (3.0 / lam) * p - (4.0 / lam**3) * p * np.abs(p) ** 2
+    return float(np.max(np.abs(f - np.exp(z))))
+
+
 @dataclass
 class EvolutionInfo:
     r: int
     K: int
     lam: float
-    per_segment_deviation: list = field(default_factory=list)
-    segment: np.ndarray | None = None   # amplified segment; None when t = 0
-
-    @property
-    def total_deviation(self) -> float:
-        return float(sum(self.per_segment_deviation))
+    norm_loss_sum: float = 0.0   # summed |1 - |seg psi|| over the segments
+    norm_loss_max: float = 0.0   # the largest of them
 
 
 def evolve(family: TermFamily, psi0: np.ndarray, t: float, eps: float,
            h_norm_bound: float | None = None):
     """r amplified segments of the truncated-Taylor walk, dense path; each
-    renormalizes and records its norm deviation."""
+    renormalizes, and the info keeps the sum and the maximum of the norm
+    losses."""
     if eps <= EPS_FLOOR:
         raise BudgetInfeasible(
             f"eps={eps} at or below the {EPS_FLOOR} numeric floor")
@@ -262,14 +273,15 @@ def evolve(family: TermFamily, psi0: np.ndarray, t: float, eps: float,
     if h_norm_bound is None:
         h_norm_bound = hermitian_norm(family.rounded_dense())
     plan = plan_segments(h_norm_bound, t, eps, family.meta)
-    U = taylor_block(family, plan)
-    seg = oaa_block(U, plan.lam)
-    info = EvolutionInfo(r=plan.r, K=plan.K, lam=plan.lam, segment=seg)
+    seg = oaa_block(taylor_block(family, plan), plan.lam)
+    info = EvolutionInfo(r=plan.r, K=plan.K, lam=plan.lam)
     for _ in range(plan.r):
         out = seg @ psi
         norm = float(np.linalg.norm(out))
         psi = out / norm
-        info.per_segment_deviation.append(abs(1.0 - norm))
+        loss = abs(1.0 - norm)
+        info.norm_loss_sum += loss
+        info.norm_loss_max = max(info.norm_loss_max, loss)
     return psi, info
 
 

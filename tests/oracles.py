@@ -10,6 +10,9 @@ amplitude into a list that is not a valid determinant, and a second
 partner XOR uncomputes the scratch.  The tests check this model against
 the family as claims of the paper.
 
+The dense Taylor entry: the amplified segment as a matrix against
+exp(-i H~ t / r) by eigendecomposition, measured in the 2-norm.
+
 Sampled maxima of an orbital's value, gradient and Laplacian, found by a
 dense three-dimensional grid and a local optimizer.  A sample is a lower
 bound on a supremum, so the certified caps must lie above it.
@@ -20,7 +23,8 @@ from scipy.optimize import minimize
 
 from cisim.coloring import LEFT, apply_color
 from cisim.determinants import Determinant
-from cisim.lcu import TermFamily
+from cisim.lcu import (TermFamily, hermitian_norm, oaa_block, plan_segments,
+                       taylor_block)
 from cisim.orbitals import _axis_parts, d2_terms, eval_gradient, eval_value
 
 
@@ -107,6 +111,17 @@ def select_h_with_scratch(family: TermFamily, ell: int, rho: int,
             s3 = s2 ^ int(encodings[int(perm[node2])])  # uncompute
             out[node2, s3] += amp
     return out
+
+
+def dense_taylor_entry(family: TermFamily, t: float, eps: float) -> float:
+    """r |seg - exp(-i H~ t / r)|_2 for the plan evolve makes, with seg the
+    dense-block amplified segment and the exponential built by eigh."""
+    Htilde = family.rounded_dense()
+    plan = plan_segments(hermitian_norm(Htilde), t, eps, family.meta)
+    seg = oaa_block(taylor_block(family, plan), plan.lam)
+    evals, vecs = np.linalg.eigh(Htilde)
+    exact = (vecs * np.exp(-1j * evals * t / plan.r)) @ vecs.conj().T
+    return plan.r * float(np.linalg.norm(seg - exact, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import csv
+import inspect
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,24 +14,35 @@ from cisim.cimatrix import (assemble_from_gammas, build_ci_matrix,
 from cisim.cli import main as cli_main
 from cisim.determinants import align_and_diff, enumerate_basis
 from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
-                          config_from_dict, doubled, exact_evolve,
-                          exact_evolve_operator, ingest, load_config,
-                          run_pipeline, validate_config)
+                          config_from_dict, doubled, exact_evolve, ingest,
+                          load_config, run_budget, run_pipeline,
+                          validate_config)
 from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
                           InvalidCounts, NonOrthonormalBasisWarning)
 from cisim.integrals import IntegralTable
-from cisim.lcu import TermFamily
+from cisim.lcu import TermFamily, segment_count
 from cisim.quadrature import delta_for_grid, plan_quadrature, riemann_S0
 from cisim.orbitals import derive_bounds
 
-from conftest import so
-from oracles import flat_ell
+from conftest import primitive_norm, so
+from oracles import dense_taylor_entry, flat_ell
 
 H2_PATH = "configs/h2.json"
 
 
 def h2_config():
     return load_config(H2_PATH)
+
+
+def _h_chain(n_atoms, eta, spacing=1.45):
+    """Config dict of a linear H_n along z: one up and one down s-Gaussian
+    of exponent 1 per atom, 2 n_atoms spin-orbitals."""
+    zs = [(k - (n_atoms - 1) / 2.0) * spacing for k in range(n_atoms)]
+    return {"nuclei": [{"Z": 1.0, "R": [0.0, 0.0, z]} for z in zs],
+            "orbitals": [{"center": [0.0, 0.0, z], "spin": spin,
+                          "primitives": [[1.0, primitive_norm(1.0)]]}
+                         for z in zs for spin in ("up", "down")],
+            "eta": eta}
 
 
 def test_budget_worked_example():
@@ -70,15 +83,6 @@ def test_exact_evolve_basics():
 def test_exact_evolve_dimension_cap():
     with pytest.raises(DimensionTooLarge):
         exact_evolve(np.eye(3000), np.zeros(3000), 1.0)
-
-
-def test_exact_evolve_operator_dimension_cap(monkeypatch):
-    def no_eigh(H):
-        raise AssertionError("eigh ran past the dense cap")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    with pytest.raises(DimensionTooLarge):
-        exact_evolve_operator(np.broadcast_to(0.0, (2049, 2049)), 1.0)
 
 
 def test_config_roundtrip(tmp_path):
@@ -217,6 +221,10 @@ def test_pipeline_reports_the_paper_cost(h2_report):
     assert dims["r_paper"] == int(np.ceil(dims["lambda_paper"] / np.log(2)))
     assert dims["L"] <= 2 * dims["M"] * dims["Gamma_live"]
     assert dims["r"] <= 20 < dims["r_paper"]
+    # the run's own LCU weight, which sets its segment count
+    assert dims["lambda_weight"] == pytest.approx(
+        dims["zeta"] * dims["L"] * dims["mu"])
+    assert dims["r"] == segment_count(dims["lambda_weight"], 1.0)
 
 
 def test_pipeline_zeta_that_rounds_every_entry_to_zero():
@@ -253,7 +261,80 @@ def test_pipeline_deterministic():
         a = run_pipeline(cfg, mode="exact")
     with pytest.warns(NonOrthonormalBasisWarning):
         b = run_pipeline(cfg, mode="exact")
-    assert a.to_json(with_timings=False) == b.to_json(with_timings=False)
+    da, db = a.to_dict(), b.to_dict()
+    da.pop("timings"), db.pop("timings")
+    assert da == db
+
+
+def _record_decompositions(monkeypatch, pause=0.0):
+    """Log each numpy eigvalsh, eigh and svd call as (name, argument), and
+    sleep ``pause`` seconds in it; np.linalg.norm's own svd is included."""
+    calls = []
+    linalg = inspect.unwrap(np.linalg.norm).__globals__
+    for name in ("eigvalsh", "eigh", "svd"):
+        def wrapped(a, *args, _name=name, _fn=getattr(np.linalg, name), **kw):
+            calls.append((_name, a))
+            time.sleep(pause)
+            return _fn(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+        monkeypatch.setitem(linalg, name, wrapped)
+    return calls
+
+
+def test_pipeline_decomposes_h_tilde_once_and_no_double_cover(monkeypatch):
+    # one spectrum of H~ bounds the plan and gives the Taylor entry; no
+    # eigh or SVD runs on a 2 xi x 2 xi matrix of the double cover
+    rounded = TermFamily.rounded_dense
+    seen = []
+
+    def keep(self):
+        seen.append(rounded(self))
+        return seen[-1]
+
+    monkeypatch.setattr(TermFamily, "rounded_dense", keep)
+    calls = _record_decompositions(monkeypatch)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rep = run_pipeline(h2_config(), mode="exact")
+    Htilde = seen[0]
+    assert [name for name, a in calls if a is Htilde] == ["eigvalsh"]
+    assert [name for name, a in calls if name != "eigvalsh"
+            and np.shape(a)[0] == 2 * rep.dims["xi"]] == []
+
+
+def test_pipeline_stages_time_every_dense_decomposition(monkeypatch):
+    # each decomposition sleeps 50 ms, so one outside every stage shows as
+    # wall time that the timings do not add up to
+    _record_decompositions(monkeypatch, pause=0.05)
+    start = time.perf_counter()
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rep = run_pipeline(h2_config(), mode="exact")
+    wall = time.perf_counter() - start
+    assert sum(rep.timings.values()) >= 0.95 * wall
+
+
+TAYLOR_PROBLEMS = {
+    "h2": (lambda tmp_path: h2_config(), "exact"),
+    "chain-8-2": (lambda tmp_path: config_from_dict(_h_chain(4, 2)), "exact"),
+    "chain-8-4": (lambda tmp_path: config_from_dict(_h_chain(4, 4)), "exact"),
+    "riemann-h2": (lambda tmp_path: load_config(_riemann_h2_config(tmp_path)),
+                   "riemann"),
+}
+
+
+@pytest.mark.parametrize("name", TAYLOR_PROBLEMS)
+def test_spectral_taylor_entry_matches_the_dense_oracle(name, tmp_path):
+    make, mode = TAYLOR_PROBLEMS[name]
+    cfg = make(tmp_path)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rep = run_pipeline(cfg, mode=mode)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        table = ingest(cfg)
+    delta, zeta, eps_taylor = run_budget(cfg)
+    bounds = derive_bounds(cfg.orbitals) if mode == "riemann" else None
+    family = build_term_family(table, cfg.eta, zeta, mode=mode, bounds=bounds,
+                               delta=delta)
+    assert rep.error_ledger["taylor"] == pytest.approx(
+        dense_taylor_entry(family, cfg.time, eps_taylor), rel=1e-4)
 
 
 def test_pipeline_schema(h2_report):
@@ -262,7 +343,7 @@ def test_pipeline_schema(h2_report):
     assert set(d["error_ledger"]) == {"taylor", "rounding", "quadrature",
                                       "projection", "total"}
     for key in ("N", "eta", "xi", "d", "Gamma", "L", "M", "mu", "r", "K",
-                "lambda"):
+                "lambda", "lambda_weight"):
         assert key in d["dims"]
 
 
@@ -389,10 +470,39 @@ def test_cli_evolve(tmp_path):
                    "--time", "0.5", "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
-    assert set(data) == {"r", "K", "lambda", "per_segment_deviation",
+    assert set(data) == {"r", "K", "lambda", "max_segment_deviation",
                          "final_error_vs_exact"}
     assert data["final_error_vs_exact"] <= 0.03
-    assert len(data["per_segment_deviation"]) == data["r"]
+
+
+def test_cli_evolve_output_does_not_grow_with_r(tmp_path):
+    # 141,113 segments print as a few scalars, not one number each
+    out = tmp_path / "evolve.json"
+    assert cli_main(["evolve", "--config", H2_PATH, "--time", "10000",
+                     "--out", str(out)]) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    assert data["r"] > 10**5
+    assert len(text.encode()) < 1024
+    assert not any(isinstance(v, (list, dict)) for v in data.values())
+
+
+def test_cli_build_hamiltonian_rejects_oversized_basis(tmp_path, monkeypatch,
+                                                      capsys):
+    import cisim.cimatrix as cimatrix
+
+    def no_entry(*args):
+        raise AssertionError("a CI entry computed past the dense cap")
+
+    monkeypatch.setattr(cimatrix, "ci_entry", no_entry)
+    # an H7 chain, (N, eta) = (14, 7): xi = 3432 > 2048
+    path = tmp_path / "h7.json"
+    path.write_text(json.dumps(_h_chain(7, 7)))
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rc = cli_main(["build-hamiltonian", "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: DimensionTooLarge: ") and err.count("\n") == 1
 
 
 def test_cli_report(tmp_path):
@@ -660,7 +770,7 @@ def test_cli_evolve_riemann_per_kind_delta(tmp_path, capsys):
     rc = cli_main(["evolve", "--config", path, "--mode", "riemann"])
     assert rc == 0
     assert set(json.loads(capsys.readouterr().out)) == {
-        "r", "K", "lambda", "per_segment_deviation", "final_error_vs_exact"}
+        "r", "K", "lambda", "max_segment_deviation", "final_error_vs_exact"}
 
 
 def test_pipeline_rejects_oversized_basis_before_ingest(monkeypatch):
@@ -691,4 +801,4 @@ def test_cli_entry_point_runs():
 
 def test_pipeline_segment_deviation_small(h2_report):
     # renormalization removes only a tiny per-segment defect at desk scale
-    assert max(h2_report.per_segment_deviation) < 1e-6
+    assert h2_report.max_segment_deviation < 1e-6
