@@ -27,8 +27,10 @@ orbital, or fails a spacing or back-check, the color gives that node no
 partner (None): the matrix element is zero and the node is unchanged.
 
 The census walks one table of the valid left moves of every node for
-its single and double edges and undoes each edge from the right; it
-calls only `_apply_move` and `_alt1_ok`, never `apply_color`'s composition.
+its single and double edges.  Each valid left move is undone from the
+right once, when it is tabulated, and a double edge is undone when both
+of its moves are; the census calls only `_apply_move` and `_alt1_ok`,
+never `apply_color`'s composition.
 """
 
 from __future__ import annotations
@@ -256,11 +258,13 @@ class ColoringCensus:
 def coloring_census(norb: int, eta: int) -> ColoringCensus:
     """Exhaustively verify uniqueness, coverage, reversibility, injectivity.
 
-    Tabulates once the valid moves from the LEFT of every node, walks each
-    node's single edges node -> chi and, through chi's row of the table,
-    its double edges node -> chi -> beta that `_alt1_ok` accepts, and
-    undoes every edge from the RIGHT.  A node has C(eta, k) C(N - eta, k)
-    partners k orbitals away.  Bad counts raise before any work.
+    Tabulates once the valid moves from the LEFT of every node, undoing
+    each from the RIGHT as it enters the table, then walks each node's
+    single edges node -> chi and, through chi's row of the table, its
+    double edges node -> chi -> beta that `_alt1_ok` accepts; a double
+    edge is undone when both of its moves are.  A node has
+    C(eta, k) C(N - eta, k) partners k orbitals away.  Bad counts raise
+    before any work.
     """
     xi = basis_size(norb, eta)
     check_dense(xi)
@@ -271,24 +275,22 @@ def coloring_census(norb: int, eta: int) -> ColoringCensus:
         for move in moves:
             res = _apply_move(*move, occ, LEFT, norb)
             if res is not None:
-                table[occ].append((move, res))
+                back = _apply_move(*move, res[0], RIGHT, norb)
+                undone = back is not None and back[0] == occ
+                table[occ].append((move, res, undone))
 
     edges = Counter((occ, occ) for occ in dets)  # the diagonal color
     images = Counter()  # (single move, image): > 1 is not injective
     inverse_failures = 0
     for occ in dets:
-        for m1, (chi, x1, y1) in table[occ]:
+        for m1, (chi, x1, y1), undone1 in table[occ]:
             edges[occ, chi] += 1
             images[m1, chi] += 1
-            back = _apply_move(*m1, chi, RIGHT, norb)
-            undone = back is not None and back[0] == occ
-            inverse_failures += not undone
-            for m2, (beta, x2, y2) in table[chi]:
+            inverse_failures += not undone1
+            for m2, (beta, x2, y2), undone2 in table[chi]:
                 if _alt1_ok(x1, y1, x2, y2):
                     edges[occ, beta] += 1
-                    back = _apply_move(*m2, beta, RIGHT, norb)
-                    inverse_failures += not (
-                        undone and back is not None and back[0] == chi)
+                    inverse_failures += not (undone1 and undone2)
 
     near = {pair for pair in edges if len(set(pair[0]) - set(pair[1])) <= 2}
     expected = xi * sum(comb(eta, k) * comb(norb - eta, k) for k in range(3))

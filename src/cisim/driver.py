@@ -309,14 +309,16 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
 
     t0 = time.perf_counter()
     H2 = doubled(H)
-    # exact mode has no discretization: its unrounded family is H2 itself
+    # exact mode has no discretization: its unrounded family is H2 itself,
+    # so its quadrature entry is 0 without a decomposition
     unrounded = family.unrounded_dense() if mode == "riemann" else H2
     # per-segment Taylor + amplification defect, read off H~'s spectrum;
     # validate_config rejected t <= 0, so evolve ran r >= 1 segments
     taylor_err = info.r * segment_error(spectrum, config.time / info.r,
                                         info.K, info.lam)
     rounding_err = hermitian_norm(unrounded - Htilde) * config.time
-    quadrature_err = hermitian_norm(H2 - unrounded) * config.time
+    quadrature_err = (hermitian_norm(H2 - unrounded) * config.time
+                      if mode == "riemann" else 0.0)
     ledger = {
         "taylor": taylor_err,
         "rounding": rounding_err,

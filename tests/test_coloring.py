@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,28 @@ def test_census_catches_each_fault(name, fault, counts, monkeypatch):
     census = coloring_census(6, 3)
     assert {k: getattr(census, k) for k in counts} == counts
     assert census.valid is False
+
+
+def test_census_undoes_each_valid_left_move_once(monkeypatch):
+    # a double edge's second move is a row of the table, so its undo is
+    # that row's single-edge undo: one RIGHT call per valid left move
+    import cisim.coloring as coloring
+    calls = Counter()
+
+    def counted(a, b, l, shift, occ, side, norb):
+        res = _apply_move(a, b, l, shift, occ, side, norb)
+        if side == RIGHT or res is not None:
+            calls[side] += 1
+        return res
+
+    monkeypatch.setattr(coloring, "_apply_move", counted)
+    assert coloring_census(6, 3).valid
+    assert calls == {LEFT: 180, RIGHT: 180}
+
+
+def test_census_pinned_past_acceptance_range():
+    assert dataclasses.astuple(coloring_census(10, 4)) == (
+        10, 4, 210, 288, 82944, 24150, 24150, 0, 0, 0, 0)
 
 
 def test_degree_one_per_color():

@@ -301,6 +301,18 @@ def test_pipeline_decomposes_h_tilde_once_and_no_double_cover(monkeypatch):
             and np.shape(a)[0] == 2 * rep.dims["xi"]] == []
 
 
+def test_exact_pipeline_takes_no_quadrature_norm(monkeypatch):
+    # exact mode's unrounded family is H2 itself, so its quadrature entry
+    # is 0 by construction: the only 2 xi x 2 xi decompositions are the
+    # spectrum of H~ and the rounding norm
+    calls = _record_decompositions(monkeypatch)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rep = run_pipeline(h2_config(), mode="exact")
+    assert [name for name, a in calls
+            if np.shape(a)[0] == 2 * rep.dims["xi"]] == ["eigvalsh"] * 2
+    assert rep.error_ledger["quadrature"] == 0.0
+
+
 def test_pipeline_stages_time_every_dense_decomposition(monkeypatch):
     # each decomposition sleeps 50 ms, so one outside every stage shows as
     # wall time that the timings do not add up to
