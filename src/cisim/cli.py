@@ -17,17 +17,21 @@ from .coloring import coloring_census
 from .determinants import enumerate_basis
 from .driver import (ingest, load_config, run_budget, run_pipeline,
                      validate_config)
-from .errors import CisimError, InvalidCounts
+from .errors import CisimError, InvalidCounts, OutputUnwritable
 from .orbitals import derive_bounds
 from .quadrature import KINDS, delta_for_grid, nucleus_charge, riemann_terms
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise OutputUnwritable(f"{out_path}: {type(exc).__name__}: "
+                               f"{exc.strerror or exc}") from exc
 
 
 def _emit_csv(rows, out_path):

@@ -27,10 +27,11 @@ orbital, or fails a spacing or back-check, the color gives that node no
 partner (None): the matrix element is zero and the node is unchanged.
 
 The census walks one table of the valid left moves of every node for
-its single and double edges.  Each valid left move is undone from the
-right once, when it is tabulated, and a double edge is undone when both
-of its moves are; the census calls only `_apply_move` and `_alt1_ok`,
-never `apply_color`'s composition.
+its single and double edges.  It evaluates each (a, l, shift) from the
+left once for both b, through `_move_partners`, which `_apply_move`
+reads one b of.  Each valid left move is undone from the right once,
+when it is tabulated, and a double edge is undone when both of its
+moves are; the census never calls `apply_color`'s composition.
 """
 
 from __future__ import annotations
@@ -111,28 +112,35 @@ def _candidates(occ: tuple, a: int, l: int, shift: int, norb: int):
     return out
 
 
-def _apply_move(a, b, l, shift, occ, side, norb):
-    """One 4-tuple move; returns (new_occ, moved_from, moved_to) or None.
+def _move_partners(a, l, shift, occ, side, norb):
+    """The results of the moves (a, b, l, shift) of occ, indexed by b:
+    each (new_occ, moved_from, moved_to) or None, and a b past the end
+    gives no partner either.
 
     moved_from / moved_to are oriented left-to-right: the orbital value
     occupied in the left node and the value it becomes in the right
     node, regardless of which side the input node is on.
     """
     if not 1 <= l <= len(occ):
-        return None
+        return []
     if side != (LEFT if a == 0 else RIGHT):
         # l indexes the partner's list: b picks one of the candidates
-        cands = _candidates(occ, a, l, shift, norb)
-        return cands[b] if b < len(cands) else None
+        return _candidates(occ, a, l, shift, norb)
     # l indexes this node's list: move directly, then b must pick it back
     s = shift if side == LEFT else -shift
     moved = _move_to(occ, l, occ[l - 1] + s, norb)
     if moved is None or _spacing_a(occ, l, *moved, side, norb) != a:
-        return None
+        return []
     cands = _candidates(moved[0], a, l, shift, norb)
-    if b < len(cands) <= 2 and cands[b][0] == occ:
-        return (moved[0],) + cands[b][1:]
-    return None
+    if len(cands) > 2:
+        return []
+    return [(moved[0],) + c[1:] if c[0] == occ else None for c in cands]
+
+
+def _apply_move(a, b, l, shift, occ, side, norb):
+    """One 4-tuple move; returns (new_occ, moved_from, moved_to) or None."""
+    res = _move_partners(a, l, shift, occ, side, norb)
+    return res[b] if b < len(res) else None
 
 
 def _alt1_ok(x1, y1, x2, y2) -> bool:
@@ -258,11 +266,12 @@ class ColoringCensus:
 def coloring_census(norb: int, eta: int) -> ColoringCensus:
     """Exhaustively verify uniqueness, coverage, reversibility, injectivity.
 
-    Tabulates once the valid moves from the LEFT of every node, undoing
-    each from the RIGHT as it enters the table, then walks each node's
-    single edges node -> chi and, through chi's row of the table, its
-    double edges node -> chi -> beta that `_alt1_ok` accepts; a double
-    edge is undone when both of its moves are.  A node has
+    Tabulates once the valid moves from the LEFT of every node, one
+    `_move_partners` evaluation of each (a, l, shift) serving both b,
+    and undoes each from the RIGHT as it enters the table; then walks
+    each node's single edges node -> chi and, through chi's row of the
+    table, its double edges node -> chi -> beta that `_alt1_ok` accepts;
+    a double edge is undone when both of its moves are.  A node has
     C(eta, k) C(N - eta, k) partners k orbitals away.  Bad counts raise
     before any work.
     """
@@ -270,14 +279,19 @@ def coloring_census(norb: int, eta: int) -> ColoringCensus:
     check_dense(xi)
     dets = list(itertools.combinations(range(1, norb + 1), eta))
     moves = movement_tuples(norb, eta)
+    groups = {}  # (a, l, shift) -> its moves, in b order
+    for move in moves:
+        a, _, l, shift = move
+        groups.setdefault((a, l, shift), []).append(move)
     table = {occ: [] for occ in dets}
     for occ in dets:
-        for move in moves:
-            res = _apply_move(*move, occ, LEFT, norb)
-            if res is not None:
-                back = _apply_move(*move, res[0], RIGHT, norb)
-                undone = back is not None and back[0] == occ
-                table[occ].append((move, res, undone))
+        for (a, l, shift), group in groups.items():
+            partners = _move_partners(a, l, shift, occ, LEFT, norb)
+            for move, res in zip(group, partners):
+                if res is not None:
+                    back = _apply_move(*move, res[0], RIGHT, norb)
+                    undone = back is not None and back[0] == occ
+                    table[occ].append((move, res, undone))
 
     edges = Counter((occ, occ) for occ in dets)  # the diagonal color
     images = Counter()  # (single move, image): > 1 is not injective

@@ -22,6 +22,11 @@ class InvalidConfig(CisimError):
     """A config file is missing, is not JSON, or does not describe a problem."""
 
 
+class OutputUnwritable(CisimError):
+    """The --out path cannot be written: a missing directory, a directory
+    itself, or no permission."""
+
+
 class BoundViolated(CisimError):
     """A certified basis bound fails: a cap, the decay envelope, or the
     search for either."""

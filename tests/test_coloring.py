@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cisim.coloring import (DIAGONAL_COLOR, LEFT, RIGHT, ColorTuple,
-                            _apply_move, _candidates,
+                            _apply_move, _candidates, _move_partners,
                             apply_color, color_of, coloring_census,
                             movement_tuples, single_colors, double_colors)
 from cisim.determinants import Determinant, enumerate_basis
@@ -126,10 +127,11 @@ def test_census_counts_diagonal_and_offdiagonal():
     assert census.edges_found == 36
 
 
-def _redirect_one_left_move(a, b, l, shift, occ, side, norb):
-    res = _apply_move(a, b, l, shift, occ, side, norb)
-    if (a, b, l, shift, occ, side) == (0, 0, 1, 1, (1, 3, 5), LEFT):
-        return ((2, 3, 4),) + res[1:]
+def _redirect_one_left_move(a, l, shift, occ, side, norb):
+    # the b = 0 result of (0, 0, 1, 1) on (1, 3, 5) from the left
+    res = _move_partners(a, l, shift, occ, side, norb)
+    if (a, l, shift, occ, side) == (0, 1, 1, (1, 3, 5), LEFT):
+        return [((2, 3, 4),) + res[0][1:]] + res[1:]
     return res
 
 
@@ -144,7 +146,7 @@ def _drop_right_a1_b0(a, b, l, shift, occ, side, norb):
     ("_alt1_ok", lambda *pairs: False,
      dict(edges_found=200, uncovered_edges=180)),
     ("_apply_move", _drop_right_a1_b0, dict(inverse_failures=72)),
-    ("_apply_move", _redirect_one_left_move,
+    ("_move_partners", _redirect_one_left_move,
      dict(injectivity_failures=1, duplicate_edges=1, uncovered_edges=1,
           inverse_failures=5)),
 ], ids=["alt1-always", "alt1-never", "right-a1-b0-invalid", "left-redirect"])
@@ -163,15 +165,35 @@ def test_census_undoes_each_valid_left_move_once(monkeypatch):
     import cisim.coloring as coloring
     calls = Counter()
 
-    def counted(a, b, l, shift, occ, side, norb):
-        res = _apply_move(a, b, l, shift, occ, side, norb)
-        if side == RIGHT or res is not None:
-            calls[side] += 1
+    def counted(a, l, shift, occ, side, norb):
+        res = _move_partners(a, l, shift, occ, side, norb)
+        calls[side] += 1 if side == RIGHT else sum(r is not None for r in res)
         return res
 
-    monkeypatch.setattr(coloring, "_apply_move", counted)
+    monkeypatch.setattr(coloring, "_move_partners", counted)
     assert coloring_census(6, 3).valid
     assert calls == {LEFT: 180, RIGHT: 180}
+
+
+def test_census_evaluates_each_left_move_once_for_both_b(monkeypatch):
+    # moves (a, 0, l, shift) and (a, 1, l, shift) share one evaluation:
+    # 20 nodes x 60 (a, l, shift) at (6, 3), and fewer candidate searches
+    import cisim.coloring as coloring
+    calls = Counter()
+
+    def counting(fn, key):
+        def counted(*args):
+            calls[key(args)] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(coloring, "_move_partners",
+                        counting(_move_partners, lambda args: args[4]))
+    monkeypatch.setattr(coloring, "_candidates",
+                        counting(_candidates, lambda args: "_candidates"))
+    assert coloring_census(6, 3).valid
+    assert calls[LEFT] == 20 * 60
+    assert calls["_candidates"] == 930
 
 
 def test_census_pinned_past_acceptance_range():
@@ -271,6 +293,36 @@ def test_each_move_is_undone_from_the_other_side(pair):
                 if res is not None:
                     new, x, y = res
                     assert _apply_move(*move, new, back, norb) == (node, x, y)
+
+
+@st.composite
+def nodes(draw):
+    """A node of up to 16 orbitals and up to 8 electrons."""
+    norb = draw(st.integers(2, 16))
+    eta = draw(st.integers(1, min(8, norb - 1)))
+    occ = draw(st.lists(st.integers(1, norb), min_size=eta, max_size=eta,
+                        unique=True))
+    return norb, tuple(sorted(occ))
+
+
+@settings(max_examples=300)
+@given(nodes())
+def test_each_left_partner_is_colored_by_its_move(node):
+    # past the census range: from the left, one evaluation of (a, l, shift)
+    # yields at most two partners, and the one at index b is the edge
+    # that color_of labels with the single move (a, b, l, shift)
+    norb, occ = node
+    alpha = Determinant(occ, norb)
+    shifts = [s for s in range(1 - norb, norb) if s != 0]
+    for a, l, shift in itertools.product((0, 1), range(1, len(occ) + 1),
+                                         shifts):
+        res = _move_partners(a, l, shift, occ, LEFT, norb)
+        assert len(res) <= 2
+        for b, partner in enumerate(res):
+            if partner is not None:
+                beta = Determinant(partner[0], norb)
+                assert color_of(alpha, beta) == ColorTuple(
+                    0, 0, 1, 0, a, b, l, shift)
 
 
 @pytest.mark.parametrize("norb,eta,error", [

@@ -585,6 +585,12 @@ def test_no_source_file_names_scipy():
                  "BudgetInfeasible", id="time-1e10"),
     pytest.param(["coloring-check", "--norb", "4", "--eta", "-1"],
                  "InvalidCounts", id="coloring-check"),
+    # --out into a missing directory, and --out naming a directory
+    pytest.param(["coloring-check", "--norb", "6", "--eta", "3",
+                  "--out", "/nonexistent/x.json"],
+                 "OutputUnwritable", id="out-missing-directory"),
+    pytest.param(["coloring-check", "--norb", "6", "--eta", "3",
+                  "--out", "."], "OutputUnwritable", id="out-directory"),
     # 1-based orbital and 0-based nucleus indices; negative ones are not
     # Python's count from the end
     pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s0",
