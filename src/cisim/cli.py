@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .cimatrix import build_ci_matrix, count_gamma, gamma_census
@@ -32,6 +33,24 @@ def _emit(text: str, out_path):
     except OSError as exc:
         raise OutputUnwritable(f"{out_path}: {type(exc).__name__}: "
                                f"{exc.strerror or exc}") from exc
+
+
+def _check_out(out_path):
+    """OutputUnwritable before any work when --out cannot be written;
+    creates and truncates nothing."""
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        reason = "is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(parent, os.W_OK | os.X_OK) or (
+            os.path.exists(out_path) and not os.access(out_path, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise OutputUnwritable(f"{out_path}: {reason}")
 
 
 def _emit_csv(rows, out_path):
@@ -215,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return args.fn(args)
     except CisimError as exc:
         # a rejected input is a one-line diagnosis, not a traceback

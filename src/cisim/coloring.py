@@ -26,21 +26,26 @@ and N+1.  Whenever a shift leaves [1, N], collides with an occupied
 orbital, or fails a spacing or back-check, the color gives that node no
 partner (None): the matrix element is zero and the node is unchanged.
 
-The census walks one table of the valid left moves of every node for
-its single and double edges.  It evaluates each (a, l, shift) from the
-left once for both b, through `_move_partners`, which `_apply_move`
-reads one b of.  Each valid left move is undone from the right once,
-when it is tabulated, and a double edge is undone when both of its
-moves are; the census never calls `apply_color`'s composition.
+The census tabulates the valid left moves of every node as integer
+columns ordered by node (node, move id, partner, x, y, undone).  It
+evaluates each (a, l, shift) from the left once for both b, through
+`_move_partners`, which `_apply_move` reads one b of, and undoes each
+valid left move from the right once, when it is tabulated.  Each row is
+a single edge.  The double edges through a middle node are the pairs of
+its incoming and outgoing rows that `_alt1_ok` accepts, judged on that
+node's in x out block at once; a double edge is undone when both of its
+rows are.  Edges are tallied as integer codes, and the census never
+calls `apply_color`'s composition.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
 
 from .determinants import Determinant, basis_size, check_dense
 from .errors import TooManyDifferences
@@ -143,13 +148,14 @@ def _apply_move(a, b, l, shift, occ, side, norb):
     return res[b] if b < len(res) else None
 
 
-def _alt1_ok(x1, y1, x2, y2) -> bool:
+def _alt1_ok(x1, y1, x2, y2):
     """Accept only the canonical composition for a genuine double move.
 
     Rejects chained moves (which collapse to fewer than two differences)
-    and any pairing other than smaller-to-smaller applied first.
+    and any pairing other than smaller-to-smaller applied first.  One
+    elementwise rule: a bool on Python ints, a bool array on arrays.
     """
-    return x2 != y1 and y2 != x1 and x1 < x2 and y1 < y2
+    return (x2 != y1) & (y2 != x1) & (x1 < x2) & (y1 < y2)
 
 
 def _apply_color_occ(c: ColorTuple, occ: tuple, side: str, norb: int):
@@ -268,54 +274,76 @@ def coloring_census(norb: int, eta: int) -> ColoringCensus:
 
     Tabulates once the valid moves from the LEFT of every node, one
     `_move_partners` evaluation of each (a, l, shift) serving both b,
-    and undoes each from the RIGHT as it enters the table; then walks
-    each node's single edges node -> chi and, through chi's row of the
-    table, its double edges node -> chi -> beta that `_alt1_ok` accepts;
-    a double edge is undone when both of its moves are.  A node has
-    C(eta, k) C(N - eta, k) partners k orbitals away.  Bad counts raise
-    before any work.
+    and undoes each from the RIGHT as it enters the table.  The table is
+    integer columns ordered by node: node, move id, partner, x, y and
+    undone.  Each row is a single edge node -> chi; the double edges
+    node -> chi -> beta are, one middle node chi at a time, the pairs of
+    chi's incoming and outgoing rows that `_alt1_ok` accepts on their
+    in x out block, and a double edge is undone when both rows are.  A
+    node has C(eta, k) C(N - eta, k) partners k orbitals away, so an
+    edge counts when its nodes share at least eta - 2 orbitals.  Bad
+    counts raise before any work.
     """
     xi = basis_size(norb, eta)
     check_dense(xi)
     dets = list(itertools.combinations(range(1, norb + 1), eta))
+    index = {occ: i for i, occ in enumerate(dets)}
     moves = movement_tuples(norb, eta)
-    groups = {}  # (a, l, shift) -> its moves, in b order
-    for move in moves:
-        a, _, l, shift = move
-        groups.setdefault((a, l, shift), []).append(move)
-    table = {occ: [] for occ in dets}
-    for occ in dets:
+    groups = {}  # (a, l, shift) -> its move ids, in b order
+    for m, (a, _, l, shift) in enumerate(moves):
+        groups.setdefault((a, l, shift), []).append(m)
+    rows = []  # (node, move id, partner, x, y, undone), ordered by node
+    for i, occ in enumerate(dets):
         for (a, l, shift), group in groups.items():
             partners = _move_partners(a, l, shift, occ, LEFT, norb)
-            for move, res in zip(group, partners):
+            for m, res in zip(group, partners):
                 if res is not None:
-                    back = _apply_move(*move, res[0], RIGHT, norb)
+                    back = _apply_move(*moves[m], res[0], RIGHT, norb)
                     undone = back is not None and back[0] == occ
-                    table[occ].append((move, res, undone))
+                    rows.append((i, m, index[res[0]], *res[1:], undone))
+    node, move, partner, x, y, undone = (
+        np.array(rows, dtype=np.int32).reshape(-1, 6).T)
+    x, y, undone = x.astype(np.int16), y.astype(np.int16), undone == 1
 
-    edges = Counter((occ, occ) for occ in dets)  # the diagonal color
-    images = Counter()  # (single move, image): > 1 is not injective
-    inverse_failures = 0
-    for occ in dets:
-        for m1, (chi, x1, y1), undone1 in table[occ]:
-            edges[occ, chi] += 1
-            images[m1, chi] += 1
-            inverse_failures += not undone1
-            for m2, (beta, x2, y2), undone2 in table[chi]:
-                if _alt1_ok(x1, y1, x2, y2):
-                    edges[occ, beta] += 1
-                    inverse_failures += not (undone1 and undone2)
+    # xi <= 2048, so an edge code node * xi + partner fits int32
+    singles = node * xi + partner
+    injectivity_failures = len(rows) - len(np.unique(
+        move.astype(np.int64) * xi + partner))
+    inverse_failures = int(np.count_nonzero(~undone))
+    by_partner = np.argsort(partner, kind="stable")
+    in_node, in_x, in_y, in_undone = (col[by_partner]
+                                      for col in (node, x, y, undone))
+    bounds = np.arange(xi + 1)
+    in_at = np.searchsorted(partner[by_partner], bounds)
+    out_at = np.searchsorted(node, bounds)
+    doubles = []
+    for chi in range(xi):
+        inc = slice(in_at[chi], in_at[chi + 1])  # rows node -> chi
+        out = slice(out_at[chi], out_at[chi + 1])  # rows chi -> beta
+        ok = np.broadcast_to(
+            _alt1_ok(in_x[inc, None], in_y[inc, None], x[out], y[out]),
+            (inc.stop - inc.start, out.stop - out.start))
+        src, dst = np.nonzero(ok)
+        doubles.append(in_node[inc][src] * xi + partner[out][dst])
+        inverse_failures += int(np.count_nonzero(
+            ~(in_undone[inc][src] & undone[out][dst])))
 
-    near = {pair for pair in edges if len(set(pair[0]) - set(pair[1])) <= 2}
+    diagonal = np.arange(xi, dtype=np.int32) * (xi + 1)
+    edges, counts = np.unique(np.concatenate([diagonal, singles, *doubles]),
+                              return_counts=True)
+    orbs = np.array(dets, dtype=np.int16).reshape(xi, eta)
+    left, right = orbs[edges // xi], orbs[edges % xi]
+    shared = (left[:, :, None] == right[:, None, :]).sum(axis=(1, 2))
+    near = shared >= eta - 2
+    found = int(np.count_nonzero(near))
     expected = xi * sum(comb(eta, k) * comb(norb - eta, k) for k in range(3))
     return ColoringCensus(
         norb=norb, eta=eta, n_nodes=xi,
         n_single_colors=len(moves),
         n_double_colors=len(moves) ** 2,
-        edges_expected=expected, edges_found=len(near),
-        duplicate_edges=sum(1 for pair, c in edges.items()
-                            if c > 1 or pair not in near),
-        uncovered_edges=expected - len(near),
+        edges_expected=expected, edges_found=found,
+        duplicate_edges=int(np.count_nonzero((counts > 1) | ~near)),
+        uncovered_edges=expected - found,
         inverse_failures=inverse_failures,
-        injectivity_failures=sum(c - 1 for c in images.values()),
+        injectivity_failures=injectivity_failures,
     )

@@ -10,6 +10,10 @@ amplitude into a list that is not a valid determinant, and a second
 partner XOR uncomputes the scratch.  The tests check this model against
 the family as claims of the paper.
 
+The coloring census tallied by Counters over tuple-keyed edges: each
+single move applied from the left one b at a time, the walk the census
+replaced with integer columns and per-middle-node blocks.
+
 The dense Taylor entry: the amplified segment as a matrix against
 exp(-i H~ t / r) by eigendecomposition, measured in the 2-norm.
 
@@ -18,10 +22,14 @@ dense three-dimensional grid and a local optimizer.  A sample is a lower
 bound on a supremum, so the certified caps must lie above it.
 """
 
+import itertools
+from collections import Counter
+
 import numpy as np
 from scipy.optimize import minimize
 
-from cisim.coloring import LEFT, apply_color
+from cisim import coloring
+from cisim.coloring import LEFT, RIGHT, apply_color
 from cisim.determinants import Determinant
 from cisim.lcu import (TermFamily, hermitian_norm, oaa_block, plan_segments,
                        taylor_block)
@@ -111,6 +119,43 @@ def select_h_with_scratch(family: TermFamily, ell: int, rho: int,
             s3 = s2 ^ int(encodings[int(perm[node2])])  # uncompute
             out[node2, s3] += amp
     return out
+
+
+def census_by_counters(norb: int, eta: int) -> dict:
+    """edges_found, duplicate_edges, inverse_failures and
+    injectivity_failures of the census, by Counters over tuple keys.
+
+    Reads `_apply_move` and `_alt1_ok` off the module at call time, so a
+    fault patched into either reaches this walk as it reaches the census.
+    """
+    dets = list(itertools.combinations(range(1, norb + 1), eta))
+    table = {occ: [] for occ in dets}
+    for occ in dets:
+        for move in coloring.movement_tuples(norb, eta):
+            res = coloring._apply_move(*move, occ, LEFT, norb)
+            if res is not None:
+                back = coloring._apply_move(*move, res[0], RIGHT, norb)
+                table[occ].append((move, res, back is not None
+                                   and back[0] == occ))
+    edges = Counter((occ, occ) for occ in dets)
+    images = Counter()
+    inverse_failures = 0
+    for occ in dets:
+        for m1, (chi, x1, y1), undone1 in table[occ]:
+            edges[occ, chi] += 1
+            images[m1, chi] += 1
+            inverse_failures += not undone1
+            for _, (beta, x2, y2), undone2 in table[chi]:
+                if coloring._alt1_ok(x1, y1, x2, y2):
+                    edges[occ, beta] += 1
+                    inverse_failures += not (undone1 and undone2)
+    near = {pair for pair in edges if len(set(pair[0]) - set(pair[1])) <= 2}
+    return dict(
+        edges_found=len(near),
+        duplicate_edges=sum(c > 1 or pair not in near
+                            for pair, c in edges.items()),
+        inverse_failures=inverse_failures,
+        injectivity_failures=sum(c - 1 for c in images.values()))
 
 
 def dense_taylor_entry(family: TermFamily, t: float, eps: float) -> float:

@@ -1,18 +1,24 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cisim.coloring import (DIAGONAL_COLOR, LEFT, RIGHT, ColorTuple,
-                            _apply_move, _candidates, _move_partners,
+                            _alt1_ok, _apply_move, _candidates,
+                            _move_partners,
                             apply_color, color_of, coloring_census,
                             movement_tuples, single_colors, double_colors)
 from cisim.determinants import Determinant, enumerate_basis
 from cisim.errors import DimensionTooLarge, InvalidCounts, TooManyDifferences
+
+from oracles import census_by_counters
 
 
 def occs(cands):
@@ -159,6 +165,26 @@ def test_census_catches_each_fault(name, fault, counts, monkeypatch):
     assert census.valid is False
 
 
+@pytest.mark.parametrize("name,fault", [
+    (None, None),
+    ("_alt1_ok", lambda *pairs: True),
+    ("_alt1_ok", lambda x1, y1, x2, y2: x1 < x2),
+    ("_apply_move", _drop_right_a1_b0),
+    ("_move_partners", _redirect_one_left_move),
+], ids=["none", "alt1-always", "alt1-x-only", "right-a1-b0-invalid",
+        "left-redirect"])
+@pytest.mark.parametrize("norb,eta", [(5, 2), (6, 3), (7, 3)])
+def test_census_matches_the_counter_walk(norb, eta, name, fault, monkeypatch):
+    # the integer-column tally against tuple-keyed Counters, on the
+    # correct coloring and with each fault patched into both
+    import cisim.coloring as coloring
+    if name is not None:
+        monkeypatch.setattr(coloring, name, fault)
+    expected = census_by_counters(norb, eta)
+    census = coloring_census(norb, eta)
+    assert {k: getattr(census, k) for k in expected} == expected
+
+
 def test_census_undoes_each_valid_left_move_once(monkeypatch):
     # a double edge's second move is a row of the table, so its undo is
     # that row's single-edge undo: one RIGHT call per valid left move
@@ -199,6 +225,35 @@ def test_census_evaluates_each_left_move_once_for_both_b(monkeypatch):
 def test_census_pinned_past_acceptance_range():
     assert dataclasses.astuple(coloring_census(10, 4)) == (
         10, 4, 210, 288, 82944, 24150, 24150, 0, 0, 0, 0)
+
+
+def test_census_pinned_at_benchmark_size():
+    assert dataclasses.astuple(coloring_census(12, 4)) == (
+        12, 4, 495, 352, 123904, 99495, 99495, 0, 0, 0, 0)
+
+
+def test_census_never_holds_every_two_step_path():
+    # (10,4) has 24,150 edges; the walk's temporaries are one middle
+    # node's in x out block at a time, not every path at once
+    coloring_census(10, 4)
+    tracemalloc.start()
+    try:
+        coloring_census(10, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(*[st.integers(-3, 20)] * 4), min_size=1,
+                max_size=30))
+def test_alt1_ok_is_one_elementwise_rule(pairs):
+    # the census judges a block of arrays, apply_color a pair of scalars
+    scalars = [_alt1_ok(*p) for p in pairs]
+    assert all(type(ok) is bool for ok in scalars)
+    block = _alt1_ok(*np.array(pairs, dtype=np.int16).T)
+    assert block.dtype == bool and block.tolist() == scalars
 
 
 def test_degree_one_per_color():

@@ -620,6 +620,34 @@ def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", ["/nonexistent/x.json", "."],
+                         ids=["out-missing-directory", "out-directory"])
+@pytest.mark.parametrize("argv", [
+    ["coloring-check", "--norb", "6", "--eta", "3"],
+    ["report", "--config", H2_PATH]], ids=["coloring-check", "report"])
+def test_cli_checks_out_before_the_run(argv, out, capsys, monkeypatch):
+    import cisim.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "coloring_census", no_run)
+    monkeypatch.setattr(cli, "run_pipeline", no_run)
+    assert cli_main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: OutputUnwritable: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_out_is_untouched_when_the_run_fails(tmp_path):
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_text("before")
+    for path in (kept, new):
+        assert cli_main(["coloring-check", "--norb", "4", "--eta", "-1",
+                         "--out", str(path)]) == 2
+    assert kept.read_text() == "before" and not new.exists()
+
+
 def test_epsilon_below_the_evolve_floor_fails_before_any_integral(
         monkeypatch, capsys):
     import cisim.driver as driver
