@@ -11,11 +11,13 @@ of the sorting permutation, using the integral conventions of
     more than two:      0
 
 Every color of :mod:`cisim.coloring` carries at most one matrix element
-per row; the diagonal and single-difference families are further
-indexed by term selectors (i, j) so that each labelled term holds a
-bounded number of integrals and the labelled terms sum back to the full
-matrix entry.  A label is the pair (color, selectors); the admissible
-label set is:
+per row.  The labelled edges are the rows of the coloring's edge table,
+read only once that table's census is valid, so every run checks its
+coloring at its own size.  The diagonal and single-difference families
+are further indexed by term selectors (i, j) so that each labelled term
+holds a bounded number of integrals and the labelled terms sum back to
+the full matrix entry.  A label is the pair (color, selectors); the
+admissible label set is:
 
     diagonal family   one canonical color, selectors 1 <= i <= j <= eta
     single family     every nonzero move in the second 4-tuple,
@@ -33,13 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import (DIAGONAL_COLOR, LEFT, ColorTuple, apply_color,
-                       color_of, double_colors, movement_tuples, single_colors)
-from .determinants import (Determinant, align_and_diff, basis_size,
-                           check_dense, enumerate_basis)
+                       double_colors, edge_table, movement_tuples,
+                       single_colors)
+from .determinants import (Determinant, align_and_diff, check_dense,
+                           enumerate_basis, sparsity_d)
 from .errors import MalformedGamma, PatternMismatch
 from .integrals import IntegralTable
-
-from math import comb
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,12 +92,6 @@ def ci_entry(alpha: Determinant, beta: Determinant, table: IntegralTable) -> com
     y1, y2 = (beta.occ[p - 1] for p in diff.positions_right)
     return diff.sign * complex(
         table.g(x1, x2, y1, y2) - table.g(x1, x2, y2, y1))
-
-
-def sparsity_d(norb: int, eta: int) -> int:
-    """Maximum nonzeros per CI row: C(eta,2) C(N-eta,2) + eta (N-eta) + 1."""
-    basis_size(norb, eta)
-    return comb(eta, 2) * comb(norb - eta, 2) + eta * (norb - eta) + 1
 
 
 def build_ci_matrix(table: IntegralTable, eta: int) -> np.ndarray:
@@ -203,24 +198,29 @@ def gamma_entry(gamma: GammaIndex, alpha: Determinant,
         alpha, beta, term_value(gamma, alpha, beta, diff, table))
 
 
-def labelled_edges(basis: list[Determinant]):
+def labelled_edges(norb: int, eta: int):
     """(gamma, ia, ib, diff) for every ordered pair of basis indices whose
     determinants differ in at most two orbitals, once per term selector.
 
-    Each partner is confirmed with the select oracle's map apply_color;
-    a disagreement with color_of raises PatternMismatch.
+    The edges and their colors are the rows of the coloring's
+    `edge_table`, read only once the table's own census is valid.  Each
+    partner is confirmed with the select oracle's map apply_color.  An
+    invalid census or a partner apply_color does not reach raises
+    PatternMismatch.
     """
-    for ia, alpha in enumerate(basis):
-        for ib, beta in enumerate(basis):
-            diff = align_and_diff(alpha, beta)
-            if diff.count > 2:
-                continue
-            color = color_of(alpha, beta)
-            if apply_color(color, alpha, LEFT) != beta:
-                raise PatternMismatch(
-                    f"color {color} does not map {alpha.occ} to {beta.occ}")
-            for i, j in label_selectors(color, alpha.eta):
-                yield GammaIndex(color, i, j), ia, ib, diff
+    table = edge_table(norb, eta)
+    census = table.census()
+    if not census.valid:
+        raise PatternMismatch(f"the coloring fails its census: {census}")
+    basis = [Determinant(occ, norb) for occ in table.dets]
+    for color, ia, ib in table.edges():
+        alpha, beta = basis[ia], basis[ib]
+        if apply_color(color, alpha, LEFT) != beta:
+            raise PatternMismatch(
+                f"color {color} does not map {alpha.occ} to {beta.occ}")
+        diff = align_and_diff(alpha, beta)
+        for i, j in label_selectors(color, eta):
+            yield GammaIndex(color, i, j), ia, ib, diff
 
 
 def assemble_from_gammas(table: IntegralTable, eta: int) -> np.ndarray:
@@ -232,7 +232,7 @@ def assemble_from_gammas(table: IntegralTable, eta: int) -> np.ndarray:
     """
     basis = enumerate_basis(table.n, eta)
     H = np.zeros((len(basis), len(basis)), dtype=complex)
-    for gamma, ia, ib, diff in labelled_edges(basis):
+    for gamma, ia, ib, diff in labelled_edges(table.n, eta):
         H[ia, ib] += term_value(gamma, basis[ia], basis[ib], diff, table)
     return H
 

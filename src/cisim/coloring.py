@@ -26,16 +26,18 @@ and N+1.  Whenever a shift leaves [1, N], collides with an occupied
 orbital, or fails a spacing or back-check, the color gives that node no
 partner (None): the matrix element is zero and the node is unchanged.
 
-The census tabulates the valid left moves of every node as integer
-columns ordered by node (node, move id, partner, x, y, undone).  It
-evaluates each (a, l, shift) from the left once for both b, through
-`_move_partners`, which `_apply_move` reads one b of, and undoes each
+`edge_table` builds every edge from the move rule alone.  It tabulates
+the valid left moves of every node as integer columns ordered by node,
+evaluating each (a, l, shift) from the left once for both b through
+`_move_partners`, which `_apply_move` reads one b of, and undoing each
 valid left move from the right once, when it is tabulated.  Each row is
 a single edge.  The double edges through a middle node are the pairs of
 its incoming and outgoing rows that `_alt1_ok` accepts, judged on that
-node's in x out block at once; a double edge is undone when both of its
-rows are.  Edges are tallied as integer codes, and the census never
-calls `apply_color`'s composition.
+node's in x out block at once.  The table never calls `apply_color`'s
+composition.  `coloring_census` is its tally; the family build reads its
+labelled edges off the same table once that tally is valid, so every run
+checks the coloring at its own size.  `color_of`, the inverse map from a
+pair to its color, is the reference the tests pin the coloring with.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .determinants import Determinant, basis_size, check_dense
+from .determinants import Determinant, basis_size, check_dense, sparsity_d
 from .errors import TooManyDifferences
 
 LEFT = "left"
@@ -269,21 +270,73 @@ class ColoringCensus:
                 and self.edges_found == self.edges_expected)
 
 
-def coloring_census(norb: int, eta: int) -> ColoringCensus:
-    """Exhaustively verify uniqueness, coverage, reversibility, injectivity.
+@dataclass(frozen=True)
+class EdgeTable:
+    """Every edge the coloring makes, one row each, as integer columns.
 
-    Tabulates once the valid moves from the LEFT of every node, one
-    `_move_partners` evaluation of each (a, l, shift) serving both b,
-    and undoes each from the RIGHT as it enters the table.  The table is
-    integer columns ordered by node: node, move id, partner, x, y and
-    undone.  Each row is a single edge node -> chi; the double edges
-    node -> chi -> beta are, one middle node chi at a time, the pairs of
-    chi's incoming and outgoing rows that `_alt1_ok` accepts on their
-    in x out block, and a double edge is undone when both rows are.  A
-    node has C(eta, k) C(N - eta, k) partners k orbitals away, so an
-    edge counts when its nodes share at least eta - 2 orbitals.  Bad
-    counts raise before any work.
+    Node k is ``dets[k]`` and move id m is ``moves[m]``.  Row r is the
+    edge ``left[r]`` -> ``right[r]`` with color ``(*move(m1[r]),
+    *move(m2[r]))``, where move id -1 is the zero move (0, 0, 1, 0): the
+    diagonal edges have m1 = m2 = -1, the single edges m1 = -1, and a
+    double edge's m1 and m2 are its first and second move.  ``undone[r]``
+    holds when the color's moves, applied from the right, lead back.
     """
+
+    norb: int
+    eta: int
+    dets: list
+    moves: list
+    left: np.ndarray
+    right: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    undone: np.ndarray
+
+    def edges(self):
+        """(color, left node, right node) of every row, in table order."""
+        moves = [*self.moves, (0, 0, 1, 0)]  # index -1 is the zero move
+        for m1, m2, ia, ib in zip(self.m1.tolist(), self.m2.tolist(),
+                                  self.left.tolist(), self.right.tolist()):
+            yield ColorTuple(*moves[m1], *moves[m2]), ia, ib
+
+    def census(self) -> ColoringCensus:
+        """Tally the rows against the edges a valid coloring makes: an
+        edge counts when its nodes share at least eta - 2 orbitals, and a
+        row whose nodes do not, or that repeats an edge, is a duplicate."""
+        xi, eta = len(self.dets), self.eta
+        # xi <= 2048, so an edge code left * xi + right fits int32
+        edges, counts = np.unique(self.left.astype(np.int32) * xi + self.right,
+                                  return_counts=True)
+        single = (self.m1 < 0) & (self.m2 >= 0)
+        # sorted rather than np.unique'd: a plain np.unique imports numpy.ma,
+        # 1.3 MB resident, into every run that builds a family
+        images = np.sort(self.m2[single].astype(np.int64) * xi
+                         + self.right[single])
+        orbs = np.array(self.dets, dtype=np.int16).reshape(xi, eta)
+        left, right = orbs[edges // xi], orbs[edges % xi]
+        # int16 counts (eta <= 2048) keep the census's peak memory down
+        shared = (left[:, :, None] == right[:, None, :]).sum(axis=(1, 2),
+                                                            dtype=np.int16)
+        near = shared >= eta - 2
+        found = int(np.count_nonzero(near))
+        expected = xi * sparsity_d(self.norb, eta)
+        return ColoringCensus(
+            norb=self.norb, eta=eta, n_nodes=xi,
+            n_single_colors=len(self.moves),
+            n_double_colors=len(self.moves) ** 2,
+            edges_expected=expected, edges_found=found,
+            duplicate_edges=int(np.count_nonzero((counts > 1) | ~near)),
+            uncovered_edges=expected - found,
+            inverse_failures=int(np.count_nonzero(~self.undone)),
+            injectivity_failures=int(np.count_nonzero(images[1:]
+                                                      == images[:-1])),
+        )
+
+
+def edge_table(norb: int, eta: int) -> EdgeTable:
+    """The coloring's edges, built from the move rule alone as the module
+    docstring describes; a double edge is undone when both of its single
+    rows are.  Bad counts raise before any work."""
     xi = basis_size(norb, eta)
     check_dense(xi)
     dets = list(itertools.combinations(range(1, norb + 1), eta))
@@ -301,22 +354,25 @@ def coloring_census(norb: int, eta: int) -> ColoringCensus:
                     back = _apply_move(*moves[m], res[0], RIGHT, norb)
                     undone = back is not None and back[0] == occ
                     rows.append((i, m, index[res[0]], *res[1:], undone))
+    # nodes fit int16 (xi <= 2048), and so do the 8 eta (N - 1) move ids
+    # unless eta is close to N
+    dtype = np.int16 if len(moves) <= 2**15 else np.int32
     node, move, partner, x, y, undone = (
         np.array(rows, dtype=np.int32).reshape(-1, 6).T)
+    node, move, partner = (col.astype(dtype) for col in (node, move, partner))
     x, y, undone = x.astype(np.int16), y.astype(np.int16), undone == 1
 
-    # xi <= 2048, so an edge code node * xi + partner fits int32
-    singles = node * xi + partner
-    injectivity_failures = len(rows) - len(np.unique(
-        move.astype(np.int64) * xi + partner))
-    inverse_failures = int(np.count_nonzero(~undone))
     by_partner = np.argsort(partner, kind="stable")
-    in_node, in_x, in_y, in_undone = (col[by_partner]
-                                      for col in (node, x, y, undone))
+    in_x, in_y = x[by_partner], y[by_partner]
     bounds = np.arange(xi + 1)
     in_at = np.searchsorted(partner[by_partner], bounds)
     out_at = np.searchsorted(node, bounds)
-    doubles = []
+    # diagonal rows, then single rows, then the double rows of each chi
+    diagonal = np.arange(xi, dtype=dtype)
+    left, right = [diagonal, node], [diagonal, partner]
+    m1 = [np.full(xi + len(node), -1, dtype)]
+    m2 = [np.full(xi, -1, dtype), move]
+    done = [np.ones(xi, dtype=bool), undone]
     for chi in range(xi):
         inc = slice(in_at[chi], in_at[chi + 1])  # rows node -> chi
         out = slice(out_at[chi], out_at[chi + 1])  # rows chi -> beta
@@ -324,26 +380,22 @@ def coloring_census(norb: int, eta: int) -> ColoringCensus:
             _alt1_ok(in_x[inc, None], in_y[inc, None], x[out], y[out]),
             (inc.stop - inc.start, out.stop - out.start))
         src, dst = np.nonzero(ok)
-        doubles.append(in_node[inc][src] * xi + partner[out][dst])
-        inverse_failures += int(np.count_nonzero(
-            ~(in_undone[inc][src] & undone[out][dst])))
+        first, second = by_partner[inc][src], out.start + dst
+        left.append(node[first])
+        right.append(partner[second])
+        m1.append(move[first])
+        m2.append(move[second])
+        done.append(undone[first] & undone[second])
+    return EdgeTable(norb, eta, dets, moves,
+                     *(np.concatenate(c) for c in (left, right, m1, m2)),
+                     undone=np.concatenate(done))
 
-    diagonal = np.arange(xi, dtype=np.int32) * (xi + 1)
-    edges, counts = np.unique(np.concatenate([diagonal, singles, *doubles]),
-                              return_counts=True)
-    orbs = np.array(dets, dtype=np.int16).reshape(xi, eta)
-    left, right = orbs[edges // xi], orbs[edges % xi]
-    shared = (left[:, :, None] == right[:, None, :]).sum(axis=(1, 2))
-    near = shared >= eta - 2
-    found = int(np.count_nonzero(near))
-    expected = xi * sum(comb(eta, k) * comb(norb - eta, k) for k in range(3))
-    return ColoringCensus(
-        norb=norb, eta=eta, n_nodes=xi,
-        n_single_colors=len(moves),
-        n_double_colors=len(moves) ** 2,
-        edges_expected=expected, edges_found=found,
-        duplicate_edges=int(np.count_nonzero((counts > 1) | ~near)),
-        uncovered_edges=expected - found,
-        inverse_failures=inverse_failures,
-        injectivity_failures=injectivity_failures,
-    )
+
+def coloring_census(norb: int, eta: int) -> ColoringCensus:
+    """Exhaustively verify uniqueness, coverage, reversibility, injectivity.
+
+    This is the tally of `edge_table`.  The family build reads its
+    labelled edges off the same table, and checks this tally first
+    (`cimatrix.labelled_edges`).  Bad counts raise before any work.
+    """
+    return edge_table(norb, eta).census()

@@ -84,6 +84,13 @@ def basis_size(norb: int, eta: int) -> int:
     return comb(norb, eta)
 
 
+def sparsity_d(norb: int, eta: int) -> int:
+    """Maximum nonzeros per CI row, the partners at most two orbitals
+    away: C(eta,2) C(N-eta,2) + eta (N-eta) + 1."""
+    basis_size(norb, eta)
+    return comb(eta, 2) * comb(norb - eta, 2) + eta * (norb - eta) + 1
+
+
 def _permutation_parity(perm) -> int:
     """Parity of a permutation given as a sequence of distinct ints."""
     perm = list(perm)

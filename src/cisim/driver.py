@@ -218,7 +218,7 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     # label -> (perm, Hermitized values), filled one edge at a time; the
     # label's kind (h1 or g) fixes the width, so its first edge sizes it
     live: dict = {}
-    for gamma, ia, ib, diff in labelled_edges(basis):
+    for gamma, ia, ib, diff in labelled_edges(table.n, eta):
         alpha, beta = basis[ia], basis[ib]
         x, y = ia, xi + ib
         fwd = np.atleast_1d(term_value(gamma, alpha, beta, diff, source))

@@ -63,7 +63,9 @@ class TooManyDifferences(CisimError):
 
 
 class PatternMismatch(CisimError):
-    """A matrix does not fit the sparsity pattern of its parent."""
+    """The coloring does not give the pattern the labelled edges need: its
+    edge table fails its own census, or a color does not map a node to
+    the partner the table lists."""
 
 
 class BudgetInfeasible(CisimError):

@@ -14,6 +14,10 @@ The coloring census tallied by Counters over tuple-keyed edges: each
 single move applied from the left one b at a time, the walk the census
 replaced with integer columns and per-middle-node blocks.
 
+The labelled edges found by walking every ordered pair of determinants
+and asking `color_of` for its color, the walk the family build replaced
+with the rows of the coloring's edge table.
+
 The dense Taylor entry: the amplified segment as a matrix against
 exp(-i H~ t / r) by eigendecomposition, measured in the 2-norm.
 
@@ -29,8 +33,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from cisim import coloring
-from cisim.coloring import LEFT, RIGHT, apply_color
-from cisim.determinants import Determinant
+from cisim.cimatrix import GammaIndex, label_selectors
+from cisim.coloring import LEFT, RIGHT, apply_color, color_of
+from cisim.determinants import Determinant, align_and_diff
+from cisim.errors import PatternMismatch
 from cisim.lcu import (TermFamily, hermitian_norm, oaa_block, plan_segments,
                        taylor_block)
 from cisim.orbitals import _axis_parts, d2_terms, eval_gradient, eval_value
@@ -156,6 +162,28 @@ def census_by_counters(norb: int, eta: int) -> dict:
                             for pair, c in edges.items()),
         inverse_failures=inverse_failures,
         injectivity_failures=sum(c - 1 for c in images.values()))
+
+
+def pair_walk_edges(basis: list[Determinant], rows=None):
+    """(gamma, ia, ib, diff) for every ordered pair of basis indices whose
+    determinants differ in at most two orbitals, once per term selector;
+    only the rows ia in ``rows`` when it is given.
+
+    Each partner is confirmed with the select oracle's map apply_color;
+    a disagreement with color_of raises PatternMismatch.
+    """
+    for ia in range(len(basis)) if rows is None else rows:
+        alpha = basis[ia]
+        for ib, beta in enumerate(basis):
+            diff = align_and_diff(alpha, beta)
+            if diff.count > 2:
+                continue
+            color = color_of(alpha, beta)
+            if apply_color(color, alpha, LEFT) != beta:
+                raise PatternMismatch(
+                    f"color {color} does not map {alpha.occ} to {beta.occ}")
+            for i, j in label_selectors(color, alpha.eta):
+                yield GammaIndex(color, i, j), ia, ib, diff
 
 
 def dense_taylor_entry(family: TermFamily, t: float, eps: float) -> float:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from cisim.errors import InvalidCounts, MalformedGamma, PatternMismatch
 from cisim.integrals import IntegralTable
 
 from conftest import brute_ci_entry, random_spinless_basis
+from oracles import pair_walk_edges
+from test_coloring import _redirect_one_left_move
 
 
 def test_single_electron_diagonal(mixed_table):
@@ -85,21 +89,50 @@ def test_partition_identity(h2_table, mixed_table):
 
 def test_labelled_edges_reject_a_color_the_oracle_disagrees_with(monkeypatch):
     import cisim.cimatrix as cimatrix
-    basis = enumerate_basis(4, 2)
     # per row: 3 diagonal selectors, 4 single partners x 2, 1 double partner
-    assert len(list(cimatrix.labelled_edges(basis))) == 6 * (3 + 4 * 2 + 1)
-    # every pair labelled diagonal: apply_color keeps alpha, not beta
-    monkeypatch.setattr(cimatrix, "color_of", lambda a, b: DIAGONAL_COLOR)
-    with pytest.raises(PatternMismatch):
-        list(cimatrix.labelled_edges(basis))
+    assert len(list(labelled_edges(4, 2))) == 6 * (3 + 4 * 2 + 1)
+    # every color keeps alpha: the first off-diagonal edge disagrees
+    monkeypatch.setattr(cimatrix, "apply_color", lambda c, alpha, side: alpha)
+    with pytest.raises(PatternMismatch, match="does not map"):
+        list(labelled_edges(4, 2))
+
+
+def test_labelled_edges_reject_a_coloring_that_fails_its_census(monkeypatch):
+    import cisim.coloring as coloring
+    # one left move redirected: the table's own census is not valid, so no
+    # edge is read off it
+    monkeypatch.setattr(coloring, "_move_partners", _redirect_one_left_move)
+    edges = labelled_edges(6, 3)
+    with pytest.raises(PatternMismatch, match="census"):
+        next(edges)
+
+
+def _keys(edges):
+    """(gamma, ia, ib) counted: the keys are the set, the total the count."""
+    return Counter((gamma, ia, ib) for gamma, ia, ib, _ in edges)
+
+
+@pytest.mark.parametrize("norb,eta", [(n, e) for n in range(1, 9)
+                                      for e in range(1, n + 1)])
+def test_labelled_edges_match_the_pair_walk(norb, eta):
+    table = labelled_edges(norb, eta)
+    walk = pair_walk_edges(enumerate_basis(norb, eta))
+    assert _keys(table) == _keys(walk)
+
+
+def test_labelled_edges_match_the_pair_walk_on_sampled_rows():
+    basis = enumerate_basis(12, 4)
+    rows = sorted(np.random.default_rng(16).choice(len(basis), 20,
+                                                   replace=False).tolist())
+    table = [e for e in labelled_edges(12, 4) if e[1] in rows]
+    assert _keys(table) == _keys(pair_walk_edges(basis, rows))
 
 
 def test_each_term_is_one_sparse(mixed_table):
     # every label of the edge table the family is built from holds at most
     # one entry per row and per column
-    basis = enumerate_basis(mixed_table.n, 2)
     rows, cols = set(), set()
-    for gamma, ia, ib, _ in labelled_edges(basis):
+    for gamma, ia, ib, _ in labelled_edges(mixed_table.n, 2):
         assert (gamma, ia) not in rows and (gamma, ib) not in cols
         rows.add((gamma, ia))
         cols.add((gamma, ib))

@@ -54,6 +54,8 @@ REFERENCES = {
         "per-label entry via apply_color; tests rebuild the family from it",
     "cimatrix.assemble_from_gammas":
         "label-sum side of the partition identity (criterion 2)",
+    "coloring.color_of":
+        "the inverse map from a pair to its color, pinned by COLORING_DIGESTS",
     "cimatrix.enumerate_gammas":
         "every admissible label, listed; criterion 9 checks count_gamma on it",
     "integrals.kinetic_gradient_form":

@@ -18,7 +18,8 @@ from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
                           load_config, run_budget, run_pipeline,
                           validate_config)
 from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
-                          InvalidCounts, NonOrthonormalBasisWarning)
+                          InvalidCounts, NonOrthonormalBasisWarning,
+                          PatternMismatch)
 from cisim.integrals import IntegralTable
 from cisim.lcu import TermFamily, segment_count
 from cisim.quadrature import delta_for_grid, plan_quadrature, riemann_S0
@@ -26,6 +27,7 @@ from cisim.orbitals import derive_bounds
 
 from conftest import primitive_norm, so
 from oracles import dense_taylor_entry, flat_ell
+from test_coloring import _redirect_one_left_move
 
 H2_PATH = "configs/h2.json"
 
@@ -179,6 +181,15 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
                          for m in range(1, slices[g] + 1) for s in (1, 2)]
     assert all(fam.term(flat_ell(fam, s, m, g), 0).gamma == g
                for s, m, g in addressed)
+
+
+def test_a_broken_coloring_fails_the_family_build(mixed_table, monkeypatch):
+    # the family reads its edges off the census table, so a move rule the
+    # census rejects stops the build
+    import cisim.coloring as coloring
+    monkeypatch.setattr(coloring, "_move_partners", _redirect_one_left_move)
+    with pytest.raises(PatternMismatch):
+        build_term_family(mixed_table, 3, zeta=0.25)
 
 
 @pytest.fixture(scope="module")
@@ -559,6 +570,19 @@ def test_riemann_pipeline_does_not_load_scipy(tmp_path):
     assert _scipy_modules_after_run(path, "riemann") == "[]\n"
 
 
+def test_exact_pipeline_does_not_load_numpy_ma():
+    # the coloring's census runs in every family build; numpy.ma, which a
+    # plain np.unique imports, would add 1.3 MB to each run's resident set
+    code = ("import sys, warnings; warnings.simplefilter('ignore'); "
+            "from cisim.driver import load_config, run_pipeline; "
+            f"run_pipeline(load_config({H2_PATH!r})); "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_no_source_file_names_scipy():
     sources = Path(__file__).resolve().parents[1] / "src" / "cisim"
     assert [p.name for p in sorted(sources.glob("*.py"))
@@ -646,6 +670,22 @@ def test_cli_out_is_untouched_when_the_run_fails(tmp_path):
         assert cli_main(["coloring-check", "--norb", "4", "--eta", "-1",
                          "--out", str(path)]) == 2
     assert kept.read_text() == "before" and not new.exists()
+
+
+def test_cli_report_fails_on_a_broken_coloring(tmp_path, monkeypatch,
+                                              capsys):
+    import cisim.coloring as coloring
+    monkeypatch.setattr(coloring, "_move_partners", _redirect_one_left_move)
+    path, out = tmp_path / "h3.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_h_chain(3, 3)))  # N = 6, eta = 3
+    out.write_text("before")
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rc = cli_main(["report", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: PatternMismatch: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out.read_text() == "before"
 
 
 def test_epsilon_below_the_evolve_floor_fails_before_any_integral(
