@@ -11,13 +11,11 @@ of the sorting permutation, using the integral conventions of
     more than two:      0
 
 Every color of :mod:`cisim.coloring` carries at most one matrix element
-per row.  The labelled edges are the rows of the coloring's edge table,
-read only once that table's census is valid, so every run checks its
-coloring at its own size.  The diagonal and single-difference families
-are further indexed by term selectors (i, j) so that each labelled term
-holds a bounded number of integrals and the labelled terms sum back to
-the full matrix entry.  A label is the pair (color, selectors); the
-admissible label set is:
+per row.  The diagonal and single-difference families are further
+indexed by term selectors (i, j) so that each labelled term holds a
+bounded number of integrals and the labelled terms sum back to the full
+matrix entry.  A label is the pair (color, selectors); the admissible
+label set is:
 
     diagonal family   one canonical color, selectors 1 <= i <= j <= eta
     single family     every nonzero move in the second 4-tuple,
@@ -25,6 +23,18 @@ admissible label set is:
                       one-electron part, smaller i the chi_i exchange
                       pair), j unused (0)
     double family     every pair of nonzero moves, selectors unused
+
+The labelled terms are the rows of the coloring's edge table, each
+expanded by its term selectors, read only once that table's census is
+valid, so every run checks its coloring at its own size.
+`labelled_terms` holds them as integer columns and applies the
+Slater-Condon rules on bitstrings (Scemama & Giner, arXiv:1311.6244) to
+all of them at once: each edge's left list, with its differing orbitals
+replaced in ascending order by the right list's, gives the alignment
+sign as the parity of its inversions and, read differing orbitals
+first, the integral indices of every selector.  `term_value`,
+`gamma_entry` and `align_and_diff` are the per-edge reference the
+tests hold those columns to.
 """
 
 from __future__ import annotations
@@ -34,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import (DIAGONAL_COLOR, LEFT, ColorTuple, apply_color,
-                       double_colors, edge_table, movement_tuples,
-                       single_colors)
+from .coloring import (DIAGONAL_COLOR, LEFT, ColorTuple, EdgeTable,
+                       apply_color, double_colors, edge_table,
+                       movement_tuples, single_colors)
 from .determinants import (Determinant, align_and_diff, check_dense,
                            enumerate_basis, sparsity_d)
 from .errors import MalformedGamma, PatternMismatch
@@ -198,15 +208,64 @@ def gamma_entry(gamma: GammaIndex, alpha: Determinant,
         alpha, beta, term_value(gamma, alpha, beta, diff, table))
 
 
-def labelled_edges(norb: int, eta: int):
-    """(gamma, ia, ib, diff) for every ordered pair of basis indices whose
-    determinants differ in at most two orbitals, once per term selector.
+@dataclass(frozen=True)
+class LabelledTerms:
+    """Every labelled term of the coloring's edge table, one row each, as
+    integer columns.
 
-    The edges and their colors are the rows of the coloring's
-    `edge_table`, read only once the table's own census is valid.  Each
-    partner is confirmed with the select oracle's map apply_color.  An
-    invalid census or a partner apply_color does not reach raises
-    PatternMismatch.
+    Term t is label ``key[t]`` = (m1 + 1, m2 + 1, i, j) on the edge
+    ``left[t]`` -> ``right[t]`` of ``table``: the row's move ids, shifted
+    so that 0 is the zero move, then the term selectors.  Sorting the keys
+    as integers puts the labels in `label_key` order.  ``sign[t]`` and
+    ``rev_sign[t]`` are the edge's alignment signs read left to right and
+    right to left.  Read left to right, the term is h1(a, c) when
+    ``one_body[t]``, else g(a, b, c, d) - g(a, b, d, c), with (a, b, c, d)
+    = ``orbs[t]``; read right to left it is the same with (c, d, a, b).
+    """
+
+    table: EdgeTable
+    left: np.ndarray
+    right: np.ndarray
+    key: np.ndarray
+    sign: np.ndarray
+    rev_sign: np.ndarray
+    orbs: np.ndarray
+    one_body: np.ndarray
+
+    def values(self, source):
+        """(terms, forward, reverse) for the one-body terms, then for the
+        two-body ones: `term_value` of each term, both ways, one row per
+        term.  ``source.h1`` and ``source.g`` take index arrays and give
+        one value, or one row of grid-point values, per index."""
+        for one_body in (True, False):
+            at = np.flatnonzero(self.one_body == one_body)
+            if len(at) == 0:
+                continue
+            a, b, c, d = self.orbs[at].T
+            if one_body:
+                fwd, rev = source.h1(a, c), source.h1(c, a)
+            else:
+                fwd = source.g(a, b, c, d) - source.g(a, b, d, c)
+                rev = source.g(c, d, a, b) - source.g(c, d, b, a)
+            yield (at, self.sign[at, None] * fwd.reshape(len(at), -1),
+                   self.rev_sign[at, None] * rev.reshape(len(at), -1))
+
+
+def _inversion_sign(lists: np.ndarray) -> np.ndarray:
+    """(-1)^(number of inversions) of each row."""
+    first, second = np.triu_indices(lists.shape[1], 1)
+    inversions = np.count_nonzero(lists[:, first] > lists[:, second], axis=1)
+    return 1 - 2 * (inversions % 2)
+
+
+def labelled_terms(norb: int, eta: int) -> LabelledTerms:
+    """Every labelled term of the coloring's edge table, as the module
+    docstring describes: the diagonal, single and double rows, each once
+    per term selector.
+
+    The table is read only once its own census is valid, and each partner
+    is confirmed with the select oracle's map apply_color.  An invalid
+    census or a partner apply_color does not reach raises PatternMismatch.
     """
     table = edge_table(norb, eta)
     census = table.census()
@@ -214,13 +273,60 @@ def labelled_edges(norb: int, eta: int):
         raise PatternMismatch(f"the coloring fails its census: {census}")
     basis = [Determinant(occ, norb) for occ in table.dets]
     for color, ia, ib in table.edges():
-        alpha, beta = basis[ia], basis[ib]
-        if apply_color(color, alpha, LEFT) != beta:
-            raise PatternMismatch(
-                f"color {color} does not map {alpha.occ} to {beta.occ}")
-        diff = align_and_diff(alpha, beta)
-        for i, j in label_selectors(color, eta):
-            yield GammaIndex(color, i, j), ia, ib, diff
+        if apply_color(color, basis[ia], LEFT) != basis[ib]:
+            raise PatternMismatch(f"color {color} does not map "
+                                  f"{basis[ia].occ} to {basis[ib].occ}")
+
+    orbs = np.array(table.dets).reshape(-1, eta)
+    left, right = orbs[table.left], orbs[table.right]
+    only_left = (left[:, :, None] != right[:, None, :]).all(axis=2)
+    only_right = (right[:, :, None] != left[:, None, :]).all(axis=2)
+    # each list with its differing orbitals replaced, in ascending order,
+    # by the other list's: a permutation of the other list
+    aligned, rev_aligned = left.copy(), right.copy()
+    aligned[only_left] = right[only_right]
+    rev_aligned[only_right] = left[only_left]
+    # the differing positions first, then the shared ones, each ascending:
+    # src is (k, chi...) on a single edge and (x1, x2, ...) on a double
+    # one, and dst, read off aligned, is (l, chi...) and (y1, y2, ...)
+    first = np.argsort(~only_left, axis=1, kind="stable")
+    src = np.take_along_axis(left, first, axis=1)
+    dst = np.take_along_axis(aligned, first, axis=1)
+
+    # per family (diagonal, single, double): each selector (i, j), and the
+    # positions (p, q) in src and dst of the orbitals its term reads; a
+    # single's i = eta reads h1, at p = q = 0
+    selectors = [[(i, j, i - 1, j - 1)
+                  for i, j in label_selectors(DIAGONAL_COLOR, eta)],
+                 [(i, 0, 0, i % eta) for i in range(1, eta + 1)],
+                 [(0, 0, 0, 1)]]
+    family = (table.m1 >= 0).astype(np.intp) + (table.m2 >= 0)
+    rows = [np.flatnonzero(family == f) for f in range(3)]
+    row = np.concatenate([np.repeat(r, len(sel))
+                          for r, sel in zip(rows, selectors)])
+    i, j, p, q = np.concatenate([np.tile(sel, (len(r), 1)) for r, sel
+                                 in zip(rows, selectors)]).T
+    return LabelledTerms(
+        table=table, left=table.left[row].astype(np.intp),
+        right=table.right[row].astype(np.intp),
+        key=np.stack([table.m1[row] + 1, table.m2[row] + 1, i, j], axis=1),
+        sign=_inversion_sign(aligned)[row],
+        rev_sign=_inversion_sign(rev_aligned)[row],
+        orbs=np.stack([src[row, p], src[row, q], dst[row, p], dst[row, q]],
+                      axis=1),
+        one_body=p == q)
+
+
+def labelled_edges(norb: int, eta: int):
+    """(gamma, ia, ib) for every ordered pair of basis indices whose
+    determinants differ in at most two orbitals, once per term selector:
+    the rows of `labelled_terms`, with their labels as GammaIndex values.
+    """
+    terms = labelled_terms(norb, eta)
+    moves = [(0, 0, 1, 0), *terms.table.moves]  # key 0 is the zero move
+    for (k1, k2, i, j), ia, ib in zip(terms.key.tolist(), terms.left.tolist(),
+                                      terms.right.tolist()):
+        yield GammaIndex(ColorTuple(*moves[k1], *moves[k2]), i, j), ia, ib
 
 
 def assemble_from_gammas(table: IntegralTable, eta: int) -> np.ndarray:
@@ -232,8 +338,10 @@ def assemble_from_gammas(table: IntegralTable, eta: int) -> np.ndarray:
     """
     basis = enumerate_basis(table.n, eta)
     H = np.zeros((len(basis), len(basis)), dtype=complex)
-    for gamma, ia, ib, diff in labelled_edges(table.n, eta):
-        H[ia, ib] += term_value(gamma, basis[ia], basis[ib], diff, table)
+    for gamma, ia, ib in labelled_edges(table.n, eta):
+        alpha, beta = basis[ia], basis[ib]
+        H[ia, ib] += term_value(gamma, alpha, beta,
+                                align_and_diff(alpha, beta), table)
     return H
 
 

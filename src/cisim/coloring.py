@@ -35,8 +35,8 @@ a single edge.  The double edges through a middle node are the pairs of
 its incoming and outgoing rows that `_alt1_ok` accepts, judged on that
 node's in x out block at once.  The table never calls `apply_color`'s
 composition.  `coloring_census` is its tally; the family build reads its
-labelled edges off the same table once that tally is valid, so every run
-checks the coloring at its own size.  `color_of`, the inverse map from a
+labelled terms off the same table's integer columns once that tally is
+valid, so every run checks the coloring at its own size.  `color_of`, the inverse map from a
 pair to its color, is the reference the tests pin the coloring with.
 """
 
@@ -395,7 +395,7 @@ def coloring_census(norb: int, eta: int) -> ColoringCensus:
     """Exhaustively verify uniqueness, coverage, reversibility, injectivity.
 
     This is the tally of `edge_table`.  The family build reads its
-    labelled edges off the same table, and checks this tally first
-    (`cimatrix.labelled_edges`).  Bad counts raise before any work.
+    labelled terms off the same table's columns, and checks this tally
+    first (`cimatrix.labelled_terms`).  Bad counts raise before any work.
     """
     return edge_table(norb, eta).census()

@@ -24,10 +24,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cimatrix import (build_ci_matrix, count_gamma, label_key,
-                       labelled_edges, sparsity_d, term_value)
-from .determinants import (align_and_diff, basis_size, check_dense,
-                           enumerate_basis)
+from .cimatrix import (build_ci_matrix, count_gamma, labelled_terms,
+                       sparsity_d)
+from .determinants import basis_size, check_dense
 from .errors import BudgetInfeasible, InvalidConfig, NonOrthonormalBasisWarning
 from .integrals import IntegralTable
 from .lcu import (EPS_FLOOR, TermFamily, evolve, hermitian_norm,
@@ -165,7 +164,9 @@ def extract_plus(state: np.ndarray) -> tuple[np.ndarray, float]:
 class _QuadratureEngine:
     """Cached Riemann-sum evaluation of h1 and g entries for the assembly;
     ``delta`` maps each integral kind to its accuracy, as ``run_budget``
-    returns it."""
+    returns it.  ``h1`` and ``g`` take orbital index arrays and give one
+    row of grid-point terms per index, each distinct index evaluated
+    once."""
 
     def __init__(self, basis, nuclei, bounds, delta):
         self.basis = basis
@@ -182,14 +183,25 @@ class _QuadratureEngine:
                 self.nuclei, q).values
         return self._cache[key]
 
-    def h1(self, i: int, j: int) -> np.ndarray:
+    @staticmethod
+    def _rows(terms, *index) -> np.ndarray:
+        """terms(*ix) for each index tuple ix, called once per distinct one."""
+        distinct: dict = {}
+        at = [distinct.setdefault(ix, len(distinct))
+              for ix in zip(*(np.asarray(x).tolist() for x in index))]
+        return np.array([terms(*ix) for ix in distinct])[at]
+
+    def _h1(self, i: int, j: int) -> np.ndarray:
         """Kinetic terms followed by one block per nucleus."""
         return np.concatenate([self._terms("s0", (i, j))]
                               + [self._terms("s1", (i, j), q)
                                  for q in range(len(self.nuclei))])
 
-    def g(self, i: int, j: int, k: int, l: int) -> np.ndarray:
-        return self._terms("s2", (i, j, k, l))
+    def h1(self, i, j) -> np.ndarray:
+        return self._rows(self._h1, i, j)
+
+    def g(self, i, j, k, l) -> np.ndarray:
+        return self._rows(lambda *ijkl: self._terms("s2", ijkl), i, j, k, l)
 
 
 def build_term_family(table: IntegralTable, eta: int, zeta: float,
@@ -204,9 +216,9 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     Entry values are Hermitized term by term: the (alpha -> beta) and
     (beta -> alpha) expansions are averaged as (a + conj(b)) / 2.
     """
-    basis = enumerate_basis(table.n, eta)
-    xi = len(basis)
-    # term_value reads h1/g from the exact table or, per grid point, the engine
+    xi = basis_size(table.n, eta)
+    # h1/g come from the exact tables, fancy-indexed, or the engine, per
+    # grid point
     source = table
     if mode == "riemann":
         if bounds is None or delta is None:
@@ -215,29 +227,30 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
-    # label -> (perm, Hermitized values), filled one edge at a time; the
-    # label's kind (h1 or g) fixes the width, so its first edge sizes it
-    live: dict = {}
-    for gamma, ia, ib, diff in labelled_edges(table.n, eta):
-        alpha, beta = basis[ia], basis[ib]
-        x, y = ia, xi + ib
-        fwd = np.atleast_1d(term_value(gamma, alpha, beta, diff, source))
-        rev = np.atleast_1d(term_value(gamma, beta, alpha,
-                                       align_and_diff(beta, alpha), source))
-        herm = 0.5 * (fwd + np.conj(rev))
-        if gamma not in live:
-            width = len(herm)
-            live[gamma] = np.arange(2 * xi), np.zeros((2 * xi, width), complex)
-        perm, value = live[gamma]
-        perm[x], perm[y] = y, x
-        value[x] = herm
-        value[y] = np.conj(herm)
-
-    # stored labels in enumeration order; n_gamma counts every label for
-    # the paper's weight, L only the terms of the stored ones
-    order = sorted(live, key=label_key(table.n, eta))
-    return TermFamily([live[g][0] for g in order], [live[g][1] for g in order],
-                      zeta, n_gamma=count_gamma(table.n, eta))
+    # every labelled term at once; its label's id counts the distinct keys
+    # before it, so the stored labels keep enumeration order
+    terms = labelled_terms(table.n, eta)
+    order = np.lexsort(terms.key.T[::-1])
+    key = terms.key[order]
+    label = np.empty(len(order), dtype=np.intp)
+    label[order] = np.concatenate(
+        [[0], np.cumsum(np.any(key[1:] != key[:-1], axis=1))])
+    n_live = int(label[order[-1]]) + 1
+    x, y = terms.left, xi + terms.right
+    perms = np.tile(np.arange(2 * xi), (n_live, 1))
+    perms[label, x], perms[label, y] = y, x
+    # the label's kind (h1 or g) fixes its width; narrower labels are
+    # zero-padded to the widest, mu
+    herm = [(at, 0.5 * (fwd + np.conj(rev)))
+            for at, fwd, rev in terms.values(source)]
+    mu = max(h.shape[1] for _, h in herm)
+    values = np.zeros((n_live, 2 * xi, mu), dtype=complex)
+    for at, h in herm:
+        values[label[at], x[at], :h.shape[1]] = h
+        values[label[at], y[at], :h.shape[1]] = np.conj(h)
+    # n_gamma counts every label for the paper's weight, L only the terms
+    # of the stored ones
+    return TermFamily(perms, values, zeta, n_gamma=count_gamma(table.n, eta))
 
 
 @dataclass

@@ -69,9 +69,11 @@ class TermFamily:
             raise ValueError("empty term family")
         self.dim = len(self.perms[0])
         self.mu = max(v.shape[1] for v in self.values)
-        # pad every label to the global grid size
+        # pad the labels narrower than the global grid size
         self.values = [
-            np.pad(v, ((0, 0), (0, self.mu - v.shape[1]))) for v in self.values
+            v if v.shape[1] == self.mu
+            else np.pad(v, ((0, 0), (0, self.mu - v.shape[1])))
+            for v in self.values
         ]
         split = [split_arrays(v, self.zeta) for v in self.values]
         self._C = [C for C, _ in split]

@@ -165,7 +165,7 @@ def census_by_counters(norb: int, eta: int) -> dict:
 
 
 def pair_walk_edges(basis: list[Determinant], rows=None):
-    """(gamma, ia, ib, diff) for every ordered pair of basis indices whose
+    """(gamma, ia, ib) for every ordered pair of basis indices whose
     determinants differ in at most two orbitals, once per term selector;
     only the rows ia in ``rows`` when it is given.
 
@@ -175,15 +175,14 @@ def pair_walk_edges(basis: list[Determinant], rows=None):
     for ia in range(len(basis)) if rows is None else rows:
         alpha = basis[ia]
         for ib, beta in enumerate(basis):
-            diff = align_and_diff(alpha, beta)
-            if diff.count > 2:
+            if align_and_diff(alpha, beta).count > 2:
                 continue
             color = color_of(alpha, beta)
             if apply_color(color, alpha, LEFT) != beta:
                 raise PatternMismatch(
                     f"color {color} does not map {alpha.occ} to {beta.occ}")
             for i, j in label_selectors(color, alpha.eta):
-                yield GammaIndex(color, i, j), ia, ib, diff
+                yield GammaIndex(color, i, j), ia, ib
 
 
 def dense_taylor_entry(family: TermFamily, t: float, eps: float) -> float:

@@ -6,9 +6,10 @@ import pytest
 from cisim.cimatrix import (GammaIndex, assemble_from_gammas, build_ci_matrix,
                             ci_entry, count_gamma, enumerate_gammas,
                             gamma_census, gamma_entry, label_key,
-                            labelled_edges, sparsity_d)
+                            labelled_edges, labelled_terms, sparsity_d,
+                            term_value)
 from cisim.coloring import DIAGONAL_COLOR, ColorTuple, color_of
-from cisim.determinants import Determinant, enumerate_basis
+from cisim.determinants import Determinant, align_and_diff, enumerate_basis
 from cisim.errors import InvalidCounts, MalformedGamma, PatternMismatch
 from cisim.integrals import IntegralTable
 
@@ -109,7 +110,7 @@ def test_labelled_edges_reject_a_coloring_that_fails_its_census(monkeypatch):
 
 def _keys(edges):
     """(gamma, ia, ib) counted: the keys are the set, the total the count."""
-    return Counter((gamma, ia, ib) for gamma, ia, ib, _ in edges)
+    return Counter(edges)
 
 
 @pytest.mark.parametrize("norb,eta", [(n, e) for n in range(1, 9)
@@ -120,19 +121,80 @@ def test_labelled_edges_match_the_pair_walk(norb, eta):
     assert _keys(table) == _keys(walk)
 
 
+def _sampled_rows(basis):
+    """The 20 basis rows the (12, 4) checks sample."""
+    return sorted(np.random.default_rng(16).choice(len(basis), 20,
+                                                   replace=False).tolist())
+
+
 def test_labelled_edges_match_the_pair_walk_on_sampled_rows():
     basis = enumerate_basis(12, 4)
-    rows = sorted(np.random.default_rng(16).choice(len(basis), 20,
-                                                   replace=False).tolist())
+    rows = _sampled_rows(basis)
     table = [e for e in labelled_edges(12, 4) if e[1] in rows]
     assert _keys(table) == _keys(pair_walk_edges(basis, rows))
+
+
+def _check_signs(terms, basis, rows=None):
+    """Each term's column-wise signs are align_and_diff's, both ways, and
+    the terms cover every edge-table row (of ``rows`` when given)."""
+    left, right = terms.left.tolist(), terms.right.tolist()
+    keep = [t for t, ia in enumerate(left) if rows is None or ia in rows]
+    got = [(terms.sign[t], terms.rev_sign[t]) for t in keep]
+    want = [(align_and_diff(basis[left[t]], basis[right[t]]).sign,
+             align_and_diff(basis[right[t]], basis[left[t]]).sign)
+            for t in keep]
+    assert got == want
+    table = terms.table
+    edges = {(a, b) for a, b in zip(table.left.tolist(), table.right.tolist())
+             if rows is None or a in rows}
+    assert {(left[t], right[t]) for t in keep} == edges
+
+
+@pytest.mark.parametrize("norb,eta", [(n, e) for n in range(1, 9)
+                                      for e in range(1, n + 1)])
+def test_labelled_term_signs_match_align_and_diff(norb, eta):
+    _check_signs(labelled_terms(norb, eta), enumerate_basis(norb, eta))
+
+
+def test_labelled_term_signs_match_align_and_diff_on_sampled_rows():
+    basis = enumerate_basis(12, 4)
+    _check_signs(labelled_terms(12, 4), basis, set(_sampled_rows(basis)))
+
+
+@pytest.mark.parametrize("table_name,eta", [("h2_table", 2), ("mixed_table", 1),
+                                            ("mixed_table", 2),
+                                            ("mixed_table", 3)])
+def test_labelled_term_values_match_term_value(table_name, eta, request):
+    # every term's values, both ways, equal the per-edge reference's bits
+    table = request.getfixturevalue(table_name)
+    basis = enumerate_basis(table.n, eta)
+    terms = labelled_terms(table.n, eta)
+    fwd = np.full(len(terms.left), np.nan, dtype=complex)
+    rev = fwd.copy()
+    for at, f, r in terms.values(table):
+        assert f.shape == r.shape == (len(at), 1)
+        fwd[at], rev[at] = f[:, 0], r[:, 0]
+    for t, (gamma, ia, ib) in enumerate(labelled_edges(table.n, eta)):
+        alpha, beta = basis[ia], basis[ib]
+        assert fwd[t] == term_value(gamma, alpha, beta,
+                                    align_and_diff(alpha, beta), table)
+        assert rev[t] == term_value(gamma, beta, alpha,
+                                    align_and_diff(beta, alpha), table)
+
+
+@pytest.mark.parametrize("norb,eta", [(5, 1), (5, 2), (6, 3)])
+def test_integer_label_keys_sort_as_label_key(norb, eta):
+    terms = labelled_terms(norb, eta)
+    gammas = [gamma for gamma, _, _ in labelled_edges(norb, eta)]
+    by_key = [gammas[t] for t in np.lexsort(terms.key.T[::-1])]
+    assert by_key == sorted(gammas, key=label_key(norb, eta))
 
 
 def test_each_term_is_one_sparse(mixed_table):
     # every label of the edge table the family is built from holds at most
     # one entry per row and per column
     rows, cols = set(), set()
-    for gamma, ia, ib, _ in labelled_edges(mixed_table.n, 2):
+    for gamma, ia, ib in labelled_edges(mixed_table.n, 2):
         assert (gamma, ia) not in rows and (gamma, ib) not in cols
         rows.add((gamma, ia))
         cols.add((gamma, ib))

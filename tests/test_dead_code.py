@@ -58,6 +58,8 @@ REFERENCES = {
         "the inverse map from a pair to its color, pinned by COLORING_DIGESTS",
     "cimatrix.enumerate_gammas":
         "every admissible label, listed; criterion 9 checks count_gamma on it",
+    "cimatrix.label_key":
+        "label order, which the family's integer sort of label keys must give",
     "integrals.kinetic_gradient_form":
         "closed-form kinetic integral the S0 Riemann sums are judged against",
     "lcu.SegmentPlan.taylor_tail":

@@ -4,13 +4,16 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cisim import cimatrix, determinants, driver
 from cisim.cimatrix import (assemble_from_gammas, build_ci_matrix,
-                            enumerate_gammas, gamma_entry, term_value)
+                            enumerate_gammas, gamma_entry, sparsity_d,
+                            term_value)
 from cisim.cli import main as cli_main
 from cisim.determinants import align_and_diff, enumerate_basis
 from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
@@ -121,47 +124,85 @@ def test_partition_verifier(h2_table):
     assert np.max(np.abs(H - assemble_from_gammas(h2_table, 2))) < 1e-12
 
 
-def _per_label_family(table, eta):
+def _per_label_family(table, eta, source=None):
     """{label: (perm, values)} on the double cover, one label at a time.
 
     Each label's rows come from gamma_entry, the per-label apply_color
-    path, and are Hermitized as (fwd + conj(rev)) / 2; labels whose
-    pattern stays the identity are left out.
+    path, with h1/g read from ``source`` (default: ``table``), and are
+    Hermitized as (fwd + conj(rev)) / 2 with the per-edge term_value;
+    labels whose pattern stays the identity are left out.
     """
+    source = table if source is None else source
     basis = enumerate_basis(table.n, eta)
     xi = len(basis)
     index = {d.occ: k for k, d in enumerate(basis)}
     out = {}
     for gamma in enumerate_gammas(table.n, eta):
         perm = np.arange(2 * xi)
-        vals = np.zeros((2 * xi, 1), dtype=complex)
+        rows = {}
         for ia, alpha in enumerate(basis):
-            entry = gamma_entry(gamma, alpha, table)
+            entry = gamma_entry(gamma, alpha, source)
             if entry is None:
                 continue
             beta = entry.beta
             rev = term_value(gamma, beta, alpha, align_and_diff(beta, alpha),
-                             table)
+                             source)
             x, y = ia, xi + index[beta.occ]
             perm[x], perm[y] = y, x
-            vals[x] = 0.5 * (entry.value + np.conj(rev))
-            vals[y] = np.conj(vals[x])
-        if not np.array_equal(perm, np.arange(2 * xi)):
+            rows[x] = 0.5 * (np.atleast_1d(entry.value)
+                             + np.conj(np.atleast_1d(rev)))
+            rows[y] = np.conj(rows[x])
+        if rows:
+            vals = np.zeros((2 * xi, len(rows[x])), dtype=complex)
+            for row, v in rows.items():
+                vals[row] = v
             out[gamma] = perm, vals
     return out
 
 
+class _OneIndexAtATime:
+    """A source of h1/g values that asks the quadrature engine for one
+    index tuple per call, as the per-edge term_value reads them."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def h1(self, *ij):
+        return self.engine.h1(*([x] for x in ij))[0]
+
+    def g(self, *ijkl):
+        return self.engine.g(*([x] for x in ijkl))[0]
+
+
+@pytest.fixture(scope="module")
+def h2_riemann(h2_basis, h2_table):
+    """H2 on the coarsest grids: (table, riemann keywords of
+    build_term_family), h1 labels narrower than g labels."""
+    basis, _ = h2_basis
+    bounds = derive_bounds(basis)
+    delta = {kind: delta_for_grid(kind, 3, bounds) for kind in ("s0", "s1",
+                                                               "s2")}
+    return h2_table, {"mode": "riemann", "bounds": bounds, "delta": delta}
+
+
 @pytest.mark.parametrize("table_name,eta", [("h2_table", 2),
-                                            ("mixed_table", 2)])
+                                            ("mixed_table", 2),
+                                            ("h2_riemann", 2)])
 def test_family_labels_match_per_label_oracle(table_name, eta, request):
     # assemble_from_gammas sees only the sum of the labels; this checks that
     # every edge is filed under the label whose color reaches it, that the
     # stored labels keep enumeration order and that the others are counted
     # but add no term
-    zeta = 0.25
-    table = request.getfixturevalue(table_name)
-    expected = _per_label_family(table, eta)
-    fam = build_term_family(table, eta, zeta=zeta)
+    table, riemann = request.getfixturevalue(table_name), {}
+    source = None
+    if table_name == "h2_riemann":
+        table, riemann = table
+        source = _OneIndexAtATime(driver._QuadratureEngine(
+            table.basis, table.nuclei, riemann["bounds"], riemann["delta"]))
+    # riemann grid-point terms are small: a finer zeta keeps some slices
+    zeta = 0.002 if riemann else 0.25
+    expected = _per_label_family(table, eta, source)
+    fam = build_term_family(table, eta, zeta=zeta, **riemann)
     n_stored = len(fam.perms)
     labels = enumerate_gammas(table.n, eta)
     stored = [g for g in labels if g in expected]
@@ -170,17 +211,61 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
     slices = []
     for g in range(n_stored):
         perm, vals = expected[stored[g]]
+        vals = np.pad(vals, ((0, 0), (0, fam.mu - vals.shape[1])))
         assert np.array_equal(fam.perms[g], perm)
         assert np.array_equal(fam.values[g], vals)
         # M_g = max C_g / 2, with C the modulus rounded to even multiples
         slices.append(int(np.max(np.round(np.abs(vals) / (2 * zeta)))))
     assert list(fam.M_g) == slices
+    assert fam.L > 0
     # the flat l values address exactly the 2 M_g terms of each stored label
     addressed = [fam.ell_parts(ell) for ell in range(fam.L)]
     assert addressed == [(s, m, g) for g in range(n_stored)
                          for m in range(1, slices[g] + 1) for s in (1, 2)]
     assert all(fam.term(flat_ell(fam, s, m, g), 0).gamma == g
                for s, m, g in addressed)
+
+
+def test_family_build_makes_no_per_edge_slater_condon_call(mixed_table,
+                                                           monkeypatch):
+    # signs and values come off the edge table's columns: neither the
+    # per-edge diff nor the per-edge term value runs, though the same
+    # counters see the label-sum reference make both
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (determinants, cimatrix, driver):
+        for name in ("align_and_diff", "term_value"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    build_term_family(mixed_table, 3, zeta=0.25)
+    assert calls == Counter()
+    assemble_from_gammas(mixed_table, 3)
+    assert calls["align_and_diff"] > 0 and calls["term_value"] > 0
+
+
+def test_family_build_confirms_every_partner_with_apply_color(mixed_table,
+                                                              monkeypatch):
+    # apply_color sends the table's last edge elsewhere: the build still
+    # checks each edge against it, that last one too
+    n_edges = 20 * sparsity_d(6, 3)
+    apply_color, calls = cimatrix.apply_color, []
+
+    def last_goes_astray(color, node, side):
+        calls.append(color)
+        partner = apply_color(color, node, side)
+        return node if len(calls) == n_edges else partner
+
+    monkeypatch.setattr(cimatrix, "apply_color", last_goes_astray)
+    with pytest.raises(PatternMismatch, match="does not map"):
+        build_term_family(mixed_table, 3, zeta=0.25)
+    assert len(calls) == n_edges
 
 
 def test_a_broken_coloring_fails_the_family_build(mixed_table, monkeypatch):
