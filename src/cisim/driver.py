@@ -31,8 +31,9 @@ from .errors import BudgetInfeasible, InvalidConfig, NonOrthonormalBasisWarning
 from .integrals import IntegralTable
 from .lcu import (EPS_FLOOR, TermFamily, evolve, hermitian_norm,
                   segment_count, segment_error)
-from .orbitals import SpinOrbital, derive_bounds, finite_number, is_point
-from .quadrature import KINDS, riemann_terms
+from .orbitals import (SpinOrbital, derive_bounds, finite_number, is_point,
+                       spatial_orbitals, spins_match)
+from .quadrature import KINDS, plan_quadrature, riemann_terms
 
 SCHEMA_VERSION = 1
 OVERLAP_TOL = 1e-6
@@ -165,22 +166,32 @@ class _QuadratureEngine:
     """Cached Riemann-sum evaluation of h1 and g entries for the assembly;
     ``delta`` maps each integral kind to its accuracy, as ``run_budget``
     returns it.  ``h1`` and ``g`` take orbital index arrays and give one
-    row of grid-point terms per index, each distinct index evaluated
-    once."""
+    row of grid-point terms per index.  A term the spin rule zeroes is a
+    zero row of its kind's mu, with no grid; any other is evaluated once
+    per (kind, spatial indices, q) on the spin-free spatial functions."""
 
     def __init__(self, basis, nuclei, bounds, delta):
         self.basis = basis
+        self.functions, self.spatial = spatial_orbitals(basis)
         self.nuclei = nuclei
         self.bounds = bounds
         self.delta = delta
         self._cache: dict = {}
 
     def _terms(self, kind: str, indices, q=None) -> np.ndarray:
-        key = (kind, indices, q)
+        orbs = [self.basis[x - 1] for x in indices]
+        half = len(orbs) // 2
+        allowed = spins_match(orbs[:half], orbs[half:])
+        spatial = tuple(self.spatial[x - 1] + 1 for x in indices)
+        key = (kind, spatial if allowed else None, q)
         if key not in self._cache:
-            self._cache[key] = riemann_terms(
-                kind, indices, self.delta[kind], self.bounds, self.basis,
-                self.nuclei, q).values
+            args = (self.delta[kind], self.bounds, self.functions, self.nuclei)
+            if allowed:
+                terms = riemann_terms(kind, spatial, *args, q).values
+            else:
+                terms = np.zeros(plan_quadrature(
+                    kind, *spatial[:2], *args, *spatial[2:], q=q).mu, complex)
+            self._cache[key] = terms
         return self._cache[key]
 
     @staticmethod

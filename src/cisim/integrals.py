@@ -14,9 +14,10 @@ Index conventions, used consistently everywhere downstream:
                         / |r1 - r2| dr1 dr2
 
 so g(i,j,k,l) carries i,k on electron 1 and j,l on electron 2, and the
-symmetry g(i,j,k,l) = g(j,i,l,k) is electron-label relabelling.  Spin
-orthogonality is folded in: integrals vanish unless bra/ket spins match
-on each electron.  Orbital indices are 1-based, matching determinants.
+symmetry g(i,j,k,l) = g(j,i,l,k) is electron-label relabelling.  Each
+integral is computed once per spatial orbital and spread over the spin
+orbitals by a delta on each electron (``orbitals.spins_match``).
+Orbital indices are 1-based, matching determinants.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from math import erf, exp, pi, sqrt
 
 import numpy as np
 
-from .orbitals import SpinOrbital, d1_terms, d2_terms
+from .orbitals import (SpinOrbital, d1_terms, d2_terms, spatial_orbitals,
+                       spins_match)
 
 BOYS_SWITCH = 25.0
 
@@ -262,47 +264,45 @@ class IntegralTable:
 
     h1 is Hermitian N x N; h2[i,j,k,l] = <ij|kl> satisfies
     h2[i,j,k,l] == h2[j,i,l,k].  Entries are complex to keep the matrix
-    element algebra general, although Gaussian inputs are real.
+    element algebra general, although Gaussian inputs are real.  Each ERI
+    is computed once per spatial quartet up to the 8-fold symmetry of real
+    functions.
     """
 
     def __init__(self, basis, nuclei=()):
         self.basis = list(basis)
         self.nuclei = [(float(Z), tuple(R)) for Z, R in nuclei]
-        n = len(self.basis)
-        self.n = n
-        self.overlap_mat = np.zeros((n, n))
-        self.h1_mat = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                bi, bj = self.basis[i], self.basis[j]
-                if bi.spin == bj.spin:
-                    s = overlap(bi, bj)
-                    h = kinetic(bi, bj)
-                    for Z, R in self.nuclei:
-                        h += nuclear_attraction(bi, bj, Z, R)
-                else:
-                    s, h = 0.0, 0.0
-                self.overlap_mat[i, j] = self.overlap_mat[j, i] = s
-                self.h1_mat[i, j] = self.h1_mat[j, i] = h
+        self.n = len(self.basis)
+        functions, index = spatial_orbitals(self.basis)
+        m = len(functions)
+        pairs = list(zip(*np.triu_indices(m)))
+        s, h = np.zeros((m, m)), np.zeros((m, m))
+        for a, b in pairs:
+            fa, fb = functions[a], functions[b]
+            s[a, b] = s[b, a] = overlap(fa, fb)
+            h[a, b] = kinetic(fa, fb)
+            for Z, R in self.nuclei:
+                h[a, b] += nuclear_attraction(fa, fb, Z, R)
+            h[b, a] = h[a, b]
+        # chemist (ab|cd) once for a <= b, c <= d and (a, b) <= (c, d)
+        quartets = [ab + cd for x, ab in enumerate(pairs) for cd in pairs[x:]]
+        eri = [eri_chemist(*(functions[x] for x in q)) for q in quartets]
+        a, b, c, d = np.array(quartets).T
+        chem = np.zeros((m, m, m, m))
+        for w, x, y, z in ((a, b, c, d), (c, d, a, b)):
+            chem[w, x, y, z] = chem[x, w, y, z] = chem[w, x, z, y] = \
+                chem[x, w, z, y] = eri
 
-        self._eri_cache: dict[tuple[int, int, int, int], float] = {}
-        self.h2_mat = np.zeros((n, n, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        self.h2_mat[i, j, k, l] = self._spatial_g(i, j, k, l)
-
-    def _spatial_g(self, i, j, k, l) -> float:
-        """<ij|kl> for 0-based indices, with spin deltas."""
-        bi, bj, bk, bl = (self.basis[x] for x in (i, j, k, l))
-        if bi.spin != bk.spin or bj.spin != bl.spin:
-            return 0.0
-        # chemist pairs (ik| and |jl); 8-fold permutational symmetry
-        key = _canonical_quartet(i, k, j, l)
-        if key not in self._eri_cache:
-            self._eri_cache[key] = eri_chemist(bi, bk, bj, bl)
-        return self._eri_cache[key]
+        # <ij|kl> = (ik|jl), times the spin delta on each electron
+        same = np.array([[spins_match([bi], [bj]) for bj in self.basis]
+                         for bi in self.basis])
+        ix = np.ix_(index, index)
+        self.overlap_mat = np.where(same, s[ix], 0.0)
+        self.h1_mat = np.where(same, h[ix], 0.0).astype(complex)
+        self.h2_mat = np.where(
+            same[:, None, :, None] & same[None, :, None, :],
+            chem[np.ix_(index, index, index, index)].transpose(0, 2, 1, 3),
+            0.0).astype(complex)
 
     def h1(self, i: int, j: int) -> complex:
         return self.h1_mat[i - 1, j - 1]
@@ -312,10 +312,3 @@ class IntegralTable:
 
     def overlap_deviation(self) -> float:
         return float(np.max(np.abs(self.overlap_mat - np.eye(self.n))))
-
-
-def _canonical_quartet(a, b, c, d):
-    """Canonical key under (ab|cd) real-Gaussian permutational symmetry."""
-    ab = (a, b) if a <= b else (b, a)
-    cd = (c, d) if c <= d else (d, c)
-    return ab + cd if ab <= cd else cd + ab

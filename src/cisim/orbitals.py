@@ -29,7 +29,7 @@ adjusting silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isfinite, sqrt
 from numbers import Integral, Real
 
@@ -81,6 +81,27 @@ class SpinOrbital:
     @property
     def total_power(self) -> int:
         return sum(self.powers)
+
+
+def spins_match(bra, ket) -> bool:
+    """The spin rule: an integral over spin orbitals is the integral over
+    their spatial functions times a spin delta on each electron, so it
+    vanishes unless bra[e] and ket[e] share a spin for every electron e."""
+    return all(b.spin == k.spin for b, k in zip(bra, ket, strict=True))
+
+
+def spatial_orbitals(basis) -> tuple[list[SpinOrbital], list[int]]:
+    """(functions, index): each distinct spatial function (center,
+    primitives, powers) of a spin-orbital basis once, spin-free as a spin-up
+    orbital, and for each spin orbital the position of its function."""
+    first: dict = {}
+    index = []
+    for phi in basis:
+        # plain tuples, so that a center given as an array is a key too
+        key = (tuple(phi.center), tuple(map(tuple, phi.primitives)),
+               tuple(phi.powers))
+        index.append(first.setdefault(key, (len(first), phi))[0])
+    return [replace(phi, spin="up") for _, phi in first.values()], index
 
 
 @dataclass(frozen=True)

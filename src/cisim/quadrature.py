@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
                      SpecMismatch)
-from .orbitals import BasisBounds, eval_gradient, eval_value
+from .orbitals import BasisBounds, eval_gradient, eval_value, spins_match
 
 ZETA_PRIME = 2.0 * sqrt(3.0) + 3.0  # two-electron singular-branch geometry
 GRID_CAP = 256  # per-axis grid count; mu reaches 256^3 (S0, S1), 256^6 (S2)
@@ -264,13 +264,13 @@ def riemann_S0(i, j, spec: QuadratureSpec, basis) -> RiemannSum:
     if spec.kind != "s0":
         raise SpecMismatch("spec kind is not s0")
     phi_i, phi_j = basis[i - 1], basis[j - 1]
+    if not spins_match([phi_i], [phi_j]):
+        return RiemannSum(np.zeros(spec.mu), spec.term_bound)
     pts = _cube_centers(phi_i.center, spec.x_trunc, spec.grid_n)
     vol = (2.0 * spec.x_trunc / spec.grid_n) ** 3
     gi = eval_gradient(phi_i, pts)
     gj = eval_gradient(phi_j, pts)
     vals = 0.5 * np.sum(gi * gj, axis=-1) * vol
-    if phi_i.spin != phi_j.spin:
-        vals = np.zeros_like(vals)
     return RiemannSum(vals, spec.term_bound)
 
 
@@ -287,6 +287,8 @@ def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei) -> RiemannSum:
     Zq, Rq = float(nuclei[q][0]), np.asarray(nuclei[q][1], dtype=float)
     if Zq == 0.0:
         return RiemannSum(np.zeros(spec.mu), 0.0)
+    if not spins_match([phi_i], [phi_j]):
+        return RiemannSum(np.zeros(spec.mu), spec.term_bound)
     n = spec.grid_n
     x1 = spec.x_trunc
     if spec.coordinate_system == "cartesian":
@@ -299,8 +301,6 @@ def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei) -> RiemannSum:
         pts = 4.0 * x1 * s[:, None] * _unit_vectors(th, ph) + Rq
         f1 = eval_value(phi_i, pts) * eval_value(phi_j, pts) * s * np.sin(th)
         vals = -16.0 * x1**2 * Zq * f1 * (2.0 * pi**2 / n**3)
-    if phi_i.spin != phi_j.spin:
-        vals = np.zeros_like(vals)
     return RiemannSum(vals, spec.term_bound)
 
 
@@ -316,7 +316,8 @@ def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis) -> RiemannSum:
     if spec.kind != "s2":
         raise SpecMismatch("spec kind is not s2")
     phi = [basis[x - 1] for x in (i, j, k, l)]
-    spin_ok = phi[0].spin == phi[2].spin and phi[1].spin == phi[3].spin
+    if not spins_match(phi[:2], phi[2:]):
+        return RiemannSum(np.zeros(spec.mu), spec.term_bound)
     n = spec.grid_n
     x2 = spec.x_trunc
     ci = np.asarray(phi[0].center, dtype=float)
@@ -343,8 +344,6 @@ def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis) -> RiemannSum:
         eta_jl = eval_value(phi[1], r2) * eval_value(phi[3], r2)
         f2 = eta_ik[:, None] * eta_jl * weight[None, :]
         vals = (zp**2 * x2**5 * f2).ravel() * (16.0 * pi**2 / n**6)
-    if not spin_ok:
-        vals = np.zeros_like(vals)
     return RiemannSum(vals, spec.term_bound)
 
 

@@ -21,6 +21,10 @@ with the rows of the coloring's edge table.
 The dense Taylor entry: the amplified segment as a matrix against
 exp(-i H~ t / r) by eigendecomposition, measured in the 2-norm.
 
+The integral tables filled one spin-orbital entry at a time, with each
+ERI cached under its spin-orbital quartet: the build the integral table
+replaced with one evaluation per spatial quartet spread by spin deltas.
+
 Sampled maxima of an orbital's value, gradient and Laplacian, found by a
 dense three-dimensional grid and a local optimizer.  A sample is a lower
 bound on a supremum, so the certified caps must lie above it.
@@ -37,6 +41,7 @@ from cisim.cimatrix import GammaIndex, label_selectors
 from cisim.coloring import LEFT, RIGHT, apply_color, color_of
 from cisim.determinants import Determinant, align_and_diff
 from cisim.errors import PatternMismatch
+from cisim.integrals import eri_chemist, kinetic, nuclear_attraction, overlap
 from cisim.lcu import (TermFamily, hermitian_norm, oaa_block, plan_segments,
                        taylor_block)
 from cisim.orbitals import _axis_parts, d2_terms, eval_gradient, eval_value
@@ -194,6 +199,40 @@ def dense_taylor_entry(family: TermFamily, t: float, eps: float) -> float:
     evals, vecs = np.linalg.eigh(Htilde)
     exact = (vecs * np.exp(-1j * evals * t / plan.r)) @ vecs.conj().T
     return plan.r * float(np.linalg.norm(seg - exact, 2))
+
+
+# ---------------------------------------------------------------------------
+# integral tables, one spin-orbital entry at a time
+
+
+def spin_orbital_tables(basis, nuclei=()):
+    """(overlap, h1, h2) of a spin-orbital basis with h2[i,j,k,l] = <ij|kl>:
+    every entry tests its own spins, and each ERI is computed once per
+    spin-orbital quartet under the 8-fold symmetry of real functions."""
+    n = len(basis)
+    S, h1 = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            bi, bj = basis[i], basis[j]
+            if bi.spin == bj.spin:
+                S[i, j] = S[j, i] = overlap(bi, bj)
+                h = kinetic(bi, bj)
+                for Z, R in nuclei:
+                    h += nuclear_attraction(bi, bj, Z, R)
+                h1[i, j] = h1[j, i] = h
+    cache = {}
+    h2 = np.zeros((n, n, n, n))
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        bi, bj, bk, bl = (basis[x] for x in (i, j, k, l))
+        if bi.spin != bk.spin or bj.spin != bl.spin:
+            continue
+        # chemist pairs (ik| and |jl)
+        ik, jl = tuple(sorted((i, k))), tuple(sorted((j, l)))
+        key = min(ik + jl, jl + ik)
+        if key not in cache:
+            cache[key] = eri_chemist(bi, bk, bj, bl)
+        h2[i, j, k, l] = cache[key]
+    return S, h1, h2
 
 
 # ---------------------------------------------------------------------------

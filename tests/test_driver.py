@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import inspect
 import json
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cisim import cimatrix, determinants, driver
+from cisim import cimatrix, determinants, driver, quadrature
 from cisim.cimatrix import (assemble_from_gammas, build_ci_matrix,
                             enumerate_gammas, gamma_entry, sparsity_d,
                             term_value)
@@ -25,7 +26,8 @@ from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
                           PatternMismatch)
 from cisim.integrals import IntegralTable
 from cisim.lcu import TermFamily, segment_count
-from cisim.quadrature import delta_for_grid, plan_quadrature, riemann_S0
+from cisim.quadrature import (delta_for_grid, plan_quadrature, riemann_S0,
+                              riemann_terms)
 from cisim.orbitals import derive_bounds
 
 from conftest import primitive_norm, so
@@ -161,33 +163,60 @@ def _per_label_family(table, eta, source=None):
 
 
 class _OneIndexAtATime:
-    """A source of h1/g values that asks the quadrature engine for one
-    index tuple per call, as the per-edge term_value reads them."""
+    """A source of h1/g values read one spin-orbital index tuple per call,
+    as the per-edge term_value reads them: each distinct tuple is its own
+    Riemann sum on the spin-orbital basis, zeroed there by its spins."""
 
-    def __init__(self, engine):
-        self.engine = engine
+    def __init__(self, basis, nuclei, bounds, delta):
+        self.basis, self.nuclei = basis, nuclei
+        self.bounds, self.delta = bounds, delta
+        self._cache = {}
+
+    def _terms(self, kind, indices, q=None):
+        key = (kind, indices, q)
+        if key not in self._cache:
+            self._cache[key] = riemann_terms(
+                kind, indices, self.delta[kind], self.bounds, self.basis,
+                self.nuclei, q).values
+        return self._cache[key]
 
     def h1(self, *ij):
-        return self.engine.h1(*([x] for x in ij))[0]
+        return np.concatenate([self._terms("s0", ij)]
+                              + [self._terms("s1", ij, q)
+                                 for q in range(len(self.nuclei))])
 
     def g(self, *ijkl):
-        return self.engine.g(*([x] for x in ijkl))[0]
+        return self._terms("s2", ijkl)
+
+
+def _coarsest_riemann(table):
+    """(table, riemann keywords of build_term_family) on 3-point grids."""
+    bounds = derive_bounds(table.basis)
+    delta = {kind: delta_for_grid(kind, 3, bounds) for kind in ("s0", "s1",
+                                                               "s2")}
+    return table, {"mode": "riemann", "bounds": bounds, "delta": delta}
 
 
 @pytest.fixture(scope="module")
-def h2_riemann(h2_basis, h2_table):
-    """H2 on the coarsest grids: (table, riemann keywords of
-    build_term_family), h1 labels narrower than g labels."""
-    basis, _ = h2_basis
-    bounds = derive_bounds(basis)
-    delta = {kind: delta_for_grid(kind, 3, bounds) for kind in ("s0", "s1",
-                                                               "s2")}
-    return h2_table, {"mode": "riemann", "bounds": bounds, "delta": delta}
+def h2_riemann(h2_table):
+    """H2 on the coarsest grids, h1 labels narrower than g labels."""
+    return _coarsest_riemann(h2_table)
+
+
+@pytest.fixture(scope="module")
+def odd_spin_riemann():
+    """Spin orbitals listed down before up, over three spatial functions of
+    which one is only up and one only down, on the coarsest grids."""
+    a, b, c = (0.0, 0.0, -0.7), (0.0, 0.0, 0.7), (0.5, 0.0, 0.0)
+    basis = [so(a, 1.0, "down"), so(b, 1.0, "up"), so(a, 1.0, "up"),
+             so(c, 1.2, "down")]
+    return _coarsest_riemann(IntegralTable(basis, [(1.0, a), (1.0, b)]))
 
 
 @pytest.mark.parametrize("table_name,eta", [("h2_table", 2),
                                             ("mixed_table", 2),
-                                            ("h2_riemann", 2)])
+                                            ("h2_riemann", 2),
+                                            ("odd_spin_riemann", 2)])
 def test_family_labels_match_per_label_oracle(table_name, eta, request):
     # assemble_from_gammas sees only the sum of the labels; this checks that
     # every edge is filed under the label whose color reaches it, that the
@@ -195,10 +224,10 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
     # but add no term
     table, riemann = request.getfixturevalue(table_name), {}
     source = None
-    if table_name == "h2_riemann":
+    if table_name.endswith("_riemann"):
         table, riemann = table
-        source = _OneIndexAtATime(driver._QuadratureEngine(
-            table.basis, table.nuclei, riemann["bounds"], riemann["delta"]))
+        source = _OneIndexAtATime(table.basis, table.nuclei,
+                                  riemann["bounds"], riemann["delta"])
     # riemann grid-point terms are small: a finer zeta keeps some slices
     zeta = 0.002 if riemann else 0.25
     expected = _per_label_family(table, eta, source)
@@ -224,6 +253,49 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
                          for m in range(1, slices[g] + 1) for s in (1, 2)]
     assert all(fam.term(flat_ell(fam, s, m, g), 0).gamma == g
                for s, m, g in addressed)
+
+
+def test_riemann_engine_sums_each_spin_allowed_spatial_tuple_once(
+        odd_spin_riemann, monkeypatch):
+    # the family asks for h1/g on spin-orbital tuples; the engine sums each
+    # distinct spatial tuple whose spins the rule allows once, and no other
+    table, riemann = odd_spin_riemann
+    spatial = [(phi.center, phi.primitives, phi.powers) for phi in table.basis]
+    spins = [phi.spin for phi in table.basis]
+    requests = []
+    for name in ("h1", "g"):
+        def recording(self, *index, _name=name,
+                      _fn=getattr(driver._QuadratureEngine, name)):
+            requests.extend((_name, ix) for ix in zip(*(
+                np.asarray(x).tolist() for x in index)))
+            return _fn(self, *index)
+        monkeypatch.setattr(driver._QuadratureEngine, name, recording)
+    calls = Counter()
+
+    def counted(kind, indices, delta, bounds, basis, nuclei=(), q=None):
+        phis = [basis[x - 1] for x in indices]
+        calls[kind, tuple((f.center, f.primitives, f.powers) for f in phis),
+              q] += 1
+        return riemann_terms(kind, indices, delta, bounds, basis, nuclei, q)
+
+    monkeypatch.setattr(driver, "riemann_terms", counted)
+    build_term_family(table, 2, zeta=0.002, **riemann)
+    expected = set()
+    for name, ix in requests:
+        half = len(ix) // 2
+        if [spins[x - 1] for x in ix[:half]] != [spins[x - 1]
+                                                 for x in ix[half:]]:
+            continue
+        functions = tuple(spatial[x - 1] for x in ix)
+        if name == "g":
+            expected.add(("s2", functions, None))
+        else:
+            expected |= {("s0", functions, None)} | {
+                ("s1", functions, q) for q in range(len(table.nuclei))}
+    assert set(calls) == expected
+    assert set(calls.values()) == {1}
+    # every spin-orbital h1/g tuple was asked for, so some were zeroed
+    assert len(requests) > len(expected)
 
 
 def test_family_build_makes_no_per_edge_slater_condon_call(mixed_table,
@@ -570,6 +642,26 @@ def test_cli_quadrature_plans_with_the_config_delta(tmp_path):
         outs.append(out.read_text())
     assert outs[0] == outs[1]
     assert len(outs[0].splitlines()) == 1 + 8**3
+
+
+def test_cli_quadrature_spin_forbidden_evaluates_no_orbital(tmp_path,
+                                                           monkeypatch):
+    # orbitals 1 and 2 of configs/h2.json have opposite spins, so the s2
+    # sum is zero: no orbital is evaluated, and the bytes are the ones the
+    # full grid gave before it was skipped
+    calls = Counter()
+    for name in ("eval_value", "eval_gradient"):
+        def counted(*args, _name=name, _fn=getattr(quadrature, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(quadrature, name, counted)
+    out = tmp_path / "terms.csv"
+    assert cli_main(["quadrature", "--config", H2_PATH, "--kind", "s2",
+                     "--orbitals", "1,2,2,1", "--grid-n", "3",
+                     "--out", str(out)]) == 0
+    assert calls == Counter()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "eda5855d212f3b1a14f7ac81d176276187cf5f2ed7fa6c083dab216aa317f80a")
 
 
 def test_cli_evolve(tmp_path):

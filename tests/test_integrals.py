@@ -1,4 +1,6 @@
 import itertools
+from collections import Counter
+from dataclasses import replace
 from math import gamma as gamma_fn
 from math import pi, sqrt
 
@@ -7,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
+from cisim import integrals
 from cisim.errors import UnsupportedAngularMomentum
 from cisim.integrals import (IntegralTable, boys, eri_chemist, kinetic,
                              kinetic_gradient_form, nuclear_attraction,
@@ -14,7 +17,7 @@ from cisim.integrals import (IntegralTable, boys, eri_chemist, kinetic,
 from cisim.orbitals import SpinOrbital, eval_gradient, eval_value
 
 from conftest import so
-from oracles import eval_laplacian
+from oracles import eval_laplacian, spin_orbital_tables
 
 
 def _boys_oracle(m, T):
@@ -170,3 +173,75 @@ def test_kinetic_numeric_grid_cross_check():
     gd = eval_gradient(d, pts)
     numeric = 0.5 * np.sum(gp * gd) * (2 * half / n) ** 3
     assert abs(numeric - exact) < 1e-5
+
+
+A, B, C = (0.0, 0.0, -0.7), (0.0, 0.0, 0.7), (0.5, -0.3, 0.2)
+TWO_PROTONS = [(1.0, A), (1.0, B)]
+
+
+def _both_spins(functions):
+    return [replace(f, spin=spin) for f in functions for spin in ("up", "down")]
+
+
+SPIN_BASES = {
+    "interleaved": (_both_spins([so(A, 1.0), so(B, 1.0)]), TWO_PROTONS),
+    "up-then-down": ([so(c, e, spin) for spin in ("up", "down")
+                      for c, e in ((A, 1.0), (B, 1.2), (C, 0.8))],
+                     TWO_PROTONS),
+    "spin-dependent": ([so(A, 1.0, "up"), so(A, 1.3, "down"),
+                        so(B, 0.9, "up"), so(C, 1.1, "down")], TWO_PROTONS),
+    # a p and a d_xy contraction whose coefficients differ in sign
+    "p-d-mixed-sign": (
+        [SpinOrbital(A, ((1.3, 0.8), (0.35, -0.45)), (1, 0, 0), "up"),
+         SpinOrbital(B, ((0.9, 0.6), (2.1, -0.25)), (1, 1, 0), "down"),
+         SpinOrbital(A, ((1.3, 0.8), (0.35, -0.45)), (1, 0, 0), "down"),
+         so(C, 1.1, "up")], TWO_PROTONS),
+    "zero-charge": (_both_spins([so(A, 1.0), so(C, 0.7)]),
+                    TWO_PROTONS + [(0.0, C)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPIN_BASES))
+def test_table_matches_spin_orbital_build(name):
+    # one integral per spatial function, spread by spin deltas, against the
+    # build that computes and spin-checks every spin-orbital entry itself
+    basis, nuclei = SPIN_BASES[name]
+    table = IntegralTable(basis, nuclei)
+    S, h1, h2 = spin_orbital_tables(basis, nuclei)
+    assert np.max(np.abs(table.overlap_mat - S)) <= 1e-14
+    assert np.max(np.abs(table.h1_mat - h1)) <= 1e-14
+    assert np.max(np.abs(table.h2_mat - h2)) <= 1e-14
+    assert np.count_nonzero(table.h2_mat) == np.count_nonzero(h2)
+
+
+def test_table_accepts_array_centers():
+    # the spatial functions are told apart by value, whatever the sequence
+    # type of a center
+    basis, nuclei = SPIN_BASES["interleaved"]
+    arrays = [replace(phi, center=np.array(phi.center)) for phi in basis]
+    table = IntegralTable(arrays, nuclei)
+    assert np.array_equal(table.h2_mat, IntegralTable(basis, nuclei).h2_mat)
+
+
+def test_each_eri_once_per_spatial_quartet(monkeypatch):
+    # four spatial s functions, both spins: 10 pairs give 55 quartets
+    # (ab|cd) up to the 8-fold symmetry, where spin orbitals give 210
+    calls = Counter()
+
+    def counted(*functions):
+        calls[functions] += 1
+        return eri_chemist(*functions)
+
+    monkeypatch.setattr(integrals, "eri_chemist", counted)
+    functions = [so(c, 1.0) for c in (A, B, C, (0.4, 0.4, 0.0))]
+    IntegralTable(_both_spins(functions), TWO_PROTONS)
+    position = {(f.center, f.primitives, f.powers): x
+                for x, f in enumerate(functions)}
+
+    def canonical(q):
+        a, b, c, d = (position[f.center, f.primitives, f.powers] for f in q)
+        ab, cd = tuple(sorted((a, b))), tuple(sorted((c, d)))
+        return min(ab + cd, cd + ab)
+
+    assert sum(calls.values()) == 55
+    assert len({canonical(q) for q in calls}) == 55

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from dataclasses import fields, replace
 from math import e, exp, fsum, pi, sqrt
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
+from cisim import quadrature
 from cisim.driver import build_term_family, load_config
 from cisim.errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
                           SpecMismatch)
@@ -108,6 +110,39 @@ def test_s1_zero_charge(sbasis):
     spec = plan_quadrature("s1", 1, 1, 1e-3, bounds, basis, nuclei, q=0)
     rs = riemann_S1(1, 1, 0, spec, basis, nuclei)
     assert np.all(rs.values == 0)
+
+
+def test_spin_forbidden_sums_evaluate_no_orbital(monkeypatch):
+    # opposite spins on an electron: mu zeros at the plan's term bound, and
+    # neither a value nor a gradient is evaluated on any grid
+    basis = [so((0.0, 0.0, 0.0), 1.0, "up"), so((0.6, 0.0, 0.3), 1.5, "down")]
+    nuclei = [(1.0, (0.0, 0.0, 0.0))]
+    bounds = derive_bounds(basis)
+    calls = Counter()
+    for name in ("eval_value", "eval_gradient"):
+        def counted(*args, _name=name, _fn=getattr(quadrature, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(quadrature, name, counted)
+
+    def plan(kind, i, j, k=None, l=None, q=None):
+        zq = {"zq": nuclei[q][0]} if kind == "s1" else {}
+        return plan_quadrature(kind, i, j, delta_for_grid(kind, 4, bounds, **zq),
+                               bounds, basis, nuclei, k=k, l=l, q=q)
+
+    s0, s1 = plan("s0", 1, 2), plan("s1", 2, 1, q=0)
+    cases = [(riemann_S0(1, 2, s0, basis), s0),
+             (riemann_S1(2, 1, 0, s1, basis, nuclei), s1)]
+    for k, l in ((2, 1), (1, 1), (2, 2)):
+        spec = plan("s2", 1, 2, k, l)
+        cases.append((riemann_S2(1, 2, k, l, spec, basis), spec))
+    for rs, spec in cases:
+        assert rs.values.shape == (spec.mu,) and not np.any(rs.values)
+        assert rs.bound == spec.term_bound
+    assert calls == Counter()
+    # the spin-allowed sums on the same basis do evaluate
+    assert np.any(riemann_S2(1, 2, 1, 2, plan("s2", 1, 2, 1, 2), basis).values)
+    assert calls["eval_value"] > 0
 
 
 def test_riemann_rejects_a_plan_of_another_kind_or_nucleus(sbasis):
