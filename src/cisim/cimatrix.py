@@ -216,11 +216,11 @@ class LabelledTerms:
     Term t is label ``key[t]`` = (m1 + 1, m2 + 1, i, j) on the edge
     ``left[t]`` -> ``right[t]`` of ``table``: the row's move ids, shifted
     so that 0 is the zero move, then the term selectors.  Sorting the keys
-    as integers puts the labels in `label_key` order.  ``sign[t]`` and
-    ``rev_sign[t]`` are the edge's alignment signs read left to right and
-    right to left.  Read left to right, the term is h1(a, c) when
-    ``one_body[t]``, else g(a, b, c, d) - g(a, b, d, c), with (a, b, c, d)
-    = ``orbs[t]``; read right to left it is the same with (c, d, a, b).
+    as integers puts the labels in `label_key` order.  ``sign[t]`` is the
+    edge's alignment sign, the same read either way.  Read left to right,
+    the term is h1(a, c) when ``one_body[t]``, else g(a, b, c, d) -
+    g(a, b, d, c), with (a, b, c, d) = ``orbs[t]``; read right to left it
+    is the same with (c, d, a, b).
     """
 
     table: EdgeTable
@@ -228,7 +228,6 @@ class LabelledTerms:
     right: np.ndarray
     key: np.ndarray
     sign: np.ndarray
-    rev_sign: np.ndarray
     orbs: np.ndarray
     one_body: np.ndarray
 
@@ -247,8 +246,8 @@ class LabelledTerms:
             else:
                 fwd = source.g(a, b, c, d) - source.g(a, b, d, c)
                 rev = source.g(c, d, a, b) - source.g(c, d, b, a)
-            yield (at, self.sign[at, None] * fwd.reshape(len(at), -1),
-                   self.rev_sign[at, None] * rev.reshape(len(at), -1))
+            yield (at, *(self.sign[at, None] * v.reshape(len(at), -1)
+                         for v in (fwd, rev)))
 
 
 def _inversion_sign(lists: np.ndarray) -> np.ndarray:
@@ -272,7 +271,9 @@ def labelled_terms(norb: int, eta: int) -> LabelledTerms:
     if not census.valid:
         raise PatternMismatch(f"the coloring fails its census: {census}")
     basis = [Determinant(occ, norb) for occ in table.dets]
-    for color, ia, ib in table.edges():
+    for m1, m2, ia, ib in zip(table.m1.tolist(), table.m2.tolist(),
+                              table.left.tolist(), table.right.tolist()):
+        color = table.color(m1, m2)
         if apply_color(color, basis[ia], LEFT) != basis[ib]:
             raise PatternMismatch(f"color {color} does not map "
                                   f"{basis[ia].occ} to {basis[ib].occ}")
@@ -281,11 +282,10 @@ def labelled_terms(norb: int, eta: int) -> LabelledTerms:
     left, right = orbs[table.left], orbs[table.right]
     only_left = (left[:, :, None] != right[:, None, :]).all(axis=2)
     only_right = (right[:, :, None] != left[:, None, :]).all(axis=2)
-    # each list with its differing orbitals replaced, in ascending order,
-    # by the other list's: a permutation of the other list
-    aligned, rev_aligned = left.copy(), right.copy()
+    # the left list with its differing orbitals replaced, in ascending order,
+    # by the right list's; its parity is the alignment sign read either way
+    aligned = left.copy()
     aligned[only_left] = right[only_right]
-    rev_aligned[only_right] = left[only_left]
     # the differing positions first, then the shared ones, each ascending:
     # src is (k, chi...) on a single edge and (x1, x2, ...) on a double
     # one, and dst, read off aligned, is (l, chi...) and (y1, y2, ...)
@@ -311,7 +311,6 @@ def labelled_terms(norb: int, eta: int) -> LabelledTerms:
         right=table.right[row].astype(np.intp),
         key=np.stack([table.m1[row] + 1, table.m2[row] + 1, i, j], axis=1),
         sign=_inversion_sign(aligned)[row],
-        rev_sign=_inversion_sign(rev_aligned)[row],
         orbs=np.stack([src[row, p], src[row, q], dst[row, p], dst[row, q]],
                       axis=1),
         one_body=p == q)
@@ -323,10 +322,9 @@ def labelled_edges(norb: int, eta: int):
     the rows of `labelled_terms`, with their labels as GammaIndex values.
     """
     terms = labelled_terms(norb, eta)
-    moves = [(0, 0, 1, 0), *terms.table.moves]  # key 0 is the zero move
     for (k1, k2, i, j), ia, ib in zip(terms.key.tolist(), terms.left.tolist(),
                                       terms.right.tolist()):
-        yield GammaIndex(ColorTuple(*moves[k1], *moves[k2]), i, j), ia, ib
+        yield GammaIndex(terms.table.color(k1 - 1, k2 - 1), i, j), ia, ib
 
 
 def assemble_from_gammas(table: IntegralTable, eta: int) -> np.ndarray:

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .cimatrix import build_ci_matrix, count_gamma, gamma_census
 from .coloring import coloring_census
@@ -79,32 +80,20 @@ def _add_flags(p, *names):
 
 def _load(args):
     config = load_config(args.config)
-    if getattr(args, "epsilon", None) is not None:
-        config.epsilon = args.epsilon
-    if getattr(args, "time", None) is not None:
-        config.time = args.time
-    if getattr(args, "delta", None) is not None:
-        config.overrides["delta"] = args.delta
-    if getattr(args, "zeta", None) is not None:
-        config.overrides["zeta"] = args.zeta
+    for name in ("epsilon", "time"):
+        if getattr(args, name, None) is not None:
+            setattr(config, name, getattr(args, name))
+    for name in ("delta", "zeta"):
+        if getattr(args, name, None) is not None:
+            config.overrides[name] = getattr(args, name)
     return config
 
 
 def cmd_coloring_check(args):
     census = coloring_census(args.norb, args.eta)
-    payload = {
-        "norb": census.norb, "eta": census.eta, "nodes": census.n_nodes,
-        "single_colors": census.n_single_colors,
-        "double_colors": census.n_double_colors,
-        "edges_expected": census.edges_expected,
-        "edges_found": census.edges_found,
-        "duplicate_edges": census.duplicate_edges,
-        "uncovered_edges": census.uncovered_edges,
-        "inverse_failures": census.inverse_failures,
-        "injectivity_failures": census.injectivity_failures,
-        "valid": census.valid,
-        "gamma_count": count_gamma(args.norb, args.eta),
-    }
+    payload = {k.removeprefix("n_"): v for k, v in asdict(census).items()}
+    payload.update(valid=census.valid,
+                   gamma_count=count_gamma(args.norb, args.eta))
     if args.output == "csv":
         _emit_csv([payload.keys(), payload.values()], args.out)
     else:

@@ -36,8 +36,9 @@ its incoming and outgoing rows that `_alt1_ok` accepts, judged on that
 node's in x out block at once.  The table never calls `apply_color`'s
 composition.  `coloring_census` is its tally; the family build reads its
 labelled terms off the same table's integer columns once that tally is
-valid, so every run checks the coloring at its own size.  `color_of`, the inverse map from a
-pair to its color, is the reference the tests pin the coloring with.
+valid, so every run checks the coloring at its own size.  `color_of`,
+the inverse map from a pair to its color, is the reference the tests
+pin the coloring with.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class ColorTuple:
     q: int
 
 
-DIAGONAL_COLOR = ColorTuple(0, 0, 1, 0, 0, 0, 1, 0)
+ZERO_MOVE = (0, 0, 1, 0)  # shifts nothing
+DIAGONAL_COLOR = ColorTuple(*ZERO_MOVE, *ZERO_MOVE)
 
 
 def _orb(occ: tuple, norb: int, i: int) -> int:
@@ -219,7 +221,7 @@ def color_of(alpha: Determinant, beta: Determinant) -> ColorTuple:
         return DIAGONAL_COLOR
     if count == 1:
         a, b, l, shift = _single_color_parts(aocc, bocc, norb)
-        return ColorTuple(0, 0, 1, 0, a, b, l, shift)
+        return ColorTuple(*ZERO_MOVE, a, b, l, shift)
     chi, _ = _move_to(aocc, aocc.index(only_a[0]) + 1, only_b[0], norb)
     a1, b1, l1, p = _single_color_parts(aocc, chi, norb)
     a2, b2, l2, q = _single_color_parts(chi, bocc, norb)
@@ -239,8 +241,7 @@ def movement_tuples(norb: int, eta: int):
 
 
 def single_colors(norb: int, eta: int):
-    return [ColorTuple(0, 0, 1, 0, a, b, l, s)
-            for a, b, l, s in movement_tuples(norb, eta)]
+    return [ColorTuple(*ZERO_MOVE, *m) for m in movement_tuples(norb, eta)]
 
 
 def double_colors(norb: int, eta: int):
@@ -264,10 +265,9 @@ class ColoringCensus:
 
     @property
     def valid(self) -> bool:
-        return (self.duplicate_edges == 0 and self.uncovered_edges == 0
-                and self.inverse_failures == 0
-                and self.injectivity_failures == 0
-                and self.edges_found == self.edges_expected)
+        # uncovered_edges is edges_expected - edges_found
+        return not (self.duplicate_edges or self.uncovered_edges
+                    or self.inverse_failures or self.injectivity_failures)
 
 
 @dataclass(frozen=True)
@@ -275,11 +275,11 @@ class EdgeTable:
     """Every edge the coloring makes, one row each, as integer columns.
 
     Node k is ``dets[k]`` and move id m is ``moves[m]``.  Row r is the
-    edge ``left[r]`` -> ``right[r]`` with color ``(*move(m1[r]),
-    *move(m2[r]))``, where move id -1 is the zero move (0, 0, 1, 0): the
-    diagonal edges have m1 = m2 = -1, the single edges m1 = -1, and a
-    double edge's m1 and m2 are its first and second move.  ``undone[r]``
-    holds when the color's moves, applied from the right, lead back.
+    edge ``left[r]`` -> ``right[r]`` with color ``color(m1[r], m2[r])``,
+    where move id -1 is the zero move: the diagonal edges have m1 = m2 =
+    -1, the single edges m1 = -1, and a double edge's m1 and m2 are its
+    first and second move.  ``undone[r]`` holds when the color's moves,
+    applied from the right, lead back.
     """
 
     norb: int
@@ -292,12 +292,10 @@ class EdgeTable:
     m2: np.ndarray
     undone: np.ndarray
 
-    def edges(self):
-        """(color, left node, right node) of every row, in table order."""
-        moves = [*self.moves, (0, 0, 1, 0)]  # index -1 is the zero move
-        for m1, m2, ia, ib in zip(self.m1.tolist(), self.m2.tolist(),
-                                  self.left.tolist(), self.right.tolist()):
-            yield ColorTuple(*moves[m1], *moves[m2]), ia, ib
+    def color(self, m1: int, m2: int) -> ColorTuple:
+        """The color of move ids m1 then m2; id -1 is the zero move."""
+        return ColorTuple(*itertools.chain.from_iterable(
+            self.moves[m] if m >= 0 else ZERO_MOVE for m in (m1, m2)))
 
     def census(self) -> ColoringCensus:
         """Tally the rows against the edges a valid coloring makes: an

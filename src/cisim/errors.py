@@ -42,6 +42,10 @@ class UnsupportedAngularMomentum(CisimError):
     """Cartesian powers beyond d functions are not supported."""
 
 
+class NumericOverflow(CisimError):
+    """An integral or a quadrature scale is past the range of a float."""
+
+
 class DeltaTooLarge(CisimError):
     """Requested quadrature error exceeds the admissible range."""
 

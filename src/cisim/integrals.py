@@ -26,6 +26,7 @@ from math import erf, exp, pi, sqrt
 
 import numpy as np
 
+from .errors import NumericOverflow
 from .orbitals import (SpinOrbital, d1_terms, d2_terms, spatial_orbitals,
                        spins_match)
 
@@ -277,16 +278,22 @@ class IntegralTable:
         m = len(functions)
         pairs = list(zip(*np.triu_indices(m)))
         s, h = np.zeros((m, m)), np.zeros((m, m))
-        for a, b in pairs:
-            fa, fb = functions[a], functions[b]
-            s[a, b] = s[b, a] = overlap(fa, fb)
-            h[a, b] = kinetic(fa, fb)
-            for Z, R in self.nuclei:
-                h[a, b] += nuclear_attraction(fa, fb, Z, R)
-            h[b, a] = h[a, b]
         # chemist (ab|cd) once for a <= b, c <= d and (a, b) <= (c, d)
         quartets = [ab + cd for x, ab in enumerate(pairs) for cd in pairs[x:]]
-        eri = [eri_chemist(*(functions[x] for x in q)) for q in quartets]
+        try:
+            for a, b in pairs:
+                fa, fb = functions[a], functions[b]
+                s[a, b] = s[b, a] = overlap(fa, fb)
+                h[a, b] = kinetic(fa, fb)
+                for Z, R in self.nuclei:
+                    h[a, b] += nuclear_attraction(fa, fb, Z, R)
+                h[b, a] = h[a, b]
+            eri = [eri_chemist(*(functions[x] for x in q)) for q in quartets]
+            finite = all(np.isfinite(x).all() for x in (s, h, eri))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise NumericOverflow("an integral of the basis is past a float")
         a, b, c, d = np.array(quartets).T
         chem = np.zeros((m, m, m, m))
         for w, x, y, z in ((a, b, c, d), (c, d, a, b)):

@@ -48,33 +48,27 @@ MAX_SEGMENTS = 10**7  # largest segment count r a plan may ask for
 class TermFamily:
     """Column-compressed equal-weight term family on a dim-state system.
 
-    One involution ``perms[g]`` per stored one-sparse label and a value
-    array ``values[g]`` of shape (dim, mu) holding the grid-point entries
-    at (x, perms[g][x]).  Rounding to multiples of 2 zeta and the
-    threshold split happen here, so the family exposes every H_{l, rho}
-    without materializing them.  Label g splits into 2 M_g signed
-    involutions, M_g = max C_g / 2, so L = sum_g 2 M_g and a label whose
-    entries all round to zero adds no term; ``M`` is max_g M_g.  Label
-    g's terms hold consecutive flat l values, after those of every label
-    before it.
+    ``perms`` (labels x dim) holds one involution per stored one-sparse
+    label g and ``values`` (labels x dim x mu), every label mu wide, its
+    grid-point entries at (x, perms[g][x]).  Rounding to multiples of 2
+    zeta and the threshold split happen here, so the family exposes every
+    H_{l, rho} without materializing them.  Label g splits into 2 M_g
+    signed involutions, M_g = max C_g / 2, so L = sum_g 2 M_g and a label
+    whose entries all round to zero adds no term; ``M`` is max_g M_g.
+    Label g's terms hold consecutive flat l values, after those of every
+    label before it.
     ``n_gamma`` counts all labels, stored or not (default: the stored
     ones); only ``meta.lambda_paper`` reads it.
     """
 
     def __init__(self, perms, values, zeta: float, n_gamma=None):
-        self.perms = [np.asarray(p) for p in perms]
-        self.values = [np.atleast_2d(np.asarray(v, dtype=complex)) for v in values]
+        self.perms = np.asarray(perms)
+        # labels of different widths are ragged, which asarray rejects
+        self.values = np.asarray(values, dtype=complex)
         self.zeta = float(zeta)
-        if not self.perms:
+        if not len(self.perms):
             raise ValueError("empty term family")
-        self.dim = len(self.perms[0])
-        self.mu = max(v.shape[1] for v in self.values)
-        # pad the labels narrower than the global grid size
-        self.values = [
-            v if v.shape[1] == self.mu
-            else np.pad(v, ((0, 0), (0, self.mu - v.shape[1])))
-            for v in self.values
-        ]
+        _, self.dim, self.mu = self.values.shape
         split = [split_arrays(v, self.zeta) for v in self.values]
         self._C = [C for C, _ in split]
         self._phase = [phase for _, phase in split]
@@ -329,6 +323,7 @@ class RegisterSim:
         self.n_ell = self.L + n_pad
         self.shape = (self.K + 1,) + (self.n_ell,) * self.K \
             + (self.mu,) * self.K + (self.dim,)
+        self._zero = (0,) * (2 * self.K + 1) + (Ellipsis,)  # |0> registers
         ell_weights = np.concatenate([np.full(self.L, family.zeta * self.mu),
                                       np.full(n_pad, plan.pad / 2.0)])
         self._bk = _householder_to(prepare_b(plan))
@@ -339,7 +334,7 @@ class RegisterSim:
         """Embed a system vector, or a (dim, batch) stack of them."""
         psi = np.asarray(psi, dtype=complex)
         state = np.zeros(self.shape + psi.shape[1:], dtype=complex)
-        state[(0,) * (2 * self.K + 1) + (Ellipsis,)] = psi
+        state[self._zero] = psi
         return state
 
     def _apply_axis(self, state, U, axis):
@@ -401,8 +396,7 @@ class RegisterSim:
 
     def project_zero(self, state):
         out = np.zeros_like(state)
-        sel = (0,) * (2 * self.K + 1) + (Ellipsis,)
-        out[sel] = state[sel]
+        out[self._zero] = state[self._zero]
         return out
 
     def reflect(self, state):
@@ -412,8 +406,7 @@ class RegisterSim:
     def block_of_w(self) -> np.ndarray:
         """<0|W|0> as a dim x dim matrix, all columns in one pass."""
         state = self.zero_state(np.eye(self.dim, dtype=complex))
-        sel = (0,) * (2 * self.K + 1) + (Ellipsis,)
-        return self.apply_w(state)[sel]
+        return self.apply_w(state)[self._zero]
 
     def oaa_apply(self, psi: np.ndarray) -> np.ndarray:
         """P G |0, psi> block: the register-level amplified segment."""
@@ -422,5 +415,4 @@ class RegisterSim:
         state = self.apply_w(state, dagger=True)
         state = self.reflect(state)
         state = self.apply_w(state)
-        sel = (0,) * (2 * self.K + 1) + (Ellipsis,)
-        return -state[sel]
+        return -state[self._zero]

@@ -2,8 +2,8 @@
 
 An orbital is a contraction sum_p c_p (x-cx)^nx (y-cy)^ny (z-cz)^nz
 exp(-a_p |r-c|^2) tagged with a spin label.  Only s, p and d Cartesian
-monomials are supported; everything evaluates in closed form, so value,
-gradient and Laplacian cost O(primitives) per point.
+monomials are supported; value and gradient evaluate in closed form at
+O(primitives) per point.
 
 derive_bounds certifies the four regularity constants used by the
 quadrature layer:
@@ -63,10 +63,11 @@ class SpinOrbital:
             raise ValueError("orbital center must be 3 finite numbers")
         if len(self.primitives) < 1:
             raise ValueError("orbital needs at least one primitive")
-        if not all(finite_number(e) and e > 0 and finite_number(c)
-                   for e, c in self.primitives):
-            raise ValueError("each exponent must be finite and > 0, "
-                             "each coefficient finite")
+        exps, coefs = zip(*self.primitives)
+        if not (all(finite_number(e) and e > 0 for e in exps)
+                and all(map(finite_number, coefs)) and any(coefs)):
+            raise ValueError("each exponent must be finite and > 0, each "
+                             "coefficient finite, and one coefficient nonzero")
         if len(self.powers) != 3 or not all(
                 isinstance(p, Integral) and not isinstance(p, bool) and p >= 0
                 for p in self.powers):

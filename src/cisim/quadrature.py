@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
-                     SpecMismatch)
+                     NumericOverflow, SpecMismatch)
 from .orbitals import BasisBounds, eval_gradient, eval_value, spins_match
 
 ZETA_PRIME = 2.0 * sqrt(3.0) + 3.0  # two-electron singular-branch geometry
@@ -158,6 +158,16 @@ def nucleus_charge(nuclei, q) -> float:
     return float(nuclei[q][0])
 
 
+def _scale(kind, bounds, zq) -> float:
+    """The kind's scale, u = scale / delta; NumericOverflow past a float."""
+    try:
+        if math.isfinite(scale := KINDS[kind].scale(bounds, zq)):
+            return scale
+    except OverflowError:
+        pass
+    raise NumericOverflow(f"the {kind} scale overflows a float at {bounds}")
+
+
 def plan_quadrature(kind, i, j, delta, bounds, basis, nuclei=(), k=None, l=None,
                     q=None) -> QuadratureSpec:
     """Build the prescribed grid plan for one integral.
@@ -180,7 +190,7 @@ def plan_quadrature(kind, i, j, delta, bounds, basis, nuclei=(), k=None, l=None,
             # zero charge: the integral is exactly zero; emit a trivial plan
             return QuadratureSpec(kind, delta, bounds, bounds.x_max, 1, 1,
                                   "cartesian", 0.0, q=q, zq=0.0)
-    scale = rule.scale(bounds, zq)
+    scale = _scale(kind, bounds, zq)
     edge = rule.edge(alpha)
     if not 0.0 < delta <= edge * scale:
         raise DeltaTooLarge(
@@ -213,7 +223,7 @@ def delta_for_grid(kind, grid_n, bounds, zq: float = 1.0) -> float:
     """
     rule = KINDS[kind]
     alpha = bounds.alpha_decay
-    scale = rule.scale(bounds, zq)
+    scale = _scale(kind, bounds, zq)
     lo = 1.0 / rule.edge(alpha)   # admissibility edge
     if rule.grid_count(lo, alpha) > grid_n:
         raise DeltaTooLarge(

@@ -135,11 +135,12 @@ def test_labelled_edges_match_the_pair_walk_on_sampled_rows():
 
 
 def _check_signs(terms, basis, rows=None):
-    """Each term's column-wise signs are align_and_diff's, both ways, and
-    the terms cover every edge-table row (of ``rows`` when given)."""
+    """Each term's one column-wise sign is align_and_diff's read either
+    way, and the terms cover every edge-table row (of ``rows`` when
+    given)."""
     left, right = terms.left.tolist(), terms.right.tolist()
     keep = [t for t, ia in enumerate(left) if rows is None or ia in rows]
-    got = [(terms.sign[t], terms.rev_sign[t]) for t in keep]
+    got = [(terms.sign[t], terms.sign[t]) for t in keep]
     want = [(align_and_diff(basis[left[t]], basis[right[t]]).sign,
              align_and_diff(basis[right[t]], basis[left[t]]).sign)
             for t in keep]

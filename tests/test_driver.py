@@ -625,7 +625,8 @@ def test_cli_quadrature_grid_n_is_the_row_count(tmp_path):
 
 
 def test_cli_quadrature_plans_with_the_config_delta(tmp_path):
-    # with no --grid-n, the config's delta for the kind sets the grid
+    # with no --grid-n, the config's delta for the kind, or --delta for
+    # every kind, sets the grid
     with open(H2_PATH) as fh:
         data = json.load(fh)
     bounds = derive_bounds(load_config(H2_PATH).orbitals)
@@ -635,7 +636,9 @@ def test_cli_quadrature_plans_with_the_config_delta(tmp_path):
     path.write_text(json.dumps(data))
     outs = []
     for argv in (["--config", str(path)],
-                 ["--config", H2_PATH, "--grid-n", "8"]):
+                 ["--config", H2_PATH, "--grid-n", "8"],
+                 ["--config", H2_PATH,
+                  "--delta", repr(data["overrides"]["delta"]["s0"])]):
         out = tmp_path / f"terms{len(outs)}.csv"
         assert cli_main(["quadrature", "--kind", "s0", "--orbitals", "1,3",
                          *argv, "--out", str(out)]) == 0
@@ -737,6 +740,28 @@ def _scipy_modules_after_run(path, mode):
     return proc.stdout
 
 
+CENSUS_HEADER = ("norb,eta,nodes,single_colors,double_colors,"
+                 "edges_expected,edges_found,duplicate_edges,"
+                 "uncovered_edges,inverse_failures,injectivity_failures,"
+                 "valid,gamma_count")
+
+
+@pytest.mark.parametrize("norb,eta,row,json_sha256", [
+    (6, 3, "6,3,20,120,14400,380,380,0,0,0,0,True,14766",
+     "a888a3dc1cff630af36cc7e63dd84077103bb831f34d9fd4897766118e710284"),
+    (8, 4, "8,4,70,224,50176,3710,3710,0,0,0,0,True,51082",
+     "a69501fb4d9b410d5d67cabcb138fb4664c7a1c4ed2b7c2878af991a0410efd9"),
+])
+def test_cli_coloring_check_bytes(norb, eta, row, json_sha256, tmp_path):
+    # the census payload's keys, in order, and values, as CSV and as JSON
+    argv = ["coloring-check", "--norb", str(norb), "--eta", str(eta)]
+    csv_out, json_out = tmp_path / "census.csv", tmp_path / "census.json"
+    assert cli_main([*argv, "--output", "csv", "--out", str(csv_out)]) == 0
+    assert cli_main([*argv, "--out", str(json_out)]) == 0
+    assert csv_out.read_bytes() == f"{CENSUS_HEADER}\r\n{row}\r\n".encode()
+    assert hashlib.sha256(json_out.read_bytes()).hexdigest() == json_sha256
+
+
 def test_exact_pipeline_does_not_load_scipy():
     assert _scipy_modules_after_run(H2_PATH, "exact") == "[]\n"
 
@@ -812,6 +837,10 @@ def test_no_source_file_names_scipy():
     pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s2",
                   "--orbitals", "1,2", "--grid-n", "4"],
                  "InvalidCounts", id="quadrature-s2-two-indices"),
+    pytest.param(["report", "--config", H2_PATH, "--epsilon", "1.5"],
+                 "BudgetInfeasible", id="epsilon-1.5"),
+    pytest.param(["report", "--config", H2_PATH, "--epsilon", "0"],
+                 "BudgetInfeasible", id="epsilon-0"),
 ])
 def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
     rc = cli_main(argv)
@@ -913,6 +942,11 @@ def _set(*keys, value):
     return edit
 
 
+def _zero_coefficients(data):
+    for orbital in data["orbitals"]:
+        orbital["primitives"] = [[1.0, 0.0]]
+
+
 def _overrides(**overrides):
     def edit(data):
         data["overrides"] = overrides
@@ -954,6 +988,8 @@ DELTAS = {"s0": 0.1, "s1": 0.1, "s2": 0.1}
     pytest.param(None, _set("time", value=True), ValueError, id="time-bool"),
     pytest.param(None, _set("epsilon", value="0.02"), ValueError,
                  id="epsilon-text"),
+    pytest.param(None, _zero_coefficients, ValueError,
+                 id="all-zero-coefficients"),
     pytest.param(None, _overrides(zeta="abc"), NO_CAUSE, id="zeta-text"),
     pytest.param(None, _overrides(zeta=-1), NO_CAUSE, id="zeta-negative"),
     pytest.param(None, _overrides(zeta=float("nan")), NO_CAUSE,
@@ -989,6 +1025,45 @@ def test_unusable_config_is_one_typed_error(text, edit, cause, tmp_path,
     assert cli_main(["report", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cisim: InvalidConfig: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit,error", [
+    pytest.param(_zero_coefficients, "InvalidConfig", id="zero-coefficients"),
+    # each puts an integral, and the s0 scale quadrature plans with, past
+    # a float
+    pytest.param(_set("orbitals", 0, "primitives", value=[[1e-300, 0.7]]),
+                 "NumericOverflow", id="exponent-1e-300"),
+    pytest.param(_set("orbitals", 0, "primitives", value=[[1e300, 0.7]]),
+                 "NumericOverflow", id="exponent-1e300"),
+    pytest.param(_set("orbitals", 0, "primitives", value=[[1.0, 1e300]]),
+                 "NumericOverflow", id="coefficient-1e300"),
+])
+@pytest.mark.parametrize("argv", [
+    ["report"], ["report", "--mode", "riemann"],
+    ["quadrature", "--kind", "s0", "--orbitals", "1,3", "--grid-n", "8"]],
+    ids=["report-exact", "report-riemann", "quadrature"])
+def test_cli_basis_past_a_float_is_one_typed_error(edit, error, argv,
+                                                   tmp_path, capsys):
+    with open(H2_PATH) as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli_main([*argv, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cisim: {error}: ") and err.count("\n") == 1
+
+
+def test_cli_eri_prefactor_underflow_is_one_typed_error(tmp_path, capsys):
+    # at exponent 1e-150 the ERI prefactor's p q sqrt(p + q) is 0.0
+    with open(H2_PATH) as fh:
+        data = json.load(fh)
+    data["orbitals"][0]["primitives"] = [[1e-150, 0.7]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: NumericOverflow: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -253,6 +253,14 @@ def test_plan_segments_pads_each_segment_to_ln2():
         assert 2.0 - 2.0 * plan.taylor_tail < plan.lam <= 2.0
 
 
+def test_term_family_rejects_labels_of_different_widths():
+    # every label is mu wide; a narrower one is an error, not padded
+    perm = np.array([1, 0])
+    with pytest.raises(ValueError):
+        TermFamily([perm, perm], [np.zeros((2, 1)), np.zeros((2, 2))],
+                   zeta=0.25)
+
+
 def test_plan_segments_zero_weight_family_is_all_pad():
     # every entry rounds to zero: no term, L = 0, and the pad is the weight
     perm = np.array([1, 0, 2])
