@@ -75,7 +75,6 @@ class GammaIndex:
 
 @dataclass(frozen=True, slots=True)
 class OneSparseEntry:
-    alpha: Determinant
     beta: Determinant
     value: complex
 
@@ -191,7 +190,8 @@ def term_value(gamma: GammaIndex, src: Determinant, dst: Determinant,
 
 def gamma_entry(gamma: GammaIndex, alpha: Determinant,
                 table: IntegralTable) -> OneSparseEntry | None:
-    """The single matrix element of one labelled term in row alpha.
+    """The single matrix element of one labelled term in row alpha: its
+    column beta and its value.
 
     Resolves the partner through the coloring; returns None when the
     color gives alpha no partner (zero row, orbitals unchanged).
@@ -199,13 +199,12 @@ def gamma_entry(gamma: GammaIndex, alpha: Determinant,
     c = gamma.color
     if c.p == 0 and c.q == 0:
         return OneSparseEntry(
-            alpha, alpha, term_value(gamma, alpha, alpha, None, table))
+            alpha, term_value(gamma, alpha, alpha, None, table))
     beta = apply_color(c, alpha, LEFT)
     if beta is None:
         return None
     diff = align_and_diff(alpha, beta)
-    return OneSparseEntry(
-        alpha, beta, term_value(gamma, alpha, beta, diff, table))
+    return OneSparseEntry(beta, term_value(gamma, alpha, beta, diff, table))
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,7 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     Every label that meets an edge becomes one involution pattern over the
     2 xi nodes (side, determinant): side-0 rows pair with the side-1 row
     of their color partner and vice versa, other rows stay self-paired
-    with value zero; labels with no edge are counted, not stored.
+    with value zero; labels with no edge are not stored.
     Entry values are Hermitized term by term: the (alpha -> beta) and
     (beta -> alpha) expansions are averaged as (a + conj(b)) / 2.
     """
@@ -259,9 +259,7 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     for at, h in herm:
         values[label[at], x[at], :h.shape[1]] = h
         values[label[at], y[at], :h.shape[1]] = np.conj(h)
-    # n_gamma counts every label for the paper's weight, L only the terms
-    # of the stored ones
-    return TermFamily(perms, values, zeta, n_gamma=count_gamma(table.n, eta))
+    return TermFamily(perms, values, zeta)
 
 
 @dataclass
@@ -359,12 +357,14 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     timings["verification_s"] = time.perf_counter() - t0
 
     status = "OK" if ledger["total"] <= config.epsilon else "OVER_BUDGET"
-    # the paper's layout: 2 M slices for each of all Gamma labels
-    lambda_paper = family.meta.lambda_paper
+    # the paper's layout: 2 M slices for each of all Gamma labels, those
+    # with no edge too
+    Gamma = count_gamma(norb, eta)
+    lambda_paper = family.zeta * 2 * family.M * Gamma * family.mu
     dims = {
         "N": norb, "eta": eta, "xi": xi,
         "d": sparsity_d(norb, eta),
-        "Gamma": family.meta.n_gamma, "Gamma_live": len(family.perms),
+        "Gamma": Gamma, "Gamma_live": len(family.perms),
         "L": family.L, "M": family.M, "mu": family.mu,
         "r": info.r, "K": info.K, "lambda": info.lam,
         "lambda_weight": family.meta.lambda_weight,

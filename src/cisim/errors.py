@@ -31,10 +31,8 @@ class BoundViolated(CisimError):
     """A certified basis bound fails: a cap, the decay envelope, or the
     search for either."""
 
-    def __init__(self, message, orbital=None, location=None, quantity=None):
+    def __init__(self, message, quantity=None):
         super().__init__(message)
-        self.orbital = orbital
-        self.location = location
         self.quantity = quantity
 
 

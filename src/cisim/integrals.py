@@ -270,6 +270,7 @@ class IntegralTable:
     functions.
     """
 
+    @np.errstate(all="ignore")  # an integral past a float raises, below
     def __init__(self, basis, nuclei=()):
         self.basis = list(basis)
         self.nuclei = [(float(Z), tuple(R)) for Z, R in nuclei]

@@ -57,11 +57,9 @@ class TermFamily:
     whose entries all round to zero adds no term; ``M`` is max_g M_g.
     Label g's terms hold consecutive flat l values, after those of every
     label before it.
-    ``n_gamma`` counts all labels, stored or not (default: the stored
-    ones); only ``meta.lambda_paper`` reads it.
     """
 
-    def __init__(self, perms, values, zeta: float, n_gamma=None):
+    def __init__(self, perms, values, zeta: float):
         self.perms = np.asarray(perms)
         # labels of different widths are ragged, which asarray rejects
         self.values = np.asarray(values, dtype=complex)
@@ -77,8 +75,7 @@ class TermFamily:
         self.M = int(self.M_g.max())
         self._offsets = np.concatenate([[0], np.cumsum(2 * self.M_g)])
         self.meta = DecompositionMeta(
-            zeta=self.zeta, L=int(self._offsets[-1]), mu=self.mu, M=self.M,
-            n_gamma=len(self.perms) if n_gamma is None else n_gamma)
+            zeta=self.zeta, L=int(self._offsets[-1]), mu=self.mu)
         self._rounded = None
 
     @property
@@ -103,7 +100,7 @@ class TermFamily:
     def term(self, ell: int, rho: int) -> SelfInverseTerm:
         s, m, g = self.ell_parts(ell)
         perm, vals = self.term_pattern(ell, rho)
-        return SelfInverseTerm(g, rho, m, s, perm.copy(), vals)
+        return SelfInverseTerm(g, m, s, perm.copy(), vals)
 
     def _scatter(self, label_values) -> np.ndarray:
         """Dense sum over stored labels g of label_values(g), summed over rho."""
@@ -314,7 +311,6 @@ class RegisterSim:
 
     def __init__(self, family: TermFamily, plan: SegmentPlan):
         self.family = family
-        self.plan = plan
         self.K = plan.K
         self.L = family.L
         self.mu = family.mu

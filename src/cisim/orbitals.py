@@ -29,13 +29,13 @@ adjusting silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from math import isfinite, sqrt
 from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import BoundViolated, UnsupportedAngularMomentum
+from .errors import BoundViolated, NumericOverflow, UnsupportedAngularMomentum
 
 MAX_ANGULAR = 2  # s, p, d
 ALPHA_DECAY = 1.0  # alpha in |phi| <= phi_max e^{-alpha r / x_max}
@@ -249,7 +249,7 @@ def envelope_sup(phi: SpinOrbital, quantity: str, r_from: float = 0.0,
     rows = [(factor * abs(c) * wt, kt, e) for e, c in phi.primitives
             for wt, kt in per_primitive(e, phi.total_power)]
     w, k, a = terms = _terms(*zip(*rows))
-    if not len(w):
+    if not len(w):  # every weight underflowed to 0, e.g. coefficient 5e-324
         return 0.0
     slope = _terms(np.r_[w * k, w * rate, -2.0 * a * w],
                    np.r_[k - 1, k, k + 1], np.tile(a, 3))
@@ -293,6 +293,7 @@ def _shapes(basis) -> list:
     return [(idx, basis[idx]) for idx in first.values()]
 
 
+@np.errstate(all="ignore")  # a bound past a float is reported, not warned of
 def derive_bounds(basis) -> BasisBounds:
     """Certified (phi_max, x_max, alpha, gamma1, gamma2) for a Gaussian basis.
 
@@ -300,6 +301,7 @@ def derive_bounds(basis) -> BasisBounds:
     gamma2 are the largest envelope_sup over the basis.  x_max is the
     first radius, from the widest orbital's size up by factors of 1.2,
     at which the decay envelope certifies for every orbital.
+    NumericOverflow when a bound is past a float.
     """
     if len(basis) == 0:
         raise ValueError("empty basis")
@@ -325,6 +327,8 @@ def derive_bounds(basis) -> BasisBounds:
         gamma1=sup_grad * x_max / phi_max,
         gamma2=sup_lap * x_max**2 / phi_max,
     )
+    if not all(map(isfinite, astuple(bounds))):
+        raise NumericOverflow(f"a basis bound is past a float: {bounds}")
     certify_bounds(basis, bounds)
     return bounds
 
@@ -341,10 +345,8 @@ def certify_bounds(basis, bounds: BasisBounds):
             if sup > cap(bounds) * (1 + 1e-9):
                 raise BoundViolated(
                     f"{name} cap violated by orbital {idx}: its envelope "
-                    f"reaches {sup:.6g} > {cap(bounds):.6g}",
-                    orbital=idx, quantity=name)
+                    f"reaches {sup:.6g} > {cap(bounds):.6g}", quantity=name)
         if not _decays(phi, bounds.phi_max, bounds.x_max, bounds.alpha_decay):
             raise BoundViolated(
                 f"decay envelope fails for orbital {idx} past "
-                f"x_max = {bounds.x_max:.4g}",
-                orbital=idx, location=bounds.x_max, quantity="decay")
+                f"x_max = {bounds.x_max:.4g}", quantity="decay")

@@ -84,7 +84,12 @@ class KindRule:
         return math.exp(-alpha / self.pref)
 
     def grid_count(self, u: float, alpha: float) -> int:
-        return ceil(u * ((self.pref / alpha) * log(u)) ** self.expn)
+        """DeltaTooSmall when the count is past a float, so past the cap."""
+        try:
+            return ceil(u * ((self.pref / alpha) * log(u)) ** self.expn)
+        except OverflowError:
+            raise DeltaTooSmall(f"u={u:g} needs a grid past a float per axis, "
+                                f"over the cap {GRID_CAP}") from None
 
 
 KINDS = {
@@ -110,23 +115,20 @@ KINDS = {
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Everything needed to build one Riemann sum.
+    """The grid of one Riemann sum: what the midpoint sums read, not the
+    delta and bounds it was planned from.
 
     mu = grid_n^3 for the three-dimensional kinds and grid_n^6 for S2;
     term_bound is the a-priori per-term magnitude bound.
     """
 
     kind: str                      # 's0' | 's1' | 's2'
-    delta: float
-    bounds: BasisBounds
     x_trunc: float
     grid_n: int
     mu: int
     coordinate_system: str         # 'cartesian' | 'spherical_polar'
     term_bound: float
     q: int | None = None           # nucleus index for S1
-    zq: float = 0.0
-    zeta_prime: float = ZETA_PRIME
 
 
 class RiemannSum:
@@ -188,8 +190,8 @@ def plan_quadrature(kind, i, j, delta, bounds, basis, nuclei=(), k=None, l=None,
         zq = nucleus_charge(nuclei, q)
         if zq == 0.0:
             # zero charge: the integral is exactly zero; emit a trivial plan
-            return QuadratureSpec(kind, delta, bounds, bounds.x_max, 1, 1,
-                                  "cartesian", 0.0, q=q, zq=0.0)
+            return QuadratureSpec(kind, bounds.x_max, 1, 1, "cartesian", 0.0,
+                                  q=q)
     scale = _scale(kind, bounds, zq)
     edge = rule.edge(alpha)
     if not 0.0 < delta <= edge * scale:
@@ -211,8 +213,8 @@ def plan_quadrature(kind, i, j, delta, bounds, basis, nuclei=(), k=None, l=None,
                            else basis[j - 1].center)
         if np.linalg.norm(ci - other) < rule.reach * x_trunc + bounds.x_max:
             coord = "spherical_polar"
-    return QuadratureSpec(kind, delta, bounds, x_trunc, grid_n, mu, coord,
-                          rule.term_bound(bounds, zq, u, mu), q=q, zq=zq)
+    return QuadratureSpec(kind, x_trunc, grid_n, mu, coord,
+                          rule.term_bound(bounds, zq, u, mu), q=q)
 
 
 def delta_for_grid(kind, grid_n, bounds, zq: float = 1.0) -> float:
@@ -340,7 +342,6 @@ def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis) -> RiemannSum:
         dist = np.linalg.norm(p1[:, None, :] - p2[None, :, :], axis=-1)
         vals = (f1[:, None] * f2[None, :] / dist).ravel() * vol
     else:
-        zp = spec.zeta_prime
         ax = (np.arange(n) + 0.5) * 2.0 / n - 1.0
         S1, S2_, S3 = np.meshgrid(ax, ax, ax, indexing="ij")
         svec = np.stack([S1, S2_, S3], axis=-1).reshape(-1, 3)
@@ -350,10 +351,10 @@ def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis) -> RiemannSum:
         eta_ik = eval_value(phi[0], r1) * eval_value(phi[2], r1)
         weight = t * np.sin(th)
         # r2 = r1 - zeta' x2 tvec, expanded over the (s, t) product grid
-        r2 = r1[:, None, :] - zp * x2 * tvec[None, :, :]
+        r2 = r1[:, None, :] - ZETA_PRIME * x2 * tvec[None, :, :]
         eta_jl = eval_value(phi[1], r2) * eval_value(phi[3], r2)
         f2 = eta_ik[:, None] * eta_jl * weight[None, :]
-        vals = (zp**2 * x2**5 * f2).ravel() * (16.0 * pi**2 / n**6)
+        vals = (ZETA_PRIME**2 * x2**5 * f2).ravel() * (16.0 * pi**2 / n**6)
     return RiemannSum(vals, spec.term_bound)
 
 

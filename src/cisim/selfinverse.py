@@ -37,24 +37,18 @@ class DecompositionMeta:
     """Shape of the equal-weight unitary sum H = zeta sum_{l, rho} H_{l, rho}.
 
     L = sum_g 2 M_g counts the terms that exist, so ``lambda_weight`` =
-    zeta L mu is the weight the evolution pays.  ``lambda_paper`` is the
-    weight of the paper's uniform layout, 2 M slices (M = max_g M_g) for
-    each of all n_gamma labels, including labels with no edge.
+    zeta L mu is the weight the evolution pays.  The paper's uniform
+    layout, 2 M slices for each of all Gamma labels, is the run report's
+    to price: the family never counts labels with no edge.
     """
 
     zeta: float
     L: int
     mu: int
-    M: int
-    n_gamma: int
 
     @property
     def lambda_weight(self) -> float:
         return self.zeta * self.L * self.mu
-
-    @property
-    def lambda_paper(self) -> float:
-        return self.zeta * 2 * self.M * self.n_gamma * self.mu
 
 
 @dataclass(frozen=True)
@@ -67,7 +61,6 @@ class SelfInverseTerm:
     """
 
     gamma: int                     # label index in the family
-    rho: int
     m: int
     s: int
     perm: np.ndarray

@@ -8,7 +8,8 @@ from cisim.cimatrix import (GammaIndex, assemble_from_gammas, build_ci_matrix,
                             gamma_census, gamma_entry, label_key,
                             labelled_edges, labelled_terms, sparsity_d,
                             term_value)
-from cisim.coloring import DIAGONAL_COLOR, ColorTuple, color_of
+from cisim.coloring import (DIAGONAL_COLOR, ColorTuple, color_of,
+                            single_colors)
 from cisim.determinants import Determinant, align_and_diff, enumerate_basis
 from cisim.errors import InvalidCounts, MalformedGamma, PatternMismatch
 from cisim.integrals import IntegralTable
@@ -265,10 +266,18 @@ def test_hermitian_partner_rule(h2_table):
 
 
 def test_malformed_gamma():
+    single = single_colors(4, 2)[0]
     with pytest.raises(MalformedGamma):
         GammaIndex(DIAGONAL_COLOR, 2, 1)
     with pytest.raises(MalformedGamma):
         GammaIndex(ColorTuple(0, 0, 1, 1, 0, 0, 1, 0))
+    with pytest.raises(MalformedGamma):
+        GammaIndex(single, 0)
+    # a single-difference selector past eta names no term
+    src, dst = Determinant((1, 2), 4), Determinant((1, 3), 4)
+    with pytest.raises(MalformedGamma, match="beyond eta"):
+        term_value(GammaIndex(single, 3), src, dst, align_and_diff(src, dst),
+                   None)
 
 
 def test_gamma_census_shape():

@@ -12,6 +12,11 @@ re-exports and ``from __future__`` imports are exempt.
 A definition that only tests name must be a reference the tests judge
 the program against, listed in ``REFERENCES`` with the reason; any other
 helper that only tests call belongs in tests/oracles.py or nowhere.
+
+Every field a class stores, a dataclass field or an attribute of self a
+method assigns, is read by attribute name somewhere in src/cisim or
+tests/; the few that are kept unread are listed in ``UNREAD_FIELDS``
+with the reason.
 """
 
 import ast
@@ -111,6 +116,55 @@ def test_no_unused_definitions():
 def test_test_only_definitions_are_references():
     program = [p for p in SOURCES if p.name != "__init__.py"]
     assert sorted(unused_definitions(program)) == sorted(REFERENCES)
+
+
+# stored fields that no code reads by attribute name, and why each is kept
+UNREAD_FIELDS = {
+    "lcu.SegmentPlan.eps":
+        "the accuracy a plan was made for; criterion 7 constructs plans with it",
+    "coloring.ColoringCensus.n_nodes":
+        "coloring-check prints it through asdict; perfbench reads it by name",
+    "coloring.ColoringCensus.n_single_colors":
+        "coloring-check prints it through asdict",
+    "coloring.ColoringCensus.n_double_colors":
+        "coloring-check prints it through asdict",
+}
+
+
+def _stored_fields(tree, stem: str):
+    """(qualified name, name) of each field a class stores: an annotated
+    name in its body, or an attribute of self that one of its methods
+    assigns."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                yield f"{stem}.{cls.name}.{node.target.id}", node.target.id
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "self":
+                yield f"{stem}.{cls.name}.{node.attr}", node.attr
+
+
+def unread_fields() -> list[str]:
+    """Stored fields whose name no attribute read in src/cisim or tests/
+    uses."""
+    reads = {node.attr for path in SOURCES + TESTS
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    return sorted({qualname for path in SOURCES
+                   for qualname, name in _stored_fields(
+                       ast.parse(path.read_text()), path.stem)
+                   if name not in reads})
+
+
+def test_every_stored_field_is_read():
+    assert unread_fields() == sorted(UNREAD_FIELDS)
 
 
 def unused_imports() -> list[str]:

@@ -39,6 +39,10 @@ def test_make_determinant_errors():
         Determinant((0, 2), 4)
     with pytest.raises(IndexOutOfRange):
         Determinant((2, 5), 4)
+    with pytest.raises(InvalidCounts):
+        Determinant((), 4)
+    with pytest.raises(ValueError, match="not ascending"):
+        Determinant((3, 1), 4)
 
 
 def test_enumerate_basis_4_2():
@@ -70,6 +74,13 @@ def test_align_identity():
     a = Determinant((1, 2), 4)
     rep = align_and_diff(a, a)
     assert rep.count == 0 and rep.sign == +1 and rep.common == (1, 2)
+
+
+def test_align_rejects_determinants_of_different_bases():
+    a = Determinant((1, 2), 4)
+    for other in (Determinant((1, 2), 5), Determinant((1,), 4)):
+        with pytest.raises(InvalidCounts):
+            align_and_diff(a, other)
 
 
 def test_align_single_difference():

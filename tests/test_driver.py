@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -119,6 +120,14 @@ def test_overlap_warning_fires():
     cfg = h2_config()
     with pytest.warns(NonOrthonormalBasisWarning):
         ingest(cfg)
+
+
+def test_build_term_family_rejects_an_unknown_mode_or_missing_bounds(
+        h2_table):
+    with pytest.raises(ValueError, match="unknown mode"):
+        build_term_family(h2_table, 2, 0.25, mode="dense")
+    with pytest.raises(ValueError, match="needs certified bounds"):
+        build_term_family(h2_table, 2, 0.25, mode="riemann")
 
 
 def test_partition_verifier(h2_table):
@@ -236,7 +245,6 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
     labels = enumerate_gammas(table.n, eta)
     stored = [g for g in labels if g in expected]
     assert n_stored == len(stored)
-    assert fam.meta.n_gamma == len(labels)
     slices = []
     for g in range(n_stored):
         perm, vals = expected[stored[g]]
@@ -383,6 +391,7 @@ def test_pipeline_reports_the_paper_cost(h2_report):
     # the run pays for the terms that exist; the paper's 2 M Gamma layout
     # and the segment count it would need sit beside them
     dims = h2_report.dims
+    assert dims["Gamma"] == len(enumerate_gammas(dims["N"], dims["eta"]))
     assert dims["Gamma_live"] == 37
     assert dims["lambda_paper"] == pytest.approx(
         dims["zeta"] * 2 * dims["M"] * dims["Gamma"] * dims["mu"])
@@ -841,6 +850,16 @@ def test_no_source_file_names_scipy():
                  "BudgetInfeasible", id="epsilon-1.5"),
     pytest.param(["report", "--config", H2_PATH, "--epsilon", "0"],
                  "BudgetInfeasible", id="epsilon-0"),
+    # u = scale / delta is a float, but the grid count it needs is not
+    pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s2",
+                  "--orbitals", "1,3,1,3", "--delta", "1e-300"],
+                 "DeltaTooSmall", id="quadrature-delta-1e-300"),
+    pytest.param(["report", "--config", H2_PATH, "--mode", "riemann",
+                  "--delta", "1e-300"],
+                 "DeltaTooSmall", id="report-riemann-delta-1e-300"),
+    pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s0",
+                  "--orbitals", "1,3", "--grid-n", "1" + "0" * 400],
+                 "DeltaTooSmall", id="quadrature-grid-n-1e400"),
 ])
 def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
     rc = cli_main(argv)
@@ -1049,9 +1068,13 @@ def test_cli_basis_past_a_float_is_one_typed_error(edit, error, argv,
     edit(data)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
-    assert cli_main([*argv, "--config", str(path)]) == 2
+    # recorded, a warning cannot hide from the stderr check
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main([*argv, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"cisim: {error}: ") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
 
 
 def test_cli_eri_prefactor_underflow_is_one_typed_error(tmp_path, capsys):

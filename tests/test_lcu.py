@@ -283,6 +283,15 @@ def test_plan_segments_bad_eps():
         plan_segments(0.1, 1.0, 1.5, fam.meta)
 
 
+def test_plan_segments_rejects_a_negative_time_and_a_norm_past_the_weight():
+    fam = generic_family(np.random.default_rng(14))
+    with pytest.raises(ValueError, match="negative time"):
+        plan_segments(0.1, -1.0, 1e-3, fam.meta)
+    # a family whose weight zeta L mu is below |H| cannot evolve H
+    with pytest.raises(ValueError, match="cannot bound"):
+        plan_segments(2.0 * fam.meta.lambda_weight, 1.0, 1e-3, fam.meta)
+
+
 # ---------------------------------------------------------------------------
 # block identities, amplification, evolution
 
@@ -505,8 +514,6 @@ def test_unequal_slices_rebuild_the_rounded_hamiltonian():
             recon[rows, perm] += fam.zeta * vals
     assert np.max(np.abs(recon - fam.rounded_dense())) < 1e-12
     assert fam.meta.lambda_weight == pytest.approx(fam.zeta * fam.L * fam.mu)
-    assert fam.meta.lambda_paper == pytest.approx(
-        fam.zeta * 2 * fam.M * len(fam.perms) * fam.mu)
 
 
 def test_hermitian_norm_matches_the_svd_norm():

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from cisim.driver import load_config
-from cisim.errors import BoundViolated, UnsupportedAngularMomentum
+from cisim.errors import (BoundViolated, NumericOverflow,
+                          UnsupportedAngularMomentum)
 from cisim.orbitals import (BasisBounds, SpinOrbital, certify_bounds,
-                            derive_bounds, eval_gradient, eval_value)
+                            derive_bounds, envelope_sup, eval_gradient,
+                            eval_value)
 
 from conftest import so
 from oracles import eval_laplacian, sampled_max
@@ -128,6 +131,35 @@ def test_gradient_and_laplacian_caps_hold():
         lap = np.abs(eval_laplacian(phi, pts))
         assert np.all(grad <= b.gamma1 * b.phi_max / b.x_max * (1 + 1e-9))
         assert np.all(lap <= b.gamma2 * b.phi_max / b.x_max**2 * (1 + 1e-9))
+
+
+def test_derive_bounds_rejects_an_empty_basis():
+    with pytest.raises(ValueError, match="empty basis"):
+        derive_bounds([])
+
+
+@pytest.mark.parametrize("primitives", [[(1e300, 0.7)],
+                                        [(1.0, 1e308), (1.1, 1e308)]],
+                         ids=["exponent-1e300", "two-coefficients-1e308"])
+def test_bound_past_a_float_is_numeric_overflow(primitives):
+    # the Laplacian cap (or phi_max itself) is past a float: a typed
+    # error, with no numpy warning on the way
+    basis = [SpinOrbital((0.0, 0.0, 0.0), tuple(primitives))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericOverflow, match="past a float"):
+            derive_bounds(basis)
+    assert caught == []
+
+
+def test_envelope_whose_weights_underflow_is_zero():
+    # coefficient 5e-324 at exponent 0.1: the gradient envelope's weight
+    # 2 a |c| rounds to 0, so it has no term, and the basis still
+    # certifies
+    phi = SpinOrbital((0.0, 0.0, 0.0), ((0.1, 5e-324),))
+    assert envelope_sup(phi, "gamma1") == 0.0
+    other = so((0.0, 0.0, 1.4), 1.0)
+    assert derive_bounds([phi, other]).phi_max == derive_bounds([other]).phi_max
 
 
 def test_certification_failure_is_an_error():

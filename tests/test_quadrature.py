@@ -14,10 +14,10 @@ from cisim.errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
 from cisim.integrals import (IntegralTable, eri_chemist,
                              kinetic_gradient_form, nuclear_attraction)
 from cisim.orbitals import BasisBounds, derive_bounds
-from cisim.quadrature import (ZETA_PRIME, delta_for_grid, k0_constant,
-                              k1_constant, k2_constant, lambda_exact,
-                              plan_quadrature, riemann_S0, riemann_S1,
-                              riemann_S2)
+from cisim.quadrature import (GRID_CAP, ZETA_PRIME, delta_for_grid,
+                              k0_constant, k1_constant, k2_constant,
+                              lambda_exact, plan_quadrature, riemann_S0,
+                              riemann_S1, riemann_S2)
 
 from conftest import so
 
@@ -62,6 +62,13 @@ def test_plan_delta_too_small():
     with pytest.raises(DeltaTooSmall):
         plan_quadrature("s0", 1, 1, 1e-12, UNIT,
                         [so((0, 0, 0), 1.0)])
+    # u = scale / delta is a float here, but its grid count is not
+    with pytest.raises(DeltaTooSmall, match="past a float"):
+        plan_quadrature("s2", 1, 1, 1e-300, UNIT, [so((0, 0, 0), 1.0)],
+                        k=1, l=1)
+    # as is the grid the doubling bracket reaches for this request
+    with pytest.raises(DeltaTooSmall, match="past a float"):
+        delta_for_grid("s0", 10**400, UNIT)
 
 
 def test_s1_branch_threshold(sbasis):
@@ -276,8 +283,9 @@ def pinned_problems():
     """(basis, nuclei, bounds) of configs/h2.json and of a p/d basis.
 
     The bounds are fixed literals, the values an earlier bound search
-    gave, so the pins judge the quadrature formulas and not the search;
-    their numpy reprs enter the plan digests.
+    gave, so the pins judge the quadrature formulas and not the search.
+    A plan keeps the grid and not the bounds it was planned from, so they
+    enter the digests only through the plans' and deltas' floats.
     """
     h2 = load_config("configs/h2.json")
     # the far orbital and nucleus put the Coulomb kinds on their
@@ -332,7 +340,9 @@ def test_delta_for_grid_plans_fit_the_grid(name, pinned_problems):
     for kind in ("s0", "s1", "s2"):
         for q in range(len(nuclei)) if kind == "s1" else [None]:
             zq = nuclei[q][0] if kind == "s1" else 1.0
-            for n in range(1, 65):
+            # the cap 256 is past the first grid the bracket tries, so its
+            # doubling loop runs
+            for n in [*range(1, 65), GRID_CAP]:
                 try:
                     delta = delta_for_grid(kind, n, bounds, zq=zq)
                 except DeltaTooLarge:
@@ -342,13 +352,15 @@ def test_delta_for_grid_plans_fit_the_grid(name, pinned_problems):
                 assert spec.grid_n <= n, (kind, zq, n)
 
 
-# sha256 digests of (plans, deltas); the plan digests date from before the
-# per-kind rule table, the delta digests from delta_for_grid's fix for
-# the round trip that overshot the grid in 15 of these cases
+# sha256 digests of (plans, deltas); the plan digests hash the fields a
+# plan keeps (kind, x_trunc, grid_n, mu, coordinate_system, term_bound,
+# q), with the values of the formulas from before the per-kind rule
+# table; the delta digests date from delta_for_grid's fix for the round
+# trip that overshot the grid in 15 of these cases
 QUADRATURE_PINS = {
-    "h2": ("8625d4967144701cb6aa3ef95f666b50253ceca8c253b72a04cbb74f2a64f18f",
+    "h2": ("ea627604d8823ed8a00b2e3353b0af79cc1d0efa4a1e0a95622224531ace9687",
            "7d5daed8f0e9c85bf4d185f7c37dfe00bbf397305eb92fbbff1905c72a0c3ac2"),
-    "pd": ("f287798387cd74ad33fc96a05806b9b623072036f57f6f89810172a9558cb199",
+    "pd": ("397d3152fadd8d8af2e9c175a6e60d674030ed752370eca4e5ca7d71ee578b63",
            "69d48eaac4bad0985a2b6acf34dc18737ecf769293c419c5c5f76ba9c1cdf32d"),
 }
 
@@ -376,6 +388,12 @@ def test_lambda_exact_worked_example():
     assert exact == pytest.approx(3.0 * pi * exp(-2.0), rel=1e-12)
     assert bound == pytest.approx(2.0 * pi * exp(-1.0), rel=1e-12)
     assert exact <= bound
+
+
+def test_lambda_exact_rejects_a_nonpositive_decay_or_radius():
+    for mu, x in ((-1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            lambda_exact(mu, x, 0.0)
 
 
 def test_lambda_small_x_limit():
