@@ -26,7 +26,8 @@ label set is:
 
 The labelled terms are the rows of the coloring's edge table, each
 expanded by its term selectors, read only once that table's census is
-valid, so every run checks its coloring at its own size.
+valid, and each row confirmed by the move rule's array kernel, so every
+run checks its coloring at its own size.
 `labelled_terms` holds them as integer columns and applies the
 Slater-Condon rules on bitstrings (Scemama & Giner, arXiv:1311.6244) to
 all of them at once: each edge's left list, with its differing orbitals
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import (DIAGONAL_COLOR, LEFT, ColorTuple, EdgeTable,
-                       apply_color, double_colors, edge_table,
-                       movement_tuples, single_colors)
+                       _alt1_ok, apply_color, double_colors, edge_table,
+                       movement_tuples, single_colors, single_moves)
 from .determinants import (Determinant, align_and_diff, check_dense,
                            enumerate_basis, sparsity_d)
 from .errors import MalformedGamma, PatternMismatch
@@ -261,23 +262,28 @@ def labelled_terms(norb: int, eta: int) -> LabelledTerms:
     docstring describes: the diagonal, single and double rows, each once
     per term selector.
 
-    The table is read only once its own census is valid, and each partner
-    is confirmed with the select oracle's map apply_color.  An invalid
-    census or a partner apply_color does not reach raises PatternMismatch.
+    The table is read only once its own census is valid, and every row is
+    confirmed by applying its first and then its second move from the left
+    with `single_moves`, a double row's pair judged by `_alt1_ok`.  An
+    invalid census or a row whose partner differs raises PatternMismatch.
     """
     table = edge_table(norb, eta)
     census = table.census()
     if not census.valid:
         raise PatternMismatch(f"the coloring fails its census: {census}")
-    basis = [Determinant(occ, norb) for occ in table.dets]
-    for m1, m2, ia, ib in zip(table.m1.tolist(), table.m2.tolist(),
-                              table.left.tolist(), table.right.tolist()):
-        color = table.color(m1, m2)
-        if apply_color(color, basis[ia], LEFT) != basis[ib]:
-            raise PatternMismatch(f"color {color} does not map "
-                                  f"{basis[ia].occ} to {basis[ib].occ}")
-
     orbs = np.array(table.dets).reshape(-1, eta)
+    moves = single_moves(orbs, LEFT, norb)
+    chi, x1, y1 = moves.apply(table.m1, table.left)
+    partner, x2, y2 = moves.apply(table.m2, chi)
+    astray = (partner != table.right) | (
+        (table.m1 >= 0) & ~_alt1_ok(x1, y1, x2, y2))
+    if astray.any():
+        r = int(np.argmax(astray))
+        raise PatternMismatch(
+            f"color {table.color(int(table.m1[r]), int(table.m2[r]))} does "
+            f"not map {table.dets[table.left[r]]} to "
+            f"{table.dets[table.right[r]]}")
+
     left, right = orbs[table.left], orbs[table.right]
     only_left = (left[:, :, None] != right[:, None, :]).all(axis=2)
     only_right = (right[:, :, None] != left[:, None, :]).all(axis=2)

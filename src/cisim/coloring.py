@@ -26,19 +26,22 @@ and N+1.  Whenever a shift leaves [1, N], collides with an occupied
 orbital, or fails a spacing or back-check, the color gives that node no
 partner (None): the matrix element is zero and the node is unchanged.
 
-`edge_table` builds every edge from the move rule alone.  It tabulates
-the valid left moves of every node as integer columns ordered by node,
-evaluating each (a, l, shift) from the left once for both b through
-`_move_partners`, which `_apply_move` reads one b of, and undoing each
-valid left move from the right once, when it is tabulated.  Each row is
-a single edge.  The double edges through a middle node are the pairs of
-its incoming and outgoing rows that `_alt1_ok` accepts, judged on that
-node's in x out block at once.  The table never calls `apply_color`'s
-composition.  `coloring_census` is its tally; the family build reads its
-labelled terms off the same table's integer columns once that tally is
-valid, so every run checks the coloring at its own size.  `color_of`,
-the inverse map from a pair to its color, is the reference the tests
-pin the coloring with.
+`single_moves` is the move rule's array kernel.  One pass over the
+single excitations x -> v of some nodes evaluates every move (a, b, l,
+shift) of each from one side, on integer columns, and finds a partner's
+index by its combinatorial rank.  `edge_table` builds every edge from it:
+its single rows are the kernel's moves from the left, ordered by node,
+and a row is undone when the same move from the right leads back.  The
+double edges through a middle node are the pairs of its incoming and
+outgoing rows that `_alt1_ok` accepts, judged on that node's in x out
+block at once.  `coloring_census` is the table's tally; the family build
+reads its labelled terms off the same table's integer columns once that
+tally is valid, and confirms each row's color with the kernel, so every
+run checks the coloring at its own size.  The scalar rule
+(`_move_partners`, which `_apply_move` reads one b of, and
+`apply_color`'s composition) and `color_of`, the inverse map from a pair
+to its color, are the references the tests pin the kernel and the
+coloring with.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -149,6 +153,162 @@ def _apply_move(a, b, l, shift, occ, side, norb):
     """One 4-tuple move; returns (new_occ, moved_from, moved_to) or None."""
     res = _move_partners(a, l, shift, occ, side, norb)
     return res[b] if b < len(res) else None
+
+
+# ---------------------------------------------------------------------------
+# the move rule on integer columns
+
+
+def _lex_ranks(occ: np.ndarray, norb: int) -> np.ndarray:
+    """Index of each ascending row of orbitals in combinations order, by
+    the combinatorial number system: C(N, eta) - 1 - sum_i C(N - occ_i,
+    eta - i), i counted from 0."""
+    eta = occ.shape[1]
+    binom = np.array([[comb(n, r) for r in range(eta + 1)]
+                      for n in range(norb + 1)], dtype=np.int64)
+    return (binom[norb, eta] - 1
+            - binom[norb - occ, eta - np.arange(eta)].sum(axis=1))
+
+
+def _excitations(occ: np.ndarray, norb: int):
+    """Every single excitation x -> v of each row of occ, in row, k, v
+    order, as columns (node, k, x, v, pos, here, there, partner, new).
+
+    x sits at position k of the node and v at position pos of the partner,
+    the node with x replaced by v; nodes and partners are ranks in
+    combinations order, and ``new`` holds the partners' rows.  here and
+    there are `_spacing` around x in the node and around v in the partner.
+    """
+    rows, eta = occ.shape
+    # positions 0..eta+1 with the sentinels 0 and N+1, and N+1 once more so
+    # that the orbital after any position up to eta can be read
+    pad = np.zeros((rows, eta + 3), dtype=np.int16)
+    pad[:, 1:eta + 1], pad[:, eta + 1:] = occ, norb + 1
+    occupied = np.zeros((rows, norb + 1), dtype=bool)
+    occupied[np.arange(rows)[:, None], occ] = True
+    below = np.cumsum(occupied, axis=1, dtype=np.int16)  # orbitals <= v
+    empty = np.nonzero(~occupied[:, 1:])[1].reshape(rows, norb - eta) + 1
+    shape = (rows, eta, norb - eta)
+    r = np.broadcast_to(np.arange(rows, dtype=np.int32)[:, None, None],
+                        shape).ravel()
+    k = np.broadcast_to(np.arange(1, eta + 1, dtype=np.int16)[:, None],
+                        shape).ravel()
+    v = np.broadcast_to(empty.astype(np.int16)[:, None, :], shape).ravel()
+    x = pad[r, k]
+    c = below[r, v]  # v is empty: the orbitals below it
+    # v's neighbours in the partner are the node's, with x skipped
+    prev, after = pad[r, c], pad[r, c + 1]
+    prev = np.where(prev == x, pad[r, c - 1], prev)
+    after = np.where(after == x, pad[r, c + 2], after)
+    new = occ[r]
+    new[np.arange(len(r)), k - 1] = v
+    new.sort(axis=1)
+    return (_lex_ranks(occ, norb)[r], k, x, v, c + (v < x),
+            pad[r, k + 1] - pad[r, k - 1], after - prev,
+            _lex_ranks(new, norb), new)
+
+
+def _move_code(node, a, l, shift, norb: int, eta: int):
+    """Code of the group (node, a, l, shift), ordered as those four."""
+    return ((node * 2 + a) * eta + l - 1) * (2 * norb - 1) + shift + norb - 1
+
+
+@dataclass(frozen=True)
+class SingleMoves:
+    """The valid single moves of some nodes from one side, one row each,
+    as integer columns ordered by node, then by (a, l, shift, b).
+
+    Nodes are ranks in combinations order.  Row r is move id ``move[r]``
+    (an index into `movement_tuples`) taking ``node[r]`` to
+    ``partner[r]``, with ``x[r]`` -> ``y[r]`` the moved orbital read left
+    to right.
+    """
+
+    n_moves: int
+    node: np.ndarray
+    move: np.ndarray
+    partner: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def apply(self, move: np.ndarray, node: np.ndarray):
+        """(partner, x, y) of each move id applied to each node: partner
+        -1 where the move gives none, and move id -1, the zero move, keeps
+        the node, with x = y = 0.  Node -1 has no partner: its keys are
+        negative."""
+        keys = self.node * self.n_moves + self.move
+        order = np.argsort(keys)
+        # a sentinel past every key keeps each search in range
+        keys = np.append(keys[order], np.iinfo(np.int64).max)
+        want = node.astype(np.int64) * self.n_moves + move
+        at = np.searchsorted(keys, want)
+        hit = (keys[at] == want) & (move >= 0)
+        row = np.append(order, 0)[at]
+        cols = [np.where(hit, col[row], 0) if len(col) else np.zeros_like(want)
+                for col in (self.partner, self.x, self.y)]
+        cols[0] = np.where(hit, cols[0], np.where(move < 0, node, -1))
+        return tuple(cols)
+
+
+def single_moves(occ: np.ndarray, side: str, norb: int) -> SingleMoves:
+    """Every valid single move (a, b, l, shift) of each node of occ, a
+    set of distinct ascending rows, from side.
+
+    Each single excitation x -> v of a node is one move, with shift v - x
+    from the left and x - v from the right: the spacing predicate gives
+    its a.  The candidate tally groups the excitations of the nodes and
+    their partners by (node, a, l, shift) in k order, as the candidates
+    the predicate admits: a = 0 ones for a right node, a = 1 ones for a
+    left node.  On the candidate path (a = 1 from the left, a = 0 from the
+    right) the move is the excitation's own place b in its group, l = pos;
+    on the direct path (l = k) it is the place b of the node in its
+    partner's group, which must hold at most two candidates.  Only
+    b = 0 and b = 1 are moves.
+    """
+    eta = occ.shape[1]
+    node, k, x, v, pos, here, there, partner, new = _excitations(occ, norb)
+    a = (there < here) if side == LEFT else (here < there)
+    cand = a == (side == LEFT)
+    own = np.sort(_lex_ranks(occ, norb))
+    # the tally covers the nodes and the direct path's partners, each once
+    tally = (node, k, x, v, pos, here, there, partner)
+    direct = np.flatnonzero(~cand)
+    extra, first = np.unique(partner[direct], return_index=True)
+    known = own[np.searchsorted(own, extra).clip(max=len(own) - 1)] == extra
+    extra = new[direct[first[~known]]]
+    if len(extra):
+        tally = tuple(np.concatenate(cols) for cols in
+                      zip(tally, _excitations(extra, norb)))
+    t_node, t_k, t_x, t_v, t_pos, t_here, t_there, _ = tally
+    admitted = [np.flatnonzero(t_there <= t_here),
+                np.flatnonzero(t_there < t_here)]
+    # sorted, with a sentinel past every key that keeps each search in range
+    key = np.sort(np.concatenate([
+        _move_code(t_node[e], t_a, t_pos[e],
+                   (t_v[e] - t_x[e]) * (2 * t_a - 1), norb, eta) * eta
+        + t_k[e] - 1 for t_a, e in enumerate(admitted)]
+        + [[np.iinfo(np.int64).max]]))
+    group = key // eta
+    start = np.searchsorted(group, group)
+    place = np.arange(len(key)) - start
+    size = np.searchsorted(group, group, side="right") - start
+
+    shift = (v - x if side == LEFT else x - v).astype(np.int64)
+    l = np.where(cand, pos, k)
+    want = _move_code(np.where(cand, node, partner), a, l, shift, norb,
+                      eta) * eta + np.where(cand, k, pos) - 1
+    at = np.searchsorted(key, want)
+    b = place[at]
+    ok = (key[at] == want) & (b < 2) & (cand | (size[at] <= 2))
+    node, a, b, l, shift = node[ok], a[ok], b[ok], l[ok], shift[ok]
+    # the table's rows, and so the family's lexsort, keep this order
+    out = np.argsort(_move_code(node, a, l, shift, norb, eta) * 2 + b)
+    # the index of (a, b, l, shift) in movement_tuples, which skips shift 0
+    move = ((a * 2 + b) * eta + l - 1) * (2 * norb - 2) + shift + norb - 1
+    x, y = (x, v) if side == LEFT else (v, x)
+    return SingleMoves(8 * eta * (norb - 1), node[out],
+                       (move - (shift > 0))[out], partner[ok][out],
+                       x[ok][out], y[ok][out])
 
 
 def _alt1_ok(x1, y1, x2, y2):
@@ -333,32 +493,24 @@ class EdgeTable:
 
 def edge_table(norb: int, eta: int) -> EdgeTable:
     """The coloring's edges, built from the move rule alone as the module
-    docstring describes; a double edge is undone when both of its single
-    rows are.  Bad counts raise before any work."""
+    docstring describes: the single rows are `single_moves` from the left,
+    undone where the kernel's same move from the right leads back, and a
+    double edge is undone when both of its single rows are.  Bad counts
+    raise before any work."""
     xi = basis_size(norb, eta)
     check_dense(xi)
     dets = list(itertools.combinations(range(1, norb + 1), eta))
-    index = {occ: i for i, occ in enumerate(dets)}
+    orbs = np.array(dets, dtype=np.int16).reshape(xi, eta)
     moves = movement_tuples(norb, eta)
-    groups = {}  # (a, l, shift) -> its move ids, in b order
-    for m, (a, _, l, shift) in enumerate(moves):
-        groups.setdefault((a, l, shift), []).append(m)
-    rows = []  # (node, move id, partner, x, y, undone), ordered by node
-    for i, occ in enumerate(dets):
-        for (a, l, shift), group in groups.items():
-            partners = _move_partners(a, l, shift, occ, LEFT, norb)
-            for m, res in zip(group, partners):
-                if res is not None:
-                    back = _apply_move(*moves[m], res[0], RIGHT, norb)
-                    undone = back is not None and back[0] == occ
-                    rows.append((i, m, index[res[0]], *res[1:], undone))
+    left = single_moves(orbs, LEFT, norb)
+    back = single_moves(orbs, RIGHT, norb).apply(left.move, left.partner)[0]
     # nodes fit int16 (xi <= 2048), and so do the 8 eta (N - 1) move ids
     # unless eta is close to N
     dtype = np.int16 if len(moves) <= 2**15 else np.int32
-    node, move, partner, x, y, undone = (
-        np.array(rows, dtype=np.int32).reshape(-1, 6).T)
-    node, move, partner = (col.astype(dtype) for col in (node, move, partner))
-    x, y, undone = x.astype(np.int16), y.astype(np.int16), undone == 1
+    node, move, partner = (col.astype(dtype)
+                           for col in (left.node, left.move, left.partner))
+    x, y = left.x.astype(np.int16), left.y.astype(np.int16)
+    undone = back == left.node
 
     by_partner = np.argsort(partner, kind="stable")
     in_x, in_y = x[by_partner], y[by_partner]

@@ -76,8 +76,10 @@ class SelfInverseTerm:
 def split_arrays(values: np.ndarray, zeta: float):
     """(C, phase): the modulus rounded to even multiples of zeta, scaled
     by 1/zeta to integers, and the unit phase (1 where the value is 0).
-    BudgetInfeasible when a count would not fit in int64."""
+    BudgetInfeasible when a count would not fit in int64.  A subnormal
+    modulus counts as 0, since dividing by it overflows."""
     mod = np.abs(values)
+    mod = np.where(mod < np.finfo(mod.dtype).tiny, 0.0, mod)
     C = 2.0 * np.round(mod / (2.0 * zeta))
     if C.size and not C.max() < 2.0**63:
         raise BudgetInfeasible(

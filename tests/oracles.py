@@ -136,8 +136,10 @@ def census_by_counters(norb: int, eta: int) -> dict:
     """edges_found, duplicate_edges, inverse_failures and
     injectivity_failures of the census, by Counters over tuple keys.
 
-    Reads `_apply_move` and `_alt1_ok` off the module at call time, so a
-    fault patched into either reaches this walk as it reaches the census.
+    Reads the scalar `_apply_move` and `_alt1_ok` off the module at call
+    time, so a fault patched into either reaches this walk; the census
+    takes `_alt1_ok` faults the same way, and move faults through its
+    kernel `single_moves`.
     """
     dets = list(itertools.combinations(range(1, norb + 1), eta))
     table = {occ: [] for occ in dets}

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,14 +10,14 @@ from cisim.cimatrix import (GammaIndex, assemble_from_gammas, build_ci_matrix,
                             labelled_edges, labelled_terms, sparsity_d,
                             term_value)
 from cisim.coloring import (DIAGONAL_COLOR, ColorTuple, color_of,
-                            single_colors)
+                            edge_table, single_colors, single_moves)
 from cisim.determinants import Determinant, align_and_diff, enumerate_basis
 from cisim.errors import InvalidCounts, MalformedGamma, PatternMismatch
 from cisim.integrals import IntegralTable
 
 from conftest import brute_ci_entry, random_spinless_basis
 from oracles import pair_walk_edges
-from test_coloring import _redirect_one_left_move
+from test_coloring import _kernel_redirect_one_left_move
 
 
 def test_single_electron_diagonal(mixed_table):
@@ -90,11 +91,17 @@ def test_partition_identity(h2_table, mixed_table):
 
 
 def test_labelled_edges_reject_a_color_the_oracle_disagrees_with(monkeypatch):
+    import dataclasses
     import cisim.cimatrix as cimatrix
     # per row: 3 diagonal selectors, 4 single partners x 2, 1 double partner
     assert len(list(labelled_edges(4, 2))) == 6 * (3 + 4 * 2 + 1)
-    # every color keeps alpha: the first off-diagonal edge disagrees
-    monkeypatch.setattr(cimatrix, "apply_color", lambda c, alpha, side: alpha)
+    # every move of the confirming kernel keeps its node: the first
+    # off-diagonal edge disagrees
+    def keep_every_node(occ, side, norb):
+        moves = single_moves(occ, side, norb)
+        return dataclasses.replace(moves, partner=moves.node)
+
+    monkeypatch.setattr(cimatrix, "single_moves", keep_every_node)
     with pytest.raises(PatternMismatch, match="does not map"):
         list(labelled_edges(4, 2))
 
@@ -103,10 +110,29 @@ def test_labelled_edges_reject_a_coloring_that_fails_its_census(monkeypatch):
     import cisim.coloring as coloring
     # one left move redirected: the table's own census is not valid, so no
     # edge is read off it
-    monkeypatch.setattr(coloring, "_move_partners", _redirect_one_left_move)
+    monkeypatch.setattr(coloring, "single_moves",
+                        _kernel_redirect_one_left_move)
     edges = labelled_edges(6, 3)
     with pytest.raises(PatternMismatch, match="census"):
         next(edges)
+
+
+def test_labelled_terms_reject_a_corrupted_right_column(monkeypatch):
+    import dataclasses
+    import cisim.cimatrix as cimatrix
+    # two double rows of one node swap their right nodes: the table holds
+    # the same edges and single rows, so its census stays valid, and the
+    # confirmation stops at the first swapped row
+    table = edge_table(6, 3)
+    double = np.flatnonzero((table.m1 >= 0) & (table.left == 4))[:2]
+    right = table.right.copy()
+    right[double] = right[double[::-1]]
+    corrupted = dataclasses.replace(table, right=right)
+    assert corrupted.census().valid
+    monkeypatch.setattr(cimatrix, "edge_table", lambda norb, eta: corrupted)
+    first = f"does not map {table.dets[4]} to {table.dets[right[double[0]]]}"
+    with pytest.raises(PatternMismatch, match=re.escape(first)):
+        labelled_terms(6, 3)
 
 
 def _keys(edges):

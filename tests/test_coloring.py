@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import itertools
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 
@@ -11,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cisim.coloring import (DIAGONAL_COLOR, LEFT, RIGHT, ColorTuple,
-                            _alt1_ok, _apply_move, _candidates,
-                            _move_partners,
-                            apply_color, color_of, coloring_census,
-                            movement_tuples, single_colors, double_colors)
+                            SingleMoves, _alt1_ok, _apply_move, _candidates,
+                            _move_partners, apply_color, color_of,
+                            coloring_census, edge_table, movement_tuples,
+                            single_colors, single_moves, double_colors)
 from cisim.determinants import Determinant, enumerate_basis
 from cisim.errors import DimensionTooLarge, InvalidCounts, TooManyDifferences
 
@@ -147,12 +146,37 @@ def _drop_right_a1_b0(a, b, l, shift, occ, side, norb):
     return _apply_move(a, b, l, shift, occ, side, norb)
 
 
+def _kernel_redirect_one_left_move(occ, side, norb):
+    # _redirect_one_left_move on the kernel's rows: the move (0, 0, 1, 1)
+    # of (1, 3, 5) from the left lands on (2, 3, 4), x and y kept
+    moves = single_moves(occ, side, norb)
+    eta = occ.shape[1]
+    if side != LEFT or eta != 3:
+        return moves
+    dets = list(itertools.combinations(range(1, norb + 1), eta))
+    row = ((moves.node == dets.index((1, 3, 5)))
+           & (moves.move == movement_tuples(norb, eta).index((0, 0, 1, 1))))
+    return dataclasses.replace(
+        moves, partner=np.where(row, dets.index((2, 3, 4)), moves.partner))
+
+
+def _kernel_drop_right_a1_b0(occ, side, norb):
+    # _drop_right_a1_b0 on the kernel's rows
+    moves = single_moves(occ, side, norb)
+    if side == LEFT:
+        return moves
+    a, b = np.array(movement_tuples(norb, occ.shape[1]))[moves.move, :2].T
+    keep = (a != 1) | (b != 0)
+    return SingleMoves(moves.n_moves, moves.node[keep], moves.move[keep],
+                       moves.partner[keep], moves.x[keep], moves.y[keep])
+
+
 @pytest.mark.parametrize("name,fault,counts", [
     ("_alt1_ok", lambda *pairs: True, dict(duplicate_edges=380)),
     ("_alt1_ok", lambda *pairs: False,
      dict(edges_found=200, uncovered_edges=180)),
-    ("_apply_move", _drop_right_a1_b0, dict(inverse_failures=72)),
-    ("_move_partners", _redirect_one_left_move,
+    ("single_moves", _kernel_drop_right_a1_b0, dict(inverse_failures=72)),
+    ("single_moves", _kernel_redirect_one_left_move,
      dict(injectivity_failures=1, duplicate_edges=1, uncovered_edges=1,
           inverse_failures=5)),
 ], ids=["alt1-always", "alt1-never", "right-a1-b0-invalid", "left-redirect"])
@@ -165,61 +189,108 @@ def test_census_catches_each_fault(name, fault, counts, monkeypatch):
     assert census.valid is False
 
 
-@pytest.mark.parametrize("name,fault", [
-    (None, None),
-    ("_alt1_ok", lambda *pairs: True),
-    ("_alt1_ok", lambda x1, y1, x2, y2: x1 < x2),
-    ("_apply_move", _drop_right_a1_b0),
-    ("_move_partners", _redirect_one_left_move),
+@pytest.mark.parametrize("faults", [
+    [],
+    [("_alt1_ok", lambda *pairs: True)],
+    [("_alt1_ok", lambda x1, y1, x2, y2: x1 < x2)],
+    [("_apply_move", _drop_right_a1_b0),
+     ("single_moves", _kernel_drop_right_a1_b0)],
+    [("_move_partners", _redirect_one_left_move),
+     ("single_moves", _kernel_redirect_one_left_move)],
 ], ids=["none", "alt1-always", "alt1-x-only", "right-a1-b0-invalid",
         "left-redirect"])
 @pytest.mark.parametrize("norb,eta", [(5, 2), (6, 3), (7, 3)])
-def test_census_matches_the_counter_walk(norb, eta, name, fault, monkeypatch):
-    # the integer-column tally against tuple-keyed Counters, on the
-    # correct coloring and with each fault patched into both
+def test_census_matches_the_counter_walk(norb, eta, faults, monkeypatch):
+    # the kernel's integer-column tally against tuple-keyed Counters over
+    # the scalar rule, on the correct coloring and with each fault patched
+    # into both: the scalar one for the walk, the kernel one for the census
     import cisim.coloring as coloring
-    if name is not None:
+    for name, fault in faults:
         monkeypatch.setattr(coloring, name, fault)
     expected = census_by_counters(norb, eta)
     census = coloring_census(norb, eta)
     assert {k: getattr(census, k) for k in expected} == expected
 
 
-def test_census_undoes_each_valid_left_move_once(monkeypatch):
-    # a double edge's second move is a row of the table, so its undo is
-    # that row's single-edge undo: one RIGHT call per valid left move
+def test_census_makes_no_scalar_move_call(monkeypatch):
+    # the table runs the move rule on the kernel's integer columns alone
     import cisim.coloring as coloring
-    calls = Counter()
 
-    def counted(a, l, shift, occ, side, norb):
-        res = _move_partners(a, l, shift, occ, side, norb)
-        calls[side] += 1 if side == RIGHT else sum(r is not None for r in res)
-        return res
+    def scalar(*args):
+        raise AssertionError("the census ran the scalar move rule")
 
-    monkeypatch.setattr(coloring, "_move_partners", counted)
+    for name in ("_move_to", "_spacing_a", "_candidates", "_move_partners",
+                 "_apply_move", "_apply_color_occ", "apply_color"):
+        monkeypatch.setattr(coloring, name, scalar)
     assert coloring_census(6, 3).valid
-    assert calls == {LEFT: 180, RIGHT: 180}
 
 
-def test_census_evaluates_each_left_move_once_for_both_b(monkeypatch):
-    # moves (a, 0, l, shift) and (a, 1, l, shift) share one evaluation:
-    # 20 nodes x 60 (a, l, shift) at (6, 3), and fewer candidate searches
-    import cisim.coloring as coloring
-    calls = Counter()
+def _scalar_moves(dets, side, norb, eta):
+    """{(node, move id): (partner, x, y)} of every valid single move of
+    the nodes in dets, by the scalar rule."""
+    index = {occ: i for i, occ in
+             enumerate(itertools.combinations(range(1, norb + 1), eta))}
+    out = {}
+    for occ in dets:
+        for m, move in enumerate(movement_tuples(norb, eta)):
+            res = _apply_move(*move, occ, side, norb)
+            if res is not None:
+                out[index[occ], m] = (index[res[0]], *res[1:])
+    return out
 
-    def counting(fn, key):
-        def counted(*args):
-            calls[key(args)] += 1
-            return fn(*args)
-        return counted
 
-    monkeypatch.setattr(coloring, "_move_partners",
-                        counting(_move_partners, lambda args: args[4]))
-    monkeypatch.setattr(coloring, "_candidates",
-                        counting(_candidates, lambda args: "_candidates"))
-    assert coloring_census(6, 3).valid
-    assert calls[LEFT] == 20 * 60
-    assert calls["_candidates"] == 930
+def _kernel_moves(dets, side, norb, eta):
+    moves = single_moves(np.array(dets, dtype=np.int16).reshape(-1, eta),
+                         side, norb)
+    return {(n, m): (p, x, y) for n, m, p, x, y in zip(
+        *(col.tolist() for col in (moves.node, moves.move, moves.partner,
+                                   moves.x, moves.y)))}
+
+
+@pytest.mark.parametrize("norb", range(2, 9))
+def test_kernel_equals_the_scalar_rule_everywhere(norb):
+    # every single move x node x side: the kernel's rows are the scalar
+    # rule's valid moves, and its map gives -1 wherever the rule gives None
+    for eta, side in itertools.product(range(1, norb + 1), (LEFT, RIGHT)):
+        dets = list(itertools.combinations(range(1, norb + 1), eta))
+        expected = _scalar_moves(dets, side, norb, eta)
+        assert _kernel_moves(dets, side, norb, eta) == expected
+        moves = single_moves(np.array(dets, dtype=np.int16).reshape(-1, eta),
+                             side, norb)
+        node, move = (col.ravel() for col in np.meshgrid(
+            np.arange(len(dets)), np.arange(moves.n_moves), indexing="ij"))
+        mapped = zip(*(col.tolist() for col in moves.apply(move, node)))
+        assert {(n, m): res for n, m, res in zip(node.tolist(), move.tolist(),
+                                                   mapped)
+                if res[0] >= 0} == expected
+
+
+@pytest.mark.parametrize("norb,eta", [(12, 4), (14, 4)])
+def test_kernel_equals_the_scalar_rule_on_sampled_nodes(norb, eta):
+    dets = list(itertools.combinations(range(1, norb + 1), eta))
+    rng = np.random.default_rng(norb)
+    sample = [dets[i] for i in sorted(rng.choice(len(dets), 12,
+                                                 replace=False))]
+    for side in (LEFT, RIGHT):
+        assert (_kernel_moves(sample, side, norb, eta)
+                == _scalar_moves(sample, side, norb, eta))
+
+
+@pytest.mark.parametrize("norb,eta", [(6, 3), (8, 4)])
+def test_kernel_composes_each_color_as_apply_color(norb, eta):
+    # each row's m1 then m2 from the left, its pair judged by _alt1_ok, is
+    # the select oracle's map of the row's color
+    table = edge_table(norb, eta)
+    moves = single_moves(np.array(table.dets, dtype=np.int16), LEFT, norb)
+    chi, x1, y1 = moves.apply(table.m1, table.left)
+    partner, x2, y2 = moves.apply(table.m2, chi)
+    ok = (table.m1 < 0) | _alt1_ok(x1, y1, x2, y2)
+    basis = [Determinant(occ, norb) for occ in table.dets]
+    for m1, m2, left, mapped in zip(table.m1.tolist(), table.m2.tolist(),
+                                    table.left.tolist(),
+                                    np.where(ok, partner, -1).tolist()):
+        beta = apply_color(table.color(m1, m2), basis[left], LEFT)
+        assert mapped == (-1 if beta is None else table.dets.index(beta.occ))
 
 
 def test_census_pinned_past_acceptance_range():
@@ -309,6 +380,25 @@ def test_coloring_is_pinned(norb, eta):
     assert digest.hexdigest() == COLORING_DIGESTS[norb, eta]
 
 
+# sha256 of the int64 bytes of the table's columns left, right, m1, m2 and
+# undone, in that order.  The family's lexsort and the report bytes read
+# the rows in table order, so the order is pinned with the rows.
+TABLE_DIGESTS = {
+    (6, 3): "c10f07cd88a45ce97fc47880a006fc48d3e8bda02572f6495276f1d2bfb33469",
+    (8, 4): "0099ec683857043329afcf902bc0774a53ce247c27e36a72fdee5a213e2a415b",
+    (10, 4): "59d609c228f963f2e2d137df0a31fee3ff146e99e618c1d90731c8eae76e98e7",
+}
+
+
+@pytest.mark.parametrize("norb,eta", sorted(TABLE_DIGESTS))
+def test_edge_table_is_pinned(norb, eta):
+    table = edge_table(norb, eta)
+    digest = hashlib.sha256()
+    for col in (table.left, table.right, table.m1, table.m2, table.undone):
+        digest.update(col.astype(np.int64).tobytes())
+    assert digest.hexdigest() == TABLE_DIGESTS[norb, eta]
+
+
 @st.composite
 def connected_pairs(draw):
     """alpha and a partner one or two orbital changes away, N <= 16."""
@@ -378,6 +468,17 @@ def test_each_left_partner_is_colored_by_its_move(node):
                 beta = Determinant(partner[0], norb)
                 assert color_of(alpha, beta) == ColorTuple(
                     0, 0, 1, 0, a, b, l, shift)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes())
+def test_kernel_equals_the_scalar_rule_at_a_node(node):
+    # past the census range: the kernel evaluates one node alone, its
+    # tally covering the node and its direct partners
+    norb, occ = node
+    for side in (LEFT, RIGHT):
+        assert (_kernel_moves([occ], side, norb, len(occ))
+                == _scalar_moves([occ], side, norb, len(occ)))
 
 
 @pytest.mark.parametrize("norb,eta,error", [

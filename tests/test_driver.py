@@ -2,6 +2,7 @@ import csv
 import hashlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 import time
@@ -33,7 +34,7 @@ from cisim.orbitals import derive_bounds
 
 from conftest import primitive_norm, so
 from oracles import dense_taylor_entry, flat_ell
-from test_coloring import _redirect_one_left_move
+from test_coloring import _kernel_redirect_one_left_move
 
 H2_PATH = "configs/h2.json"
 
@@ -332,27 +333,34 @@ def test_family_build_makes_no_per_edge_slater_condon_call(mixed_table,
 
 def test_family_build_confirms_every_partner_with_apply_color(mixed_table,
                                                               monkeypatch):
-    # apply_color sends the table's last edge elsewhere: the build still
-    # checks each edge against it, that last one too
+    # the confirming kernel sends the table's last edge elsewhere: the
+    # build still maps every edge, that last one too
+    from cisim import coloring
     n_edges = 20 * sparsity_d(6, 3)
-    apply_color, calls = cimatrix.apply_color, []
+    apply, calls = coloring.SingleMoves.apply, []
 
-    def last_goes_astray(color, node, side):
-        calls.append(color)
-        partner = apply_color(color, node, side)
-        return node if len(calls) == n_edges else partner
+    def last_goes_astray(self, move, node):
+        calls.append(len(move))
+        partner, x, y = apply(self, move, node)
+        if len(move) == n_edges:
+            partner[-1] = node[-1]
+        return partner, x, y
 
-    monkeypatch.setattr(cimatrix, "apply_color", last_goes_astray)
-    with pytest.raises(PatternMismatch, match="does not map"):
+    monkeypatch.setattr(coloring.SingleMoves, "apply", last_goes_astray)
+    table = coloring.edge_table(6, 3)
+    last = (f"does not map {table.dets[table.left[-1]]} to "
+            f"{table.dets[table.right[-1]]}")
+    with pytest.raises(PatternMismatch, match=re.escape(last)):
         build_term_family(mixed_table, 3, zeta=0.25)
-    assert len(calls) == n_edges
+    assert calls.count(n_edges) == 2  # m1, then m2, of every edge
 
 
 def test_a_broken_coloring_fails_the_family_build(mixed_table, monkeypatch):
     # the family reads its edges off the census table, so a move rule the
     # census rejects stops the build
     import cisim.coloring as coloring
-    monkeypatch.setattr(coloring, "_move_partners", _redirect_one_left_move)
+    monkeypatch.setattr(coloring, "single_moves",
+                        _kernel_redirect_one_left_move)
     with pytest.raises(PatternMismatch):
         build_term_family(mixed_table, 3, zeta=0.25)
 
@@ -897,10 +905,26 @@ def test_cli_out_is_untouched_when_the_run_fails(tmp_path):
     assert kept.read_text() == "before" and not new.exists()
 
 
+def test_cli_report_survives_a_subnormal_coefficient(tmp_path, capsys):
+    # a subnormal entry once got a NaN phase, and the run ended in a
+    # LinAlgError traceback
+    config = json.loads(Path(H2_PATH).read_text())
+    config["orbitals"][0]["primitives"] = [[0.1, 5e-324]]
+    path = tmp_path / "h2.json"
+    path.write_text(json.dumps(config))
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rc = cli_main(["report", "--config", str(path),
+                       "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+
+
 def test_cli_report_fails_on_a_broken_coloring(tmp_path, monkeypatch,
                                               capsys):
     import cisim.coloring as coloring
-    monkeypatch.setattr(coloring, "_move_partners", _redirect_one_left_move)
+    monkeypatch.setattr(coloring, "single_moves",
+                        _kernel_redirect_one_left_move)
     path, out = tmp_path / "h3.json", tmp_path / "report.json"
     path.write_text(json.dumps(_h_chain(3, 3)))  # N = 6, eta = 3
     out.write_text("before")

@@ -87,6 +87,15 @@ def test_split_rejects_counts_past_int64():
         split_arrays(np.array([2.0**62]), 0.5)
 
 
+def test_split_rounds_a_subnormal_entry_to_zero():
+    # dividing by a subnormal modulus overflows to a NaN phase
+    values = np.array([5e-324, -5e-324j, 1e-310 + 2e-310j, -0.5])
+    with np.errstate(all="raise"):
+        C, phase = split_arrays(values, 0.25)
+    assert C.tolist() == [0, 0, 0, 2]
+    assert phase.tolist() == [1, 1, 1, -1]
+
+
 def _random_involution_matrix(rng, dim):
     idx = list(range(dim))
     rng.shuffle(idx)
