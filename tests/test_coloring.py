@@ -225,6 +225,48 @@ def test_census_makes_no_scalar_move_call(monkeypatch):
     assert coloring_census(6, 3).valid
 
 
+def test_census_undoes_each_valid_left_move_once(monkeypatch):
+    # a double edge's second move is a row of the table, so its undo is
+    # that row's single-edge undo: one RIGHT lookup per valid left move
+    import cisim.coloring as coloring
+    sides, lookups = [], []
+    apply = SingleMoves.apply
+
+    def counted_moves(occ, side, norb):
+        moves = single_moves(occ, side, norb)
+        sides.append((side, len(moves.node)))
+        return moves
+
+    def counted_apply(self, move, node):
+        lookups.append(list(zip(move.tolist(), node.tolist())))
+        return apply(self, move, node)
+
+    monkeypatch.setattr(coloring, "single_moves", counted_moves)
+    monkeypatch.setattr(coloring.SingleMoves, "apply", counted_apply)
+    assert coloring_census(6, 3).valid
+    assert sorted(sides) == [(LEFT, 180), (RIGHT, 180)]
+    assert len(lookups) == 1
+    assert len(lookups[0]) == len(set(lookups[0])) == 180
+
+
+def test_census_evaluates_each_left_move_once_for_both_b(monkeypatch):
+    # moves (a, 0, l, shift) and (a, 1, l, shift) share one evaluation:
+    # each of the 20 nodes' 3 x 3 excitations at (6, 3) is evaluated once
+    # per side, and its b is its place in the tally, not a second search
+    import cisim.coloring as coloring
+    rows = []
+    excitations = coloring._excitations
+
+    def counted(occ, norb):
+        cols = excitations(occ, norb)
+        rows.append((len(occ), len(cols[0])))
+        return cols
+
+    monkeypatch.setattr(coloring, "_excitations", counted)
+    assert coloring_census(6, 3).valid
+    assert rows == [(20, 20 * 3 * 3)] * 2
+
+
 def _scalar_moves(dets, side, norb, eta):
     """{(node, move id): (partner, x, y)} of every valid single move of
     the nodes in dets, by the scalar rule."""
