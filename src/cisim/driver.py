@@ -29,7 +29,7 @@ from .cimatrix import (build_ci_matrix, count_gamma, labelled_terms,
 from .determinants import basis_size, check_dense
 from .errors import BudgetInfeasible, InvalidConfig, NonOrthonormalBasisWarning
 from .integrals import IntegralTable
-from .lcu import (EPS_FLOOR, TermFamily, evolve, hermitian_norm,
+from .lcu import (EPS_FLOOR, EdgeRows, TermFamily, evolve, hermitian_norm,
                   segment_count, segment_error)
 from .orbitals import (SpinOrbital, derive_bounds, finite_number, is_point,
                        spatial_orbitals, spins_match)
@@ -198,9 +198,11 @@ class _QuadratureEngine:
     def _rows(terms, *index) -> np.ndarray:
         """terms(*ix) for each index tuple ix, called once per distinct one."""
         distinct: dict = {}
-        at = [distinct.setdefault(ix, len(distinct))
-              for ix in zip(*(np.asarray(x).tolist() for x in index))]
-        return np.array([terms(*ix) for ix in distinct])[at]
+        keys = list(zip(*(np.asarray(x).tolist() for x in index)))
+        for ix in keys:
+            if ix not in distinct:
+                distinct[ix] = terms(*ix)
+        return np.array([distinct[ix] for ix in keys])
 
     def _h1(self, i: int, j: int) -> np.ndarray:
         """Kinetic terms followed by one block per nucleus."""
@@ -220,12 +222,13 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
                       delta=None) -> TermFamily:
     """Assemble the involution family for H on the double cover.
 
-    Every label that meets an edge becomes one involution pattern over the
-    2 xi nodes (side, determinant): side-0 rows pair with the side-1 row
-    of their color partner and vice versa, other rows stay self-paired
-    with value zero; labels with no edge are not stored.
-    Entry values are Hermitized term by term: the (alpha -> beta) and
-    (beta -> alpha) expansions are averaged as (a + conj(b)) / 2.
+    Every label that meets an edge is stored, as rows of one edge table
+    over the 2 xi nodes (side, determinant): each labelled term gives the
+    side-0 row of its left determinant, paired with the side-1 row of its
+    right one, and that side-1 row, paired back; labels with no edge are
+    not stored.  Entry values are Hermitized term by term: the (alpha ->
+    beta) and (beta -> alpha) expansions are averaged as h = (a +
+    conj(b)) / 2, and the paired-back row holds conj(h).
     """
     xi = basis_size(table.n, eta)
     # h1/g come from the exact tables, fancy-indexed, or the engine, per
@@ -243,23 +246,31 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     terms = labelled_terms(table.n, eta)
     order = np.lexsort(terms.key.T[::-1])
     key = terms.key[order]
-    label = np.empty(len(order), dtype=np.intp)
-    label[order] = np.concatenate(
+    label = np.concatenate(
         [[0], np.cumsum(np.any(key[1:] != key[:-1], axis=1))])
-    n_live = int(label[order[-1]]) + 1
+    # the terms in label order, each as its forward row then its reverse
     x, y = terms.left, xi + terms.right
-    perms = np.tile(np.arange(2 * xi), (n_live, 1))
-    perms[label, x], perms[label, y] = y, x
-    # the label's kind (h1 or g) fixes its width; narrower labels are
-    # zero-padded to the widest, mu
-    herm = [(at, 0.5 * (fwd + np.conj(rev)))
-            for at, fwd, rev in terms.values(source)]
-    mu = max(h.shape[1] for _, h in herm)
-    values = np.zeros((n_live, 2 * xi, mu), dtype=complex)
-    for at, h in herm:
-        values[label[at], x[at], :h.shape[1]] = h
-        values[label[at], y[at], :h.shape[1]] = np.conj(h)
-    return TermFamily(perms, values, zeta)
+    row_of = np.empty(len(order), dtype=np.intp)
+    row_of[order] = 2 * np.arange(len(order))
+    rows = EdgeRows(label=np.repeat(label, 2),
+                    row=np.stack([x, y], axis=1)[order].ravel(),
+                    col=np.stack([y, x], axis=1)[order].ravel(),
+                    n_labels=int(label[-1]) + 1, dim=2 * xi)
+    return TermFamily(rows, _edge_values(terms.values(source), row_of), zeta)
+
+
+def _edge_values(groups, row_of) -> np.ndarray:
+    """The table's values: term t's Hermitized h at row row_of[t] and
+    conj(h) at the row after.  The kind of a term (h1 or g) fixes its
+    width; the narrower kind is zero-padded to the widest, mu."""
+    herm = [(row_of[t], 0.5 * (fwd + np.conj(rev)))
+            for t, fwd, rev in groups]
+    values = np.zeros((2 * len(row_of), max(h.shape[1] for _, h in herm)),
+                      dtype=complex)
+    for r, h in herm:
+        values[r, :h.shape[1]] = h
+        values[r + 1, :h.shape[1]] = np.conj(h)
+    return values
 
 
 @dataclass
@@ -364,7 +375,7 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     dims = {
         "N": norb, "eta": eta, "xi": xi,
         "d": sparsity_d(norb, eta),
-        "Gamma": Gamma, "Gamma_live": len(family.perms),
+        "Gamma": Gamma, "Gamma_live": len(family.M_g),
         "L": family.L, "M": family.M, "mu": family.mu,
         "r": info.r, "K": info.K, "lambda": info.lam,
         "lambda_weight": family.meta.lambda_weight,

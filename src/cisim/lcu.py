@@ -2,10 +2,10 @@
 
 The Hamiltonian enters as a family of Hermitian signed involutions,
 H = zeta sum_{l=1..L} sum_{rho=1..mu} H_{l, rho} with l = (s, m, gamma),
-held column-compressed by :class:`TermFamily`.  It stores only labels
-that meet an edge, and label gamma contributes 2 M_gamma terms, so
-L = sum_gamma 2 M_gamma counts the terms that exist, not the paper's
-2 M Gamma.  The select oracle's action on the system is
+held by :class:`TermFamily` as one label-sorted table of edge rows.  It
+stores only labels that meet an edge, and label gamma contributes
+2 M_gamma terms, so L = sum_gamma 2 M_gamma counts the terms that exist,
+not the paper's 2 M Gamma.  The select oracle's action on the system is
 ``TermFamily.term_pattern``: row x of H_{l, rho} holds vals[x] at column
 perm[x].  Evolution for time t is split into r = ceil(zeta L mu t / ln 2)
 segments.  A cancelling pair of terms +I and -I, each of weight pad / 2,
@@ -31,6 +31,7 @@ registers and the system explicitly.  They agree wherever both run.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import ceil, factorial, log
 
@@ -45,33 +46,86 @@ EPS_FLOOR = 1e-10  # smallest Taylor-truncation budget evolve accepts
 MAX_SEGMENTS = 10**7  # largest segment count r a plan may ask for
 
 
-class TermFamily:
-    """Column-compressed equal-weight term family on a dim-state system.
+@dataclass(frozen=True)
+class EdgeRows:
+    """The pattern of a family of ``n_labels`` labels on ``dim`` states, one
+    row per (edge, direction), sorted by label: row ``row[e]`` of label
+    ``label[e]`` pairs with column ``col[e]``.  Every row of a label that
+    the table does not list is self-paired with value zero."""
 
-    ``perms`` (labels x dim) holds one involution per stored one-sparse
-    label g and ``values`` (labels x dim x mu), every label mu wide, its
-    grid-point entries at (x, perms[g][x]).  Rounding to multiples of 2
-    zeta and the threshold split happen here, so the family exposes every
-    H_{l, rho} without materializing them.  Label g splits into 2 M_g
-    signed involutions, M_g = max C_g / 2, so L = sum_g 2 M_g and a label
-    whose entries all round to zero adds no term; ``M`` is max_g M_g.
-    Label g's terms hold consecutive flat l values, after those of every
-    label before it.
+    label: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    n_labels: int
+    dim: int
+
+
+def _dense_rows(perms, values) -> tuple[EdgeRows, np.ndarray]:
+    """(pattern, values) of per-label dense involutions (labels x dim) and
+    their values (labels x dim x mu): every row but the self-paired zero
+    ones, whose dense form the table implies."""
+    perms = np.asarray(perms)
+    # labels of different widths are ragged, which asarray rejects
+    values = np.asarray(values, dtype=complex)
+    if not len(perms):
+        raise ValueError("empty term family")
+    n_labels, dim, _ = values.shape
+    label, row = np.nonzero((perms != np.arange(dim)) | values.any(axis=2))
+    return (EdgeRows(label, row, perms[label, row], n_labels, dim),
+            values[label, row])
+
+
+class _PerLabel(Sequence):
+    """The dense arrays build(g) of labels g = 0..n-1, each built when read."""
+
+    def __init__(self, n: int, build):
+        self._n = n
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, g):
+        return self._build(range(self._n)[g])
+
+
+class TermFamily:
+    """Edge-sorted equal-weight term family on a dim-state system.
+
+    One table holds every stored one-sparse label g, one row per (edge,
+    direction) and sorted by label: the integer columns ``label``, ``row``
+    and ``col`` of an :class:`EdgeRows`, and each row's mu grid-point
+    values.  A label's rows are the slice of the sorted ``label`` column
+    that holds g; every other row of the label is self-paired with value
+    zero.  Given per-label dense involutions (labels x dim) and values
+    (labels x dim x mu) in place of an :class:`EdgeRows` and its row
+    values, the family keeps every row but the self-paired zero ones.
+
+    Rounding to multiples of 2 zeta and the threshold split run once over
+    the table: each row keeps its rounded sum zeta sum_rho C phase, and
+    each label its slice count M_g = max C_g / 2, so L = sum_g 2 M_g and a
+    label whose entries all round to zero adds no term; ``M`` is max_g
+    M_g.  Label g's terms hold consecutive flat l values, after those of
+    every label before it.  The single terms H_{l, rho}, and the per-label
+    dense ``perms``, ``values``, ``_C`` and ``_phase``, are derived when
+    read.
     """
 
     def __init__(self, perms, values, zeta: float):
-        self.perms = np.asarray(perms)
-        # labels of different widths are ragged, which asarray rejects
-        self.values = np.asarray(values, dtype=complex)
+        rows = perms
+        if not isinstance(rows, EdgeRows):
+            rows, values = _dense_rows(perms, values)
+        self.label, self.row, self.col = rows.label, rows.row, rows.col
+        self.dim = rows.dim
+        self._raw = np.asarray(values, dtype=complex)
+        self.mu = self._raw.shape[1]
         self.zeta = float(zeta)
-        if not len(self.perms):
-            raise ValueError("empty term family")
-        _, self.dim, self.mu = self.values.shape
-        split = [split_arrays(v, self.zeta) for v in self.values]
-        self._C = [C for C, _ in split]
-        self._phase = [phase for _, phase in split]
+        C, phase = split_arrays(self._raw, self.zeta)
+        # each row's rounded sum zeta sum_rho C phase, formed in phase's place
+        self._sums = np.multiply(self.zeta * C, phase, out=phase).sum(axis=1)
         # C is even, so max C_g / 2 slices rebuild label g exactly
-        self.M_g = np.array([int(C.max(initial=0)) // 2 for C in self._C])
+        self.M_g = np.zeros(rows.n_labels, dtype=np.int64)
+        np.maximum.at(self.M_g, self.label, C.max(axis=1, initial=0) // 2)
         self.M = int(self.M_g.max())
         self._offsets = np.concatenate([[0], np.cumsum(2 * self.M_g)])
         self.meta = DecompositionMeta(
@@ -91,23 +145,60 @@ class TermFamily:
         local = ell - int(self._offsets[g])
         return local % 2 + 1, local // 2 + 1, g
 
+    def _rows(self, g: int) -> slice:
+        """Label g's slice of the table."""
+        return slice(*np.searchsorted(self.label, [g, g + 1]))
+
+    def _perm(self, g: int) -> np.ndarray:
+        perm = np.arange(self.dim)
+        at = self._rows(g)
+        perm[self.row[at]] = self.col[at]
+        return perm
+
+    def _dense(self, g: int, rho=slice(None)) -> np.ndarray:
+        """Label g's values at grid point(s) rho on every row, zero on the
+        self-paired ones."""
+        at = self._rows(g)
+        raw = self._raw[at, rho]
+        out = np.zeros((self.dim,) + raw.shape[1:], dtype=complex)
+        out[self.row[at]] = raw
+        return out
+
+    @property
+    def perms(self) -> _PerLabel:
+        return _PerLabel(len(self.M_g), self._perm)
+
+    @property
+    def values(self) -> _PerLabel:
+        return _PerLabel(len(self.M_g), self._dense)
+
+    @property
+    def _C(self) -> _PerLabel:
+        return _PerLabel(len(self.M_g), lambda g: split_arrays(
+            self._dense(g), self.zeta)[0])
+
+    @property
+    def _phase(self) -> _PerLabel:
+        return _PerLabel(len(self.M_g), lambda g: split_arrays(
+            self._dense(g), self.zeta)[1])
+
     def term_pattern(self, ell: int, rho: int) -> tuple[np.ndarray, np.ndarray]:
-        """(perm, vals) of H_{l, rho}: row x holds vals[x] at column perm[x]."""
+        """(perm, vals) of H_{l, rho}: row x holds vals[x] at column perm[x].
+        IndexError for an l or a rho out of range."""
+        if not 0 <= rho < self.mu:
+            raise IndexError(f"rho={rho} outside 0..{self.mu - 1}")
         s, m, g = self.ell_parts(ell)
-        return self.perms[g], slice_values(self._C[g][:, rho],
-                                           self._phase[g][:, rho], m, s)
+        C, phase = split_arrays(self._dense(g, rho), self.zeta)
+        return self._perm(g), slice_values(C, phase, m, s)
 
     def term(self, ell: int, rho: int) -> SelfInverseTerm:
         s, m, g = self.ell_parts(ell)
-        perm, vals = self.term_pattern(ell, rho)
-        return SelfInverseTerm(g, m, s, perm.copy(), vals)
+        return SelfInverseTerm(g, m, s, *self.term_pattern(ell, rho))
 
-    def _scatter(self, label_values) -> np.ndarray:
-        """Dense sum over stored labels g of label_values(g), summed over rho."""
+    def _scatter(self, sums) -> np.ndarray:
+        """Dense matrix with each table row's entry of ``sums`` at (row, col)."""
         H = np.zeros((self.dim, self.dim), dtype=complex)
-        rows = np.arange(self.dim)
-        for g, perm in enumerate(self.perms):
-            np.add.at(H, (rows, perm), label_values(g).sum(axis=1))
+        np.add.at(H, (self.row, self.col), sums)
         return H
 
     def rounded_dense(self) -> np.ndarray:
@@ -117,14 +208,13 @@ class TermFamily:
         read-only array.
         """
         if self._rounded is None:
-            self._rounded = self._scatter(
-                lambda g: self.zeta * self._C[g] * self._phase[g])
+            self._rounded = self._scatter(self._sums)
             self._rounded.flags.writeable = False
         return self._rounded
 
     def unrounded_dense(self) -> np.ndarray:
         """Dense sum of the family's raw (pre-rounding) values."""
-        return self._scatter(lambda g: self.values[g])
+        return self._scatter(self._raw.sum(axis=1))
 
 
 @dataclass(frozen=True)

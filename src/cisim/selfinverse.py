@@ -13,14 +13,16 @@ whenever M >= C / 2: a slice below its threshold contributes a +1/-1
 pair that cancels.  Every slice half is a Hermitian signed involution
 (entries e^{i theta} pair with e^{-i theta}); for real input this is the
 textbook +-1 construction.  :class:`lcu.TermFamily` applies the kernel
-to every stored label g with its own slice count M_g = max C_g / 2, the
+once to its whole edge table, every grid point of every stored row, and
+gives each stored label g its own slice count M_g = max C_g / 2, the
 fewest that reconstruct the label; any further slice, and any label with
 no edge, would only add such cancelling pairs.
 
 Matrices are represented by a full-involution pattern: an index array
 ``perm`` with perm[perm[x]] = x giving each row's partner column, and a
 value array with vals[perm[x]] = conj(vals[x]).  Rows that the color
-gives no partner are self-paired (perm[x] = x) with value zero.
+gives no partner are self-paired (perm[x] = x) with value zero; the
+family stores none of them, and builds a dense pattern only when read.
 """
 
 from __future__ import annotations
@@ -78,15 +80,20 @@ def split_arrays(values: np.ndarray, zeta: float):
     by 1/zeta to integers, and the unit phase (1 where the value is 0).
     BudgetInfeasible when a count would not fit in int64.  A subnormal
     modulus counts as 0, since dividing by it overflows."""
-    mod = np.abs(values)
-    mod = np.where(mod < np.finfo(mod.dtype).tiny, 0.0, mod)
-    C = 2.0 * np.round(mod / (2.0 * zeta))
+    mod = np.asarray(np.abs(values))
+    mod[mod < np.finfo(mod.dtype).tiny] = 0.0
+    phase = np.ones(mod.shape, dtype=complex)
+    np.divide(values, mod, out=phase, where=mod > 0)
+    # C takes mod's place: the family splits its whole table at once
+    C = mod
+    C /= 2.0 * zeta
+    np.round(C, out=C)
+    C *= 2.0
     if C.size and not C.max() < 2.0**63:
         raise BudgetInfeasible(
             f"zeta={zeta:g} rounds an entry to {C.max():g} multiples of zeta, "
             "past int64")
-    phase = np.where(mod > 0, values / np.where(mod > 0, mod, 1.0), 1.0)
-    return C.astype(np.int64), phase.astype(complex)
+    return C.astype(np.int64), phase
 
 
 def slice_values(C: np.ndarray, phase: np.ndarray, m: int, s: int) -> np.ndarray:

@@ -21,6 +21,9 @@ with the rows of the coloring's edge table.
 The dense Taylor entry: the amplified segment as a matrix against
 exp(-i H~ t / r) by eigendecomposition, measured in the 2-norm.
 
+The term family with every label padded to a dense (dim x mu) block and
+split label by label: the layout the family's edge table replaced.
+
 The integral tables filled one spin-orbital entry at a time, with each
 ERI cached under its spin-orbital quartet: the build the integral table
 replaced with one evaluation per spatial quartet spread by spin deltas.
@@ -45,6 +48,7 @@ from cisim.integrals import eri_chemist, kinetic, nuclear_attraction, overlap
 from cisim.lcu import (TermFamily, hermitian_norm, oaa_block, plan_segments,
                        taylor_block)
 from cisim.orbitals import _axis_parts, d2_terms, eval_gradient, eval_value
+from cisim.selfinverse import slice_values, split_arrays
 
 
 def flat_ell(family: TermFamily, s: int, m: int, g: int) -> int:
@@ -201,6 +205,31 @@ def dense_taylor_entry(family: TermFamily, t: float, eps: float) -> float:
     evals, vecs = np.linalg.eigh(Htilde)
     exact = (vecs * np.exp(-1j * evals * t / plan.r)) @ vecs.conj().T
     return plan.r * float(np.linalg.norm(seg - exact, 2))
+
+
+def padded_family(perms, values, zeta: float) -> dict:
+    """What a family of dense labels exposes, with every label kept as a
+    padded (dim x mu) block: ``M_g``, ``L``, the dense ``rounded`` and
+    ``unrounded`` sums, ``ell_parts`` (s, m, g) of each flat l and
+    ``terms``, the (perm, vals) of each (l, rho)."""
+    perms = np.asarray(perms)
+    values = np.asarray(values, dtype=complex)
+    _, dim, mu = values.shape
+    split = [split_arrays(v, zeta) for v in values]
+    M_g = [int(C.max(initial=0)) // 2 for C, _ in split]
+    parts = [(s, m, g) for g, M in enumerate(M_g)
+             for m in range(1, M + 1) for s in (1, 2)]
+    rows = np.arange(dim)
+    rounded = np.zeros((dim, dim), dtype=complex)
+    unrounded = np.zeros((dim, dim), dtype=complex)
+    for perm, v, (C, phase) in zip(perms, values, split):
+        np.add.at(rounded, (rows, perm), (zeta * C * phase).sum(axis=1))
+        np.add.at(unrounded, (rows, perm), v.sum(axis=1))
+    terms = {(ell, rho): (perms[g], slice_values(split[g][0][:, rho],
+                                                 split[g][1][:, rho], m, s))
+             for ell, (s, m, g) in enumerate(parts) for rho in range(mu)}
+    return {"M_g": M_g, "L": len(parts), "rounded": rounded,
+            "unrounded": unrounded, "ell_parts": parts, "terms": terms}
 
 
 # ---------------------------------------------------------------------------

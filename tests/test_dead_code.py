@@ -73,6 +73,12 @@ REFERENCES = {
         "selection-register width of the paper's qubit count",
     "lcu.TermFamily.term":
         "one involution C_{gamma, rho, m, s} for the identities of criterion 6",
+    "lcu.TermFamily.perms":
+        "per-label dense involutions, built when read, for the label oracles",
+    "lcu.TermFamily._C":
+        "per-label dense counts C_g; criterion 6 holds each label's rounding",
+    "lcu.TermFamily._phase":
+        "per-label dense phases; criterion 6 holds each label's rounding",
     "lcu.RegisterSim":
         "register-level walk that checks the dense-block path (criterion 7)",
     "lcu.RegisterSim.block_of_w":

@@ -15,8 +15,8 @@ import pytest
 
 from cisim import cimatrix, determinants, driver, quadrature
 from cisim.cimatrix import (assemble_from_gammas, build_ci_matrix,
-                            enumerate_gammas, gamma_entry, sparsity_d,
-                            term_value)
+                            enumerate_gammas, gamma_entry, labelled_terms,
+                            sparsity_d, term_value)
 from cisim.cli import main as cli_main
 from cisim.determinants import align_and_diff, enumerate_basis
 from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
@@ -262,6 +262,19 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
                          for m in range(1, slices[g] + 1) for s in (1, 2)]
     assert all(fam.term(flat_ell(fam, s, m, g), 0).gamma == g
                for s, m, g in addressed)
+
+
+def test_family_stores_each_edge_once_per_direction(h2_riemann):
+    # one table row per (labelled term, direction), its mu values and a few
+    # integers; no array keeps a label padded to every row and grid point
+    table, riemann = h2_riemann
+    fam = build_term_family(table, 2, zeta=0.002, **riemann)
+    n_rows, n_labels = len(fam.row), len(fam.M_g)
+    assert n_rows == 2 * len(labelled_terms(table.n, 2).left)
+    arrays = [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) \
+        <= 16 * fam.mu * n_rows + 64 * (n_rows + n_labels)
+    assert all(a.shape != (n_labels, fam.dim, fam.mu) for a in arrays)
 
 
 def test_riemann_engine_sums_each_spin_allowed_spatial_tuple_once(

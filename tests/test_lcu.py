@@ -2,6 +2,8 @@ from math import factorial, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cisim.coloring import DIAGONAL_COLOR, LEFT, apply_color
@@ -11,8 +13,8 @@ from cisim.lcu import (RegisterSim, SegmentPlan, TermFamily, evolve,
                        hermitian_norm, oaa_block, plan_segments, prepare_b,
                        segment_count, taylor_block)
 
-from oracles import (apply_term, encode_det, flat_ell, q_col, q_col_xor,
-                     q_val, select_h_with_scratch)
+from oracles import (apply_term, encode_det, flat_ell, padded_family, q_col,
+                     q_col_xor, q_val, select_h_with_scratch)
 
 LN2 = log(2.0)
 
@@ -259,6 +261,66 @@ def test_term_family_rejects_labels_of_different_widths():
     with pytest.raises(ValueError):
         TermFamily([perm, perm], [np.zeros((2, 1)), np.zeros((2, 2))],
                    zeta=0.25)
+
+
+@st.composite
+def dense_families(draw):
+    """(perms, values, zeta) of 1 to 5 dense labels on 2 to 12 states at 1
+    to 4 grid points.  A label may be all zero, and a self-paired row may
+    hold a nonzero real value, as a diagonal term does."""
+    dim, mu = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perms, values = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        perm = _random_involution(rng, dim)
+        # unpair some rows, so that self-paired rows are common
+        for x in range(dim):
+            if perm[x] != x and rng.uniform() < 0.3:
+                perm[perm[x]], perm[x] = perm[x], x
+        vals = np.zeros((dim, mu), dtype=complex)
+        if rng.uniform() < 0.8:
+            for x in range(dim):
+                y = perm[x]
+                if y > x:
+                    v = [1, 1j] @ rng.normal(scale=0.6, size=(2, mu))
+                    vals[x], vals[y] = v, np.conj(v)
+                elif y == x and rng.uniform() < 0.5:
+                    vals[x] = rng.normal(scale=0.6, size=mu)
+        perms.append(perm)
+        values.append(vals)
+    return perms, values, draw(st.sampled_from([0.05, 0.25, 1.0]))
+
+
+@settings(max_examples=200)
+@given(dense_families())
+def test_edge_table_family_equals_the_padded_layout(family):
+    # every quantity the family exposes is that of the padded per-label
+    # layout, for all-zero labels and nonzero self-paired rows as well
+    perms, values, zeta = family
+    fam = TermFamily(perms, values, zeta)
+    want = padded_family(perms, values, zeta)
+    assert list(fam.M_g) == want["M_g"] and fam.L == want["L"]
+    assert np.array_equal(fam.rounded_dense(), want["rounded"])
+    assert np.array_equal(fam.unrounded_dense(), want["unrounded"])
+    assert [fam.ell_parts(ell) for ell in range(fam.L)] == want["ell_parts"]
+    for (ell, rho), (perm, vals) in want["terms"].items():
+        got_perm, got_vals = fam.term_pattern(ell, rho)
+        assert np.array_equal(got_perm, perm)
+        assert np.array_equal(got_vals, vals)
+    assert len(fam.perms) == len(perms)
+    for g in range(len(perms)):
+        assert np.array_equal(fam.perms[g], perms[g])
+        assert np.array_equal(fam.values[g], values[g])
+
+
+@pytest.mark.parametrize("rho", [-1, 2])
+def test_term_pattern_rejects_a_grid_point_out_of_range(rho):
+    fam = small_family(np.random.default_rng(5), mu=2)
+    assert fam.L > 0
+    with pytest.raises(IndexError, match=rf"rho={rho} outside 0\.\.1"):
+        fam.term_pattern(0, rho)
+    with pytest.raises(IndexError, match=rf"rho={rho} outside 0\.\.1"):
+        fam.term(0, rho)
 
 
 def test_plan_segments_zero_weight_family_is_all_pad():
