@@ -26,14 +26,14 @@ label set is:
 
 The labelled terms are the rows of the coloring's edge table, each
 expanded by its term selectors, read only once that table's census is
-valid, and each row confirmed by the move rule's array kernel, so every
+valid, and each row confirmed with the table's own left kernel, so every
 run checks its coloring at its own size.
 `labelled_terms` holds them as integer columns and applies the
 Slater-Condon rules on bitstrings (Scemama & Giner, arXiv:1311.6244) to
-all of them at once: each edge's left list, with its differing orbitals
-replaced in ascending order by the right list's, gives the alignment
-sign as the parity of its inversions and, read differing orbitals
-first, the integral indices of every selector.  `term_value`,
+all of them at once: each edge's left list, with the moves x1 -> y1
+and x2 -> y2 that confirmed it applied, gives the alignment sign as the
+parity of its inversions and, read differing orbitals first, the
+integral indices of every selector.  `term_value`,
 `gamma_entry` and `align_and_diff` are the per-edge reference the
 tests hold those columns to.
 """
@@ -47,7 +47,7 @@ import numpy as np
 
 from .coloring import (DIAGONAL_COLOR, LEFT, ColorTuple, EdgeTable,
                        _alt1_ok, apply_color, double_colors, edge_table,
-                       movement_tuples, single_colors, single_moves)
+                       movement_tuples, single_colors)
 from .determinants import (Determinant, align_and_diff, check_dense,
                            enumerate_basis, sparsity_d)
 from .errors import MalformedGamma, PatternMismatch
@@ -264,37 +264,33 @@ def labelled_terms(norb: int, eta: int) -> LabelledTerms:
 
     The table is read only once its own census is valid, and every row is
     confirmed by applying its first and then its second move from the left
-    with `single_moves`, a double row's pair judged by `_alt1_ok`.  An
+    with the table's kernel, a double row's pair judged by `_alt1_ok`.  An
     invalid census or a row whose partner differs raises PatternMismatch.
     """
     table = edge_table(norb, eta)
     census = table.census()
     if not census.valid:
         raise PatternMismatch(f"the coloring fails its census: {census}")
-    orbs = np.array(table.dets).reshape(-1, eta)
-    moves = single_moves(orbs, LEFT, norb)
-    chi, x1, y1 = moves.apply(table.m1, table.left)
-    partner, x2, y2 = moves.apply(table.m2, chi)
+    chi, x1, y1 = table.kernel.apply(table.m1, table.left)
+    partner, x2, y2 = table.kernel.apply(table.m2, chi)
     astray = (partner != table.right) | (
         (table.m1 >= 0) & ~_alt1_ok(x1, y1, x2, y2))
     if astray.any():
         r = int(np.argmax(astray))
         raise PatternMismatch(
             f"color {table.color(int(table.m1[r]), int(table.m2[r]))} does "
-            f"not map {table.dets[table.left[r]]} to "
-            f"{table.dets[table.right[r]]}")
+            f"not map {tuple(table.orbs[table.left[r]].tolist())} to "
+            f"{tuple(table.orbs[table.right[r]].tolist())}")
 
-    left, right = orbs[table.left], orbs[table.right]
-    only_left = (left[:, :, None] != right[:, None, :]).all(axis=2)
-    only_right = (right[:, :, None] != left[:, None, :]).all(axis=2)
-    # the left list with its differing orbitals replaced, in ascending order,
-    # by the right list's; its parity is the alignment sign read either way
-    aligned = left.copy()
-    aligned[only_left] = right[only_right]
+    # the left list with x1 -> y1 and x2 -> y2 (0 -> 0, the zero move,
+    # matches no orbital): its parity is the alignment sign read either way
+    left = aligned = table.orbs[table.left]
+    for x, y in ((x1, y1), (x2, y2)):
+        aligned = np.where(left == x[:, None], y[:, None], aligned)
     # the differing positions first, then the shared ones, each ascending:
     # src is (k, chi...) on a single edge and (x1, x2, ...) on a double
     # one, and dst, read off aligned, is (l, chi...) and (y1, y2, ...)
-    first = np.argsort(~only_left, axis=1, kind="stable")
+    first = np.argsort(left == aligned, axis=1, kind="stable")
     src = np.take_along_axis(left, first, axis=1)
     dst = np.take_along_axis(aligned, first, axis=1)
 

@@ -34,10 +34,11 @@ its single rows are the kernel's moves from the left, ordered by node,
 and a row is undone when the same move from the right leads back.  The
 double edges through a middle node are the pairs of its incoming and
 outgoing rows that `_alt1_ok` accepts, judged on that node's in x out
-block at once.  `coloring_census` is the table's tally; the family build
+block at once.  The table keeps that left kernel, so a run makes one
+pass per side.  `coloring_census` is the table's tally; the family build
 reads its labelled terms off the same table's integer columns once that
-tally is valid, and confirms each row's color with the kernel, so every
-run checks the coloring at its own size.  The scalar rule
+tally is valid, and confirms each row's color with the kept kernel, so
+every run checks the coloring at its own size.  The scalar rule
 (`_move_partners`, which `_apply_move` reads one b of, and
 `apply_color`'s composition) and `color_of`, the inverse map from a pair
 to its color, are the references the tests pin the kernel and the
@@ -236,7 +237,7 @@ class SingleMoves:
         -1 where the move gives none, and move id -1, the zero move, keeps
         the node, with x = y = 0.  Node -1 has no partner: its keys are
         negative."""
-        keys = self.node * self.n_moves + self.move
+        keys = self.node.astype(np.int64) * self.n_moves + self.move
         order = np.argsort(keys)
         # a sentinel past every key keeps each search in range
         keys = np.append(keys[order], np.iinfo(np.int64).max)
@@ -434,18 +435,19 @@ class ColoringCensus:
 class EdgeTable:
     """Every edge the coloring makes, one row each, as integer columns.
 
-    Node k is ``dets[k]`` and move id m is ``moves[m]``.  Row r is the
-    edge ``left[r]`` -> ``right[r]`` with color ``color(m1[r], m2[r])``,
-    where move id -1 is the zero move: the diagonal edges have m1 = m2 =
-    -1, the single edges m1 = -1, and a double edge's m1 and m2 are its
-    first and second move.  ``undone[r]`` holds when the color's moves,
-    applied from the right, lead back.
+    Node k has the orbitals ``orbs[k]``, move id m is ``moves[m]``, and
+    ``kernel`` holds the valid moves from the left.  Row r is the edge
+    ``left[r]`` -> ``right[r]`` with color ``color(m1[r], m2[r])``, where
+    move id -1 is the zero move: the diagonal edges have m1 = m2 = -1, the
+    single edges (the kernel's rows, in order) m1 = -1, and a double
+    edge's m1 and m2 are its first and second move.  ``undone[r]`` holds
+    when the color's moves, applied from the right, lead back.
     """
 
     norb: int
-    eta: int
-    dets: list
+    orbs: np.ndarray
     moves: list
+    kernel: SingleMoves
     left: np.ndarray
     right: np.ndarray
     m1: np.ndarray
@@ -461,7 +463,7 @@ class EdgeTable:
         """Tally the rows against the edges a valid coloring makes: an
         edge counts when its nodes share at least eta - 2 orbitals, and a
         row whose nodes do not, or that repeats an edge, is a duplicate."""
-        xi, eta = len(self.dets), self.eta
+        xi, eta = self.orbs.shape
         # xi <= 2048, so an edge code left * xi + right fits int32
         edges, counts = np.unique(self.left.astype(np.int32) * xi + self.right,
                                   return_counts=True)
@@ -470,8 +472,7 @@ class EdgeTable:
         # 1.3 MB resident, into every run that builds a family
         images = np.sort(self.m2[single].astype(np.int64) * xi
                          + self.right[single])
-        orbs = np.array(self.dets, dtype=np.int16).reshape(xi, eta)
-        left, right = orbs[edges // xi], orbs[edges % xi]
+        left, right = self.orbs[edges // xi], self.orbs[edges % xi]
         # int16 counts (eta <= 2048) keep the census's peak memory down
         shared = (left[:, :, None] == right[:, None, :]).sum(axis=(1, 2),
                                                             dtype=np.int16)
@@ -499,18 +500,18 @@ def edge_table(norb: int, eta: int) -> EdgeTable:
     raise before any work."""
     xi = basis_size(norb, eta)
     check_dense(xi)
-    dets = list(itertools.combinations(range(1, norb + 1), eta))
-    orbs = np.array(dets, dtype=np.int16).reshape(xi, eta)
+    orbs = np.array(list(itertools.combinations(range(1, norb + 1), eta)),
+                    dtype=np.int16).reshape(xi, eta)
     moves = movement_tuples(norb, eta)
-    left = single_moves(orbs, LEFT, norb)
-    back = single_moves(orbs, RIGHT, norb).apply(left.move, left.partner)[0]
     # nodes fit int16 (xi <= 2048), and so do the 8 eta (N - 1) move ids
     # unless eta is close to N
     dtype = np.int16 if len(moves) <= 2**15 else np.int32
+    left = single_moves(orbs, LEFT, norb)
     node, move, partner = (col.astype(dtype)
                            for col in (left.node, left.move, left.partner))
     x, y = left.x.astype(np.int16), left.y.astype(np.int16)
-    undone = back == left.node
+    kernel = SingleMoves(left.n_moves, node, move, partner, x, y)
+    undone = single_moves(orbs, RIGHT, norb).apply(move, partner)[0] == node
 
     by_partner = np.argsort(partner, kind="stable")
     in_x, in_y = x[by_partner], y[by_partner]
@@ -536,7 +537,7 @@ def edge_table(norb: int, eta: int) -> EdgeTable:
         m1.append(move[first])
         m2.append(move[second])
         done.append(undone[first] & undone[second])
-    return EdgeTable(norb, eta, dets, moves,
+    return EdgeTable(norb, orbs, moves, kernel,
                      *(np.concatenate(c) for c in (left, right, m1, m2)),
                      undone=np.concatenate(done))
 

@@ -64,8 +64,9 @@ def config_from_dict(data: dict) -> ProblemConfig:
         for o in data["orbitals"]
     ]
     nuclei = [(float(n["Z"]), tuple(n["R"])) for n in data["nuclei"]]
-    if not all(finite_number(z) and is_point(r) for z, r in nuclei):
-        raise ValueError("each nucleus needs a finite Z and 3 finite numbers R")
+    if not all(finite_number(z) and z >= 0 and is_point(r) for z, r in nuclei):
+        raise ValueError("each nucleus needs a finite Z >= 0 and 3 finite "
+                         "numbers R")
     eta, t, eps = data["eta"], data.get("time", 1.0), data.get("epsilon", 1e-2)
     if not isinstance(eta, int) or isinstance(eta, bool):
         raise ValueError(f"eta={eta!r} is not an integer")

@@ -299,12 +299,12 @@ def hermitian_norm(A: np.ndarray) -> float:
 def taylor_block(family: TermFamily, plan: SegmentPlan) -> np.ndarray:
     """U~ = sum_{k<=K} (-i t / r)^k / k! Htilde^k as a dense matrix."""
     H = family.rounded_dense()
-    dim = family.dim
-    U = np.eye(dim, dtype=complex)
+    U = np.eye(family.dim, dtype=complex)
     coef = -1j * plan.t / plan.r
-    # Horner evaluation of the truncated exponential series
+    # Horner evaluation of the truncated exponential series, in place
     for k in range(plan.K, 0, -1):
-        U = np.eye(dim, dtype=complex) + (coef / k) * (H @ U)
+        U = np.multiply(H @ U, coef / k, out=U)
+        U[np.diag_indices_from(U)] += 1.0
     return U
 
 
@@ -316,7 +316,9 @@ def prepare_b(plan: SegmentPlan) -> np.ndarray:
 
 def oaa_block(U: np.ndarray, lam: float) -> np.ndarray:
     """Projected amplified segment: (3/lam) U - (4/lam^3) U U^+ U."""
-    return (3.0 / lam) * U - (4.0 / lam**3) * (U @ U.conj().T @ U)
+    out = U @ U.conj().T @ U
+    out *= -4.0 / lam**3
+    return np.add(out, (3.0 / lam) * U, out=out)
 
 
 def segment_error(spectrum: np.ndarray, tau: float, K: int,

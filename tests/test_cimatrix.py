@@ -10,7 +10,7 @@ from cisim.cimatrix import (GammaIndex, assemble_from_gammas, build_ci_matrix,
                             labelled_edges, labelled_terms, sparsity_d,
                             term_value)
 from cisim.coloring import (DIAGONAL_COLOR, ColorTuple, color_of,
-                            edge_table, single_colors, single_moves)
+                            edge_table, single_colors)
 from cisim.determinants import Determinant, align_and_diff, enumerate_basis
 from cisim.errors import InvalidCounts, MalformedGamma, PatternMismatch
 from cisim.integrals import IntegralTable
@@ -95,13 +95,12 @@ def test_labelled_edges_reject_a_color_the_oracle_disagrees_with(monkeypatch):
     import cisim.cimatrix as cimatrix
     # per row: 3 diagonal selectors, 4 single partners x 2, 1 double partner
     assert len(list(labelled_edges(4, 2))) == 6 * (3 + 4 * 2 + 1)
-    # every move of the confirming kernel keeps its node: the first
-    # off-diagonal edge disagrees
-    def keep_every_node(occ, side, norb):
-        moves = single_moves(occ, side, norb)
-        return dataclasses.replace(moves, partner=moves.node)
-
-    monkeypatch.setattr(cimatrix, "single_moves", keep_every_node)
+    # every move of the table's kept kernel keeps its node: the census
+    # does not read the kernel, and the first off-diagonal edge disagrees
+    table = edge_table(4, 2)
+    kernel = dataclasses.replace(table.kernel, partner=table.kernel.node)
+    corrupted = dataclasses.replace(table, kernel=kernel)
+    monkeypatch.setattr(cimatrix, "edge_table", lambda norb, eta: corrupted)
     with pytest.raises(PatternMismatch, match="does not map"):
         list(labelled_edges(4, 2))
 
@@ -130,7 +129,8 @@ def test_labelled_terms_reject_a_corrupted_right_column(monkeypatch):
     corrupted = dataclasses.replace(table, right=right)
     assert corrupted.census().valid
     monkeypatch.setattr(cimatrix, "edge_table", lambda norb, eta: corrupted)
-    first = f"does not map {table.dets[4]} to {table.dets[right[double[0]]]}"
+    first = (f"does not map {tuple(table.orbs[4].tolist())} to "
+             f"{tuple(table.orbs[right[double[0]]].tolist())}")
     with pytest.raises(PatternMismatch, match=re.escape(first)):
         labelled_terms(6, 3)
 

@@ -320,19 +320,20 @@ def test_kernel_equals_the_scalar_rule_on_sampled_nodes(norb, eta):
 
 @pytest.mark.parametrize("norb,eta", [(6, 3), (8, 4)])
 def test_kernel_composes_each_color_as_apply_color(norb, eta):
-    # each row's m1 then m2 from the left, its pair judged by _alt1_ok, is
-    # the select oracle's map of the row's color
+    # each row's m1 then m2 from the left by the table's kept kernel, its
+    # pair judged by _alt1_ok, is the select oracle's map of the row's color
     table = edge_table(norb, eta)
-    moves = single_moves(np.array(table.dets, dtype=np.int16), LEFT, norb)
-    chi, x1, y1 = moves.apply(table.m1, table.left)
-    partner, x2, y2 = moves.apply(table.m2, chi)
+    chi, x1, y1 = table.kernel.apply(table.m1, table.left)
+    partner, x2, y2 = table.kernel.apply(table.m2, chi)
     ok = (table.m1 < 0) | _alt1_ok(x1, y1, x2, y2)
-    basis = [Determinant(occ, norb) for occ in table.dets]
+    dets = [tuple(occ) for occ in table.orbs.tolist()]
+    assert dets == list(itertools.combinations(range(1, norb + 1), eta))
     for m1, m2, left, mapped in zip(table.m1.tolist(), table.m2.tolist(),
                                     table.left.tolist(),
                                     np.where(ok, partner, -1).tolist()):
-        beta = apply_color(table.color(m1, m2), basis[left], LEFT)
-        assert mapped == (-1 if beta is None else table.dets.index(beta.occ))
+        beta = apply_color(table.color(m1, m2), Determinant(dets[left], norb),
+                           LEFT)
+        assert mapped == (-1 if beta is None else dets.index(beta.occ))
 
 
 def test_census_pinned_past_acceptance_range():

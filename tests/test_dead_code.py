@@ -85,6 +85,8 @@ REFERENCES = {
         "<0|W|0> on the registers, compared with U~ / lambda",
     "lcu.RegisterSim.oaa_apply":
         "register-level amplified segment, compared with the dense one",
+    "orbitals.certify_bounds":
+        "re-checks bounds against every orbital's envelope suprema",
     "quadrature.RiemannSum.max_term":
         "largest term, held to the a-priori term bound (criterion 4)",
     "quadrature.RiemannSum.total":

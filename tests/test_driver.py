@@ -361,11 +361,30 @@ def test_family_build_confirms_every_partner_with_apply_color(mixed_table,
 
     monkeypatch.setattr(coloring.SingleMoves, "apply", last_goes_astray)
     table = coloring.edge_table(6, 3)
-    last = (f"does not map {table.dets[table.left[-1]]} to "
-            f"{table.dets[table.right[-1]]}")
+    last = (f"does not map {tuple(table.orbs[table.left[-1]].tolist())} to "
+            f"{tuple(table.orbs[table.right[-1]].tolist())}")
     with pytest.raises(PatternMismatch, match=re.escape(last)):
         build_term_family(mixed_table, 3, zeta=0.25)
     assert calls.count(n_edges) == 2  # m1, then m2, of every edge
+
+
+def test_pipeline_makes_one_kernel_pass_per_side(monkeypatch):
+    # the family confirms its rows with the edge table's kept left kernel,
+    # so a run evaluates the move rule once from each side; every module
+    # that binds the name calls through the counter
+    from cisim import coloring
+    single_moves, sides = coloring.single_moves, []
+
+    def counted(occ, side, norb):
+        sides.append(side)
+        return single_moves(occ, side, norb)
+
+    for module in (coloring, cimatrix):
+        if hasattr(module, "single_moves"):
+            monkeypatch.setattr(module, "single_moves", counted)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        run_pipeline(h2_config(), mode="exact")
+    assert sorted(sides) == [coloring.LEFT, coloring.RIGHT]
 
 
 def test_a_broken_coloring_fails_the_family_build(mixed_table, monkeypatch):
@@ -1161,6 +1180,42 @@ def _riemann_h2_config(tmp_path) -> str:
     path = tmp_path / "h2_riemann.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def test_riemann_run_takes_each_envelope_supremum_once(tmp_path, monkeypatch):
+    # H2's orbitals share one shape: derive_bounds takes its 3 caps and
+    # 3 decay checks, and does not recompute them to certify itself
+    from cisim import orbitals
+    cfg = load_config(_riemann_h2_config(tmp_path))
+    envelope_sup, calls = orbitals.envelope_sup, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return envelope_sup(*args)
+
+    monkeypatch.setattr(orbitals, "envelope_sup", counted)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        run_pipeline(cfg, mode="riemann")
+    assert Counter(calls) == {"phi_max": 4, "gamma1": 1, "gamma2": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["quadrature", "--kind", "s1", "--orbitals", "1,1", "--q", "0",
+     "--grid-n", "4"],
+    ["report"]], ids=["quadrature", "report"])
+def test_cli_rejects_a_negative_nuclear_charge(argv, tmp_path, capsys):
+    # a negative Z made a negative s1 delta and term bound; Z = 0 is valid
+    with open(H2_PATH) as fh:
+        data = json.load(fh)
+    data["nuclei"][0]["Z"] = 0.0
+    assert config_from_dict(data).nuclei[0][0] == 0.0
+    data["nuclei"][0]["Z"] = -1.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli_main([*argv, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: InvalidConfig: ") and err.count("\n") == 1
+    assert "Z >= 0" in err
 
 
 def test_cli_evolve_riemann_per_kind_delta(tmp_path, capsys):

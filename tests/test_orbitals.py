@@ -201,6 +201,14 @@ def test_caps_cover_the_sampled_maximum(name):
         assert cap(bounds) >= sampled_max(basis, quantity, 3.0 * bounds.x_max)
 
 
+@pytest.mark.parametrize("name", sorted(CAP_BASES))
+def test_derived_bounds_certify(name):
+    # derive_bounds does not re-check its result: its caps are the suprema
+    # certify_bounds recomputes, so the check holds on every basis
+    basis = CAP_BASES[name]()
+    certify_bounds(basis, derive_bounds(basis))
+
+
 @pytest.mark.parametrize("a,c", [(1.0, 0.7127054703549901), (0.3, -2.0),
                                  (7.5, 0.05)])
 def test_single_primitive_s_caps_are_exact(a, c):
