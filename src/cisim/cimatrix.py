@@ -27,15 +27,14 @@ label set is:
 The labelled terms are the rows of the coloring's edge table, each
 expanded by its term selectors, read only once that table's census is
 valid, and each row confirmed with the table's own left kernel, so every
-run checks its coloring at its own size.
-`labelled_terms` holds them as integer columns and applies the
-Slater-Condon rules on bitstrings (Scemama & Giner, arXiv:1311.6244) to
-all of them at once: each edge's left list, with the moves x1 -> y1
-and x2 -> y2 that confirmed it applied, gives the alignment sign as the
-parity of its inversions and, read differing orbitals first, the
-integral indices of every selector.  `term_value`,
-`gamma_entry` and `align_and_diff` are the per-edge reference the
-tests hold those columns to.
+run checks its coloring at its own size.  `labelled_terms` holds them as
+integer columns sorted by label and applies the Slater-Condon rules on
+bitstrings (Scemama & Giner, arXiv:1311.6244) to all of them at once:
+each edge's left list, with the moves x1 -> y1 and x2 -> y2 that
+confirmed it applied, gives the alignment sign as the parity of its
+inversions and, read differing orbitals first, the integral indices of
+every selector.  `term_value`, `gamma_entry` and `align_and_diff` are
+the per-edge reference the tests hold those columns to.
 """
 
 from __future__ import annotations
@@ -211,14 +210,15 @@ def gamma_entry(gamma: GammaIndex, alpha: Determinant,
 @dataclass(frozen=True)
 class LabelledTerms:
     """Every labelled term of the coloring's edge table, one row each, as
-    integer columns.
+    integer columns sorted by label.
 
     Term t is label ``key[t]`` = (m1 + 1, m2 + 1, i, j) on the edge
     ``left[t]`` -> ``right[t]`` of ``table``: the row's move ids, shifted
     so that 0 is the zero move, then the term selectors.  Sorting the keys
-    as integers puts the labels in `label_key` order.  ``sign[t]`` is the
-    edge's alignment sign, the same read either way.  Read left to right,
-    the term is h1(a, c) when ``one_body[t]``, else g(a, b, c, d) -
+    as integers puts the labels in `label_key` order, the terms' order;
+    ``label[t]`` counts the distinct keys before term t's.  ``sign[t]`` is
+    the edge's alignment sign, the same read either way.  Read left to
+    right, the term is h1(a, c) when ``one_body[t]``, else g(a, b, c, d) -
     g(a, b, d, c), with (a, b, c, d) = ``orbs[t]``; read right to left it
     is the same with (c, d, a, b).
     """
@@ -227,27 +227,36 @@ class LabelledTerms:
     left: np.ndarray
     right: np.ndarray
     key: np.ndarray
+    label: np.ndarray
     sign: np.ndarray
     orbs: np.ndarray
     one_body: np.ndarray
 
-    def values(self, source):
-        """(terms, forward, reverse) for the one-body terms, then for the
-        two-body ones: `term_value` of each term, both ways, one row per
-        term.  ``source.h1`` and ``source.g`` take index arrays and give
-        one value, or one row of grid-point values, per index."""
+    def values(self, source) -> np.ndarray:
+        """Each term's Hermitized value (forward + conj(reverse)) / 2, its
+        `term_value` read both ways, as one row of mu grid-point values; the
+        narrower kind (h1 or g) is zero-padded.  ``source.h1`` and
+        ``source.g`` take index arrays and give one value, or one row of
+        grid-point values, per index."""
+        parts = []
         for one_body in (True, False):
             at = np.flatnonzero(self.one_body == one_body)
             if len(at) == 0:
                 continue
             a, b, c, d = self.orbs[at].T
             if one_body:
-                fwd, rev = source.h1(a, c), source.h1(c, a)
+                h = source.h1(a, c) + np.conj(source.h1(c, a))
             else:
-                fwd = source.g(a, b, c, d) - source.g(a, b, d, c)
-                rev = source.g(c, d, a, b) - source.g(c, d, b, a)
-            yield (at, *(self.sign[at, None] * v.reshape(len(at), -1)
-                         for v in (fwd, rev)))
+                h = source.g(a, b, c, d) - source.g(a, b, d, c)
+                h += np.conj(source.g(c, d, a, b) - source.g(c, d, b, a))
+            h = h.reshape(len(at), -1)
+            h *= 0.5 * self.sign[at, None]
+            parts.append((at, h))
+        values = np.zeros((len(self.left), max(h.shape[1] for _, h in parts)),
+                          dtype=complex)
+        for at, h in parts:
+            values[at, :h.shape[1]] = h
+        return values
 
 
 def _inversion_sign(lists: np.ndarray) -> np.ndarray:
@@ -307,10 +316,15 @@ def labelled_terms(norb: int, eta: int) -> LabelledTerms:
                           for r, sel in zip(rows, selectors)])
     i, j, p, q = np.concatenate([np.tile(sel, (len(r), 1)) for r, sel
                                  in zip(rows, selectors)]).T
+    key = np.stack([table.m1[row] + 1, table.m2[row] + 1, i, j], axis=1)
+    # label order; lexsort is stable, so a label keeps its rows' order
+    order = np.lexsort(key.T[::-1])
+    row, key, p, q = row[order], key[order], p[order], q[order]
     return LabelledTerms(
         table=table, left=table.left[row].astype(np.intp),
-        right=table.right[row].astype(np.intp),
-        key=np.stack([table.m1[row] + 1, table.m2[row] + 1, i, j], axis=1),
+        right=table.right[row].astype(np.intp), key=key,
+        label=np.concatenate(
+            [[0], np.cumsum(np.any(key[1:] != key[:-1], axis=1))]),
         sign=_inversion_sign(aligned)[row],
         orbs=np.stack([src[row, p], src[row, q], dst[row, p], dst[row, q]],
                       axis=1),

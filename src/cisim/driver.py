@@ -53,17 +53,27 @@ class ProblemConfig:
         return len(self.orbitals)
 
 
+# the keys a config may hold at its top level (None), and in each entry of
+# its orbitals and of its nuclei
+CONFIG_KEYS = {
+    None: {"nuclei", "orbitals", "eta", "time", "epsilon", "overrides"},
+    "orbitals": {"center", "primitives", "powers", "spin"},
+    "nuclei": {"Z", "R"}}
+
+
 def config_from_dict(data: dict) -> ProblemConfig:
-    orbitals = [
-        SpinOrbital(
-            center=tuple(o["center"]),
-            primitives=tuple((float(e), float(c)) for e, c in o["primitives"]),
-            powers=tuple(o.get("powers", (0, 0, 0))),
-            spin=o.get("spin", "up"),
-        )
-        for o in data["orbitals"]
-    ]
-    nuclei = [(float(n["Z"]), tuple(n["R"])) for n in data["nuclei"]]
+    for field, keys in CONFIG_KEYS.items():
+        for entry in data[field] if field else [data]:
+            if unknown := sorted(set(entry) - keys):
+                raise ValueError(f"unknown key {unknown[0]!r} in "
+                                 f"{field or 'the config'}; expected one of "
+                                 f"{sorted(keys)}")
+    orbitals = [SpinOrbital(center=tuple(o["center"]),
+                            primitives=o["primitives"],
+                            powers=tuple(o.get("powers", (0, 0, 0))),
+                            spin=o.get("spin", "up"))
+                for o in data["orbitals"]]
+    nuclei = [(n["Z"], tuple(n["R"])) for n in data["nuclei"]]
     if not all(finite_number(z) and z >= 0 and is_point(r) for z, r in nuclei):
         raise ValueError("each nucleus needs a finite Z >= 0 and 3 finite "
                          "numbers R")
@@ -72,14 +82,10 @@ def config_from_dict(data: dict) -> ProblemConfig:
         raise ValueError(f"eta={eta!r} is not an integer")
     if not (finite_number(t) and finite_number(eps)):
         raise ValueError(f"time={t!r} and epsilon={eps!r} must be numbers")
-    return ProblemConfig(
-        nuclei=nuclei,
-        orbitals=orbitals,
-        eta=eta,
-        time=float(t),
-        epsilon=float(eps),
-        overrides=dict(data.get("overrides", {})),
-    )
+    return ProblemConfig(nuclei=[(float(z), r) for z, r in nuclei],
+                         orbitals=orbitals, eta=eta, time=float(t),
+                         epsilon=float(eps),
+                         overrides=dict(data.get("overrides", {})))
 
 
 def load_config(path) -> ProblemConfig:
@@ -195,27 +201,16 @@ class _QuadratureEngine:
             self._cache[key] = terms
         return self._cache[key]
 
-    @staticmethod
-    def _rows(terms, *index) -> np.ndarray:
-        """terms(*ix) for each index tuple ix, called once per distinct one."""
-        distinct: dict = {}
-        keys = list(zip(*(np.asarray(x).tolist() for x in index)))
-        for ix in keys:
-            if ix not in distinct:
-                distinct[ix] = terms(*ix)
-        return np.array([distinct[ix] for ix in keys])
-
-    def _h1(self, i: int, j: int) -> np.ndarray:
+    def h1(self, *ij) -> np.ndarray:
         """Kinetic terms followed by one block per nucleus."""
-        return np.concatenate([self._terms("s0", (i, j))]
-                              + [self._terms("s1", (i, j), q)
-                                 for q in range(len(self.nuclei))])
+        return np.array([np.concatenate(
+            [self._terms("s0", ix)] + [self._terms("s1", ix, q)
+                                      for q in range(len(self.nuclei))])
+            for ix in zip(*(np.asarray(x).tolist() for x in ij))])
 
-    def h1(self, i, j) -> np.ndarray:
-        return self._rows(self._h1, i, j)
-
-    def g(self, i, j, k, l) -> np.ndarray:
-        return self._rows(lambda *ijkl: self._terms("s2", ijkl), i, j, k, l)
+    def g(self, *ijkl) -> np.ndarray:
+        return np.array([self._terms("s2", ix) for ix in zip(
+            *(np.asarray(x).tolist() for x in ijkl))])
 
 
 def build_term_family(table: IntegralTable, eta: int, zeta: float,
@@ -224,12 +219,11 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     """Assemble the involution family for H on the double cover.
 
     Every label that meets an edge is stored, as rows of one edge table
-    over the 2 xi nodes (side, determinant): each labelled term gives the
-    side-0 row of its left determinant, paired with the side-1 row of its
-    right one, and that side-1 row, paired back; labels with no edge are
-    not stored.  Entry values are Hermitized term by term: the (alpha ->
-    beta) and (beta -> alpha) expansions are averaged as h = (a +
-    conj(b)) / 2, and the paired-back row holds conj(h).
+    over the 2 xi nodes (side, determinant): each labelled term is one
+    Hermitian pair, the side-0 node of its left determinant with the
+    side-1 node of its right one, at h = (a + conj(b)) / 2 from its (alpha
+    -> beta) and (beta -> alpha) expansions; labels with no edge are not
+    stored.
     """
     xi = basis_size(table.n, eta)
     # h1/g come from the exact tables, fancy-indexed, or the engine, per
@@ -242,36 +236,10 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
-    # every labelled term at once; its label's id counts the distinct keys
-    # before it, so the stored labels keep enumeration order
     terms = labelled_terms(table.n, eta)
-    order = np.lexsort(terms.key.T[::-1])
-    key = terms.key[order]
-    label = np.concatenate(
-        [[0], np.cumsum(np.any(key[1:] != key[:-1], axis=1))])
-    # the terms in label order, each as its forward row then its reverse
-    x, y = terms.left, xi + terms.right
-    row_of = np.empty(len(order), dtype=np.intp)
-    row_of[order] = 2 * np.arange(len(order))
-    rows = EdgeRows(label=np.repeat(label, 2),
-                    row=np.stack([x, y], axis=1)[order].ravel(),
-                    col=np.stack([y, x], axis=1)[order].ravel(),
-                    n_labels=int(label[-1]) + 1, dim=2 * xi)
-    return TermFamily(rows, _edge_values(terms.values(source), row_of), zeta)
-
-
-def _edge_values(groups, row_of) -> np.ndarray:
-    """The table's values: term t's Hermitized h at row row_of[t] and
-    conj(h) at the row after.  The kind of a term (h1 or g) fixes its
-    width; the narrower kind is zero-padded to the widest, mu."""
-    herm = [(row_of[t], 0.5 * (fwd + np.conj(rev)))
-            for t, fwd, rev in groups]
-    values = np.zeros((2 * len(row_of), max(h.shape[1] for _, h in herm)),
-                      dtype=complex)
-    for r, h in herm:
-        values[r, :h.shape[1]] = h
-        values[r + 1, :h.shape[1]] = np.conj(h)
-    return values
+    rows = EdgeRows(label=terms.label, row=terms.left, col=xi + terms.right,
+                    n_labels=int(terms.label[-1]) + 1, dim=2 * xi)
+    return TermFamily(rows, terms.values(source), zeta)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 The Hamiltonian enters as a family of Hermitian signed involutions,
 H = zeta sum_{l=1..L} sum_{rho=1..mu} H_{l, rho} with l = (s, m, gamma),
-held by :class:`TermFamily` as one label-sorted table of edge rows.  It
-stores only labels that meet an edge, and label gamma contributes
+held by :class:`TermFamily` as one label-sorted table of Hermitian
+pairs.  It stores only labels that meet an edge, and label gamma contributes
 2 M_gamma terms, so L = sum_gamma 2 M_gamma counts the terms that exist,
 not the paper's 2 M Gamma.  The select oracle's action on the system is
 ``TermFamily.term_pattern``: row x of H_{l, rho} holds vals[x] at column
@@ -49,9 +49,9 @@ MAX_SEGMENTS = 10**7  # largest segment count r a plan may ask for
 @dataclass(frozen=True)
 class EdgeRows:
     """The pattern of a family of ``n_labels`` labels on ``dim`` states, one
-    row per (edge, direction), sorted by label: row ``row[e]`` of label
-    ``label[e]`` pairs with column ``col[e]``.  Every row of a label that
-    the table does not list is self-paired with value zero."""
+    row per Hermitian pair, sorted by label: label ``label[e]`` pairs row
+    ``row[e]`` with column ``col[e]``, and col[e] with row[e].  Every other
+    row of a label is self-paired with value zero."""
 
     label: np.ndarray
     row: np.ndarray
@@ -62,15 +62,20 @@ class EdgeRows:
 
 def _dense_rows(perms, values) -> tuple[EdgeRows, np.ndarray]:
     """(pattern, values) of per-label dense involutions (labels x dim) and
-    their values (labels x dim x mu): every row but the self-paired zero
-    ones, whose dense form the table implies."""
+    their values (labels x dim x mu): the first row of each pair and every
+    nonzero self-paired row.  ValueError unless paired rows conjugate."""
     perms = np.asarray(perms)
     # labels of different widths are ragged, which asarray rejects
     values = np.asarray(values, dtype=complex)
     if not len(perms):
         raise ValueError("empty term family")
     n_labels, dim, _ = values.shape
-    label, row = np.nonzero((perms != np.arange(dim)) | values.any(axis=2))
+    paired = perms != np.arange(dim)
+    partner = np.take_along_axis(values, perms[:, :, None], axis=1)
+    if np.any(paired[:, :, None] & (values != np.conj(partner))):
+        raise ValueError("a dense label's paired rows are not conjugate")
+    label, row = np.nonzero((perms > np.arange(dim))
+                            | ~paired & values.any(axis=2))
     return (EdgeRows(label, row, perms[label, row], n_labels, dim),
             values[label, row])
 
@@ -92,14 +97,13 @@ class _PerLabel(Sequence):
 class TermFamily:
     """Edge-sorted equal-weight term family on a dim-state system.
 
-    One table holds every stored one-sparse label g, one row per (edge,
-    direction) and sorted by label: the integer columns ``label``, ``row``
-    and ``col`` of an :class:`EdgeRows`, and each row's mu grid-point
-    values.  A label's rows are the slice of the sorted ``label`` column
-    that holds g; every other row of the label is self-paired with value
-    zero.  Given per-label dense involutions (labels x dim) and values
-    (labels x dim x mu) in place of an :class:`EdgeRows` and its row
-    values, the family keeps every row but the self-paired zero ones.
+    One table holds every stored one-sparse label g, one row per Hermitian
+    pair and sorted by label: the integer columns of an :class:`EdgeRows`
+    and each row's mu grid-point values.  A row (r, c), r != c, stands for
+    (c, r) too, at the conjugate values; a self-paired row stands once.
+    A label's rows are the slice of the sorted ``label`` column that holds
+    g.  Dense per-label involutions and values, given in place of an
+    :class:`EdgeRows` and its values, are kept as `_dense_rows` keeps them.
 
     Rounding to multiples of 2 zeta and the threshold split run once over
     the table: each row keeps its rounded sum zeta sum_rho C phase, and
@@ -153,15 +157,17 @@ class TermFamily:
         perm = np.arange(self.dim)
         at = self._rows(g)
         perm[self.row[at]] = self.col[at]
+        perm[self.col[at]] = self.row[at]
         return perm
 
     def _dense(self, g: int, rho=slice(None)) -> np.ndarray:
         """Label g's values at grid point(s) rho on every row, zero on the
-        self-paired ones."""
+        self-paired ones the table does not name."""
         at = self._rows(g)
         raw = self._raw[at, rho]
         out = np.zeros((self.dim,) + raw.shape[1:], dtype=complex)
-        out[self.row[at]] = raw
+        out[self.col[at]] = np.conj(raw)
+        out[self.row[at]] = raw  # a self-paired row: raw, not its conjugate
         return out
 
     @property
@@ -196,9 +202,12 @@ class TermFamily:
         return SelfInverseTerm(g, m, s, *self.term_pattern(ell, rho))
 
     def _scatter(self, sums) -> np.ndarray:
-        """Dense matrix with each table row's entry of ``sums`` at (row, col)."""
+        """Dense matrix with each table row's ``sums`` entry at (row, col),
+        and a pair's conjugate at (col, row)."""
         H = np.zeros((self.dim, self.dim), dtype=complex)
         np.add.at(H, (self.row, self.col), sums)
+        pair = self.row != self.col
+        np.add.at(H, (self.col[pair], self.row[pair]), np.conj(sums[pair]))
         return H
 
     def rounded_dense(self) -> np.ndarray:

@@ -42,8 +42,12 @@ ALPHA_DECAY = 1.0  # alpha in |phi| <= phi_max e^{-alpha r / x_max}
 
 
 def finite_number(x) -> bool:
-    """A finite real number, numpy scalars included; a bool is not one."""
-    return isinstance(x, Real) and not isinstance(x, bool) and isfinite(x)
+    """A finite real number, numpy scalars included; a bool is not one, nor
+    an int past a float."""
+    try:
+        return isinstance(x, Real) and not isinstance(x, bool) and isfinite(x)
+    except OverflowError:
+        return False
 
 
 def is_point(p) -> bool:
@@ -78,6 +82,9 @@ class SpinOrbital:
             )
         if self.spin not in ("up", "down"):
             raise ValueError("spin must be 'up' or 'down'")
+        # validated as given, where a bool or a string is no number
+        object.__setattr__(self, "primitives", tuple(
+            (float(e), float(c)) for e, c in self.primitives))
 
     @property
     def total_power(self) -> int:
@@ -99,8 +106,7 @@ def spatial_orbitals(basis) -> tuple[list[SpinOrbital], list[int]]:
     index = []
     for phi in basis:
         # plain tuples, so that a center given as an array is a key too
-        key = (tuple(phi.center), tuple(map(tuple, phi.primitives)),
-               tuple(phi.powers))
+        key = (tuple(phi.center), phi.primitives, tuple(phi.powers))
         index.append(first.setdefault(key, (len(first), phi))[0])
     return [replace(phi, spin="up") for _, phi in first.values()], index
 

@@ -22,7 +22,8 @@ Matrices are represented by a full-involution pattern: an index array
 ``perm`` with perm[perm[x]] = x giving each row's partner column, and a
 value array with vals[perm[x]] = conj(vals[x]).  Rows that the color
 gives no partner are self-paired (perm[x] = x) with value zero; the
-family stores none of them, and builds a dense pattern only when read.
+family stores none of them and one row of each pair, the other being its
+conjugate, and builds a dense pattern only when read.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def split_arrays(values: np.ndarray, zeta: float):
     mod = np.asarray(np.abs(values))
     mod[mod < np.finfo(mod.dtype).tiny] = 0.0
     phase = np.ones(mod.shape, dtype=complex)
-    np.divide(values, mod, out=phase, where=mod > 0)
+    np.divide(np.asarray(values, dtype=complex), mod, out=phase,
+              where=mod > 0)
     # C takes mod's place: the family splits its whole table at once
     C = mod
     C /= 2.0 * zeta

@@ -193,21 +193,33 @@ def test_labelled_term_signs_match_align_and_diff_on_sampled_rows():
                                             ("mixed_table", 2),
                                             ("mixed_table", 3)])
 def test_labelled_term_values_match_term_value(table_name, eta, request):
-    # every term's values, both ways, equal the per-edge reference's bits
+    # every term's Hermitized value equals the bits of the per-edge
+    # reference read both ways and averaged
     table = request.getfixturevalue(table_name)
     basis = enumerate_basis(table.n, eta)
     terms = labelled_terms(table.n, eta)
-    fwd = np.full(len(terms.left), np.nan, dtype=complex)
-    rev = fwd.copy()
-    for at, f, r in terms.values(table):
-        assert f.shape == r.shape == (len(at), 1)
-        fwd[at], rev[at] = f[:, 0], r[:, 0]
-    for t, (gamma, ia, ib) in enumerate(labelled_edges(table.n, eta)):
+    values = terms.values(table)
+    assert values.shape == (len(terms.left), 1)
+    edges = list(labelled_edges(table.n, eta))
+    assert len(edges) == len(values)
+    for t, (gamma, ia, ib) in enumerate(edges):
         alpha, beta = basis[ia], basis[ib]
-        assert fwd[t] == term_value(gamma, alpha, beta,
-                                    align_and_diff(alpha, beta), table)
-        assert rev[t] == term_value(gamma, beta, alpha,
-                                    align_and_diff(beta, alpha), table)
+        fwd = term_value(gamma, alpha, beta, align_and_diff(alpha, beta),
+                         table)
+        rev = term_value(gamma, beta, alpha, align_and_diff(beta, alpha),
+                         table)
+        assert values[t, 0] == (fwd + np.conj(rev)) / 2
+
+
+@pytest.mark.parametrize("norb,eta", [(1, 1), (5, 1), (5, 2), (6, 3)])
+def test_labelled_terms_come_sorted_by_label(norb, eta):
+    # the keys ascend as integer tuples, and each term's label counts the
+    # distinct keys before its own
+    terms = labelled_terms(norb, eta)
+    keys = [tuple(k) for k in terms.key.tolist()]
+    assert keys == sorted(keys)
+    rank = {k: n for n, k in enumerate(sorted(set(keys)))}
+    assert terms.label.tolist() == [rank[k] for k in keys]
 
 
 @pytest.mark.parametrize("norb,eta", [(5, 1), (5, 2), (6, 3)])

@@ -264,13 +264,16 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
                for s, m, g in addressed)
 
 
-def test_family_stores_each_edge_once_per_direction(h2_riemann):
-    # one table row per (labelled term, direction), its mu values and a few
-    # integers; no array keeps a label padded to every row and grid point
+@pytest.mark.parametrize("mode", ["exact", "riemann"])
+def test_family_stores_each_labelled_term_once(mode, h2_riemann):
+    # one table row per labelled term, standing for both directions of its
+    # edge, its mu values and a few integers; no array keeps a label padded
+    # to every row and grid point
     table, riemann = h2_riemann
-    fam = build_term_family(table, 2, zeta=0.002, **riemann)
+    fam = build_term_family(table, 2, zeta=0.002,
+                            **(riemann if mode == "riemann" else {}))
     n_rows, n_labels = len(fam.row), len(fam.M_g)
-    assert n_rows == 2 * len(labelled_terms(table.n, 2).left)
+    assert n_rows == len(labelled_terms(table.n, 2).left)
     arrays = [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) \
         <= 16 * fam.mu * n_rows + 64 * (n_rows + n_labels)
@@ -1065,6 +1068,18 @@ DELTAS = {"s0": 0.1, "s1": 0.1, "s2": 0.1}
                  id="epsilon-text"),
     pytest.param(None, _zero_coefficients, ValueError,
                  id="all-zero-coefficients"),
+    pytest.param(None, _set("nuclei", 0, "Z", value=True), ValueError,
+                 id="charge-bool"),
+    pytest.param(None, _set("nuclei", 0, "Z", value="1.0"), ValueError,
+                 id="charge-text"),
+    pytest.param(None, _set("orbitals", 0, "primitives", value=[["1.0", 0.7]]),
+                 ValueError, id="exponent-text"),
+    pytest.param(None, _set("orbitals", 0, "primitives", value=[[1.0, True]]),
+                 ValueError, id="coefficient-bool"),
+    pytest.param(None, _set("time", value=10**400), ValueError,
+                 id="time-int-past-a-float"),
+    pytest.param(None, _set("nuclei", 0, "Z", value=10**400), ValueError,
+                 id="charge-int-past-a-float"),
     pytest.param(None, _overrides(zeta="abc"), NO_CAUSE, id="zeta-text"),
     pytest.param(None, _overrides(zeta=-1), NO_CAUSE, id="zeta-negative"),
     pytest.param(None, _overrides(zeta=float("nan")), NO_CAUSE,
@@ -1100,6 +1115,38 @@ def test_unusable_config_is_one_typed_error(text, edit, cause, tmp_path,
     assert cli_main(["report", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cisim: InvalidConfig: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit,key", [
+    pytest.param(_set("epsilom", value=0.5), "epsilom", id="top-level"),
+    pytest.param(_set("orbitals", 0, "power", value=[1, 0, 0]), "power",
+                 id="orbital"),
+    pytest.param(_set("nuclei", 0, "charge", value=3), "charge", id="nucleus"),
+])
+def test_cli_rejects_a_misspelt_config_key(edit, key, tmp_path, capsys):
+    # a misspelt key once ran on the defaults, as if it were not there
+    with open(H2_PATH) as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: InvalidConfig: ") and err.count("\n") == 1
+    assert f"key {key!r}" in err
+
+
+def test_config_takes_integer_numbers_as_floats():
+    # an int is a finite number, unlike a bool or a string, and is stored
+    # as the float of the same value
+    with open(H2_PATH) as fh:
+        data = json.load(fh)
+    data["nuclei"][0]["Z"] = 1
+    data["orbitals"][0]["primitives"] = [[1, 2]]
+    cfg = config_from_dict(data)
+    assert cfg.nuclei[0][0] == 1.0 and type(cfg.nuclei[0][0]) is float
+    assert cfg.orbitals[0].primitives == ((1.0, 2.0),)
+    assert all(type(x) is float for x in cfg.orbitals[0].primitives[0])
 
 
 @pytest.mark.parametrize("edit,error", [

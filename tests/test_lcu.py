@@ -263,6 +263,19 @@ def test_term_family_rejects_labels_of_different_widths():
                    zeta=0.25)
 
 
+def test_term_family_rejects_paired_rows_that_are_not_conjugate():
+    # a dense label stores one row per pair, so the partner row must hold
+    # exactly the conjugate values it stands for
+    perm = np.array([1, 0, 2])
+    vals = np.array([[0.5j], [-0.5j], [0.3]])
+    assert TermFamily([perm], [vals], zeta=0.25).M == 1
+    for partner in (0.5j, -0.25j, -0.5j + 1e-16):
+        bad = vals.copy()
+        bad[1, 0] = partner
+        with pytest.raises(ValueError, match="not conjugate"):
+            TermFamily([perm], [bad], zeta=0.25)
+
+
 @st.composite
 def dense_families(draw):
     """(perms, values, zeta) of 1 to 5 dense labels on 2 to 12 states at 1

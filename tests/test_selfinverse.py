@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,16 @@ def test_split_rounds_a_subnormal_entry_to_zero():
         C, phase = split_arrays(values, 0.25)
     assert C.tolist() == [0, 0, 0, 2]
     assert phase.tolist() == [1, 1, 1, -1]
+
+
+def test_split_casts_no_complex_value_to_real():
+    # a real input once went through a complex-to-real cast, which numpy
+    # warns about and an error filter turns into a failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C, phase = split_arrays(np.array([0.5, -0.3, 0.0]), 0.1)
+    assert C.tolist() == [4, 2, 0]
+    assert phase.tolist() == [1, -1, 1]
 
 
 def _random_involution_matrix(rng, dim):
