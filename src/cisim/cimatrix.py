@@ -10,6 +10,13 @@ of the sorting permutation, using the integral conventions of
     two differ:         g(x1,x2,y1,y2) - g(x1,x2,y2,y1)
     more than two:      0
 
+`build_ci_matrix` reads those rules off the integral tables at every
+entry that `determinants.excitations` lists, with its alignment signs.
+That generator is a function of (N, eta) alone and uses no coloring, so
+the dense matrix stays an independent judge of the labelled terms below:
+criterion 2 holds their sum to it.  `ci_entry`, on `align_and_diff`, is
+the per-pair reference that both are held to.
+
 Every color of :mod:`cisim.coloring` carries at most one matrix element
 per row.  The diagonal and single-difference families are further
 indexed by term selectors (i, j) so that each labelled term holds a
@@ -47,10 +54,12 @@ import numpy as np
 from .coloring import (DIAGONAL_COLOR, LEFT, ColorTuple, EdgeTable,
                        _alt1_ok, apply_color, double_colors, edge_table,
                        movement_tuples, single_colors)
-from .determinants import (Determinant, align_and_diff, check_dense,
-                           enumerate_basis, sparsity_d)
+from .determinants import (Determinant, align_and_diff, basis_size,
+                           check_dense, enumerate_basis, excitations,
+                           sparsity_d)
 from .errors import MalformedGamma, PatternMismatch
 from .integrals import IntegralTable
+from .selfinverse import row_blocks
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,16 +113,31 @@ def ci_entry(alpha: Determinant, beta: Determinant, table: IntegralTable) -> com
 
 
 def build_ci_matrix(table: IntegralTable, eta: int) -> np.ndarray:
-    """Dense CI matrix over the lexicographic determinant basis."""
-    basis = enumerate_basis(table.n, eta)
-    dim = len(basis)
-    check_dense(dim)
-    H = np.zeros((dim, dim), dtype=complex)
-    for ia, da in enumerate(basis):
-        for ib in range(ia, dim):
-            v = ci_entry(da, basis[ib], table)
-            H[ia, ib] = v
-            H[ib, ia] = np.conj(v)
+    """Dense CI matrix over the lexicographic determinant basis: the
+    module docstring's Slater-Condon rules read off the integral tables
+    at every entry of `excitations`, with its signs."""
+    check_dense(basis_size(table.n, eta))
+    ex = excitations(table.n, eta)
+    h1, g = table.h1_mat, table.h2_mat
+    occ = ex.occ - 1
+    H = np.zeros((len(occ), len(occ)), dtype=complex)
+    a, b = occ[:, np.array(list(itertools.combinations(range(eta), 2)),
+                           dtype=np.intp).reshape(-1, 2)].T
+    H.flat[::len(occ) + 1] = (
+        h1[occ, occ].sum(axis=1) + (g[a, b, a, b] - g[a, b, b, a]).sum(axis=0))
+    s = ex.singles
+    k, l = s.holes.T - 1, s.particles.T - 1
+    # the eta - 1 orbitals a single leaves in place, ascending
+    chi = occ[s.row]
+    chi = chi[chi != k].reshape(len(k), eta - 1)
+    H[s.row, s.partner] = s.sign * (
+        h1[k, l][:, 0] + (g[k, chi, l, chi] - g[k, chi, chi, l]).sum(axis=1))
+    d = ex.doubles
+    (x1, x2), (y1, y2) = d.holes - 1, d.particles - 1
+    value = g[x1, x2, y1, y2]
+    value -= g[x1, x2, y2, y1]
+    value *= d.sign
+    H[d.row, d.partner] = value
     return H
 
 
@@ -238,24 +262,33 @@ class LabelledTerms:
         narrower kind (h1 or g) is zero-padded.  ``source.h1`` and
         ``source.g`` take index arrays and give one value, or one row of
         grid-point values, per index."""
-        parts = []
-        for one_body in (True, False):
-            at = np.flatnonzero(self.one_body == one_body)
-            if len(at) == 0:
-                continue
+        def block(one_body, at):
             a, b, c, d = self.orbs[at].T
             if one_body:
-                h = source.h1(a, c) + np.conj(source.h1(c, a))
+                h = source.h1(a, c)
+                h += np.conj(source.h1(c, a))
             else:
-                h = source.g(a, b, c, d) - source.g(a, b, d, c)
-                h += np.conj(source.g(c, d, a, b) - source.g(c, d, b, a))
+                h = source.g(a, b, c, d)
+                h -= source.g(a, b, d, c)
+                back = source.g(c, d, a, b)
+                back -= source.g(c, d, b, a)
+                h += np.conj(back, out=back)
             h = h.reshape(len(at), -1)
             h *= 0.5 * self.sign[at, None]
-            parts.append((at, h))
-        values = np.zeros((len(self.left), max(h.shape[1] for _, h in parts)),
+            return h
+
+        # each kind's width from its first term, so that its terms go
+        # straight into their rows of the padded output, a block of rows
+        # at a time: no whole kind's values are held
+        kinds = {one_body: at for one_body in (True, False)
+                 if len(at := np.flatnonzero(self.one_body == one_body))}
+        width = {one_body: block(one_body, at[:1]).shape[1]
+                 for one_body, at in kinds.items()}
+        values = np.zeros((len(self.left), max(width.values())),
                           dtype=complex)
-        for at, h in parts:
-            values[at, :h.shape[1]] = h
+        for one_body, at in kinds.items():
+            for rows in row_blocks(len(at), width[one_body]):
+                values[at[rows], :width[one_body]] = block(one_body, at[rows])
         return values
 
 

@@ -3,6 +3,11 @@
 A determinant is the ascending tuple of its eta occupied spin-orbital
 indices, each in 1..N.  The basis of all such tuples is ordered
 lexicographically; a determinant's index is its position in that list.
+
+`excitations` lists every single and double excitation of every
+determinant at once, as integer columns with the partner's index and the
+alignment sign (Scemama & Giner, arXiv:1311.6244), with no coloring;
+`align_and_diff` is the per-pair reference it is held to.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
 
 from .errors import (DimensionTooLarge, DuplicateOrbital, IndexOutOfRange,
                      InvalidCounts)
@@ -132,3 +139,95 @@ def align_and_diff(left: Determinant, right: Determinant) -> DiffReport:
     order = {o: i for i, o in enumerate(right.occ)}
     sign = _permutation_parity([order[o] for o in aligned])
     return DiffReport(count, pos_left, pos_right, common, sign)
+
+
+@dataclass(frozen=True)
+class Moves:
+    """Excitations of one order (1 or 2), one column entry each, ordered
+    by determinant: determinant ``row[e]`` moves the orbitals
+    ``holes[:, e]`` to ``particles[:, e]`` (both ascending and 1-based,
+    paired in that order) and becomes determinant ``partner[e]``;
+    ``sign[e]`` is the alignment sign `align_and_diff` gives the pair."""
+
+    row: np.ndarray
+    partner: np.ndarray
+    sign: np.ndarray
+    holes: np.ndarray
+    particles: np.ndarray
+
+
+@dataclass(frozen=True)
+class Excitations:
+    """The lexicographic basis as the (xi, eta) array ``occ`` of occupied
+    lists, which the diagonal entries read, and every single and double
+    excitation of each of its determinants."""
+
+    occ: np.ndarray
+    singles: Moves
+    doubles: Moves
+
+
+def excitations(norb: int, eta: int) -> Excitations:
+    """Every single k -> l and double (x1 < x2) -> (y1 < y2) of each
+    determinant of the (N, eta) basis, as integer arrays.
+
+    A single's sign is (-1) to the number of occupied orbitals strictly
+    between k and l, counted from positions in the occupied and virtual
+    lists, so no bitmask caps N.  A double is the single x1 -> y1 followed
+    by the single x2 -> y2 of its result: its partner and sign are read
+    off the singles, the sign as the product of the two steps'.  A
+    partner's index is its combinatorial rank.
+    """
+    xi = basis_size(norb, eta)
+    n_virt = norb - eta
+    occ = np.array(list(itertools.combinations(range(1, norb + 1), eta)),
+                   dtype=np.intp)
+    # each row's virtual orbitals, ascending
+    free = np.ones((xi, norb + 1), dtype=bool)
+    free[np.arange(xi)[:, None], occ] = False
+    virt = np.nonzero(free[:, 1:])[1].reshape(xi, n_virt) + 1
+    # lexicographic rank: C(N, eta) - 1 - sum_i C(N - occ_i, eta - i), i
+    # from 0; a table entry past xi is never summed, so it is clipped
+    binom = np.array([[min(comb(n, r), xi) for r in range(eta, 0, -1)]
+                      for n in range(norb + 1)], dtype=np.intp)
+    places = np.arange(eta)
+
+    # singles on the grid (row, position p of k, position j of l among
+    # the virtuals): l has l - 1 - j occupied orbitals below it and k has
+    # p, so l - 1 - j - p - [l > k] of them lie between, up to sign
+    p, j = places[:, None], np.arange(n_virt)
+    k, l = occ[:, :, None], virt[:, None, :]
+    sign = (1 - 2 * ((l - 1 - j - p - (l > k)) % 2)).astype(np.int8)
+    moved = np.where(places == p[..., None], l[..., None], occ[:, None, None])
+    moved.sort(axis=-1)
+    partner = xi - 1 - binom[norb - moved, places].sum(axis=-1)
+    singles = Moves(np.repeat(np.arange(xi), eta * n_virt), partner.ravel(),
+                    sign.ravel(), _columns(sign.shape, norb, k),
+                    _columns(sign.shape, norb, l))
+
+    # doubles on the grid (row, positions p1 < p2, virtual positions
+    # j1 < j2): in the first step's result x2 sits at p2 - 1 + [y1 < x2]
+    # and y2 at virtual position j2 - 1 + [x1 < y2]
+    (p1, p2), (j1, j2) = (
+        np.array(list(itertools.combinations(range(n), 2)),
+                 dtype=np.intp).reshape(-1, 2).T for n in (eta, n_virt))
+    x1, x2 = occ[:, p1, None], occ[:, p2, None]
+    y1, y2 = virt[:, None, j1], virt[:, None, j2]
+    first = (np.arange(xi)[:, None, None] * eta + p1[:, None]) * n_virt + j1
+    second = ((singles.partner[first] * eta + p2[:, None] - 1 + (y1 < x2))
+              * n_virt + j2 - 1 + (x1 < y2))
+    doubles = Moves(np.repeat(np.arange(xi), len(p1) * len(j1)),
+                    singles.partner[second].ravel(),
+                    (singles.sign[first] * singles.sign[second]).ravel(),
+                    _columns(first.shape, norb, x1, x2),
+                    _columns(first.shape, norb, y1, y2))
+    return Excitations(occ, singles, doubles)
+
+
+def _columns(shape, norb: int, *grids) -> np.ndarray:
+    """Orbital arrays broadcast to one grid shape, each flattened into one
+    row of a (len(grids), size) array of the narrowest type that holds N."""
+    out = np.empty((len(grids),) + shape, dtype=np.min_scalar_type(norb))
+    for row, grid in zip(out, grids):
+        row[...] = grid
+    return out.reshape(len(grids), -1)

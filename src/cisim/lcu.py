@@ -38,8 +38,8 @@ from math import ceil, factorial, log
 import numpy as np
 
 from .errors import BudgetInfeasible
-from .selfinverse import (DecompositionMeta, SelfInverseTerm, slice_values,
-                          split_arrays)
+from .selfinverse import (DecompositionMeta, SelfInverseTerm, row_blocks,
+                          slice_values, split_arrays)
 
 LN2 = log(2.0)
 EPS_FLOOR = 1e-10  # smallest Taylor-truncation budget evolve accepts
@@ -105,14 +105,14 @@ class TermFamily:
     g.  Dense per-label involutions and values, given in place of an
     :class:`EdgeRows` and its values, are kept as `_dense_rows` keeps them.
 
-    Rounding to multiples of 2 zeta and the threshold split run once over
-    the table: each row keeps its rounded sum zeta sum_rho C phase, and
-    each label its slice count M_g = max C_g / 2, so L = sum_g 2 M_g and a
-    label whose entries all round to zero adds no term; ``M`` is max_g
-    M_g.  Label g's terms hold consecutive flat l values, after those of
-    every label before it.  The single terms H_{l, rho}, and the per-label
-    dense ``perms``, ``values``, ``_C`` and ``_phase``, are derived when
-    read.
+    Rounding to multiples of 2 zeta and the threshold split run over the
+    table a block of rows at a time: each row keeps its rounded sum zeta
+    sum_rho C phase, and each label its slice count M_g = max C_g / 2, so
+    L = sum_g 2 M_g and a label whose entries all round to zero adds no
+    term; ``M`` is max_g M_g.  Label g's terms hold consecutive flat l
+    values, after those of every label before it.  The single terms
+    H_{l, rho}, and the per-label dense ``perms``, ``values``, ``_C`` and
+    ``_phase``, are derived when read.
     """
 
     def __init__(self, perms, values, zeta: float):
@@ -124,12 +124,18 @@ class TermFamily:
         self._raw = np.asarray(values, dtype=complex)
         self.mu = self._raw.shape[1]
         self.zeta = float(zeta)
-        C, phase = split_arrays(self._raw, self.zeta)
-        # each row's rounded sum zeta sum_rho C phase, formed in phase's place
-        self._sums = np.multiply(self.zeta * C, phase, out=phase).sum(axis=1)
+        # each row's rounded sum zeta sum_rho C phase, and its largest C,
+        # a block of rows at a time: no whole-table C or phase is held
+        self._sums = np.empty(len(self._raw), dtype=complex)
+        top = np.empty(len(self._raw), dtype=np.int64)
+        for at in row_blocks(len(self._raw), self.mu):
+            C, phase = split_arrays(self._raw[at], self.zeta)
+            self._sums[at] = np.multiply(self.zeta * C, phase,
+                                         out=phase).sum(axis=1)
+            top[at] = C.max(axis=1, initial=0)
         # C is even, so max C_g / 2 slices rebuild label g exactly
         self.M_g = np.zeros(rows.n_labels, dtype=np.int64)
-        np.maximum.at(self.M_g, self.label, C.max(axis=1, initial=0) // 2)
+        np.maximum.at(self.M_g, self.label, top // 2)
         self.M = int(self.M_g.max())
         self._offsets = np.concatenate([[0], np.cumsum(2 * self.M_g)])
         self.meta = DecompositionMeta(

@@ -13,10 +13,11 @@ whenever M >= C / 2: a slice below its threshold contributes a +1/-1
 pair that cancels.  Every slice half is a Hermitian signed involution
 (entries e^{i theta} pair with e^{-i theta}); for real input this is the
 textbook +-1 construction.  :class:`lcu.TermFamily` applies the kernel
-once to its whole edge table, every grid point of every stored row, and
-gives each stored label g its own slice count M_g = max C_g / 2, the
-fewest that reconstruct the label; any further slice, and any label with
-no edge, would only add such cancelling pairs.
+to its whole edge table, every grid point of every stored row, a block
+of `row_blocks` at a time, and gives each stored label g its own slice
+count M_g = max C_g / 2, the fewest that reconstruct the label; any
+further slice, and any label with no edge, would only add such
+cancelling pairs.
 
 Matrices are represented by a full-involution pattern: an index array
 ``perm`` with perm[perm[x]] = x giving each row's partner column, and a
@@ -33,6 +34,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetInfeasible
+
+
+# values per block of rows that a pass over a table of grid-point values
+# holds at once: 1 MB of complex
+BLOCK_VALUES = 1 << 16
+
+
+def row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Consecutive slices of ``n_rows`` rows of ``width`` values each,
+    about BLOCK_VALUES values per slice and at least one row."""
+    step = max(1, BLOCK_VALUES // max(width, 1))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)

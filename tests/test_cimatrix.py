@@ -1,9 +1,15 @@
+import ast
+import functools
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cisim.cimatrix as cimatrix
 from cisim.cimatrix import (GammaIndex, assemble_from_gammas, build_ci_matrix,
                             ci_entry, count_gamma, enumerate_gammas,
                             gamma_census, gamma_entry, label_key,
@@ -15,7 +21,7 @@ from cisim.determinants import Determinant, align_and_diff, enumerate_basis
 from cisim.errors import InvalidCounts, MalformedGamma, PatternMismatch
 from cisim.integrals import IntegralTable
 
-from conftest import brute_ci_entry, random_spinless_basis
+from conftest import brute_ci_entry, random_spinless_basis, so
 from oracles import pair_walk_edges
 from test_coloring import _kernel_redirect_one_left_move
 
@@ -62,6 +68,91 @@ def test_more_than_two_differences_vanish(mixed_table):
 def test_hermiticity(h2_table):
     H = build_ci_matrix(h2_table, 2)
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
+
+
+@functools.cache
+def _mixed_spin_table(norb):
+    """The first ``norb`` of eight spin-orbitals, up and down on each of
+    four s and p Gaussians at random centers, with two nuclei."""
+    rng = np.random.default_rng(23)
+    basis = []
+    for powers in ((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 1)):
+        center = rng.normal(scale=0.8, size=3)
+        exponent = float(rng.uniform(0.5, 2.0))
+        basis += [so(center, exponent, spin, powers) for spin in ("up", "down")]
+    nuclei = [(1.0, (0.0, 0.0, 0.0)), (2.0, (0.9, 0.0, 0.2))]
+    return IntegralTable(basis[:norb], nuclei)
+
+
+@pytest.mark.parametrize("norb,eta", [(n, e) for n in range(1, 9)
+                                      for e in range(1, n + 1)])
+def test_ci_matrix_matches_ci_entry_on_every_pair(norb, eta):
+    # mixed spins, so the spin rule zeroes some entries; eta = 1 (no
+    # doubles), eta = N (no virtuals) and N - eta = 1 (no virtual pairs)
+    # are among the cases
+    table = _mixed_spin_table(norb)
+    basis = enumerate_basis(norb, eta)
+    want = np.array([[ci_entry(a, b, table) for b in basis] for a in basis])
+    assert np.max(np.abs(build_ci_matrix(table, eta) - want)) < 1e-12
+
+
+@pytest.fixture(scope="module", params=[(14, 4), (16, 4)],
+                ids=["14-4", "16-4"])
+def chain_matrix(request):
+    """An H chain's table at (N, eta), past the census sizes, with its
+    dense CI matrix and basis."""
+    norb, eta = request.param
+    atoms = [(0.0, 0.0, 1.45 * k) for k in range(norb // 2)]
+    table = IntegralTable([so(z, 1.0, spin) for z in atoms
+                           for spin in ("up", "down")],
+                          [(1.0, z) for z in atoms])
+    return table, build_ci_matrix(table, eta), enumerate_basis(norb, eta)
+
+
+@settings(max_examples=8)
+@given(data=st.data())
+def test_ci_matrix_matches_ci_entry_on_sampled_rows(chain_matrix, data):
+    table, H, basis = chain_matrix
+    row = data.draw(st.integers(0, len(basis) - 1))
+    want = [ci_entry(basis[row], b, table) for b in basis]
+    assert np.max(np.abs(H[row] - want)) < 1e-12
+
+
+def test_build_ci_matrix_names_nothing_from_coloring():
+    # the CI matrix judges the coloring's family through criterion 2, so
+    # it is built without the coloring
+    tree = ast.parse(Path(cimatrix.__file__).read_text())
+    from_coloring = {alias.asname or alias.name for node in tree.body
+                     if isinstance(node, ast.ImportFrom)
+                     and node.module == "coloring" for alias in node.names}
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "build_ci_matrix")
+    named = {node.id for node in ast.walk(build) if isinstance(node, ast.Name)}
+    assert from_coloring and not named & from_coloring
+
+
+def test_labelled_term_values_do_not_depend_on_the_block_size(mixed_table,
+                                                              monkeypatch):
+    # one term per block gives the bits of one block per kind, also for a
+    # source whose h1 rows are narrower than its g rows, and so padded
+    import cisim.selfinverse as selfinverse
+
+    class Wide:
+        def h1(self, i, j):
+            return np.outer(mixed_table.h1(i, j), [1, 2j, 3])
+
+        def g(self, *ijkl):
+            return np.outer(mixed_table.g(*ijkl), [1, -1j, 2, 0.5, 1j])
+
+    terms = labelled_terms(6, 3)
+    sources = (mixed_table, Wide())
+    whole = [terms.values(source) for source in sources]
+    assert whole[1].shape == (len(terms.left), 5)
+    assert not whole[1][terms.one_body, 3:].any()
+    monkeypatch.setattr(selfinverse, "BLOCK_VALUES", 1)
+    for source, want in zip(sources, whole):
+        assert np.array_equal(terms.values(source), want)
 
 
 def test_sparsity_formula_examples():

@@ -55,6 +55,9 @@ def _definitions(node, prefix: str, in_class: bool = False):
 
 # definitions that no src/cisim module names: what the tests compare against
 REFERENCES = {
+    "cimatrix.ci_entry":
+        "per-pair Slater-Condon reference that build_ci_matrix and "
+        "criterion 2 are held to",
     "cimatrix.gamma_entry":
         "per-label entry via apply_color; tests rebuild the family from it",
     "cimatrix.assemble_from_gammas":

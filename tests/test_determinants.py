@@ -1,10 +1,15 @@
+import ast
 import itertools
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import cisim.determinants as determinants
 from cisim.coloring import _orb
 from cisim.determinants import (Determinant, _permutation_parity,
-                                align_and_diff, basis_size, enumerate_basis)
+                                align_and_diff, basis_size, enumerate_basis,
+                                excitations)
 from cisim.errors import DuplicateOrbital, IndexOutOfRange, InvalidCounts
 
 from conftest import inversion_parity
@@ -128,3 +133,79 @@ def test_align_symmetry_and_set_oracle():
                 assert rep.positions_left == rev.positions_right
                 if rep.count <= 2:
                     assert rep.sign == rev.sign
+
+
+def _excitation_entries(ex):
+    """{(row, partner): (sign, holes, particles)} over every excitation,
+    asserting that no pair is listed twice."""
+    entries = {}
+    for moves in (ex.singles, ex.doubles):
+        for row, partner, sign, holes, particles in zip(
+                moves.row.tolist(), moves.partner.tolist(),
+                moves.sign.tolist(), moves.holes.T.tolist(),
+                moves.particles.T.tolist()):
+            assert (row, partner) not in entries
+            entries[(row, partner)] = (sign, tuple(holes), tuple(particles))
+    return entries
+
+
+def _aligned_entries(basis, rows=None):
+    """The same map from align_and_diff over every pair one or two
+    orbitals apart (with its left determinant in ``rows`` when given)."""
+    entries = {}
+    for ia, a in enumerate(basis):
+        if rows is not None and ia not in rows:
+            continue
+        for ib, b in enumerate(basis):
+            diff = align_and_diff(a, b)
+            if 1 <= diff.count <= 2:
+                entries[(ia, ib)] = (
+                    diff.sign,
+                    tuple(a.occ[p - 1] for p in diff.positions_left),
+                    tuple(b.occ[p - 1] for p in diff.positions_right))
+    return entries
+
+
+@pytest.mark.parametrize("norb,eta", [(n, e) for n in range(1, 9)
+                                      for e in range(1, n + 1)])
+def test_excitations_match_align_and_diff(norb, eta):
+    # every pair one or two orbitals apart, once, with its alignment sign
+    # and moved orbitals; eta = 1 has no doubles, eta = N no singles and
+    # N - eta = 1 no doubles, so those arrays are empty
+    ex = excitations(norb, eta)
+    basis = enumerate_basis(norb, eta)
+    assert [tuple(o) for o in ex.occ.tolist()] == [d.occ for d in basis]
+    xi = len(basis)
+    assert len(ex.singles.row) == xi * eta * (norb - eta)
+    assert len(ex.doubles.row) == xi * comb(eta, 2) * comb(norb - eta, 2)
+    assert _excitation_entries(ex) == _aligned_entries(basis)
+
+
+def test_excitations_have_no_word_size_cap():
+    # 70 orbitals do not fit one 64-bit mask: the generator counts on
+    # positions, so its columns still match the per-pair reference
+    ex = excitations(70, 1)
+    basis = enumerate_basis(70, 1)
+    assert [tuple(o) for o in ex.occ.tolist()] == [d.occ for d in basis]
+    assert len(ex.doubles.row) == 0
+    assert _excitation_entries(ex) == _aligned_entries(basis)
+
+
+def test_excitations_match_align_and_diff_on_sampled_rows():
+    basis = enumerate_basis(14, 4)
+    rows = {0, 17, 500, 999, 1000}
+    ex = excitations(14, 4)
+    got = {pair: v for pair, v in _excitation_entries(ex).items()
+           if pair[0] in rows}
+    assert got == _aligned_entries(basis, rows)
+
+
+def test_determinants_import_nothing_from_coloring():
+    # the generator judges the coloring's family, so it must not share
+    # its code, the coloring's rank included
+    tree = ast.parse(Path(determinants.__file__).read_text())
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names]
+    assert not [m for m in imported if m and "coloring" in m]

@@ -749,7 +749,7 @@ def test_cli_build_hamiltonian_rejects_oversized_basis(tmp_path, monkeypatch,
     def no_entry(*args):
         raise AssertionError("a CI entry computed past the dense cap")
 
-    monkeypatch.setattr(cimatrix, "ci_entry", no_entry)
+    monkeypatch.setattr(cimatrix, "excitations", no_entry)
     # an H7 chain, (N, eta) = (14, 7): xi = 3432 > 2048
     path = tmp_path / "h7.json"
     path.write_text(json.dumps(_h_chain(7, 7)))

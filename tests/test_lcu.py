@@ -1,4 +1,5 @@
 from math import factorial, log
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import cisim.selfinverse as selfinverse
 from cisim.coloring import DIAGONAL_COLOR, LEFT, apply_color
 from cisim.determinants import Determinant, enumerate_basis
 from cisim.errors import BudgetInfeasible
@@ -324,6 +326,19 @@ def test_edge_table_family_equals_the_padded_layout(family):
     for g in range(len(perms)):
         assert np.array_equal(fam.perms[g], perms[g])
         assert np.array_equal(fam.values[g], values[g])
+
+
+@settings(max_examples=50)
+@given(dense_families())
+def test_family_split_one_row_per_block_equals_the_padded_layout(family):
+    # the split runs a block of rows at a time: one row per block gives
+    # the same slice counts and the same rounded Hamiltonian
+    perms, values, zeta = family
+    with mock.patch.object(selfinverse, "BLOCK_VALUES", 1):
+        fam = TermFamily(perms, values, zeta)
+    want = padded_family(perms, values, zeta)
+    assert list(fam.M_g) == want["M_g"] and fam.L == want["L"]
+    assert np.array_equal(fam.rounded_dense(), want["rounded"])
 
 
 @pytest.mark.parametrize("rho", [-1, 2])
