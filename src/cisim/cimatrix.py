@@ -260,8 +260,9 @@ class LabelledTerms:
         """Each term's Hermitized value (forward + conj(reverse)) / 2, its
         `term_value` read both ways, as one row of mu grid-point values; the
         narrower kind (h1 or g) is zero-padded.  ``source.h1`` and
-        ``source.g`` take index arrays and give one value, or one row of
-        grid-point values, per index."""
+        ``source.g`` take index arrays and give one value per index (an
+        ``IntegralTable``) or one row of grid-point values (riemann mode's
+        ``quadrature.RiemannTable``)."""
         def block(one_body, at):
             a, b, c, d = self.orbs[at].T
             if one_body:

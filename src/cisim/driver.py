@@ -3,12 +3,13 @@
 A problem is a list of nuclei, a list of explicit Gaussian spin-orbitals
 (treated as orthonormal; a warning fires if their overlap matrix is not
 the identity to 1e-6), an electron count, an evolution time and a total
-error target.  The pipeline builds the reference integral tables and the
-CI matrix (riemann mode also certifies the basis envelope), splits the
-total error budget three ways (Taylor truncation, entry rounding, integral
-discretization), assembles the equal-weight involution family on the
-bipartite double cover, runs the segmented Taylor evolution, and checks
-the result against a dense eigendecomposition oracle.
+error target.  The pipeline splits the total error budget three ways
+(Taylor truncation, entry rounding, integral discretization), builds the
+reference integral tables (in riemann mode also the family's source, a
+``quadrature.RiemannTable`` of grid-point sums) and the CI matrix,
+assembles the equal-weight involution family on the bipartite double
+cover, runs the segmented Taylor evolution, and checks the result
+against a dense eigendecomposition oracle.
 
 Evolution happens under sigma_x (x) H on the double cover; an initial
 system state is embedded as |+> (x) psi, and the |+> block is projected
@@ -31,9 +32,8 @@ from .errors import BudgetInfeasible, InvalidConfig, NonOrthonormalBasisWarning
 from .integrals import IntegralTable
 from .lcu import (EPS_FLOOR, EdgeRows, TermFamily, evolve, hermitian_norm,
                   segment_count, segment_error)
-from .orbitals import (SpinOrbital, derive_bounds, finite_number, is_point,
-                       spatial_orbitals, spins_match)
-from .quadrature import KINDS, plan_quadrature, riemann_terms
+from .orbitals import SpinOrbital, finite_number, is_point
+from .quadrature import KINDS, RiemannTable
 
 SCHEMA_VERSION = 1
 OVERLAP_TOL = 1e-6
@@ -169,53 +169,7 @@ def extract_plus(state: np.ndarray) -> tuple[np.ndarray, float]:
     return psi / norm, abs(1.0 - norm)
 
 
-class _QuadratureEngine:
-    """Cached Riemann-sum evaluation of h1 and g entries for the assembly;
-    ``delta`` maps each integral kind to its accuracy, as ``run_budget``
-    returns it.  ``h1`` and ``g`` take orbital index arrays and give one
-    row of grid-point terms per index.  A term the spin rule zeroes is a
-    zero row of its kind's mu, with no grid; any other is evaluated once
-    per (kind, spatial indices, q) on the spin-free spatial functions."""
-
-    def __init__(self, basis, nuclei, bounds, delta):
-        self.basis = basis
-        self.functions, self.spatial = spatial_orbitals(basis)
-        self.nuclei = nuclei
-        self.bounds = bounds
-        self.delta = delta
-        self._cache: dict = {}
-
-    def _terms(self, kind: str, indices, q=None) -> np.ndarray:
-        orbs = [self.basis[x - 1] for x in indices]
-        half = len(orbs) // 2
-        allowed = spins_match(orbs[:half], orbs[half:])
-        spatial = tuple(self.spatial[x - 1] + 1 for x in indices)
-        key = (kind, spatial if allowed else None, q)
-        if key not in self._cache:
-            args = (self.delta[kind], self.bounds, self.functions, self.nuclei)
-            if allowed:
-                terms = riemann_terms(kind, spatial, *args, q).values
-            else:
-                terms = np.zeros(plan_quadrature(
-                    kind, *spatial[:2], *args, *spatial[2:], q=q).mu, complex)
-            self._cache[key] = terms
-        return self._cache[key]
-
-    def h1(self, *ij) -> np.ndarray:
-        """Kinetic terms followed by one block per nucleus."""
-        return np.array([np.concatenate(
-            [self._terms("s0", ix)] + [self._terms("s1", ix, q)
-                                      for q in range(len(self.nuclei))])
-            for ix in zip(*(np.asarray(x).tolist() for x in ij))])
-
-    def g(self, *ijkl) -> np.ndarray:
-        return np.array([self._terms("s2", ix) for ix in zip(
-            *(np.asarray(x).tolist() for x in ijkl))])
-
-
-def build_term_family(table: IntegralTable, eta: int, zeta: float,
-                      mode: str = "exact", bounds=None,
-                      delta=None) -> TermFamily:
+def build_term_family(source, eta: int, zeta: float) -> TermFamily:
     """Assemble the involution family for H on the double cover.
 
     Every label that meets an edge is stored, as rows of one edge table
@@ -223,20 +177,11 @@ def build_term_family(table: IntegralTable, eta: int, zeta: float,
     Hermitian pair, the side-0 node of its left determinant with the
     side-1 node of its right one, at h = (a + conj(b)) / 2 from its (alpha
     -> beta) and (beta -> alpha) expansions; labels with no edge are not
-    stored.
+    stored.  ``source`` gives h1/g: an ``IntegralTable``, fancy-indexed,
+    or a ``RiemannTable``, one row of grid-point terms per index.
     """
-    xi = basis_size(table.n, eta)
-    # h1/g come from the exact tables, fancy-indexed, or the engine, per
-    # grid point
-    source = table
-    if mode == "riemann":
-        if bounds is None or delta is None:
-            raise ValueError("riemann mode needs certified bounds and delta")
-        source = _QuadratureEngine(table.basis, table.nuclei, bounds, delta)
-    elif mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    terms = labelled_terms(table.n, eta)
+    xi = basis_size(source.n, eta)
+    terms = labelled_terms(source.n, eta)
     rows = EdgeRows(label=terms.label, row=terms.left, col=xi + terms.right,
                     n_labels=int(terms.label[-1]) + 1, dim=2 * xi)
     return TermFamily(rows, terms.values(source), zeta)
@@ -274,14 +219,19 @@ def ingest(config: ProblemConfig) -> IntegralTable:
 
 def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     """Full run: representation, decomposition, evolution, verification."""
+    if mode not in ("exact", "riemann"):
+        raise ValueError(f"unknown mode {mode!r}")
     xi = basis_size(config.norb, config.eta)
     # evolution and the ledger are dense on the double cover, side 2 xi
     check_dense(2 * xi)
     timings: dict = {}
     t0 = time.perf_counter()
     table = ingest(config)
-    # the certified envelope: only the quadrature layer reads it
-    bounds = derive_bounds(config.orbitals) if mode == "riemann" else None
+    delta, zeta, eps_taylor = run_budget(config)
+    # riemann mode plans its grids here, so a delta past the grid cap is
+    # refused before the CI matrix is built
+    source = (RiemannTable(config.orbitals, config.nuclei, delta)
+              if mode == "riemann" else table)
     timings["ingest_s"] = time.perf_counter() - t0
 
     norb, eta = config.norb, config.eta
@@ -289,11 +239,8 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     H = build_ci_matrix(table, eta)
     timings["ci_matrix_s"] = time.perf_counter() - t0
 
-    delta, zeta, eps_taylor = run_budget(config)
-
     t0 = time.perf_counter()
-    family = build_term_family(table, eta, zeta, mode=mode, bounds=bounds,
-                               delta=delta)
+    family = build_term_family(source, eta, zeta)
     timings["decomposition_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

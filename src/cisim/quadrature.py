@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
                      NumericOverflow, SpecMismatch)
-from .orbitals import BasisBounds, eval_gradient, eval_value, spins_match
+from .orbitals import (BasisBounds, derive_bounds, eval_gradient, eval_value,
+                       spatial_orbitals, spins_match)
 
 ZETA_PRIME = 2.0 * sqrt(3.0) + 3.0  # two-electron singular-branch geometry
 GRID_CAP = 256  # per-axis grid count; mu reaches 256^3 (S0, S1), 256^6 (S2)
@@ -369,6 +370,55 @@ def riemann_terms(kind, indices, delta, bounds, basis, nuclei=(),
     if kind == "s1":
         return riemann_S1(i, j, q, spec, basis, nuclei)
     return riemann_S2(i, j, *kl, spec, basis)
+
+
+class RiemannTable:
+    """Riemann-mode integrals, read as ``integrals.IntegralTable`` is:
+    ``h1`` and ``g`` take 1-based spin-orbital index arrays and give one
+    row of grid-point terms per index, an h1 row the s0 terms and then one
+    s1 block per nucleus.  ``delta`` maps each kind to its accuracy.  A
+    grid does not depend on the orbitals, so each block's width is planned
+    once, here, and a term the spin rule zeroes is a zero row; each
+    distinct spin-allowed spatial tuple is summed once, on the spin-free
+    spatial functions, and kept across calls."""
+
+    def __init__(self, basis, nuclei, delta):
+        self.n, self.nuclei, self.delta = len(basis), nuclei, delta
+        self.bounds = derive_bounds(basis)
+        self.functions, spatial = spatial_orbitals(basis)
+        self.spatial = np.array(spatial) + 1
+        self.spin = np.array([phi.spin for phi in basis])
+        s1 = [("s1", q) for q in range(len(nuclei))]
+        self.blocks = {"h1": [("s0", None), *s1], "g": [("s2", None)]}
+        self.width = {name: sum(
+            plan_quadrature(kind, 1, 1, delta[kind], self.bounds, basis,
+                            nuclei, 1, 1, q=q).mu for kind, q in blocks)
+            for name, blocks in self.blocks.items()}
+        self.sums = {name: {} for name in self.blocks}
+
+    def h1(self, i, j) -> np.ndarray:
+        return self._rows("h1", i, j)
+
+    def g(self, i, j, k, l) -> np.ndarray:
+        return self._rows("g", i, j, k, l)
+
+    def _rows(self, name, *index) -> np.ndarray:
+        index = np.stack(index, axis=1) - 1
+        half = index.shape[1] // 2
+        spin = self.spin[index]
+        allowed = np.all(spin[:, :half] == spin[:, half:], axis=1)
+        rows = np.zeros((len(index), self.width[name]), dtype=complex)
+        if allowed.any():
+            # axis=0 keeps numpy.ma, which a flat np.unique imports, out
+            distinct, inverse = np.unique(self.spatial[index[allowed]],
+                                          axis=0, return_inverse=True)
+            sums, keys = self.sums[name], list(map(tuple, distinct.tolist()))
+            for key in set(keys).difference(sums):
+                sums[key] = np.concatenate([riemann_terms(
+                    kind, key, self.delta[kind], self.bounds, self.functions,
+                    self.nuclei, q).values for kind, q in self.blocks[name]])
+            rows[allowed] = np.array([sums[k] for k in keys])[inverse.ravel()]
+        return rows
 
 
 def lambda_exact(mu_decay: float, x: float, c: float) -> tuple[float, float]:

@@ -158,7 +158,7 @@ def test_criterion_6_self_inverse_terms(h2_table):
     reconstructs the rounded Hamiltonian exactly."""
     t0 = time.perf_counter()
     zeta = 0.25
-    fam = build_term_family(h2_table, 2, zeta, mode="exact")
+    fam = build_term_family(h2_table, 2, zeta)
     dim = fam.dim
     assert dim <= 256
     rows = np.arange(dim)
@@ -265,7 +265,7 @@ def test_criterion_8_end_to_end_evolution(h2_table):
     psi0[0] = 1.0
     for t in (0.5, 1.0, 2.0):
         _, zeta, eps_taylor = budget_errors(eps, t, n_gamma)
-        fam = build_term_family(h2_table, eta, zeta, mode="exact")
+        fam = build_term_family(h2_table, eta, zeta)
         out, info = evolve(fam, embed_plus(psi0), t, eps_taylor)
         psi_final, _ = extract_plus(out)
         ref = exact_evolve(H, psi0, t)

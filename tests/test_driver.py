@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import inspect
+import itertools
 import json
 import re
 import subprocess
@@ -28,8 +29,8 @@ from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
                           PatternMismatch)
 from cisim.integrals import IntegralTable
 from cisim.lcu import TermFamily, segment_count
-from cisim.quadrature import (delta_for_grid, plan_quadrature, riemann_S0,
-                              riemann_terms)
+from cisim.quadrature import (RiemannTable, delta_for_grid, plan_quadrature,
+                              riemann_S0, riemann_terms)
 from cisim.orbitals import derive_bounds
 
 from conftest import primitive_norm, so
@@ -123,12 +124,15 @@ def test_overlap_warning_fires():
         ingest(cfg)
 
 
-def test_build_term_family_rejects_an_unknown_mode_or_missing_bounds(
-        h2_table):
-    with pytest.raises(ValueError, match="unknown mode"):
-        build_term_family(h2_table, 2, 0.25, mode="dense")
-    with pytest.raises(ValueError, match="needs certified bounds"):
-        build_term_family(h2_table, 2, 0.25, mode="riemann")
+def test_run_pipeline_rejects_an_unknown_mode_before_ingest(monkeypatch):
+    # the mode is read first: no integral table is built for a run that
+    # cannot go on
+    built = []
+    monkeypatch.setattr(driver, "IntegralTable",
+                        lambda *args: built.append(args) or IntegralTable(*args))
+    with pytest.raises(ValueError, match="unknown mode 'dense'"):
+        run_pipeline(h2_config(), mode="dense")
+    assert built == []
 
 
 def test_partition_verifier(h2_table):
@@ -200,11 +204,11 @@ class _OneIndexAtATime:
 
 
 def _coarsest_riemann(table):
-    """(table, riemann keywords of build_term_family) on 3-point grids."""
+    """(table, its RiemannTable) on 3-point grids."""
     bounds = derive_bounds(table.basis)
     delta = {kind: delta_for_grid(kind, 3, bounds) for kind in ("s0", "s1",
                                                                "s2")}
-    return table, {"mode": "riemann", "bounds": bounds, "delta": delta}
+    return table, RiemannTable(table.basis, table.nuclei, delta)
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +227,39 @@ def odd_spin_riemann():
     return _coarsest_riemann(IntegralTable(basis, [(1.0, a), (1.0, b)]))
 
 
+@pytest.fixture(scope="module")
+def h2_chargeless_riemann(h2_basis):
+    """H2 with a third, chargeless nucleus, whose s1 block is one zero
+    column, on the coarsest grids."""
+    basis, nuclei = h2_basis
+    return _coarsest_riemann(IntegralTable(
+        basis, [*nuclei, (0.0, (0.0, 0.0, 3.0))]))
+
+
+@pytest.mark.parametrize("name", ["odd_spin_riemann", "h2_chargeless_riemann"])
+def test_riemann_table_rows_match_the_per_tuple_oracle(name, request):
+    # every spin-orbital pair and quartet, read as one array per kind,
+    # against one Riemann sum per tuple on the spin-orbital basis
+    table, source = request.getfixturevalue(name)
+    oracle = _OneIndexAtATime(table.basis, table.nuclei,
+                              derive_bounds(table.basis), source.delta)
+    spins = [phi.spin for phi in table.basis]
+    for kind, n_indices in (("h1", 2), ("g", 4)):
+        tuples = list(itertools.product(range(1, table.n + 1),
+                                        repeat=n_indices))
+        rows = getattr(source, kind)(*np.array(tuples).T)
+        assert np.array_equal(rows, np.array(
+            [getattr(oracle, kind)(*ix) for ix in tuples]))
+        half = n_indices // 2
+        forbidden = [[spins[x - 1] for x in ix[:half]]
+                     != [spins[x - 1] for x in ix[half:]] for ix in tuples]
+        assert any(forbidden) and not np.any(rows[forbidden])
+    # s0 and one s1 block per charged nucleus at 27 points, 1 if chargeless
+    charges = [z for z, _ in table.nuclei]
+    width = 27 * (1 + sum(z != 0 for z in charges)) + charges.count(0.0)
+    assert source.h1(np.array([1]), np.array([1])).shape == (1, width)
+
+
 @pytest.mark.parametrize("table_name,eta", [("h2_table", 2),
                                             ("mixed_table", 2),
                                             ("h2_riemann", 2),
@@ -232,16 +269,15 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
     # every edge is filed under the label whose color reaches it, that the
     # stored labels keep enumeration order and that the others are counted
     # but add no term
-    table, riemann = request.getfixturevalue(table_name), {}
-    source = None
+    table, source, oracle = request.getfixturevalue(table_name), None, None
     if table_name.endswith("_riemann"):
-        table, riemann = table
-        source = _OneIndexAtATime(table.basis, table.nuclei,
-                                  riemann["bounds"], riemann["delta"])
+        table, source = table
+        oracle = _OneIndexAtATime(table.basis, table.nuclei,
+                                  derive_bounds(table.basis), source.delta)
     # riemann grid-point terms are small: a finer zeta keeps some slices
-    zeta = 0.002 if riemann else 0.25
-    expected = _per_label_family(table, eta, source)
-    fam = build_term_family(table, eta, zeta=zeta, **riemann)
+    zeta = 0.002 if source else 0.25
+    expected = _per_label_family(table, eta, oracle)
+    fam = build_term_family(source or table, eta, zeta=zeta)
     n_stored = len(fam.perms)
     labels = enumerate_gammas(table.n, eta)
     stored = [g for g in labels if g in expected]
@@ -269,9 +305,9 @@ def test_family_stores_each_labelled_term_once(mode, h2_riemann):
     # one table row per labelled term, standing for both directions of its
     # edge, its mu values and a few integers; no array keeps a label padded
     # to every row and grid point
-    table, riemann = h2_riemann
-    fam = build_term_family(table, 2, zeta=0.002,
-                            **(riemann if mode == "riemann" else {}))
+    table, source = h2_riemann
+    fam = build_term_family(source if mode == "riemann" else table, 2,
+                            zeta=0.002)
     n_rows, n_labels = len(fam.row), len(fam.M_g)
     assert n_rows == len(labelled_terms(table.n, 2).left)
     arrays = [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
@@ -282,19 +318,22 @@ def test_family_stores_each_labelled_term_once(mode, h2_riemann):
 
 def test_riemann_engine_sums_each_spin_allowed_spatial_tuple_once(
         odd_spin_riemann, monkeypatch):
-    # the family asks for h1/g on spin-orbital tuples; the engine sums each
-    # distinct spatial tuple whose spins the rule allows once, and no other
-    table, riemann = odd_spin_riemann
+    # the family asks its RiemannTable for h1/g on spin-orbital tuples; the
+    # table sums each distinct spatial tuple whose spins the rule allows
+    # once, and no other
+    table, coarsest = odd_spin_riemann
+    # a table of its own: the fixture's has kept the sums of other tests
+    source = RiemannTable(table.basis, table.nuclei, coarsest.delta)
     spatial = [(phi.center, phi.primitives, phi.powers) for phi in table.basis]
     spins = [phi.spin for phi in table.basis]
     requests = []
     for name in ("h1", "g"):
         def recording(self, *index, _name=name,
-                      _fn=getattr(driver._QuadratureEngine, name)):
+                      _fn=getattr(RiemannTable, name)):
             requests.extend((_name, ix) for ix in zip(*(
                 np.asarray(x).tolist() for x in index)))
             return _fn(self, *index)
-        monkeypatch.setattr(driver._QuadratureEngine, name, recording)
+        monkeypatch.setattr(RiemannTable, name, recording)
     calls = Counter()
 
     def counted(kind, indices, delta, bounds, basis, nuclei=(), q=None):
@@ -303,8 +342,8 @@ def test_riemann_engine_sums_each_spin_allowed_spatial_tuple_once(
               q] += 1
         return riemann_terms(kind, indices, delta, bounds, basis, nuclei, q)
 
-    monkeypatch.setattr(driver, "riemann_terms", counted)
-    build_term_family(table, 2, zeta=0.002, **riemann)
+    monkeypatch.setattr(quadrature, "riemann_terms", counted)
+    build_term_family(source, 2, zeta=0.002)
     expected = set()
     for name, ix in requests:
         half = len(ix) // 2
@@ -562,9 +601,9 @@ def test_spectral_taylor_entry_matches_the_dense_oracle(name, tmp_path):
     with pytest.warns(NonOrthonormalBasisWarning):
         table = ingest(cfg)
     delta, zeta, eps_taylor = run_budget(cfg)
-    bounds = derive_bounds(cfg.orbitals) if mode == "riemann" else None
-    family = build_term_family(table, cfg.eta, zeta, mode=mode, bounds=bounds,
-                               delta=delta)
+    source = (RiemannTable(cfg.orbitals, cfg.nuclei, delta)
+              if mode == "riemann" else table)
+    family = build_term_family(source, cfg.eta, zeta)
     assert rep.error_ledger["taylor"] == pytest.approx(
         dense_taylor_entry(family, cfg.time, eps_taylor), rel=1e-4)
 
@@ -588,13 +627,12 @@ def tiny_riemann():
     deltas = {"s0": delta_for_grid("s0", 6, bounds),
               "s1": delta_for_grid("s1", 6, bounds),
               "s2": delta_for_grid("s2", 3, bounds)}
-    return basis, nuclei, bounds, table, deltas
+    return basis, nuclei, RiemannTable(basis, nuclei, deltas), table, deltas
 
 
 def test_riemann_mode_family_consistency(tiny_riemann):
-    basis, nuclei, bounds, table, deltas = tiny_riemann
-    fam = build_term_family(table, 1, zeta=0.02, mode="riemann",
-                            bounds=bounds, delta=deltas)
+    basis, nuclei, source, table, deltas = tiny_riemann
+    fam = build_term_family(source, 1, zeta=0.02)
     H2 = doubled(build_ci_matrix(table, 1))
     unrounded = fam.unrounded_dense()
     assert np.max(np.abs(unrounded - unrounded.conj().T)) < 1e-12
@@ -910,6 +948,29 @@ def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"cisim: {error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_riemann_delta_past_the_grid_cap_builds_no_ci_matrix(monkeypatch,
+                                                             capsys):
+    # riemann mode plans its grids in the ingest stage, so a delta past the
+    # cap is refused before the CI matrix and the labelled terms are built;
+    # the same counters see an exact report build both
+    calls = Counter()
+    for module in (driver, cimatrix):
+        for name in ("build_ci_matrix", "labelled_terms"):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+    argv = ["report", "--config", H2_PATH]
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rc = cli_main([*argv, "--mode", "riemann", "--delta", "1e-300"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("cisim: DeltaTooSmall: ")
+    assert calls == Counter()
+    with pytest.warns(NonOrthonormalBasisWarning):
+        assert cli_main(argv) == 0
+    assert calls["build_ci_matrix"] > 0 and calls["labelled_terms"] > 0
 
 
 @pytest.mark.parametrize("out", ["/nonexistent/x.json", "."],

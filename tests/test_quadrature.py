@@ -11,13 +11,13 @@ from cisim import quadrature
 from cisim.driver import build_term_family, load_config
 from cisim.errors import (DeltaTooLarge, DeltaTooSmall, IndexOutOfRange,
                           SpecMismatch)
-from cisim.integrals import (IntegralTable, eri_chemist,
-                             kinetic_gradient_form, nuclear_attraction)
+from cisim.integrals import (eri_chemist, kinetic_gradient_form,
+                             nuclear_attraction)
 from cisim.orbitals import BasisBounds, derive_bounds
-from cisim.quadrature import (GRID_CAP, ZETA_PRIME, delta_for_grid,
-                              k0_constant, k1_constant, k2_constant,
-                              lambda_exact, plan_quadrature, riemann_S0,
-                              riemann_S1, riemann_S2)
+from cisim.quadrature import (GRID_CAP, ZETA_PRIME, RiemannTable,
+                              delta_for_grid, k0_constant, k1_constant,
+                              k2_constant, lambda_exact, plan_quadrature,
+                              riemann_S0, riemann_S1, riemann_S2)
 
 from conftest import so
 
@@ -221,12 +221,14 @@ def test_s2_distant_branch_terms_finite():
 
 def test_hermitize(sbasis):
     # with no nuclei an eta = 1 family holds kinetic terms only; each row
-    # of a label pairs (side 0, alpha) with (side 1, beta), xi = 2
+    # of a label pairs (side 0, alpha) with (side 1, beta), xi = 2.  The
+    # table plans every kind, and s2 at s0's delta would need ~6e8 points
+    # per axis, so s2 gets its coarsest grid; no term reads it
     basis, _, bounds = sbasis
     delta = delta_for_grid("s0", 16, bounds)
-    fam = build_term_family(IntegralTable(basis), 1, zeta=0.01,
-                            mode="riemann", bounds=bounds,
-                            delta=dict.fromkeys(("s0", "s1", "s2"), delta))
+    source = RiemannTable(basis, (), {
+        "s0": delta, "s1": delta, "s2": delta_for_grid("s2", 3, bounds)})
+    fam = build_term_family(source, 1, zeta=0.01)
     row = {(x, int(p[x])): fam.values[g][x]
            for g, p in enumerate(fam.perms) for x in range(2)}
     h_ij, h_ji, h_ii = row[0, 3], row[1, 2], row[0, 2]
