@@ -228,8 +228,8 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     t0 = time.perf_counter()
     table = ingest(config)
     delta, zeta, eps_taylor = run_budget(config)
-    # riemann mode plans its grids here, so a delta past the grid cap is
-    # refused before the CI matrix is built
+    # riemann mode plans its h1 grids here, so a delta past the grid cap
+    # is refused before the CI matrix is built
     source = (RiemannTable(config.orbitals, config.nuclei, delta)
               if mode == "riemann" else table)
     timings["ingest_s"] = time.perf_counter() - t0

@@ -374,27 +374,23 @@ def riemann_terms(kind, indices, delta, bounds, basis, nuclei=(),
 
 class RiemannTable:
     """Riemann-mode integrals, read as ``integrals.IntegralTable`` is:
-    ``h1`` and ``g`` take 1-based spin-orbital index arrays and give one
-    row of grid-point terms per index, an h1 row the s0 terms and then one
-    s1 block per nucleus.  ``delta`` maps each kind to its accuracy.  A
-    grid does not depend on the orbitals, so each block's width is planned
-    once, here, and a term the spin rule zeroes is a zero row; each
-    distinct spin-allowed spatial tuple is summed once, on the spin-free
-    spatial functions, and kept across calls."""
+    ``h1(i, j)`` and ``g(i, j, k, l)`` take 1-based spin-orbital index
+    arrays and give a row of grid-point terms per index (h1: s0, then s1
+    per nucleus).  Grids do not depend on the orbitals: h1's width is
+    planned here, as every run reads it, and g's at its first request, as
+    an eta = 1 run reads none.  Each spin-allowed spatial tuple is summed
+    once and kept; a forbidden term reads the all-zero tuple, a zero row."""
 
     def __init__(self, basis, nuclei, delta):
-        self.n, self.nuclei, self.delta = len(basis), nuclei, delta
-        self.bounds = derive_bounds(basis)
+        self.n, self.basis, self.nuclei = len(basis), basis, nuclei
+        self.delta, self.bounds = delta, derive_bounds(basis)
         self.functions, spatial = spatial_orbitals(basis)
         self.spatial = np.array(spatial) + 1
         self.spin = np.array([phi.spin for phi in basis])
         s1 = [("s1", q) for q in range(len(nuclei))]
         self.blocks = {"h1": [("s0", None), *s1], "g": [("s2", None)]}
-        self.width = {name: sum(
-            plan_quadrature(kind, 1, 1, delta[kind], self.bounds, basis,
-                            nuclei, 1, 1, q=q).mu for kind, q in blocks)
-            for name, blocks in self.blocks.items()}
-        self.sums = {name: {} for name in self.blocks}
+        self.width, self.sums = {}, {(0,) * 2: 0, (0,) * 4: 0}
+        self._width("h1")
 
     def h1(self, i, j) -> np.ndarray:
         return self._rows("h1", i, j)
@@ -402,23 +398,28 @@ class RiemannTable:
     def g(self, i, j, k, l) -> np.ndarray:
         return self._rows("g", i, j, k, l)
 
+    def _width(self, name) -> int:
+        if name not in self.width:
+            self.width[name] = sum(plan_quadrature(
+                kind, 1, 1, self.delta[kind], self.bounds, self.basis,
+                self.nuclei, 1, 1, q=q).mu for kind, q in self.blocks[name])
+        return self.width[name]
+
     def _rows(self, name, *index) -> np.ndarray:
         index = np.stack(index, axis=1) - 1
-        half = index.shape[1] // 2
-        spin = self.spin[index]
+        spin, half = self.spin[index], index.shape[1] // 2
         allowed = np.all(spin[:, :half] == spin[:, half:], axis=1)
-        rows = np.zeros((len(index), self.width[name]), dtype=complex)
-        if allowed.any():
-            # axis=0 keeps numpy.ma, which a flat np.unique imports, out
-            distinct, inverse = np.unique(self.spatial[index[allowed]],
-                                          axis=0, return_inverse=True)
-            sums, keys = self.sums[name], list(map(tuple, distinct.tolist()))
-            for key in set(keys).difference(sums):
-                sums[key] = np.concatenate([riemann_terms(
+        spatial = np.where(allowed[:, None], self.spatial[index], 0)
+        # axis=0 keeps numpy.ma, which a flat np.unique imports, out
+        distinct, inverse = np.unique(spatial, axis=0, return_inverse=True)
+        table = np.zeros((len(distinct), self._width(name)), dtype=complex)
+        for d, key in enumerate(map(tuple, distinct.tolist())):
+            if key not in self.sums:
+                self.sums[key] = np.concatenate([riemann_terms(
                     kind, key, self.delta[kind], self.bounds, self.functions,
                     self.nuclei, q).values for kind, q in self.blocks[name]])
-            rows[allowed] = np.array([sums[k] for k in keys])[inverse.ravel()]
-        return rows
+            table[d] = self.sums[key]
+        return table[inverse.ravel()]
 
 
 def lambda_exact(mu_decay: float, x: float, c: float) -> tuple[float, float]:

@@ -24,9 +24,9 @@ from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
                           config_from_dict, doubled, exact_evolve, ingest,
                           load_config, run_budget, run_pipeline,
                           validate_config)
-from cisim.errors import (BudgetInfeasible, DimensionTooLarge, InvalidConfig,
-                          InvalidCounts, NonOrthonormalBasisWarning,
-                          PatternMismatch)
+from cisim.errors import (BudgetInfeasible, DeltaTooSmall, DimensionTooLarge,
+                          InvalidConfig, InvalidCounts,
+                          NonOrthonormalBasisWarning, PatternMismatch)
 from cisim.integrals import IntegralTable
 from cisim.lcu import TermFamily, segment_count
 from cisim.quadrature import (RiemannTable, delta_for_grid, plan_quadrature,
@@ -952,9 +952,9 @@ def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
 
 def test_riemann_delta_past_the_grid_cap_builds_no_ci_matrix(monkeypatch,
                                                              capsys):
-    # riemann mode plans its grids in the ingest stage, so a delta past the
-    # cap is refused before the CI matrix and the labelled terms are built;
-    # the same counters see an exact report build both
+    # riemann mode plans its h1 grids in the ingest stage, so a delta past
+    # the cap is refused before the CI matrix and the labelled terms are
+    # built; the same counters see an exact report build both
     calls = Counter()
     for module in (driver, cimatrix):
         for name in ("build_ci_matrix", "labelled_terms"):
@@ -1305,6 +1305,25 @@ def test_riemann_run_takes_each_envelope_supremum_once(tmp_path, monkeypatch):
     with pytest.warns(NonOrthonormalBasisWarning):
         run_pipeline(cfg, mode="riemann")
     assert Counter(calls) == {"phi_max": 4, "gamma1": 1, "gamma2": 1}
+
+
+def test_riemann_eta_1_run_plans_no_s2_grid(tmp_path):
+    # an eta = 1 family reads no g, so an s2 delta with no grid within the
+    # cap leaves its run as it was; at eta = 2 the first g request refuses it
+    path = _riemann_h2_config(tmp_path)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        coarse = run_pipeline(load_config(path), mode="riemann").to_dict()
+    cfg = load_config(path)
+    cfg.overrides["delta"]["s2"] = cfg.overrides["delta"]["s0"]
+    with pytest.warns(NonOrthonormalBasisWarning):
+        fine = run_pipeline(cfg, mode="riemann").to_dict()
+    for report in (coarse, fine):
+        del report["timings"], report["dims"]["delta"]
+    assert fine == coarse
+    cfg.eta = 2
+    with pytest.warns(NonOrthonormalBasisWarning), \
+            pytest.raises(DeltaTooSmall, match="for s2"):
+        run_pipeline(cfg, mode="riemann")
 
 
 @pytest.mark.parametrize("argv", [

@@ -221,13 +221,10 @@ def test_s2_distant_branch_terms_finite():
 
 def test_hermitize(sbasis):
     # with no nuclei an eta = 1 family holds kinetic terms only; each row
-    # of a label pairs (side 0, alpha) with (side 1, beta), xi = 2.  The
-    # table plans every kind, and s2 at s0's delta would need ~6e8 points
-    # per axis, so s2 gets its coarsest grid; no term reads it
+    # of a label pairs (side 0, alpha) with (side 1, beta), xi = 2
     basis, _, bounds = sbasis
     delta = delta_for_grid("s0", 16, bounds)
-    source = RiemannTable(basis, (), {
-        "s0": delta, "s1": delta, "s2": delta_for_grid("s2", 3, bounds)})
+    source = RiemannTable(basis, (), dict.fromkeys(("s0", "s1", "s2"), delta))
     fam = build_term_family(source, 1, zeta=0.01)
     row = {(x, int(p[x])): fam.values[g][x]
            for g, p in enumerate(fam.perms) for x in range(2)}
