@@ -6,6 +6,22 @@ Davidson) expansion; Coulomb kernels go through the Boys function,
 which is evaluated by a downward-recursed power series for arguments up
 to 25 and by erf plus upward recursion beyond that.
 
+``IntegralTable`` evaluates its tables on arrays.  It groups the
+canonical spatial pairs by the Cartesian powers of their two functions
+and expands each group into its primitive products, weighted by the
+coefficient products.  A group's Hermite coefficients E, one recursion
+step per array operation, give its overlap, kinetic and nuclear terms,
+every nucleus on one array axis; each pair of groups gives its chemist
+ERIs through the Hermite Coulomb tensor R over their primitive quartets.
+``boys_array`` sums the Boys series as one cumulative product.  The
+primitive values are summed back into pairs and quartets by
+``np.bincount``.
+
+The scalar ``overlap``, ``kinetic``, ``nuclear_attraction``,
+``eri_chemist`` and ``boys`` evaluate one integral, or one argument, at a
+time.  No other module calls them: they are the independent references
+the tables are tested against.
+
 Index conventions, used consistently everywhere downstream:
 
     h1(i, j)      = <i| -grad^2/2 - sum_q Z_q/|R_q - r| |j>
@@ -16,19 +32,20 @@ Index conventions, used consistently everywhere downstream:
 so g(i,j,k,l) carries i,k on electron 1 and j,l on electron 2, and the
 symmetry g(i,j,k,l) = g(j,i,l,k) is electron-label relabelling.  Each
 integral is computed once per spatial orbital and spread over the spin
-orbitals by a delta on each electron (``orbitals.spins_match``).
+orbitals by a delta on each electron (equal spin labels).
 Orbital indices are 1-based, matching determinants.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import erf, exp, pi, sqrt
 
 import numpy as np
 
 from .errors import NumericOverflow
-from .orbitals import (SpinOrbital, d1_terms, d2_terms, spatial_orbitals,
-                       spins_match)
+from .orbitals import SpinOrbital, d1_terms, d2_terms, spatial_orbitals
+from .selfinverse import row_blocks
 
 BOYS_SWITCH = 25.0
 
@@ -59,6 +76,42 @@ def boys(mmax: int, T: float) -> np.ndarray:
         eT = exp(-T)
         for m in range(mmax):
             out[m + 1] = ((2 * m + 1) * out[m] - eT) / (2.0 * T)
+    return out
+
+
+def boys_array(mmax: int, T) -> np.ndarray:
+    """F_0(T) .. F_mmax(T) along a last axis, for an array of T.
+
+    The branches of ``boys``: below BOYS_SWITCH, the series for F_mmax
+    summed as one cumulative product over 2 max(T) + 40 terms, which
+    outlasts the scalar loop's cut, then downward recursion; above it,
+    erf (``math.erf`` element by element, as numpy has none) and upward
+    recursion.
+    """
+    T = np.asarray(T, dtype=float)
+    out = np.empty(T.shape + (mmax + 1,))
+    small = T <= BOYS_SWITCH
+    large = ~small
+    t = T[small]
+    if t.size:
+        den = 2 * mmax + 2 * np.arange(1, int(2 * t.max()) + 41) + 1
+        total = np.empty(t.size)
+        for rows in row_blocks(t.size, den.size):
+            terms = np.cumprod(2.0 * t[rows, None] / den, axis=1)
+            total[rows] = (1.0 + terms.sum(axis=1)) / (2 * mmax + 1)
+        eT = np.exp(-t)
+        F = [eT * total]
+        for m in range(mmax, 0, -1):
+            F.append((2.0 * t * F[-1] + eT) / (2 * m - 1))
+        out[small] = np.stack(F[::-1], axis=-1)
+    t = T[large]
+    if t.size:
+        root = np.sqrt(t)
+        F = [0.5 * np.sqrt(pi / t) * np.array([erf(x) for x in root.tolist()])]
+        eT = np.exp(-t)
+        for m in range(mmax):
+            F.append(((2 * m + 1) * F[-1] - eT) / (2.0 * t))
+        out[large] = np.stack(F, axis=-1)
     return out
 
 
@@ -260,6 +313,128 @@ def eri_chemist(pa: SpinOrbital, pb: SpinOrbital,
     return out
 
 
+def _outer_rows(start1, n1, start2, n2):
+    """(k, r1, r2): for each k, every row start1[k] + u (u < n1[k]) with
+    every row start2[k] + v (v < n2[k]), k ascending."""
+    size = n1 * n2
+    k = np.repeat(np.arange(size.size), size)
+    local = np.arange(k.size) - (np.cumsum(size) - size)[k]
+    return k, start1[k] + local // n2[k], start2[k] + local % n2[k]
+
+
+def _hermite_table(imax, jmax, p, xpa, xpb, e00) -> np.ndarray:
+    """McMurchie-Davidson E[..., i, j, t] for i <= imax and j <= jmax,
+    one recursion step per array operation over every leading index:
+    E^{i+1,j}_t = E^{ij}_{t-1} / 2p + X_PA E^{ij}_t + (t+1) E^{ij}_{t+1},
+    and the same in j with X_PB, as ``_hermite_e`` recurses."""
+    E = np.zeros(e00.shape + (imax + 1, jmax + 1, imax + jmax + 1))
+    E[..., 0, 0, 0] = e00
+    half = (0.5 / p)[..., None]
+    up = np.arange(1, imax + jmax + 1)
+    for i, j in product(range(imax + 1), range(jmax + 1)):
+        if i or j:
+            prev, shift = (E[..., i - 1, j, :], xpa) if i else \
+                (E[..., i, j - 1, :], xpb)
+            cur = E[..., i, j, :]
+            cur[:] = shift[..., None] * prev
+            cur[..., 1:] += half * prev[..., :-1]
+            cur[..., :-1] += up * prev[..., 1:]
+    return E
+
+
+def _coulomb_r(tuv, p, PC) -> np.ndarray:
+    """Hermite Coulomb R_{tuv}(p, PC) for t, u, v up to ``tuv`` over every
+    leading index of p and PC (its last axis x, y, z): the recursion of
+    ``_hermite_coulomb``, one (t, u, v) step over all orders n at once."""
+    L = sum(tuv)
+    F = boys_array(L, p * np.sum(PC * PC, axis=-1))
+    R = np.zeros(F.shape + tuple(n + 1 for n in tuv))
+    R[..., 0, 0, 0] = (-2.0 * p)[..., None] ** np.arange(L + 1) * F
+    for step in product(*(range(n + 1) for n in tuv)):
+        if not any(step):
+            continue
+        d = next(d for d in range(3) if step[d])
+        one, two = (tuple(s - k * (e == d) for e, s in enumerate(step))
+                    for k in (1, 2))
+        n = L - sum(step) + 1
+        val = PC[..., d, None] * R[(..., slice(1, n + 1), *one)]
+        if step[d] > 1:
+            val += (step[d] - 1) * R[(..., slice(1, n + 1), *two)]
+        R[(..., slice(0, n), *step)] = val
+    return R[..., 0, :, :, :]
+
+
+class _PairGroup:
+    """The canonical spatial pairs (a, b), a <= b, whose functions have
+    the powers ``pa`` and ``pb``, expanded into primitive products, one
+    row each and a pair's rows contiguous: exponent sum p, center P,
+    weight ca cb, and per dimension d the Hermite coefficients
+    E[d][row, t] of x_A^pa[d] x_B^pb[d]."""
+
+    def __init__(self, a, b, pa, pb, prims):
+        start, count, exps, coefs, centers = prims
+        self.a, self.b, self.pa, self.pb = a, b, pa, pb
+        self.size = count[a] * count[b]
+        self.first = np.cumsum(self.size) - self.size
+        self.pair, i, j = _outer_rows(start[a], count[a], start[b], count[b])
+        alpha, self.beta = exps[i], exps[j]
+        self.w = coefs[i] * coefs[j]
+        A, B = centers[a][self.pair], centers[b][self.pair]
+        self.p = alpha + self.beta
+        self.P = (alpha[:, None] * A + self.beta[:, None] * B) \
+            / self.p[:, None]
+        mu = alpha * self.beta / self.p
+        # j runs 2 past pb for the Laplacian of the ket
+        self.table = _hermite_table(
+            max(pa), max(pb) + 2, self.p[:, None], self.P - A, self.P - B,
+            np.exp(-mu[:, None] * (A - B) ** 2))
+        self.tuv = tuple(x + y for x, y in zip(pa, pb))
+        self.E = [self.table[:, d, pa[d], pb[d], :n + 1]
+                  for d, n in enumerate(self.tuv)]
+
+    def one_electron(self, Z, C):
+        """(overlap, kinetic + nuclear attraction) of each pair, the
+        nuclei of charges Z at the rows of C on one axis."""
+        e0 = [e[:, 0] for e in self.E]
+        scale = (pi / self.p) ** 1.5
+        lap = [sum(c * self.table[:, d, self.pa[d], n, 0]
+                   for n, c in d2_terms(self.pb[d], self.beta))
+               for d in range(3)]
+        kin = -0.5 * scale * (lap[0] * e0[1] * e0[2] + e0[0] * lap[1] * e0[2]
+                              + e0[0] * e0[1] * lap[2])
+        R = _coulomb_r(self.tuv, self.p[:, None], self.P[:, None] - C)
+        nuc = 2.0 * pi / self.p * np.einsum(
+            "nt,nu,nv,nktuv,k->n", *self.E, R, -Z)
+        return (self._sum(scale * e0[0] * e0[1] * e0[2]),
+                self._sum(kin + nuc))
+
+    def _sum(self, values) -> np.ndarray:
+        return np.bincount(self.pair, weights=self.w * values,
+                           minlength=self.a.size)
+
+
+def _eri(bra: _PairGroup, ket: _PairGroup, r1, r2) -> np.ndarray:
+    """Chemist (ab|cd) for each quartet k of bra's pair r1[k] (electron 1)
+    and ket's pair r2[k] (electron 2): over its primitive quartets, R
+    contracted with the bra's E and the ket's E of sign (-1)^t, each
+    dimension's two convolved as R depends on t1 + t2 alone."""
+    k, i, j = _outer_rows(bra.first[r1], bra.size[r1],
+                          ket.first[r2], ket.size[r2])
+    p, q = bra.p[i], ket.p[j]
+    R = _coulomb_r(tuple(x + y for x, y in zip(bra.tuv, ket.tuv)),
+                   p * q / (p + q), bra.P[i] - ket.P[j])
+    conv = []
+    for e1, e2 in zip(bra.E, ket.E):
+        e1, e2 = e1[i], e2[j] * (-1.0) ** np.arange(e2.shape[1])
+        out = np.zeros((k.size, e1.shape[1] + e2.shape[1] - 1))
+        for t in range(e1.shape[1]):
+            out[:, t:t + e2.shape[1]] += e1[:, t, None] * e2
+        conv.append(out)
+    values = 2.0 * pi ** 2.5 / (p * q * np.sqrt(p + q)) * bra.w[i] * ket.w[j] \
+        * np.einsum("nt,nu,nv,ntuv->n", *conv, R)
+    return np.bincount(k, weights=values, minlength=r1.size)
+
+
 class IntegralTable:
     """Dense one- and two-electron integral tables for a spin-orbital basis.
 
@@ -277,33 +452,49 @@ class IntegralTable:
         self.n = len(self.basis)
         functions, index = spatial_orbitals(self.basis)
         m = len(functions)
-        pairs = list(zip(*np.triu_indices(m)))
+        # each function's primitives as rows start .. start + count - 1
+        count = np.array([len(f.primitives) for f in functions])
+        exps, coefs = np.array([x for f in functions for x in f.primitives]).T
+        prims = (np.cumsum(count) - count, count, exps, coefs,
+                 np.array([f.center for f in functions], dtype=float))
+        powers = [tuple(f.powers) for f in functions]
+        members: dict = {}
+        for a in range(m):
+            for b in range(a, m):
+                members.setdefault((powers[a], powers[b]), []).append((a, b))
+        groups = [_PairGroup(*np.array(ab).T, pa, pb, prims)
+                  for (pa, pb), ab in members.items()]
+
+        # a zero charge adds nothing, as in nuclear_attraction
+        charged = [(Z, R) for Z, R in self.nuclei if Z != 0.0]
+        Z = np.array([Z for Z, _ in charged])
+        C = np.array([R for _, R in charged], dtype=float).reshape(-1, 3)
         s, h = np.zeros((m, m)), np.zeros((m, m))
-        # chemist (ab|cd) once for a <= b, c <= d and (a, b) <= (c, d)
-        quartets = [ab + cd for x, ab in enumerate(pairs) for cd in pairs[x:]]
-        try:
-            for a, b in pairs:
-                fa, fb = functions[a], functions[b]
-                s[a, b] = s[b, a] = overlap(fa, fb)
-                h[a, b] = kinetic(fa, fb)
-                for Z, R in self.nuclei:
-                    h[a, b] += nuclear_attraction(fa, fb, Z, R)
-                h[b, a] = h[a, b]
-            eri = [eri_chemist(*(functions[x] for x in q)) for q in quartets]
-            finite = all(np.isfinite(x).all() for x in (s, h, eri))
-        except (OverflowError, ZeroDivisionError):
-            finite = False
-        if not finite:
+        for g in groups:
+            s[g.a, g.b], h[g.a, g.b] = s[g.b, g.a], h[g.b, g.a] = \
+                g.one_electron(Z, C)
+        # chemist (ab|cd) once per unordered pair of canonical pairs
+        quartets, eri = [], []
+        for x, bra in enumerate(groups):
+            for ket in groups[x:]:
+                r1, r2 = np.divmod(np.arange(bra.a.size * ket.a.size),
+                                   ket.a.size)
+                if ket is bra:
+                    r1, r2 = r1[r1 <= r2], r2[r1 <= r2]
+                quartets.append((bra.a[r1], bra.b[r1], ket.a[r2], ket.b[r2]))
+                eri.append(_eri(bra, ket, r1, r2))
+        eri = np.concatenate(eri)
+        if not all(np.isfinite(x).all() for x in (s, h, eri)):
             raise NumericOverflow("an integral of the basis is past a float")
-        a, b, c, d = np.array(quartets).T
+        a, b, c, d = np.concatenate(quartets, axis=1)
         chem = np.zeros((m, m, m, m))
         for w, x, y, z in ((a, b, c, d), (c, d, a, b)):
             chem[w, x, y, z] = chem[x, w, y, z] = chem[w, x, z, y] = \
                 chem[x, w, z, y] = eri
 
         # <ij|kl> = (ik|jl), times the spin delta on each electron
-        same = np.array([[spins_match([bi], [bj]) for bj in self.basis]
-                         for bi in self.basis])
+        spin = np.array([phi.spin for phi in self.basis])
+        same = spin[:, None] == spin
         ix = np.ix_(index, index)
         self.overlap_mat = np.where(same, s[ix], 0.0)
         self.h1_mat = np.where(same, h[ix], 0.0).astype(complex)

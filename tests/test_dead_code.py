@@ -68,8 +68,18 @@ REFERENCES = {
         "every admissible label, listed; criterion 9 checks count_gamma on it",
     "cimatrix.label_key":
         "label order, which the family's integer sort of label keys must give",
+    "integrals.eri_chemist":
+        "per-quartet ERI that IntegralTable's array kernels are held to",
+    "integrals.kinetic":
+        "per-pair kinetic integral that IntegralTable's array kernels are "
+        "held to",
     "integrals.kinetic_gradient_form":
         "closed-form kinetic integral the S0 Riemann sums are judged against",
+    "integrals.nuclear_attraction":
+        "per-pair, per-nucleus attraction that IntegralTable's array kernels "
+        "are held to",
+    "integrals.overlap":
+        "per-pair overlap that IntegralTable's array kernels are held to",
     "lcu.SegmentPlan.taylor_tail":
         "truncation bound (ln 2)^(K+1)/(K+1)! that K and lambda are held to",
     "lcu.SegmentPlan.ancilla_qubits":

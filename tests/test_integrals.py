@@ -1,5 +1,5 @@
 import itertools
-from collections import Counter
+import warnings
 from dataclasses import replace
 from math import gamma as gamma_fn
 from math import pi, sqrt
@@ -10,10 +10,10 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 
 from cisim import integrals
-from cisim.errors import UnsupportedAngularMomentum
-from cisim.integrals import (IntegralTable, boys, eri_chemist, kinetic,
-                             kinetic_gradient_form, nuclear_attraction,
-                             overlap)
+from cisim.errors import NumericOverflow, UnsupportedAngularMomentum
+from cisim.integrals import (BOYS_SWITCH, IntegralTable, boys, boys_array,
+                             eri_chemist, kinetic, kinetic_gradient_form,
+                             nuclear_attraction, overlap)
 from cisim.orbitals import SpinOrbital, eval_gradient, eval_value
 
 from conftest import so
@@ -32,6 +32,22 @@ def test_boys_against_gamma_oracle():
         vals = boys(12, T)
         for m in range(13):
             assert abs(vals[m] - _boys_oracle(m, T)) < 1e-13
+
+
+@pytest.mark.parametrize("T", [
+    np.array([0.0]),
+    np.logspace(-12, 3, 400),
+    np.array([BOYS_SWITCH, np.nextafter(BOYS_SWITCH, np.inf)]),
+    # both branches in one array, with a leading shape
+    np.array([[30.0, 0.5, BOYS_SWITCH], [1e3, 0.0, 24.99]])],
+    ids=["zero", "log-grid", "switch", "mixed"])
+def test_boys_array_matches_scalar(T):
+    for mmax in range(9):
+        got = boys_array(mmax, T)
+        assert got.shape == T.shape + (mmax + 1,)
+        for x, row in zip(T.ravel(), got.reshape(-1, mmax + 1)):
+            want = boys(mmax, float(x))
+            assert np.all(np.abs(row - want) <= 1e-14 * np.abs(want))
 
 
 def test_kinetic_s_gaussian_with_quadrature_cross_check():
@@ -225,23 +241,86 @@ def test_table_accepts_array_centers():
 
 def test_each_eri_once_per_spatial_quartet(monkeypatch):
     # four spatial s functions, both spins: 10 pairs give 55 quartets
-    # (ab|cd) up to the 8-fold symmetry, where spin orbitals give 210
-    calls = Counter()
+    # (ab|cd) up to the 8-fold symmetry, where spin orbitals give 210.  The
+    # array kernel takes its quartets as rows of two pair groups; each row
+    # names four spatial functions by position
+    quartets = []
+    kernel = integrals._eri
 
-    def counted(*functions):
-        calls[functions] += 1
-        return eri_chemist(*functions)
+    def counted(bra, ket, r1, r2):
+        quartets.extend(zip(bra.a[r1].tolist(), bra.b[r1].tolist(),
+                            ket.a[r2].tolist(), ket.b[r2].tolist()))
+        return kernel(bra, ket, r1, r2)
 
-    monkeypatch.setattr(integrals, "eri_chemist", counted)
+    monkeypatch.setattr(integrals, "_eri", counted)
     functions = [so(c, 1.0) for c in (A, B, C, (0.4, 0.4, 0.0))]
     IntegralTable(_both_spins(functions), TWO_PROTONS)
-    position = {(f.center, f.primitives, f.powers): x
-                for x, f in enumerate(functions)}
 
     def canonical(q):
-        a, b, c, d = (position[f.center, f.primitives, f.powers] for f in q)
+        a, b, c, d = q
         ab, cd = tuple(sorted((a, b))), tuple(sorted((c, d)))
         return min(ab + cd, cd + ab)
 
-    assert sum(calls.values()) == 55
-    assert len({canonical(q) for q in calls}) == 55
+    assert len(quartets) == 55
+    assert len({canonical(q) for q in quartets}) == 55
+
+
+# s, p, d and d_xy powers for the fuzz of random bases
+FUZZ_POWERS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 0, 0), (0, 1, 1),
+               (1, 1, 0))
+
+
+def _random_basis(rng):
+    """2 or 3 spatial functions on 2 or 3 centers, each of 1 to 3
+    primitives with alternating-sign coefficients and taken with one spin
+    or both, both spins in the basis; 1 to 3 nuclei, the first at Z = 0."""
+    centers = [tuple(rng.normal(scale=0.8, size=3).tolist())
+               for _ in range(rng.integers(2, 4))]
+    basis = []
+    for k in range(rng.integers(2, 4)):
+        primitives = tuple(
+            (float(rng.uniform(0.4, 2.5)),
+             float((-1) ** n * rng.uniform(0.2, 1.0)))
+            for n in range(rng.integers(1, 4)))
+        powers = FUZZ_POWERS[rng.integers(len(FUZZ_POWERS))]
+        spins = (("up",), ("down",), ("up", "down"))[rng.integers(3)]
+        basis += [SpinOrbital(centers[k % len(centers)], primitives, powers,
+                              spin) for spin in spins]
+    if len({phi.spin for phi in basis}) == 1:
+        basis.append(replace(basis[0], spin="down"
+                             if basis[0].spin == "up" else "up"))
+    nuclei = [(0.0, centers[0])] + [
+        (float(rng.uniform(0.5, 3.0)), tuple(rng.normal(size=3).tolist()))
+        for _ in range(rng.integers(0, 3))]
+    return basis, nuclei
+
+
+def test_table_matches_spin_orbital_build_on_random_bases():
+    rng = np.random.default_rng(20261020)
+    seen, sizes = set(), set()
+    for _ in range(12):
+        basis, nuclei = _random_basis(rng)
+        seen |= {phi.powers for phi in basis}
+        sizes |= {len(phi.primitives) for phi in basis}
+        table = IntegralTable(basis, nuclei)
+        S, h1, h2 = spin_orbital_tables(basis, nuclei)
+        assert np.max(np.abs(table.overlap_mat - S)) <= 1e-14
+        assert np.max(np.abs(table.h1_mat - h1)) <= 1e-14
+        assert np.max(np.abs(table.h2_mat - h2)) <= 1e-14
+    # the draw reached s, p, d and d_xy functions of 1 to 3 primitives
+    assert {(0, 0, 0), (1, 1, 0)} <= seen and sizes == {1, 2, 3}
+    assert {(1, 0, 0), (0, 0, 1)} & seen and {(2, 0, 0), (0, 1, 1)} & seen
+
+
+@pytest.mark.parametrize("primitive", [(1e300, 0.7), (1e-150, 0.7),
+                                       (1.0, 1e300)],
+                         ids=["exponent-1e300", "exponent-1e-150",
+                              "coefficient-1e300"])
+def test_p_and_d_basis_past_a_float_is_numeric_overflow(primitive):
+    basis = [SpinOrbital(A, (primitive,), (1, 0, 0), "up"),
+             SpinOrbital(B, (primitive,), (1, 1, 0), "down")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericOverflow, match="past a float"):
+            IntegralTable(basis, TWO_PROTONS)
+    assert caught == []
