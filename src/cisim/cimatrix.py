@@ -278,18 +278,18 @@ class LabelledTerms:
             h *= 0.5 * self.sign[at, None]
             return h
 
-        # each kind's width from its first term, so that its terms go
-        # straight into their rows of the padded output, a block of rows
-        # at a time: no whole kind's values are held
-        kinds = {one_body: at for one_body in (True, False)
+        # the first term of each kind gives its width; the others fill their
+        # padded rows a block at a time, so no whole kind's values are held
+        kinds = {one_body: (at, block(one_body, at[:1]))
+                 for one_body in (True, False)
                  if len(at := np.flatnonzero(self.one_body == one_body))}
-        width = {one_body: block(one_body, at[:1]).shape[1]
-                 for one_body, at in kinds.items()}
-        values = np.zeros((len(self.left), max(width.values())),
-                          dtype=complex)
-        for one_body, at in kinds.items():
-            for rows in row_blocks(len(at), width[one_body]):
-                values[at[rows], :width[one_body]] = block(one_body, at[rows])
+        values = np.zeros((len(self.left), max(
+            head.shape[1] for _, head in kinds.values())), dtype=complex)
+        for one_body, (at, head) in kinds.items():
+            width = head.shape[1]
+            values[at[0], :width] = head[0]
+            for rows in row_blocks(len(at) - 1, width):
+                values[at[1:][rows], :width] = block(one_body, at[1:][rows])
         return values
 
 

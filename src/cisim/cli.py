@@ -225,9 +225,11 @@ def main(argv=None) -> int:
     try:
         _check_out(getattr(args, "out", None))
         return args.fn(args)
-    except CisimError as exc:
-        # a rejected input is a one-line diagnosis, not a traceback
-        print(f"cisim: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (CisimError, MemoryError) as exc:
+        # a rejected input or a refused allocation is a one-line diagnosis,
+        # not a traceback; numpy's _ArrayMemoryError reads as MemoryError
+        kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
+        print(f"cisim: {kind.__name__}: {exc}", file=sys.stderr)
         return 2
 
 

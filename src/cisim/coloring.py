@@ -26,22 +26,21 @@ and N+1.  Whenever a shift leaves [1, N], collides with an occupied
 orbital, or fails a spacing or back-check, the color gives that node no
 partner (None): the matrix element is zero and the node is unchanged.
 
-`single_moves` is the move rule's array kernel.  One pass over the
-single excitations x -> v of some nodes evaluates every move (a, b, l,
-shift) of each from one side, on integer columns, and finds a partner's
-index by its combinatorial rank.  `edge_table` builds every edge from it:
-its single rows are the kernel's moves from the left, ordered by node,
-and a row is undone when the same move from the right leads back.  The
-double edges through a middle node are the pairs of its incoming and
-outgoing rows that `_alt1_ok` accepts, judged on that node's in x out
-block at once.  The table keeps that left kernel, so a run makes one
-pass per side.  `coloring_census` is the table's tally; the family build
-reads its labelled terms off the same table's integer columns once that
-tally is valid, and confirms each row's color with the kept kernel, so
-every run checks the coloring at its own size.  The scalar rule
-(`_move_partners`, which `_apply_move` reads one b of, and
-`apply_color`'s composition) and `color_of`, the inverse map from a pair
-to its color, are the references the tests pin the kernel and the
+`single_moves` is the move rule's array kernel: one pass over the single
+excitations x -> v of some nodes (`determinants.single_excitations`) and
+one tally of their candidates give every move (a, b, l, shift) of each
+from both sides, on integer columns.  `edge_table` builds every edge
+from one such pass: its single rows are the moves from the left, ordered
+by node, and a row is undone when the same move from the right leads
+back.  The double edges through a middle node are the pairs of its
+incoming and outgoing rows that `_alt1_ok` accepts, judged on that
+node's in x out block at once.  `coloring_census` is the table's tally;
+the family build reads its labelled terms off the same table's integer
+columns once that tally is valid, and confirms each row's color with the
+table's left kernel, so every run checks the coloring at its own size.
+The scalar rule (`_move_partners`, which `_apply_move` reads one b of,
+and `apply_color`'s composition) and `color_of`, the inverse map from a
+pair to its color, are the references the tests pin the kernel and the
 coloring with.
 """
 
@@ -50,11 +49,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .determinants import Determinant, basis_size, check_dense, sparsity_d
+from .determinants import (Determinant, basis_size, check_dense, lex_ranks,
+                           single_excitations, sparsity_d)
 from .errors import TooManyDifferences
 
 LEFT = "left"
@@ -160,20 +159,9 @@ def _apply_move(a, b, l, shift, occ, side, norb):
 # the move rule on integer columns
 
 
-def _lex_ranks(occ: np.ndarray, norb: int) -> np.ndarray:
-    """Index of each ascending row of orbitals in combinations order, by
-    the combinatorial number system: C(N, eta) - 1 - sum_i C(N - occ_i,
-    eta - i), i counted from 0."""
-    eta = occ.shape[1]
-    binom = np.array([[comb(n, r) for r in range(eta + 1)]
-                      for n in range(norb + 1)], dtype=np.int64)
-    return (binom[norb, eta] - 1
-            - binom[norb - occ, eta - np.arange(eta)].sum(axis=1))
-
-
 def _excitations(occ: np.ndarray, norb: int):
-    """Every single excitation x -> v of each row of occ, in row, k, v
-    order, as columns (node, k, x, v, pos, here, there, partner, new).
+    """Every single excitation x -> v of each int16 row of occ, in row, k,
+    v order, as columns (node, k, x, v, pos, here, there, partner, new).
 
     x sits at position k of the node and v at position pos of the partner,
     the node with x replaced by v; nodes and partners are ranks in
@@ -181,32 +169,26 @@ def _excitations(occ: np.ndarray, norb: int):
     there are `_spacing` around x in the node and around v in the partner.
     """
     rows, eta = occ.shape
+    virt, new, partner = single_excitations(occ, norb)
     # positions 0..eta+1 with the sentinels 0 and N+1, and N+1 once more so
     # that the orbital after any position up to eta can be read
     pad = np.zeros((rows, eta + 3), dtype=np.int16)
     pad[:, 1:eta + 1], pad[:, eta + 1:] = occ, norb + 1
-    occupied = np.zeros((rows, norb + 1), dtype=bool)
-    occupied[np.arange(rows)[:, None], occ] = True
-    below = np.cumsum(occupied, axis=1, dtype=np.int16)  # orbitals <= v
-    empty = np.nonzero(~occupied[:, 1:])[1].reshape(rows, norb - eta) + 1
-    shape = (rows, eta, norb - eta)
-    r = np.broadcast_to(np.arange(rows, dtype=np.int32)[:, None, None],
-                        shape).ravel()
-    k = np.broadcast_to(np.arange(1, eta + 1, dtype=np.int16)[:, None],
-                        shape).ravel()
-    v = np.broadcast_to(empty.astype(np.int16)[:, None, :], shape).ravel()
+    # one entry per (row, k, v), v the j-th virtual orbital of the row
+    r, k, v, j = (np.broadcast_to(grid, (rows, eta, norb - eta)).ravel()
+                  for grid in (np.arange(rows, dtype=np.int32)[:, None, None],
+                               np.arange(1, eta + 1, dtype=np.int16)[:, None],
+                               virt[:, None, :],
+                               np.arange(norb - eta, dtype=np.int16)))
     x = pad[r, k]
-    c = below[r, v]  # v is empty: the orbitals below it
+    c = v - 1 - j  # the occupied orbitals below v
     # v's neighbours in the partner are the node's, with x skipped
     prev, after = pad[r, c], pad[r, c + 1]
     prev = np.where(prev == x, pad[r, c - 1], prev)
     after = np.where(after == x, pad[r, c + 2], after)
-    new = occ[r]
-    new[np.arange(len(r)), k - 1] = v
-    new.sort(axis=1)
-    return (_lex_ranks(occ, norb)[r], k, x, v, c + (v < x),
-            pad[r, k + 1] - pad[r, k - 1], after - prev,
-            _lex_ranks(new, norb), new)
+    return (lex_ranks(occ, norb)[r], k, x, v, c + (v < x),
+            pad[r, k + 1] - pad[r, k - 1], after - prev, partner.ravel(),
+            new.reshape(-1, eta))
 
 
 def _move_code(node, a, l, shift, norb: int, eta: int):
@@ -251,36 +233,32 @@ class SingleMoves:
         return tuple(cols)
 
 
-def single_moves(occ: np.ndarray, side: str, norb: int) -> SingleMoves:
-    """Every valid single move (a, b, l, shift) of each node of occ, a
-    set of distinct ascending rows, from side.
+def single_moves(occ: np.ndarray, norb: int) -> tuple[SingleMoves, ...]:
+    """Every valid single move (a, b, l, shift) of each node of occ, a set
+    of distinct ascending rows, from the left and from the right.
 
-    Each single excitation x -> v of a node is one move, with shift v - x
-    from the left and x - v from the right: the spacing predicate gives
-    its a.  The candidate tally groups the excitations of the nodes and
-    their partners by (node, a, l, shift) in k order, as the candidates
-    the predicate admits: a = 0 ones for a right node, a = 1 ones for a
-    left node.  On the candidate path (a = 1 from the left, a = 0 from the
-    right) the move is the excitation's own place b in its group, l = pos;
-    on the direct path (l = k) it is the place b of the node in its
-    partner's group, which must hold at most two candidates.  Only
-    b = 0 and b = 1 are moves.
+    Each single excitation x -> v of a node is one move from each side,
+    shift v - x from the left and x - v from the right: the spacing
+    predicate gives its a.  One candidate tally serves both sides: it
+    groups the excitations of the nodes and their partners by (node, a, l,
+    shift) in k order, as the candidates the predicate admits: a = 0 ones
+    for a right node, a = 1 ones for a left node.  On the candidate path
+    (a = 1 from the left, a = 0 from the right) the move is the
+    excitation's own place b in its group, l = pos; on the direct path
+    (l = k) it is the place b of the node in its partner's group, which
+    must hold at most two candidates.  Only b = 0 and b = 1 are moves.
     """
     eta = occ.shape[1]
     node, k, x, v, pos, here, there, partner, new = _excitations(occ, norb)
-    a = (there < here) if side == LEFT else (here < there)
-    cand = a == (side == LEFT)
-    own = np.sort(_lex_ranks(occ, norb))
-    # the tally covers the nodes and the direct path's partners, each once
-    tally = (node, k, x, v, pos, here, there, partner)
-    direct = np.flatnonzero(~cand)
+    # the tally: the nodes and either side's direct-path partners, once each
+    tally = (node, k, x, v, pos, here, there)
+    direct = np.flatnonzero(there >= here)
     extra, first = np.unique(partner[direct], return_index=True)
-    known = own[np.searchsorted(own, extra).clip(max=len(own) - 1)] == extra
-    extra = new[direct[first[~known]]]
+    extra = new[direct[first[~np.isin(extra, node)]]]
     if len(extra):
         tally = tuple(np.concatenate(cols) for cols in
                       zip(tally, _excitations(extra, norb)))
-    t_node, t_k, t_x, t_v, t_pos, t_here, t_there, _ = tally
+    t_node, t_k, t_x, t_v, t_pos, t_here, t_there = tally
     admitted = [np.flatnonzero(t_there <= t_here),
                 np.flatnonzero(t_there < t_here)]
     # sorted, with a sentinel past every key that keeps each search in range
@@ -294,22 +272,25 @@ def single_moves(occ: np.ndarray, side: str, norb: int) -> SingleMoves:
     place = np.arange(len(key)) - start
     size = np.searchsorted(group, group, side="right") - start
 
-    shift = (v - x if side == LEFT else x - v).astype(np.int64)
-    l = np.where(cand, pos, k)
-    want = _move_code(np.where(cand, node, partner), a, l, shift, norb,
-                      eta) * eta + np.where(cand, k, pos) - 1
-    at = np.searchsorted(key, want)
-    b = place[at]
-    ok = (key[at] == want) & (b < 2) & (cand | (size[at] <= 2))
-    node, a, b, l, shift = node[ok], a[ok], b[ok], l[ok], shift[ok]
-    # the table's rows, and so the family's lexsort, keep this order
-    out = np.argsort(_move_code(node, a, l, shift, norb, eta) * 2 + b)
-    # the index of (a, b, l, shift) in movement_tuples, which skips shift 0
-    move = ((a * 2 + b) * eta + l - 1) * (2 * norb - 2) + shift + norb - 1
-    x, y = (x, v) if side == LEFT else (v, x)
-    return SingleMoves(8 * eta * (norb - 1), node[out],
-                       (move - (shift > 0))[out], partner[ok][out],
-                       x[ok][out], y[ok][out])
+    def from_side(side):
+        a = (there < here) if side == LEFT else (here < there)
+        cand = a == (side == LEFT)
+        shift = (v - x if side == LEFT else x - v).astype(np.int64)
+        l = np.where(cand, pos, k)
+        want = _move_code(np.where(cand, node, partner), a, l, shift, norb,
+                          eta) * eta + np.where(cand, k, pos) - 1
+        at = np.searchsorted(key, want)
+        ok = (key[at] == want) & (place[at] < 2) & (cand | (size[at] <= 2))
+        a, b, l, shift = a[ok], place[at[ok]], l[ok], shift[ok]
+        # the table's rows, and so the family's lexsort, keep this order; a
+        # move's id is its index in movement_tuples, which skips shift 0
+        out = np.argsort(_move_code(node[ok], a, l, shift, norb, eta) * 2 + b)
+        move = ((a * 2 + b) * eta + l - 1) * (2 * norb - 2) + shift + norb - 1
+        x_to_y = (x, v) if side == LEFT else (v, x)
+        return SingleMoves(
+            8 * eta * (norb - 1), node[ok][out], (move - (shift > 0))[out],
+            partner[ok][out], *(col[ok][out] for col in x_to_y))
+    return from_side(LEFT), from_side(RIGHT)
 
 
 def _alt1_ok(x1, y1, x2, y2):
@@ -506,12 +487,12 @@ def edge_table(norb: int, eta: int) -> EdgeTable:
     # nodes fit int16 (xi <= 2048), and so do the 8 eta (N - 1) move ids
     # unless eta is close to N
     dtype = np.int16 if len(moves) <= 2**15 else np.int32
-    left = single_moves(orbs, LEFT, norb)
-    node, move, partner = (col.astype(dtype)
-                           for col in (left.node, left.move, left.partner))
-    x, y = left.x.astype(np.int16), left.y.astype(np.int16)
-    kernel = SingleMoves(left.n_moves, node, move, partner, x, y)
-    undone = single_moves(orbs, RIGHT, norb).apply(move, partner)[0] == node
+    from_left, from_right = single_moves(orbs, norb)
+    node, move, partner = (col.astype(dtype) for col in (
+        from_left.node, from_left.move, from_left.partner))
+    x, y = from_left.x, from_left.y  # int16
+    kernel = SingleMoves(from_left.n_moves, node, move, partner, x, y)
+    undone = from_right.apply(move, partner)[0] == node
 
     by_partner = np.argsort(partner, kind="stable")
     in_x, in_y = x[by_partner], y[by_partner]

@@ -7,7 +7,9 @@ lexicographically; a determinant's index is its position in that list.
 `excitations` lists every single and double excitation of every
 determinant at once, as integer columns with the partner's index and the
 alignment sign (Scemama & Giner, arXiv:1311.6244), with no coloring;
-`align_and_diff` is the per-pair reference it is held to.
+`align_and_diff` is the per-pair reference it is held to.  Its singles
+and the coloring's move-rule kernel read one enumeration,
+`single_excitations`, with the partners' `lex_ranks`.
 """
 
 from __future__ import annotations
@@ -167,6 +169,32 @@ class Excitations:
     doubles: Moves
 
 
+def lex_ranks(rows: np.ndarray, norb: int) -> np.ndarray:
+    """Index of each ascending row of orbitals (the last axis) in the
+    lexicographic basis: C(N, eta) - 1 - sum_i C(N - row_i, eta - i), i
+    from 0.  A binomial past C(N, eta) is never summed, so it is clipped."""
+    eta = rows.shape[-1]
+    xi = basis_size(norb, eta)
+    binom = np.array([[min(comb(n, r), xi) for r in range(eta, 0, -1)]
+                      for n in range(norb + 1)], dtype=np.intp)
+    return xi - 1 - binom[norb - rows, np.arange(eta)].sum(axis=-1)
+
+
+def single_excitations(occ: np.ndarray, norb: int):
+    """Every single excitation of each ascending row of occ on the grid (row,
+    hole position p, particle position j among the row's virtual orbitals):
+    the (rows, N - eta) virtual orbitals, ascending, the (rows, eta, N - eta,
+    eta) moved rows, sorted, and their `lex_ranks`, orbitals as occ's type."""
+    rows, eta = occ.shape
+    free = np.ones((rows, norb + 1), dtype=bool)
+    free[np.arange(rows)[:, None], occ] = False
+    virt = free[:, 1:].nonzero()[1].reshape(rows, -1).astype(occ.dtype) + 1
+    moved = np.where(np.eye(eta, dtype=bool)[:, None], virt[:, None, :, None],
+                     occ[:, None, None])
+    moved.sort(axis=-1)
+    return virt, moved, lex_ranks(moved, norb)
+
+
 def excitations(norb: int, eta: int) -> Excitations:
     """Every single k -> l and double (x1 < x2) -> (y1 < y2) of each
     determinant of the (N, eta) basis, as integer arrays.
@@ -175,32 +203,20 @@ def excitations(norb: int, eta: int) -> Excitations:
     between k and l, counted from positions in the occupied and virtual
     lists, so no bitmask caps N.  A double is the single x1 -> y1 followed
     by the single x2 -> y2 of its result: its partner and sign are read
-    off the singles, the sign as the product of the two steps'.  A
-    partner's index is its combinatorial rank.
+    off the singles, the sign as the product of the two steps'.
     """
     xi = basis_size(norb, eta)
     n_virt = norb - eta
     occ = np.array(list(itertools.combinations(range(1, norb + 1), eta)),
                    dtype=np.intp)
-    # each row's virtual orbitals, ascending
-    free = np.ones((xi, norb + 1), dtype=bool)
-    free[np.arange(xi)[:, None], occ] = False
-    virt = np.nonzero(free[:, 1:])[1].reshape(xi, n_virt) + 1
-    # lexicographic rank: C(N, eta) - 1 - sum_i C(N - occ_i, eta - i), i
-    # from 0; a table entry past xi is never summed, so it is clipped
-    binom = np.array([[min(comb(n, r), xi) for r in range(eta, 0, -1)]
-                      for n in range(norb + 1)], dtype=np.intp)
-    places = np.arange(eta)
+    virt, _, partner = single_excitations(occ, norb)
 
     # singles on the grid (row, position p of k, position j of l among
     # the virtuals): l has l - 1 - j occupied orbitals below it and k has
     # p, so l - 1 - j - p - [l > k] of them lie between, up to sign
-    p, j = places[:, None], np.arange(n_virt)
+    p, j = np.arange(eta)[:, None], np.arange(n_virt)
     k, l = occ[:, :, None], virt[:, None, :]
     sign = (1 - 2 * ((l - 1 - j - p - (l > k)) % 2)).astype(np.int8)
-    moved = np.where(places == p[..., None], l[..., None], occ[:, None, None])
-    moved.sort(axis=-1)
-    partner = xi - 1 - binom[norb - moved, places].sum(axis=-1)
     singles = Moves(np.repeat(np.arange(xi), eta * n_virt), partner.ravel(),
                     sign.ravel(), _columns(sign.shape, norb, k),
                     _columns(sign.shape, norb, l))

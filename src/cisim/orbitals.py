@@ -108,7 +108,8 @@ def spatial_orbitals(basis) -> tuple[list[SpinOrbital], list[int]]:
         # plain tuples, so that a center given as an array is a key too
         key = (tuple(phi.center), phi.primitives, tuple(phi.powers))
         index.append(first.setdefault(key, (len(first), phi))[0])
-    return [replace(phi, spin="up") for _, phi in first.values()], index
+    return [phi if phi.spin == "up" else replace(phi, spin="up")
+            for _, phi in first.values()], index
 
 
 @dataclass(frozen=True)

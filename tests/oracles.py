@@ -143,7 +143,7 @@ def census_by_counters(norb: int, eta: int) -> dict:
     Reads the scalar `_apply_move` and `_alt1_ok` off the module at call
     time, so a fault patched into either reaches this walk; the census
     takes `_alt1_ok` faults the same way, and move faults through its
-    kernel `single_moves`.
+    kernel `single_moves`, whose one call gives both sides' moves.
     """
     dets = list(itertools.combinations(range(1, norb + 1), eta))
     table = {occ: [] for occ in dets}

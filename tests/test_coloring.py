@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -146,29 +147,28 @@ def _drop_right_a1_b0(a, b, l, shift, occ, side, norb):
     return _apply_move(a, b, l, shift, occ, side, norb)
 
 
-def _kernel_redirect_one_left_move(occ, side, norb):
+def _kernel_redirect_one_left_move(occ, norb):
     # _redirect_one_left_move on the kernel's rows: the move (0, 0, 1, 1)
     # of (1, 3, 5) from the left lands on (2, 3, 4), x and y kept
-    moves = single_moves(occ, side, norb)
+    left, right = single_moves(occ, norb)
     eta = occ.shape[1]
-    if side != LEFT or eta != 3:
-        return moves
+    if eta != 3:
+        return left, right
     dets = list(itertools.combinations(range(1, norb + 1), eta))
-    row = ((moves.node == dets.index((1, 3, 5)))
-           & (moves.move == movement_tuples(norb, eta).index((0, 0, 1, 1))))
+    row = ((left.node == dets.index((1, 3, 5)))
+           & (left.move == movement_tuples(norb, eta).index((0, 0, 1, 1))))
     return dataclasses.replace(
-        moves, partner=np.where(row, dets.index((2, 3, 4)), moves.partner))
+        left, partner=np.where(row, dets.index((2, 3, 4)), left.partner)), right
 
 
-def _kernel_drop_right_a1_b0(occ, side, norb):
+def _kernel_drop_right_a1_b0(occ, norb):
     # _drop_right_a1_b0 on the kernel's rows
-    moves = single_moves(occ, side, norb)
-    if side == LEFT:
-        return moves
-    a, b = np.array(movement_tuples(norb, occ.shape[1]))[moves.move, :2].T
+    left, right = single_moves(occ, norb)
+    a, b = np.array(movement_tuples(norb, occ.shape[1]))[right.move, :2].T
     keep = (a != 1) | (b != 0)
-    return SingleMoves(moves.n_moves, moves.node[keep], moves.move[keep],
-                       moves.partner[keep], moves.x[keep], moves.y[keep])
+    return left, SingleMoves(right.n_moves, right.node[keep],
+                             right.move[keep], right.partner[keep],
+                             right.x[keep], right.y[keep])
 
 
 @pytest.mark.parametrize("name,fault,counts", [
@@ -232,10 +232,10 @@ def test_census_undoes_each_valid_left_move_once(monkeypatch):
     sides, lookups = [], []
     apply = SingleMoves.apply
 
-    def counted_moves(occ, side, norb):
-        moves = single_moves(occ, side, norb)
-        sides.append((side, len(moves.node)))
-        return moves
+    def counted_moves(occ, norb):
+        left, right = single_moves(occ, norb)
+        sides.append((len(left.node), len(right.node)))
+        return left, right
 
     def counted_apply(self, move, node):
         lookups.append(list(zip(move.tolist(), node.tolist())))
@@ -244,7 +244,7 @@ def test_census_undoes_each_valid_left_move_once(monkeypatch):
     monkeypatch.setattr(coloring, "single_moves", counted_moves)
     monkeypatch.setattr(coloring.SingleMoves, "apply", counted_apply)
     assert coloring_census(6, 3).valid
-    assert sorted(sides) == [(LEFT, 180), (RIGHT, 180)]
+    assert sides == [(180, 180)]
     assert len(lookups) == 1
     assert len(lookups[0]) == len(set(lookups[0])) == 180
 
@@ -252,7 +252,8 @@ def test_census_undoes_each_valid_left_move_once(monkeypatch):
 def test_census_evaluates_each_left_move_once_for_both_b(monkeypatch):
     # moves (a, 0, l, shift) and (a, 1, l, shift) share one evaluation:
     # each of the 20 nodes' 3 x 3 excitations at (6, 3) is evaluated once
-    # per side, and its b is its place in the tally, not a second search
+    # for both sides, and its b is its place in the one tally, not a
+    # second search
     import cisim.coloring as coloring
     rows = []
     excitations = coloring._excitations
@@ -264,7 +265,7 @@ def test_census_evaluates_each_left_move_once_for_both_b(monkeypatch):
 
     monkeypatch.setattr(coloring, "_excitations", counted)
     assert coloring_census(6, 3).valid
-    assert rows == [(20, 20 * 3 * 3)] * 2
+    assert rows == [(20, 20 * 3 * 3)]
 
 
 def _scalar_moves(dets, side, norb, eta):
@@ -283,7 +284,7 @@ def _scalar_moves(dets, side, norb, eta):
 
 def _kernel_moves(dets, side, norb, eta):
     moves = single_moves(np.array(dets, dtype=np.int16).reshape(-1, eta),
-                         side, norb)
+                         norb)[side == RIGHT]
     return {(n, m): (p, x, y) for n, m, p, x, y in zip(
         *(col.tolist() for col in (moves.node, moves.move, moves.partner,
                                    moves.x, moves.y)))}
@@ -298,7 +299,7 @@ def test_kernel_equals_the_scalar_rule_everywhere(norb):
         expected = _scalar_moves(dets, side, norb, eta)
         assert _kernel_moves(dets, side, norb, eta) == expected
         moves = single_moves(np.array(dets, dtype=np.int16).reshape(-1, eta),
-                             side, norb)
+                             norb)[side == RIGHT]
         node, move = (col.ravel() for col in np.meshgrid(
             np.arange(len(dets)), np.arange(moves.n_moves), indexing="ij"))
         mapped = zip(*(col.tolist() for col in moves.apply(move, node)))
@@ -423,23 +424,46 @@ def test_coloring_is_pinned(norb, eta):
     assert digest.hexdigest() == COLORING_DIGESTS[norb, eta]
 
 
-# sha256 of the int64 bytes of the table's columns left, right, m1, m2 and
-# undone, in that order.  The family's lexsort and the report bytes read
-# the rows in table order, so the order is pinned with the rows.
-TABLE_DIGESTS = {
-    (6, 3): "c10f07cd88a45ce97fc47880a006fc48d3e8bda02572f6495276f1d2bfb33469",
-    (8, 4): "0099ec683857043329afcf902bc0774a53ce247c27e36a72fdee5a213e2a415b",
-    (10, 4): "59d609c228f963f2e2d137df0a31fee3ff146e99e618c1d90731c8eae76e98e7",
+# sha256 of the bytes, as stored, of the table's columns left, right, m1,
+# m2 and undone and of its kernel's columns node, move, partner, x and y,
+# in that order.  The family's lexsort and the report's sums read the rows
+# in table order, so the order is pinned with the rows, and the column
+# types with them.
+EDGE_TABLE_DIGESTS = {
+    (6, 3): "14b01471e4ab9aaa60a82ac697e5fc36e78336982aa331218b0ba9dd558a9f52",
+    (8, 4): "19a180bbf9f3d1cb1e783a19ed2c7ec1d8e1eb08ae708ce6c8f3b4f97231cb6c",
+    (10, 4): "8f793d36ba8bcc8ee5bd5eba212a8619a974e2271d81669e46b779260cf31bba",
+    (12, 4): "730519513e85c008c3517721bda996b170e113e858e3c16ca204db80d31b9d42",
 }
 
 
-@pytest.mark.parametrize("norb,eta", sorted(TABLE_DIGESTS))
+@pytest.mark.parametrize("norb,eta", sorted(EDGE_TABLE_DIGESTS))
 def test_edge_table_is_pinned(norb, eta):
     table = edge_table(norb, eta)
+    kernel = table.kernel
     digest = hashlib.sha256()
-    for col in (table.left, table.right, table.m1, table.m2, table.undone):
-        digest.update(col.astype(np.int64).tobytes())
-    assert digest.hexdigest() == TABLE_DIGESTS[norb, eta]
+    for col in (table.left, table.right, table.m1, table.m2, table.undone,
+                kernel.node, kernel.move, kernel.partner, kernel.x, kernel.y):
+        digest.update(col.tobytes())
+    assert digest.hexdigest() == EDGE_TABLE_DIGESTS[norb, eta]
+
+
+@pytest.mark.parametrize("norb,eta", [(4, 2), (6, 3), (8, 4), (12, 4)])
+def test_edge_table_enumerates_the_basis_once(norb, eta, monkeypatch):
+    # one pass over the basis's single excitations and one tally give the
+    # moves from both sides; every partner is a node of the basis, so no
+    # second pass is made
+    import cisim.coloring as coloring
+    rows = []
+    excitations = coloring._excitations
+
+    def counted(occ, norb):
+        rows.append(len(occ))
+        return excitations(occ, norb)
+
+    monkeypatch.setattr(coloring, "_excitations", counted)
+    edge_table(norb, eta)
+    assert rows == [math.comb(norb, eta)]
 
 
 @st.composite

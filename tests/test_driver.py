@@ -3,7 +3,9 @@ import hashlib
 import inspect
 import itertools
 import json
+import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -386,6 +388,27 @@ def test_family_build_makes_no_per_edge_slater_condon_call(mixed_table,
     assert calls["align_and_diff"] > 0 and calls["term_value"] > 0
 
 
+def test_family_build_reads_each_term_once(mixed_table, monkeypatch):
+    # a term's value is read forward and reversed, once each: h1 receives
+    # two index rows per one-body term and g four per two-body term, the
+    # first term of each kind too
+    rows = Counter()
+
+    def counted(name, read):
+        def wrapper(self, *index):
+            rows[name] += len(index[0])
+            return read(self, *index)
+        return wrapper
+
+    for name in ("h1", "g"):
+        monkeypatch.setattr(IntegralTable, name,
+                            counted(name, getattr(IntegralTable, name)))
+    build_term_family(mixed_table, 3, zeta=0.25)
+    one_body = labelled_terms(mixed_table.n, 3).one_body
+    assert rows == Counter(h1=2 * np.count_nonzero(one_body),
+                           g=4 * np.count_nonzero(~one_body))
+
+
 def test_family_build_confirms_every_partner_with_apply_color(mixed_table,
                                                               monkeypatch):
     # the confirming kernel sends the table's last edge elsewhere: the
@@ -412,21 +435,22 @@ def test_family_build_confirms_every_partner_with_apply_color(mixed_table,
 
 def test_pipeline_makes_one_kernel_pass_per_side(monkeypatch):
     # the family confirms its rows with the edge table's kept left kernel,
-    # so a run evaluates the move rule once from each side; every module
-    # that binds the name calls through the counter
+    # and one kernel call gives both sides, so a run evaluates the move
+    # rule once per table; every module that binds the name calls through
+    # the counter
     from cisim import coloring
-    single_moves, sides = coloring.single_moves, []
+    single_moves, calls = coloring.single_moves, []
 
-    def counted(occ, side, norb):
-        sides.append(side)
-        return single_moves(occ, side, norb)
+    def counted(occ, norb):
+        calls.append(len(occ))
+        return single_moves(occ, norb)
 
     for module in (coloring, cimatrix):
         if hasattr(module, "single_moves"):
             monkeypatch.setattr(module, "single_moves", counted)
     with pytest.warns(NonOrthonormalBasisWarning):
         run_pipeline(h2_config(), mode="exact")
-    assert sorted(sides) == [coloring.LEFT, coloring.RIGHT]
+    assert calls == [6]  # the C(4, 2) nodes of H2, once
 
 
 def test_a_broken_coloring_fails_the_family_build(mixed_table, monkeypatch):
@@ -1377,6 +1401,33 @@ def test_cli_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["coloring-check", "--norb", "1000", "--eta", "999"],
+                 id="coloring-check"),  # 1.86 GiB of moved rows
+    pytest.param(["quadrature", "--config", H2_PATH, "--kind", "s2",
+                  "--orbitals", "1,1,1,1", "--grid-n", "24"],
+                 id="quadrature"),  # 4.27 GiB of s2 grid points at once
+])
+def test_cli_reports_a_refused_allocation_in_one_line(argv, tmp_path):
+    # inputs the CLI accepts, under a 1.5 GB address-space limit: the
+    # allocation that fails is a one-line diagnosis with exit 2, and --out
+    # keeps what it held
+    limit = 1536 * 2**20
+    out = tmp_path / "out.txt"
+    out.write_text("before")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cisim.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("cisim: MemoryError: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert out.read_text() == "before"
 
 
 def test_pipeline_segment_deviation_small(h2_report):

@@ -265,6 +265,24 @@ def test_each_eri_once_per_spatial_quartet(monkeypatch):
     assert len({canonical(q) for q in quartets}) == 55
 
 
+@pytest.mark.parametrize("n_atoms", [2, 4])
+def test_table_checks_no_orbital_again(n_atoms, monkeypatch):
+    # H2 and the H4 chain: each spatial function comes first as a spin-up
+    # orbital, which the table reads as it is, so SpinOrbital's checks do
+    # not run again on input that passed them
+    functions = [so((0.0, 0.0, 1.45 * k), 1.0) for k in range(n_atoms)]
+    basis = _both_spins(functions)
+    checked, post_init = [], SpinOrbital.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SpinOrbital, "__post_init__", counted)
+    IntegralTable(basis, [(1.0, phi.center) for phi in functions])
+    assert checked == []
+
+
 # s, p, d and d_xy powers for the fuzz of random bases
 FUZZ_POWERS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 0, 0), (0, 1, 1),
                (1, 1, 0))
