@@ -33,9 +33,10 @@ from both sides, on integer columns.  `edge_table` builds every edge
 from one such pass: its single rows are the moves from the left, ordered
 by node, and a row is undone when the same move from the right leads
 back.  The double edges through a middle node are the pairs of its
-incoming and outgoing rows that `_alt1_ok` accepts, judged on that
-node's in x out block at once.  `coloring_census` is the table's tally;
-the family build reads its labelled terms off the same table's integer
+incoming and outgoing rows that `_alt1_ok` accepts, judged a `row_blocks`
+block of middle nodes at a time, their rows padded to the widest fan.
+`coloring_census` is the table's tally, a block of edges at a time; the
+family build reads its labelled terms off the same table's integer
 columns once that tally is valid, and confirms each row's color with the
 table's left kernel, so every run checks the coloring at its own size.
 The scalar rule (`_move_partners`, which `_apply_move` reads one b of,
@@ -55,6 +56,7 @@ import numpy as np
 from .determinants import (Determinant, basis_size, check_dense, lex_ranks,
                            single_excitations, sparsity_d)
 from .errors import TooManyDifferences
+from .selfinverse import row_blocks
 
 LEFT = "left"
 RIGHT = "right"
@@ -416,8 +418,8 @@ class ColoringCensus:
 class EdgeTable:
     """Every edge the coloring makes, one row each, as integer columns.
 
-    Node k has the orbitals ``orbs[k]``, move id m is ``moves[m]``, and
-    ``kernel`` holds the valid moves from the left.  Row r is the edge
+    Node k has the orbitals ``orbs[k]``, move ids run below ``n_moves``,
+    and ``kernel`` holds the valid moves from the left.  Row r is the edge
     ``left[r]`` -> ``right[r]`` with color ``color(m1[r], m2[r])``, where
     move id -1 is the zero move: the diagonal edges have m1 = m2 = -1, the
     single edges (the kernel's rows, in order) m1 = -1, and a double
@@ -427,7 +429,7 @@ class EdgeTable:
 
     norb: int
     orbs: np.ndarray
-    moves: list
+    n_moves: int
     kernel: SingleMoves
     left: np.ndarray
     right: np.ndarray
@@ -436,9 +438,17 @@ class EdgeTable:
     undone: np.ndarray
 
     def color(self, m1: int, m2: int) -> ColorTuple:
-        """The color of move ids m1 then m2; id -1 is the zero move."""
-        return ColorTuple(*itertools.chain.from_iterable(
-            self.moves[m] if m >= 0 else ZERO_MOVE for m in (m1, m2)))
+        """The color of move ids m1 then m2; id -1 is the zero move.  The
+        id of (a, b, l, shift) is its index in `movement_tuples`."""
+        norb, eta = self.norb, self.orbs.shape[1]
+
+        def move(m):
+            if m < 0:
+                return ZERO_MOVE
+            rest, s = divmod(m, 2 * norb - 2)  # shift 0 is skipped
+            ab, l = divmod(rest, eta)
+            return (*divmod(ab, 2), l + 1, s - (norb - 1) + (s >= norb - 1))
+        return ColorTuple(*move(m1), *move(m2))
 
     def census(self) -> ColoringCensus:
         """Tally the rows against the edges a valid coloring makes: an
@@ -453,17 +463,22 @@ class EdgeTable:
         # 1.3 MB resident, into every run that builds a family
         images = np.sort(self.m2[single].astype(np.int64) * xi
                          + self.right[single])
-        left, right = self.orbs[edges // xi], self.orbs[edges % xi]
-        # int16 counts (eta <= 2048) keep the census's peak memory down
-        shared = (left[:, :, None] == right[:, None, :]).sum(axis=(1, 2),
-                                                            dtype=np.int16)
+        # the orbitals both nodes of an edge hold, as int16 counts (eta <=
+        # 2048) over a block of edges' (eta, edges) orbital columns at a time
+        orbs = np.ascontiguousarray(self.orbs.T)
+        shared = np.zeros(len(edges), dtype=np.int16)
+        for rows in row_blocks(len(edges), eta):
+            left, right = (np.take(orbs, k, axis=1) for k in
+                           np.divmod(edges[rows].astype(np.intp), xi))
+            for orbital in left:
+                shared[rows] += (right == orbital).sum(axis=0, dtype=np.int16)
         near = shared >= eta - 2
         found = int(np.count_nonzero(near))
         expected = xi * sparsity_d(self.norb, eta)
         return ColoringCensus(
             norb=self.norb, eta=eta, n_nodes=xi,
-            n_single_colors=len(self.moves),
-            n_double_colors=len(self.moves) ** 2,
+            n_single_colors=self.n_moves,
+            n_double_colors=self.n_moves ** 2,
             edges_expected=expected, edges_found=found,
             duplicate_edges=int(np.count_nonzero((counts > 1) | ~near)),
             uncovered_edges=expected - found,
@@ -483,42 +498,51 @@ def edge_table(norb: int, eta: int) -> EdgeTable:
     check_dense(xi)
     orbs = np.array(list(itertools.combinations(range(1, norb + 1), eta)),
                     dtype=np.int16).reshape(xi, eta)
-    moves = movement_tuples(norb, eta)
+    from_left, from_right = single_moves(orbs, norb)
+    n_moves = from_left.n_moves
     # nodes fit int16 (xi <= 2048), and so do the 8 eta (N - 1) move ids
     # unless eta is close to N
-    dtype = np.int16 if len(moves) <= 2**15 else np.int32
-    from_left, from_right = single_moves(orbs, norb)
+    dtype = np.int16 if n_moves <= 2**15 else np.int32
     node, move, partner = (col.astype(dtype) for col in (
         from_left.node, from_left.move, from_left.partner))
     x, y = from_left.x, from_left.y  # int16
-    kernel = SingleMoves(from_left.n_moves, node, move, partner, x, y)
+    kernel = SingleMoves(n_moves, node, move, partner, x, y)
     undone = from_right.apply(move, partner)[0] == node
 
+    # the double rows: each middle node chi's incoming rows (node -> chi, in
+    # by_partner order) by its outgoing rows (chi -> beta), padded to the
+    # widest fans, the padding masked, and judged a block of chis at a time
     by_partner = np.argsort(partner, kind="stable")
-    in_x, in_y = x[by_partner], y[by_partner]
-    bounds = np.arange(xi + 1)
-    in_at = np.searchsorted(partner[by_partner], bounds)
-    out_at = np.searchsorted(node, bounds)
+    in_at = np.searchsorted(partner[by_partner], np.arange(xi + 1))
+    out_at = np.searchsorted(node, np.arange(xi + 1))
+    pads = []
+    for at, rows in ((in_at, by_partner), (out_at, slice(None))):
+        count = np.diff(at)
+        slot = np.arange(count.max())
+        real = slot < count[:, None]
+        index = np.where(real, at[:-1, None] + slot, 0)
+        pads.append((x[rows][index], y[rows][index], real))
+    (in_x, in_y, in_real), (out_x, out_y, out_real) = pads
     # diagonal rows, then single rows, then the double rows of each chi
     diagonal = np.arange(xi, dtype=dtype)
     left, right = [diagonal, node], [diagonal, partner]
     m1 = [np.full(xi + len(node), -1, dtype)]
     m2 = [np.full(xi, -1, dtype), move]
     done = [np.ones(xi, dtype=bool), undone]
-    for chi in range(xi):
-        inc = slice(in_at[chi], in_at[chi + 1])  # rows node -> chi
-        out = slice(out_at[chi], out_at[chi + 1])  # rows chi -> beta
-        ok = np.broadcast_to(
-            _alt1_ok(in_x[inc, None], in_y[inc, None], x[out], y[out]),
-            (inc.stop - inc.start, out.stop - out.start))
-        src, dst = np.nonzero(ok)
-        first, second = by_partner[inc][src], out.start + dst
+    for chis in row_blocks(xi, in_real.shape[1] * out_real.shape[1]):
+        ok = (_alt1_ok(in_x[chis, :, None], in_y[chis, :, None],
+                       out_x[chis, None], out_y[chis, None])
+              & in_real[chis, :, None] & out_real[chis, None])
+        # np.nonzero's order, but numpy's 1-d scan is the fast one
+        chi, src, dst = np.unravel_index(np.flatnonzero(ok), ok.shape)
+        chi += chis.start
+        first, second = by_partner[in_at[chi] + src], out_at[chi] + dst
         left.append(node[first])
         right.append(partner[second])
         m1.append(move[first])
         m2.append(move[second])
         done.append(undone[first] & undone[second])
-    return EdgeTable(norb, orbs, moves, kernel,
+    return EdgeTable(norb, orbs, n_moves, kernel,
                      *(np.concatenate(c) for c in (left, right, m1, m2)),
                      undone=np.concatenate(done))
 

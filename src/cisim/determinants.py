@@ -172,12 +172,16 @@ class Excitations:
 def lex_ranks(rows: np.ndarray, norb: int) -> np.ndarray:
     """Index of each ascending row of orbitals (the last axis) in the
     lexicographic basis: C(N, eta) - 1 - sum_i C(N - row_i, eta - i), i
-    from 0.  A binomial past C(N, eta) is never summed, so it is clipped."""
+    from 0, one position at a time.  A binomial past C(N, eta) is never
+    summed, so it is clipped."""
     eta = rows.shape[-1]
     xi = basis_size(norb, eta)
     binom = np.array([[min(comb(n, r), xi) for r in range(eta, 0, -1)]
                       for n in range(norb + 1)], dtype=np.intp)
-    return xi - 1 - binom[norb - rows, np.arange(eta)].sum(axis=-1)
+    rank = np.full(rows.shape[:-1], xi - 1, dtype=np.intp)
+    for i in range(eta):
+        rank -= binom[norb - rows[..., i], i]
+    return rank
 
 
 def single_excitations(occ: np.ndarray, norb: int):

@@ -466,6 +466,57 @@ def test_edge_table_enumerates_the_basis_once(norb, eta, monkeypatch):
     assert rows == [math.comb(norb, eta)]
 
 
+@pytest.mark.parametrize("block", [1, 1000])
+@pytest.mark.parametrize("norb,eta", sorted(EDGE_TABLE_DIGESTS))
+def test_edge_table_is_pinned_at_any_block(norb, eta, block, monkeypatch):
+    # blocks of one middle node and one edge, and blocks cut inside the
+    # table, give the pinned rows and the census of the default blocks
+    import cisim.selfinverse as selfinverse
+    census = edge_table(norb, eta).census()
+    monkeypatch.setattr(selfinverse, "BLOCK_VALUES", block)
+    test_edge_table_is_pinned(norb, eta)
+    assert edge_table(norb, eta).census() == census
+
+
+def test_edge_table_judges_the_double_rows_a_block_at_a_time(monkeypatch):
+    # one acceptance test per block of middle nodes, each block padded to
+    # the widest fan in and out, not one per middle node
+    import cisim.coloring as coloring
+    from cisim.selfinverse import row_blocks
+    calls = []
+    alt1_ok = coloring._alt1_ok
+
+    def counted(*pairs):
+        calls.append(1)
+        return alt1_ok(*pairs)
+
+    monkeypatch.setattr(coloring, "_alt1_ok", counted)
+    table = edge_table(12, 4)
+    xi = len(table.orbs)
+    fan_in, fan_out = (np.bincount(col, minlength=xi).max()
+                       for col in (table.kernel.partner, table.kernel.node))
+    assert len(calls) == len(row_blocks(xi, fan_in * fan_out)) < xi
+
+
+def test_edge_table_builds_no_move_list(monkeypatch):
+    # the table decodes its move ids arithmetically: the list of every
+    # (a, b, l, shift) is never built, and decodes to the same colors
+    import cisim.coloring as coloring
+
+    def no_move_list(*args):
+        raise AssertionError("the edge table built the move list")
+
+    monkeypatch.setattr(coloring, "movement_tuples", no_move_list)
+    table = edge_table(6, 3)
+    assert table.census().valid
+    monkeypatch.undo()
+    moves = movement_tuples(6, 3)
+    assert table.n_moves == len(moves)
+    for m1, m2 in zip(table.m1.tolist(), table.m2.tolist()):
+        assert table.color(m1, m2) == ColorTuple(*itertools.chain.from_iterable(
+            moves[m] if m >= 0 else coloring.ZERO_MOVE for m in (m1, m2)))
+
+
 @st.composite
 def connected_pairs(draw):
     """alpha and a partner one or two orbital changes away, N <= 16."""
