@@ -455,9 +455,15 @@ class EdgeTable:
         edge counts when its nodes share at least eta - 2 orbitals, and a
         row whose nodes do not, or that repeats an edge, is a duplicate."""
         xi, eta = self.orbs.shape
-        # xi <= 2048, so an edge code left * xi + right fits int32
-        edges, counts = np.unique(self.left.astype(np.int32) * xi + self.right,
-                                  return_counts=True)
+        # xi <= 2048, so an edge code left * xi + right fits int32; sorted
+        # in place, an edge is each run's start, repeated when not its end
+        codes = self.left.astype(np.int32) * xi
+        codes += self.right
+        codes.sort()
+        new = np.ones(len(codes), dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=new[1:])
+        edges, repeated = codes[new], ~np.append(new[1:], True)[new]
+        del codes, new
         single = (self.m1 < 0) & (self.m2 >= 0)
         # sorted rather than np.unique'd: a plain np.unique imports numpy.ma,
         # 1.3 MB resident, into every run that builds a family
@@ -480,7 +486,7 @@ class EdgeTable:
             n_single_colors=self.n_moves,
             n_double_colors=self.n_moves ** 2,
             edges_expected=expected, edges_found=found,
-            duplicate_edges=int(np.count_nonzero((counts > 1) | ~near)),
+            duplicate_edges=int(np.count_nonzero(repeated | ~near)),
             uncovered_edges=expected - found,
             inverse_failures=int(np.count_nonzero(~self.undone)),
             injectivity_failures=int(np.count_nonzero(images[1:]

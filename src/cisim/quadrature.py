@@ -272,91 +272,108 @@ def _unit_vectors(theta, phi):
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def riemann_S0(i, j, spec: QuadratureSpec, basis) -> RiemannSum:
-    """Midpoint terms of 1/2 grad phi_i* . grad phi_j over C_x0(c_i)."""
-    if spec.kind != "s0":
-        raise SpecMismatch("spec kind is not s0")
-    phi_i, phi_j = basis[i - 1], basis[j - 1]
-    if not spins_match([phi_i], [phi_j]):
-        return RiemannSum(np.zeros(spec.mu), spec.term_bound)
-    pts = _cube_centers(phi_i.center, spec.x_trunc, spec.grid_n)
+def _values(evaluate, funcs, pts, *index) -> tuple[np.ndarray, list]:
+    """``evaluate`` at ``pts`` of each of ``funcs`` that an ``index`` array
+    names, once, stacked; and the ``index`` arrays renumbered into it."""
+    used = sorted(set(np.concatenate(index).tolist()))
+    return (np.array([evaluate(funcs[x], pts) for x in used]),
+            [np.searchsorted(used, x) for x in index])
+
+
+def _s0_terms(spec, funcs, i, j, nuclei=()) -> np.ndarray:
+    """(len(i), len(j), mu) terms of 1/2 grad phi_i* . grad phi_j over the
+    cube C_x0(c_i), i and j 0-based index arrays, every i at one center."""
+    pts = _cube_centers(funcs[i[0]].center, spec.x_trunc, spec.grid_n)
     vol = (2.0 * spec.x_trunc / spec.grid_n) ** 3
-    gi = eval_gradient(phi_i, pts)
-    gj = eval_gradient(phi_j, pts)
-    vals = 0.5 * np.sum(gi * gj, axis=-1) * vol
-    return RiemannSum(vals, spec.term_bound)
+    grad, (i, j) = _values(eval_gradient, funcs, pts, i, j)
+    return 0.5 * np.sum(grad[i, None] * grad[None, j], axis=-1) * vol
 
 
-def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei) -> RiemannSum:
-    """Midpoint terms of -Z_q phi_i* phi_j / |R_q - r|.
-
-    Cartesian branch integrates over C_x1(c_i); the spherical-polar
-    branch integrates over the ball B_{4 x1}(R_q) with the singularity
-    absorbed into the volume form.
-    """
-    if spec.kind != "s1" or spec.q != q:
-        raise SpecMismatch("spec does not match this s1 request")
-    phi_i, phi_j = basis[i - 1], basis[j - 1]
-    Zq, Rq = float(nuclei[q][0]), np.asarray(nuclei[q][1], dtype=float)
+def _s1_terms(spec, funcs, i, j, nuclei) -> np.ndarray:
+    """(len(i), len(j), mu) terms of -Z_q phi_i* phi_j / |R_q - r|: the
+    cartesian branch over C_x1(c_i), every i at one center, the spherical-
+    polar one over the ball B_{4 x1}(R_q), absorbing the singularity."""
+    Zq, Rq = float(nuclei[spec.q][0]), np.asarray(nuclei[spec.q][1], float)
+    n, x1 = spec.grid_n, spec.x_trunc
     if Zq == 0.0:
-        return RiemannSum(np.zeros(spec.mu), 0.0)
-    if not spins_match([phi_i], [phi_j]):
-        return RiemannSum(np.zeros(spec.mu), spec.term_bound)
-    n = spec.grid_n
-    x1 = spec.x_trunc
+        return np.zeros((len(i), len(j), spec.mu))
     if spec.coordinate_system == "cartesian":
-        pts = _cube_centers(phi_i.center, x1, n)
+        pts = _cube_centers(funcs[i[0]].center, x1, n)
         vol = (2.0 * x1 / n) ** 3
         dist = np.linalg.norm(Rq - pts, axis=-1)
-        vals = -Zq * eval_value(phi_i, pts) * eval_value(phi_j, pts) / dist * vol
-    else:
-        s, th, ph = _sphere_grid(n)
-        pts = 4.0 * x1 * s[:, None] * _unit_vectors(th, ph) + Rq
-        f1 = eval_value(phi_i, pts) * eval_value(phi_j, pts) * s * np.sin(th)
-        vals = -16.0 * x1**2 * Zq * f1 * (2.0 * pi**2 / n**3)
-    return RiemannSum(vals, spec.term_bound)
+        v, (i, j) = _values(eval_value, funcs, pts, i, j)
+        return -Zq * v[i, None] * v[None, j] / dist * vol
+    s, th, ph = _sphere_grid(n)
+    pts = 4.0 * x1 * s[:, None] * _unit_vectors(th, ph) + Rq
+    v, (i, j) = _values(eval_value, funcs, pts, i, j)
+    f1 = v[i, None] * v[None, j] * s * np.sin(th)
+    return -16.0 * x1**2 * Zq * f1 * (2.0 * pi**2 / n**3)
 
 
-def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis) -> RiemannSum:
-    """Midpoint terms of <ij|kl>: phi_i*(1) phi_j*(2) phi_k(1) phi_l(2) / r12.
-
-    Electron 1 is truncated around c_i and electron 2 around c_j.  The
-    cartesian branch uses the product of the two cubes; the
-    spherical-polar branch parametrizes electron 1 in the cube and the
-    separation vector in a ball of radius zeta' x2, absorbing the
-    singularity into the volume form.
-    """
-    if spec.kind != "s2":
-        raise SpecMismatch("spec kind is not s2")
-    phi = [basis[x - 1] for x in (i, j, k, l)]
-    if not spins_match(phi[:2], phi[2:]):
-        return RiemannSum(np.zeros(spec.mu), spec.term_bound)
-    n = spec.grid_n
-    x2 = spec.x_trunc
-    ci = np.asarray(phi[0].center, dtype=float)
+def _s2_terms(spec, funcs, i, j, k, l, nuclei=()) -> np.ndarray:
+    """(len(i), len(j), len(k), len(l), mu) terms of <ij|kl>, formed on the
+    axes (i, j, k, l, electron 1's points, electron 2's), electron 1 around
+    c_i, every i at one center, and electron 2 around c_j.  The cartesian
+    branch, every j at one center too, is the product of the two cubes; the
+    spherical-polar one parametrizes the separation vector in a ball of
+    radius zeta' x2, absorbing the singularity into the volume form."""
+    n, x2 = spec.grid_n, spec.x_trunc
     if spec.coordinate_system == "cartesian":
-        p1 = _cube_centers(phi[0].center, x2, n)
-        p2 = _cube_centers(phi[1].center, x2, n)
+        p1, p2 = (_cube_centers(funcs[x[0]].center, x2, n) for x in (i, j))
         vol = (2.0 * x2 / n) ** 6
-        f1 = eval_value(phi[0], p1) * eval_value(phi[2], p1)
-        f2 = eval_value(phi[1], p2) * eval_value(phi[3], p2)
+        v1, (i, k) = _values(eval_value, funcs, p1, i, k)
+        v2, (j, l) = _values(eval_value, funcs, p2, j, l)
+        f1 = (v1[i, None] * v1[None, k])[:, None, :, None, :, None]
+        f2 = (v2[j, None] * v2[None, l])[None, :, None, :, None, :]
         dist = np.linalg.norm(p1[:, None, :] - p2[None, :, :], axis=-1)
-        vals = (f1[:, None] * f2[None, :] / dist).ravel() * vol
+        vals = f1 * f2 / dist * vol
     else:
         ax = (np.arange(n) + 0.5) * 2.0 / n - 1.0
         S1, S2_, S3 = np.meshgrid(ax, ax, ax, indexing="ij")
         svec = np.stack([S1, S2_, S3], axis=-1).reshape(-1, 3)
         t, th, ph = _sphere_grid(n)
         tvec = t[:, None] * _unit_vectors(th, ph)
-        r1 = x2 * svec + ci
-        eta_ik = eval_value(phi[0], r1) * eval_value(phi[2], r1)
+        r1 = x2 * svec + np.asarray(funcs[i[0]].center, dtype=float)
+        v1, (i, k) = _values(eval_value, funcs, r1, i, k)
+        eta_ik = (v1[i, None] * v1[None, k])[:, None, :, None, :, None]
         weight = t * np.sin(th)
         # r2 = r1 - zeta' x2 tvec, expanded over the (s, t) product grid
         r2 = r1[:, None, :] - ZETA_PRIME * x2 * tvec[None, :, :]
-        eta_jl = eval_value(phi[1], r2) * eval_value(phi[3], r2)
-        f2 = eta_ik[:, None] * eta_jl * weight[None, :]
-        vals = (ZETA_PRIME**2 * x2**5 * f2).ravel() * (16.0 * pi**2 / n**6)
+        v2, (j, l) = _values(eval_value, funcs, r2, j, l)
+        eta_jl = (v2[j, None] * v2[None, l])[None, :, None, :]
+        f2 = eta_ik * eta_jl * weight
+        vals = ZETA_PRIME**2 * x2**5 * f2 * (16.0 * pi**2 / n**6)
+    return vals.reshape(*vals.shape[:4], -1)
+
+
+KERNELS = {"s0": _s0_terms, "s1": _s1_terms, "s2": _s2_terms}
+
+
+def _one_sum(kind, spec, basis, indices, nuclei=(), q=None) -> RiemannSum:
+    """The kernel on one 1-based tuple: mu zeros if its spins forbid it."""
+    if spec.kind != kind or kind == "s1" and spec.q != q:
+        raise SpecMismatch(f"spec does not match this {kind} request")
+    phi, half = [basis[x - 1] for x in indices], len(indices) // 2
+    vals = np.zeros(spec.mu)
+    if spins_match(phi[:half], phi[half:]):
+        vals = KERNELS[kind](spec, basis, *([x - 1] for x in indices),
+                             nuclei=nuclei).ravel()
     return RiemannSum(vals, spec.term_bound)
+
+
+def riemann_S0(i, j, spec: QuadratureSpec, basis) -> RiemannSum:
+    """Midpoint terms of 1/2 grad phi_i* . grad phi_j over C_x0(c_i)."""
+    return _one_sum("s0", spec, basis, (i, j))
+
+
+def riemann_S1(i, j, q, spec: QuadratureSpec, basis, nuclei) -> RiemannSum:
+    """Midpoint terms of -Z_q phi_i* phi_j / |R_q - r|."""
+    return _one_sum("s1", spec, basis, (i, j), nuclei, q)
+
+
+def riemann_S2(i, j, k, l, spec: QuadratureSpec, basis) -> RiemannSum:
+    """Midpoint terms of phi_i*(1) phi_j*(2) phi_k(1) phi_l(2) / r12."""
+    return _one_sum("s2", spec, basis, (i, j, k, l))
 
 
 def riemann_terms(kind, indices, delta, bounds, basis, nuclei=(),
@@ -365,32 +382,32 @@ def riemann_terms(kind, indices, delta, bounds, basis, nuclei=(),
     its KINDS[kind].n_indices 1-based orbitals, ``q`` an s1 nucleus."""
     i, j, *kl = indices
     spec = plan_quadrature(kind, i, j, delta, bounds, basis, nuclei, *kl, q=q)
-    if kind == "s0":
-        return riemann_S0(i, j, spec, basis)
     if kind == "s1":
         return riemann_S1(i, j, q, spec, basis, nuclei)
-    return riemann_S2(i, j, *kl, spec, basis)
+    return (riemann_S2(i, j, *kl, spec, basis) if kind == "s2"
+            else riemann_S0(i, j, spec, basis))
 
 
 class RiemannTable:
     """Riemann-mode integrals, read as ``integrals.IntegralTable`` is:
     ``h1(i, j)`` and ``g(i, j, k, l)`` take 1-based spin-orbital index
-    arrays and give a row of grid-point terms per index (h1: s0, then s1
-    per nucleus).  Grids do not depend on the orbitals: h1's width is
-    planned here, as every run reads it, and g's at its first request, as
-    an eta = 1 run reads none.  Each spin-allowed spatial tuple is summed
-    once and kept; a forbidden term reads the all-zero tuple, a zero row."""
+    arrays and fancy-index one real stored table each (h1: s0, then s1 per
+    nucleus), a row of grid-point terms per tuple of the spin-free functions
+    and a zero last row that a spin-forbidden index reads.  A table is
+    filled at its first request, one kernel call per grid that its plans
+    are laid on.  h1's plans are made here, as every run reads h1, so a
+    delta past the grid cap is refused before the CI matrix; g's at its
+    first request, as an eta = 1 run reads none."""
 
     def __init__(self, basis, nuclei, delta):
-        self.n, self.basis, self.nuclei = len(basis), basis, nuclei
-        self.delta, self.bounds = delta, derive_bounds(basis)
+        self.n, self.nuclei, self.delta = len(basis), nuclei, delta
+        self.bounds = derive_bounds(basis)
         self.functions, spatial = spatial_orbitals(basis)
-        self.spatial = np.array(spatial) + 1
+        self.spatial = np.array(spatial)
         self.spin = np.array([phi.spin for phi in basis])
-        s1 = [("s1", q) for q in range(len(nuclei))]
-        self.blocks = {"h1": [("s0", None), *s1], "g": [("s2", None)]}
-        self.width, self.sums = {}, {(0,) * 2: 0, (0,) * 4: 0}
-        self._width("h1")
+        self.grids = {"h1": [self._grids("s0"), *(
+            self._grids("s1", q) for q in range(len(nuclei)))]}
+        self.tables = {}
 
     def h1(self, i, j) -> np.ndarray:
         return self._rows("h1", i, j)
@@ -398,28 +415,45 @@ class RiemannTable:
     def g(self, i, j, k, l) -> np.ndarray:
         return self._rows("g", i, j, k, l)
 
-    def _width(self, name) -> int:
-        if name not in self.width:
-            self.width[name] = sum(plan_quadrature(
-                kind, 1, 1, self.delta[kind], self.bounds, self.basis,
-                self.nuclei, 1, 1, q=q).mu for kind, q in self.blocks[name])
-        return self.width[name]
+    def _grids(self, kind, q=None) -> list:
+        """[(plan, bra index arrays)]: the kind's plans, one per bra tuple,
+        grouped by the branch and the centers their grid is laid on."""
+        groups = {}
+        for bra in np.ndindex((len(self.functions),) * (1 + (kind == "s2"))):
+            i, j = bra[0] + 1, bra[-1] + 1
+            spec = plan_quadrature(kind, i, j, self.delta[kind], self.bounds,
+                                   self.functions, self.nuclei, i, j, q=q)
+            # the spherical-polar grids are laid on one center fewer
+            used = bra[:len(bra) - (spec.coordinate_system != "cartesian")]
+            key = (spec, *(tuple(self.functions[x].center) for x in used))
+            groups.setdefault(key, []).append(bra)
+        return [(key[0], [np.array(sorted(set(x))) for x in zip(*bras)])
+                for key, bras in groups.items()]
 
     def _rows(self, name, *index) -> np.ndarray:
-        index = np.stack(index, axis=1) - 1
-        spin, half = self.spin[index], index.shape[1] // 2
-        allowed = np.all(spin[:, :half] == spin[:, half:], axis=1)
-        spatial = np.where(allowed[:, None], self.spatial[index], 0)
-        # axis=0 keeps numpy.ma, which a flat np.unique imports, out
-        distinct, inverse = np.unique(spatial, axis=0, return_inverse=True)
-        table = np.zeros((len(distinct), self._width(name)), dtype=complex)
-        for d, key in enumerate(map(tuple, distinct.tolist())):
-            if key not in self.sums:
-                self.sums[key] = np.concatenate([riemann_terms(
-                    kind, key, self.delta[kind], self.bounds, self.functions,
-                    self.nuclei, q).values for kind, q in self.blocks[name]])
-            table[d] = self.sums[key]
-        return table[inverse.ravel()]
+        index = np.stack(index) - 1
+        spin, half = self.spin[index], len(index) // 2
+        allowed = np.all(spin[:half] == spin[half:], axis=0)
+        shape = (len(self.functions),) * len(index)
+        row = np.ravel_multi_index(self.spatial[index], shape)
+        return self._table(name, shape)[np.where(allowed, row, -1)]
+
+    def _table(self, name, shape) -> np.ndarray:
+        if name not in self.tables:
+            if name == "g":
+                self.grids["g"] = [self._grids("s2")]
+            widths = [grids[0][0].mu for grids in self.grids[name]]
+            table = np.zeros((math.prod(shape) + 1, sum(widths)))
+            for grids, start, mu in zip(self.grids[name],
+                                        np.cumsum([0, *widths]), widths):
+                for spec, bra in grids:
+                    ket = [np.arange(shape[0])] * len(bra)
+                    at = np.ravel_multi_index(np.ix_(*bra, *ket), shape)
+                    table[at.ravel(), start:start + mu] = KERNELS[spec.kind](
+                        spec, self.functions, *bra, *ket,
+                        nuclei=self.nuclei).reshape(-1, mu)
+            self.tables[name] = table
+        return self.tables[name]
 
 
 def lambda_exact(mu_decay: float, x: float, c: float) -> tuple[float, float]:

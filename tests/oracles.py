@@ -28,6 +28,11 @@ The integral tables filled one spin-orbital entry at a time, with each
 ERI cached under its spin-orbital quartet: the build the integral table
 replaced with one evaluation per spatial quartet spread by spin deltas.
 
+The midpoint terms of one Riemann sum, each kind's formula written out
+for one tuple of spatial functions, its products in their original
+order: the sums that the quadrature kernels, which form every tuple on a
+grid at once, must give bit for bit.
+
 Sampled maxima of an orbital's value, gradient and Laplacian, found by a
 dense three-dimensional grid and a local optimizer.  A sample is a lower
 bound on a supremum, so the certified caps must lie above it.
@@ -48,6 +53,8 @@ from cisim.integrals import eri_chemist, kinetic, nuclear_attraction, overlap
 from cisim.lcu import (TermFamily, hermitian_norm, oaa_block, plan_segments,
                        taylor_block)
 from cisim.orbitals import _axis_parts, d2_terms, eval_gradient, eval_value
+from cisim.quadrature import (ZETA_PRIME, _cube_centers, _sphere_grid,
+                              _unit_vectors)
 from cisim.selfinverse import slice_values, split_arrays
 
 
@@ -264,6 +271,54 @@ def spin_orbital_tables(basis, nuclei=()):
             cache[key] = eri_chemist(bi, bk, bj, bl)
         h2[i, j, k, l] = cache[key]
     return S, h1, h2
+
+
+# ---------------------------------------------------------------------------
+# Riemann sums, one tuple at a time
+
+
+def riemann_one_tuple(spec, basis, nuclei, i, j, k=None, l=None):
+    """The spec's mu midpoint terms for the 1-based functions (i, j) or
+    (i, j, k, l), spins ignored."""
+    phi = [basis[x - 1] for x in (i, j, k, l) if x is not None]
+    n, x = spec.grid_n, spec.x_trunc
+    if spec.kind == "s0":
+        pts = _cube_centers(phi[0].center, x, n)
+        vol = (2.0 * x / n) ** 3
+        gi, gj = eval_gradient(phi[0], pts), eval_gradient(phi[1], pts)
+        return 0.5 * np.sum(gi * gj, axis=-1) * vol
+    if spec.kind == "s1":
+        Zq = float(nuclei[spec.q][0])
+        Rq = np.asarray(nuclei[spec.q][1], dtype=float)
+        if spec.coordinate_system == "cartesian":
+            pts = _cube_centers(phi[0].center, x, n)
+            vol = (2.0 * x / n) ** 3
+            dist = np.linalg.norm(Rq - pts, axis=-1)
+            return -Zq * eval_value(phi[0], pts) * eval_value(phi[1], pts) \
+                / dist * vol
+        s, th, ph = _sphere_grid(n)
+        pts = 4.0 * x * s[:, None] * _unit_vectors(th, ph) + Rq
+        f1 = eval_value(phi[0], pts) * eval_value(phi[1], pts) * s * np.sin(th)
+        return -16.0 * x**2 * Zq * f1 * (2.0 * np.pi**2 / n**3)
+    if spec.coordinate_system == "cartesian":
+        p1 = _cube_centers(phi[0].center, x, n)
+        p2 = _cube_centers(phi[1].center, x, n)
+        vol = (2.0 * x / n) ** 6
+        f1 = eval_value(phi[0], p1) * eval_value(phi[2], p1)
+        f2 = eval_value(phi[1], p2) * eval_value(phi[3], p2)
+        dist = np.linalg.norm(p1[:, None, :] - p2[None, :, :], axis=-1)
+        return (f1[:, None] * f2[None, :] / dist).ravel() * vol
+    ax = (np.arange(n) + 0.5) * 2.0 / n - 1.0
+    svec = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    t, th, ph = _sphere_grid(n)
+    tvec = t[:, None] * _unit_vectors(th, ph)
+    r1 = x * svec + np.asarray(phi[0].center, dtype=float)
+    eta_ik = eval_value(phi[0], r1) * eval_value(phi[2], r1)
+    r2 = r1[:, None, :] - ZETA_PRIME * x * tvec[None, :, :]
+    eta_jl = eval_value(phi[1], r2) * eval_value(phi[3], r2)
+    f2 = eta_ik[:, None] * eta_jl * (t * np.sin(th))[None, :]
+    return (ZETA_PRIME**2 * x**5 * f2).ravel() * (16.0 * np.pi**2 / n**6)
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,21 @@ def test_census_never_holds_every_two_step_path():
     assert peak < 5e6, peak
 
 
+def test_census_finds_duplicate_edges_in_its_own_sorted_codes():
+    # (64,2)'s 4,064,256 rows as int32 edge codes take 16 MB; a census that
+    # sorts them in place and marks run starts peaks well under 60 MiB,
+    # where np.unique(..., return_counts=True) alone peaks at 112 MiB
+    table = edge_table(64, 2)
+    tracemalloc.start()
+    try:
+        census = table.census()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census.valid and census.edges_found == len(table.left)
+    assert peak < 60 * 2**20, peak
+
+
 @settings(max_examples=200)
 @given(st.lists(st.tuples(*[st.integers(-3, 20)] * 4), min_size=1,
                 max_size=30))

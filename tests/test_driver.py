@@ -262,6 +262,49 @@ def test_riemann_table_rows_match_the_per_tuple_oracle(name, request):
     assert source.h1(np.array([1]), np.array([1])).shape == (1, width)
 
 
+@pytest.fixture(scope="module")
+def far_riemann():
+    """s, p and d functions on two centers 40 bohr apart, a chargeless third
+    nucleus, on the coarsest grids: s1 and s2 each take both branches."""
+    a, b = (0.0, 0.0, 0.0), (0.0, 0.0, 40.0)
+    basis = [so(a, 1.0, "up"), so(a, 1.0, "down"), so(b, 0.8, "up", (0, 0, 1)),
+             so(a, 1.2, "down", (1, 1, 0)), so(b, 1.0, "down")]
+    nuclei = [(1.0, a), (1.0, b), (0.0, (3.0, 0.0, 0.0))]
+    return _coarsest_riemann(IntegralTable(basis, nuclei))
+
+
+def test_riemann_table_rows_are_the_per_integral_sums_on_every_branch(
+        far_riemann):
+    # as the per-tuple oracle test, on a basis where s1 and s2 each take
+    # both branches: every spin-orbital tuple's row is the Riemann sum of
+    # that tuple alone, s1 blocks concatenated per nucleus, and zero where
+    # the spins forbid it
+    table, source = far_riemann
+    n, bounds = table.n, derive_bounds(table.basis)
+    branches = {(kind, plan_quadrature(
+        kind, i, j, source.delta[kind], bounds, table.basis, table.nuclei,
+        i, j, q=q).coordinate_system)
+        for i, j in itertools.product(range(1, n + 1), repeat=2)
+        for kind, q in (("s1", 0), ("s1", 1), ("s2", None))}
+    assert branches == {(kind, coord) for kind in ("s1", "s2")
+                        for coord in ("cartesian", "spherical_polar")}
+    oracle = _OneIndexAtATime(table.basis, table.nuclei, bounds, source.delta)
+    spins = [phi.spin for phi in table.basis]
+    for kind, n_indices in (("h1", 2), ("g", 4)):
+        tuples = list(itertools.product(range(1, n + 1), repeat=n_indices))
+        rows = getattr(source, kind)(*np.array(tuples).T)
+        half = n_indices // 2
+        for ix, row in zip(tuples, rows):
+            assert np.array_equal(row, getattr(oracle, kind)(*ix))
+            if [spins[x - 1] for x in ix[:half]] != [spins[x - 1]
+                                                     for x in ix[half:]]:
+                assert not np.any(row)
+    # s0 and one s1 block per charged nucleus at 27 points, 1 if chargeless
+    charges = [z for z, _ in table.nuclei]
+    width = 27 * (1 + sum(z != 0 for z in charges)) + charges.count(0.0)
+    assert source.h1(np.array([1]), np.array([1])).shape == (1, width)
+
+
 @pytest.mark.parametrize("table_name,eta", [("h2_table", 2),
                                             ("mixed_table", 2),
                                             ("h2_riemann", 2),
@@ -320,48 +363,78 @@ def test_family_stores_each_labelled_term_once(mode, h2_riemann):
 
 def test_riemann_engine_sums_each_spin_allowed_spatial_tuple_once(
         odd_spin_riemann, monkeypatch):
-    # the family asks its RiemannTable for h1/g on spin-orbital tuples; the
-    # table sums each distinct spatial tuple whose spins the rule allows
-    # once, and no other
+    # the family asks its RiemannTable for h1/g on spin-orbital tuples; each
+    # reads the row of its spatial tuple, summed once for the whole table,
+    # when its spins are allowed and the zero row when not.  Every grid of
+    # this basis is spherical-polar, laid on a nucleus or on c_i, so no
+    # kernel runs twice for one grid exactly when no function is evaluated
+    # twice at one set of points
     table, coarsest = odd_spin_riemann
-    # a table of its own: the fixture's has kept the sums of other tests
+    # a table of its own: the fixture's has filled its tables in other tests
     source = RiemannTable(table.basis, table.nuclei, coarsest.delta)
-    spatial = [(phi.center, phi.primitives, phi.powers) for phi in table.basis]
+    spatial = source.spatial + 1
     spins = [phi.spin for phi in table.basis]
     requests = []
     for name in ("h1", "g"):
         def recording(self, *index, _name=name,
                       _fn=getattr(RiemannTable, name)):
-            requests.extend((_name, ix) for ix in zip(*(
-                np.asarray(x).tolist() for x in index)))
-            return _fn(self, *index)
+            rows = _fn(self, *index)
+            # a copy: the family sums into the rows it is given
+            requests.extend(zip(itertools.repeat(_name), zip(*(
+                np.asarray(x).tolist() for x in index)), rows.copy()))
+            return rows
         monkeypatch.setattr(RiemannTable, name, recording)
-    calls = Counter()
-
-    def counted(kind, indices, delta, bounds, basis, nuclei=(), q=None):
-        phis = [basis[x - 1] for x in indices]
-        calls[kind, tuple((f.center, f.primitives, f.powers) for f in phis),
-              q] += 1
-        return riemann_terms(kind, indices, delta, bounds, basis, nuclei, q)
-
-    monkeypatch.setattr(quadrature, "riemann_terms", counted)
+    evaluated = Counter()
+    for name in ("eval_value", "eval_gradient"):
+        def counted(phi, pts, _name=name, _fn=getattr(quadrature, name)):
+            evaluated[_name, phi, np.asarray(pts).tobytes()] += 1
+            return _fn(phi, pts)
+        monkeypatch.setattr(quadrature, name, counted)
     build_term_family(source, 2, zeta=0.002)
-    expected = set()
-    for name, ix in requests:
+    assert evaluated and set(evaluated.values()) == {1}
+    # the per-integral sums of the spin-free functions, as the oracle
+    monkeypatch.undo()
+    oracle = _OneIndexAtATime(source.functions, table.nuclei, source.bounds,
+                              source.delta)
+    n_forbidden = 0
+    for name, ix, row in requests:
         half = len(ix) // 2
         if [spins[x - 1] for x in ix[:half]] != [spins[x - 1]
                                                  for x in ix[half:]]:
-            continue
-        functions = tuple(spatial[x - 1] for x in ix)
-        if name == "g":
-            expected.add(("s2", functions, None))
+            n_forbidden += 1
+            assert not np.any(row)
         else:
-            expected |= {("s0", functions, None)} | {
-                ("s1", functions, q) for q in range(len(table.nuclei))}
-    assert set(calls) == expected
-    assert set(calls.values()) == {1}
+            functions = [int(spatial[x - 1]) for x in ix]
+            assert np.array_equal(row, getattr(oracle, name)(*functions))
     # every spin-orbital h1/g tuple was asked for, so some were zeroed
-    assert len(requests) > len(expected)
+    assert 0 < n_forbidden < len(requests)
+
+
+def test_riemann_run_evaluates_each_function_once_per_grid(monkeypatch):
+    # riemann-h2's shape: H2 at grids 6/6/3.  Each function is evaluated
+    # once on each grid: s0's two cubes, s1's ball at each nucleus and s2's
+    # r1 and r2 at each center take 4 gradients and 12 values; plans are
+    # made per function and per (i, q) or (i, j) pair, not per spin-orbital
+    # tuple
+    data = _h_chain(2, 2, spacing=1.4)
+    basis = config_from_dict(data).orbitals
+    bounds = derive_bounds(basis)
+    grids = {"s0": 6, "s1": 6, "s2": 3}
+    data.update(epsilon=0.5, overrides={"zeta": 0.02, "delta": {
+        k: delta_for_grid(k, n, bounds) for k, n in grids.items()}})
+    cfg = config_from_dict(data)
+    calls = Counter()
+    for name in ("eval_value", "eval_gradient", "plan_quadrature"):
+        def counted(*args, _name=name, _fn=getattr(quadrature, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(quadrature, name, counted)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        run_pipeline(cfg, mode="riemann")
+    assert calls["eval_value"] <= 12
+    assert calls["eval_gradient"] <= 4
+    assert 0 < calls["plan_quadrature"] <= 12
 
 
 def test_family_build_makes_no_per_edge_slater_condon_call(mixed_table,

@@ -17,9 +17,11 @@ from cisim.orbitals import BasisBounds, derive_bounds
 from cisim.quadrature import (GRID_CAP, ZETA_PRIME, RiemannTable,
                               delta_for_grid, k0_constant, k1_constant,
                               k2_constant, lambda_exact, plan_quadrature,
-                              riemann_S0, riemann_S1, riemann_S2)
+                              riemann_S0, riemann_S1, riemann_S2,
+                              riemann_terms)
 
 from conftest import so
+from oracles import riemann_one_tuple
 
 UNIT = BasisBounds(phi_max=1.0, x_max=1.0, alpha_decay=1.0,
                    gamma1=1.0, gamma2=1.0)
@@ -376,6 +378,33 @@ def test_quadrature_is_pinned(name, pinned_problems):
     assert (hashlib.sha256(plans.encode()).hexdigest(),
             hashlib.sha256(deltas.encode()).hexdigest()) \
         == QUADRATURE_PINS[name]
+
+
+@pytest.mark.parametrize("name", ["h2", "pd"])
+def test_kernels_keep_each_formula_bit_for_bit(name, pinned_problems):
+    # a kernel forms every tuple on a grid at once by broadcasting; each
+    # term must still be the one-tuple formula's float, products in the
+    # same order, on every branch: pd's far orbital 3 and nucleus 3 put
+    # s1 and s2 on their cartesian branch, the near tuples spherical
+    basis, nuclei, bounds = pinned_problems[name]
+    h1_tuples, g_tuples = ((1, 1), (1, 3), (3, 1)), \
+        ((1, 1, 1, 1), (1, 3, 3, 1), (1, 3, 1, 3), (3, 1, 1, 3))
+    cases = [("s0", ix, None) for ix in h1_tuples] + [
+        ("s1", ix, q) for q, (z, _) in enumerate(nuclei) if z
+        for ix in h1_tuples] + [("s2", ix, None) for ix in g_tuples]
+    branches = set()
+    for kind, ix, q in cases:
+        zq = {"zq": nuclei[q][0]} if kind == "s1" else {}
+        delta = delta_for_grid(kind, 3 if kind == "s2" else 4, bounds, **zq)
+        spec = plan_quadrature(kind, *ix[:2], delta, bounds, basis, nuclei,
+                               *ix[2:], q=q)
+        branches.add((kind, spec.coordinate_system))
+        # orbitals 1 and 3 are spin up in both bases, so no term is zeroed
+        assert np.array_equal(
+            riemann_terms(kind, ix, delta, bounds, basis, nuclei, q).values,
+            riemann_one_tuple(spec, basis, nuclei, *ix))
+    if name == "pd":
+        assert len(branches) == 5
 
 
 # ---------------------------------------------------------------------------
