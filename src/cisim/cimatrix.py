@@ -113,14 +113,14 @@ def ci_entry(alpha: Determinant, beta: Determinant, table: IntegralTable) -> com
 
 
 def build_ci_matrix(table: IntegralTable, eta: int) -> np.ndarray:
-    """Dense CI matrix over the lexicographic determinant basis: the
-    module docstring's Slater-Condon rules read off the integral tables
-    at every entry of `excitations`, with its signs."""
+    """Dense CI matrix over the lexicographic determinant basis, in the
+    integral tables' dtype: the module docstring's Slater-Condon rules read
+    off the tables at every entry of `excitations`, with its signs."""
     check_dense(basis_size(table.n, eta))
     ex = excitations(table.n, eta)
     h1, g = table.h1_mat, table.h2_mat
     occ = ex.occ - 1
-    H = np.zeros((len(occ), len(occ)), dtype=complex)
+    H = np.zeros((len(occ), len(occ)), dtype=np.result_type(h1, g))
     a, b = occ[:, np.array(list(itertools.combinations(range(eta), 2)),
                            dtype=np.intp).reshape(-1, 2)].T
     H.flat[::len(occ) + 1] = (
@@ -262,7 +262,7 @@ class LabelledTerms:
         narrower kind (h1 or g) is zero-padded.  ``source.h1`` and
         ``source.g`` take index arrays and give one value per index (an
         ``IntegralTable``) or one row of grid-point values (riemann mode's
-        ``quadrature.RiemannTable``)."""
+        ``quadrature.RiemannTable``), whose dtype the values take."""
         def block(one_body, at):
             a, b, c, d = self.orbs[at].T
             if one_body:
@@ -283,8 +283,9 @@ class LabelledTerms:
         kinds = {one_body: (at, block(one_body, at[:1]))
                  for one_body in (True, False)
                  if len(at := np.flatnonzero(self.one_body == one_body))}
-        values = np.zeros((len(self.left), max(
-            head.shape[1] for _, head in kinds.values())), dtype=complex)
+        heads = [head for _, head in kinds.values()]
+        values = np.zeros((len(self.left), max(h.shape[1] for h in heads)),
+                          dtype=np.result_type(*heads))
         for one_body, (at, head) in kinds.items():
             width = head.shape[1]
             values[at[0], :width] = head[0]

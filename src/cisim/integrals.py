@@ -439,8 +439,8 @@ class IntegralTable:
     """Dense one- and two-electron integral tables for a spin-orbital basis.
 
     h1 is Hermitian N x N; h2[i,j,k,l] = <ij|kl> satisfies
-    h2[i,j,k,l] == h2[j,i,l,k].  Entries are complex to keep the matrix
-    element algebra general, although Gaussian inputs are real.  Each ERI
+    h2[i,j,k,l] == h2[j,i,l,k].  Entries are real, as the Gaussians are,
+    and every array built from the tables takes their dtype.  Each ERI
     is computed once per spatial quartet up to the 8-fold symmetry of real
     functions.
     """
@@ -497,16 +497,16 @@ class IntegralTable:
         same = spin[:, None] == spin
         ix = np.ix_(index, index)
         self.overlap_mat = np.where(same, s[ix], 0.0)
-        self.h1_mat = np.where(same, h[ix], 0.0).astype(complex)
+        self.h1_mat = np.where(same, h[ix], 0.0)
         self.h2_mat = np.where(
             same[:, None, :, None] & same[None, :, None, :],
             chem[np.ix_(index, index, index, index)].transpose(0, 2, 1, 3),
-            0.0).astype(complex)
+            0.0)
 
-    def h1(self, i: int, j: int) -> complex:
+    def h1(self, i: int, j: int) -> float:
         return self.h1_mat[i - 1, j - 1]
 
-    def g(self, i: int, j: int, k: int, l: int) -> complex:
+    def g(self, i: int, j: int, k: int, l: int) -> float:
         return self.h2_mat[i - 1, j - 1, k - 1, l - 1]
 
     def overlap_deviation(self) -> float:

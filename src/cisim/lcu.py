@@ -66,7 +66,7 @@ def _dense_rows(perms, values) -> tuple[EdgeRows, np.ndarray]:
     nonzero self-paired row.  ValueError unless paired rows conjugate."""
     perms = np.asarray(perms)
     # labels of different widths are ragged, which asarray rejects
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
     if not len(perms):
         raise ValueError("empty term family")
     n_labels, dim, _ = values.shape
@@ -102,7 +102,8 @@ class TermFamily:
     and each row's mu grid-point values.  A row (r, c), r != c, stands for
     (c, r) too, at the conjugate values; a self-paired row stands once.
     A label's rows are the slice of the sorted ``label`` column that holds
-    g.  Dense per-label involutions and values, given in place of an
+    g.  The table keeps its values' dtype, an integer one as float.  Dense
+    per-label involutions and values, given in place of an
     :class:`EdgeRows` and its values, are kept as `_dense_rows` keeps them.
 
     Rounding to multiples of 2 zeta and the threshold split run over the
@@ -121,12 +122,13 @@ class TermFamily:
             rows, values = _dense_rows(perms, values)
         self.label, self.row, self.col = rows.label, rows.row, rows.col
         self.dim = rows.dim
-        self._raw = np.asarray(values, dtype=complex)
+        values = np.asarray(values)  # rounding divides: int becomes float
+        self._raw = values.astype(np.result_type(values, 1.0), copy=False)
         self.mu = self._raw.shape[1]
         self.zeta = float(zeta)
         # each row's rounded sum zeta sum_rho C phase, and its largest C,
         # a block of rows at a time: no whole-table C or phase is held
-        self._sums = np.empty(len(self._raw), dtype=complex)
+        self._sums = np.empty(len(self._raw), dtype=self._raw.dtype)
         top = np.empty(len(self._raw), dtype=np.int64)
         for at in row_blocks(len(self._raw), self.mu):
             C, phase = split_arrays(self._raw[at], self.zeta)
@@ -171,7 +173,7 @@ class TermFamily:
         self-paired ones the table does not name."""
         at = self._rows(g)
         raw = self._raw[at, rho]
-        out = np.zeros((self.dim,) + raw.shape[1:], dtype=complex)
+        out = np.zeros((self.dim,) + raw.shape[1:], dtype=raw.dtype)
         out[self.col[at]] = np.conj(raw)
         out[self.row[at]] = raw  # a self-paired row: raw, not its conjugate
         return out
@@ -210,7 +212,7 @@ class TermFamily:
     def _scatter(self, sums) -> np.ndarray:
         """Dense matrix with each table row's ``sums`` entry at (row, col),
         and a pair's conjugate at (col, row)."""
-        H = np.zeros((self.dim, self.dim), dtype=complex)
+        H = np.zeros((self.dim, self.dim), dtype=sums.dtype)
         np.add.at(H, (self.row, self.col), sums)
         pair = self.row != self.col
         np.add.at(H, (self.col[pair], self.row[pair]), np.conj(sums[pair]))

@@ -142,7 +142,7 @@ class RiemannSum:
     __slots__ = ("values", "bound")
 
     def __init__(self, values: np.ndarray, bound: float):
-        self.values = np.asarray(values, dtype=complex)
+        self.values = np.asarray(values)
         self.bound = float(bound)
 
     @property
@@ -382,10 +382,7 @@ def riemann_terms(kind, indices, delta, bounds, basis, nuclei=(),
     its KINDS[kind].n_indices 1-based orbitals, ``q`` an s1 nucleus."""
     i, j, *kl = indices
     spec = plan_quadrature(kind, i, j, delta, bounds, basis, nuclei, *kl, q=q)
-    if kind == "s1":
-        return riemann_S1(i, j, q, spec, basis, nuclei)
-    return (riemann_S2(i, j, *kl, spec, basis) if kind == "s2"
-            else riemann_S0(i, j, spec, basis))
+    return _one_sum(kind, spec, basis, indices, nuclei, q)
 
 
 class RiemannTable:

@@ -37,7 +37,7 @@ from .errors import BudgetInfeasible
 
 
 # values per block of rows that a pass over a table of grid-point values
-# holds at once: 1 MB of complex
+# holds at once: 0.5 MB of real or 1 MB of complex ones
 BLOCK_VALUES = 1 << 16
 
 
@@ -84,21 +84,20 @@ class SelfInverseTerm:
 
     def as_dense(self) -> np.ndarray:
         dim = len(self.perm)
-        M = np.zeros((dim, dim), dtype=complex)
+        M = np.zeros((dim, dim), dtype=self.vals.dtype)
         M[np.arange(dim), self.perm] = self.vals
         return M
 
 
 def split_arrays(values: np.ndarray, zeta: float):
-    """(C, phase): the modulus rounded to even multiples of zeta, scaled
-    by 1/zeta to integers, and the unit phase (1 where the value is 0).
-    BudgetInfeasible when a count would not fit in int64.  A subnormal
-    modulus counts as 0, since dividing by it overflows."""
+    """(C, phase): the modulus rounded to even multiples of zeta, scaled by
+    1/zeta to integers, and the unit phase in the values' dtype (1 where a
+    value is 0).  BudgetInfeasible when a count would not fit in int64.  A
+    subnormal modulus counts as 0, since dividing by it overflows."""
     mod = np.asarray(np.abs(values))
     mod[mod < np.finfo(mod.dtype).tiny] = 0.0
-    phase = np.ones(mod.shape, dtype=complex)
-    np.divide(np.asarray(values, dtype=complex), mod, out=phase,
-              where=mod > 0)
+    phase = np.ones_like(values)
+    np.divide(values, mod, out=phase, where=mod > 0)
     # C takes mod's place: the family splits its whole table at once
     C = mod
     C /= 2.0 * zeta
@@ -114,4 +113,4 @@ def split_arrays(values: np.ndarray, zeta: float):
 def slice_values(C: np.ndarray, phase: np.ndarray, m: int, s: int) -> np.ndarray:
     """Entries of C_{m, s}: the phase where C >= 2m, else +1 (s=1) or -1."""
     fill = 1.0 if s == 1 else -1.0
-    return np.where(C >= 2 * m, phase, fill + 0.0j)
+    return np.where(C >= 2 * m, phase, fill)

@@ -106,6 +106,15 @@ REFERENCES = {
         "exactly summed Riemann sum, compared with the closed-form integral",
     "quadrature.lambda_exact":
         "closed-form screened-Coulomb integral checked by Monte Carlo",
+    "quadrature.riemann_S0":
+        "one s0 Riemann sum on a given plan, which criterion 4 holds to its "
+        "closed form and its term bound",
+    "quadrature.riemann_S1":
+        "one s1 Riemann sum on a given plan, which criterion 4 holds to its "
+        "closed form and its term bound",
+    "quadrature.riemann_S2":
+        "one s2 Riemann sum on a given plan, which criterion 4 holds to its "
+        "closed form and its term bound",
     "selfinverse.SelfInverseTerm.as_dense":
         "dense form of one involution for the identities of criterion 6",
 }

@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import inspect
@@ -343,6 +344,46 @@ def test_family_labels_match_per_label_oracle(table_name, eta, request):
                          for m in range(1, slices[g] + 1) for s in (1, 2)]
     assert all(fam.term(flat_ell(fam, s, m, g), 0).gamma == g
                for s, m, g in addressed)
+
+
+@pytest.fixture(scope="module")
+def h2_complex(h2_table):
+    """h2_table with spin-orbital k taken times the phase e^{i theta_k}: a
+    complex Hermitian table with the same symmetries, whose CI matrix is
+    the real one's in a rephased basis."""
+    d = np.exp(1j * np.array([0.3, 1.1, -0.7, 2.0]))
+    table = copy.copy(h2_table)
+    table.h1_mat = d.conj()[:, None] * h2_table.h1_mat * d
+    table.h2_mat = np.einsum("i,j,k,l,ijkl->ijkl", d.conj(), d.conj(), d, d,
+                             h2_table.h2_mat)
+    return table
+
+
+@pytest.mark.parametrize("mode", ["exact", "riemann", "complex"])
+def test_every_array_takes_the_dtype_of_its_integral_source(
+        mode, h2_riemann, h2_complex):
+    # a real source keeps the CI matrix, the family and its terms real,
+    # and a complex test table runs complex through the same code
+    table, source = h2_riemann
+    if mode != "riemann":
+        table = source = h2_complex if mode == "complex" else table
+    zeta = 0.002 if mode == "riemann" else 0.25
+    H = build_ci_matrix(table, 2)
+    fam = build_term_family(source, 2, zeta)
+    arrays = [table.h1_mat, table.h2_mat, H,
+              labelled_terms(table.n, 2).values(source), fam._raw,
+              fam._sums, fam.rounded_dense(), fam.unrounded_dense(),
+              *(fam.term_pattern(ell, fam.mu - 1)[1]
+                for ell in (0, fam.L - 1))]
+    want = np.complex128 if mode == "complex" else np.float64
+    assert [a.dtype for a in arrays] == [want] * len(arrays)
+    if mode == "complex":
+        # the rephasing reaches H, which still matches its oracles
+        assert np.max(np.abs(H.imag)) > 0.1
+        assert np.max(np.abs(H - assemble_from_gammas(table, 2))) < 1e-12
+        assert np.max(np.abs(fam.rounded_dense() - doubled(H))) <= 3 * zeta
+        assert np.allclose(np.linalg.eigvalsh(H), np.linalg.eigvalsh(
+            build_ci_matrix(h2_riemann[0], 2)), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["exact", "riemann"])
@@ -703,6 +744,21 @@ def test_spectral_taylor_entry_matches_the_dense_oracle(name, tmp_path):
     family = build_term_family(source, cfg.eta, zeta)
     assert rep.error_ledger["taylor"] == pytest.approx(
         dense_taylor_entry(family, cfg.time, eps_taylor), rel=1e-4)
+
+
+@pytest.mark.parametrize("name", ["h2", "riemann-h2"])
+def test_a_real_hamiltonian_is_decomposed_in_real_arithmetic(
+        name, tmp_path, monkeypatch):
+    # every eigvalsh and eigh of a run on real integrals takes a real
+    # matrix: a complex one would cost several times as much
+    make, mode = TAYLOR_PROBLEMS[name]
+    cfg = make(tmp_path)
+    calls = _record_decompositions(monkeypatch)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        run_pipeline(cfg, mode=mode)
+    dtypes = [np.asarray(a).dtype for fn, a in calls
+              if fn in ("eigvalsh", "eigh")]
+    assert len(dtypes) >= 3 and set(dtypes) == {np.dtype(np.float64)}
 
 
 def test_pipeline_schema(h2_report):

@@ -278,6 +278,16 @@ def test_term_family_rejects_paired_rows_that_are_not_conjugate():
             TermFamily([perm], [bad], zeta=0.25)
 
 
+def test_term_family_takes_an_integer_table_as_floats():
+    # the table keeps its values' dtype, but rounding needs a float one
+    perm = np.array([1, 0, 2])
+    ints = np.array([[2], [2], [-1]])
+    fam, ref = (TermFamily([perm], [v], zeta=0.25) for v in (ints, 1.0 * ints))
+    assert fam._raw.dtype == fam.rounded_dense().dtype == np.float64
+    assert fam.L == ref.L == 8
+    assert np.array_equal(fam.rounded_dense(), ref.rounded_dense())
+
+
 @st.composite
 def dense_families(draw):
     """(perms, values, zeta) of 1 to 5 dense labels on 2 to 12 states at 1
