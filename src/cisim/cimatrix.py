@@ -33,19 +33,20 @@ label set is:
 
 The labelled terms are the rows of the coloring's edge table, each
 expanded by its term selectors, read only once that table's census is
-valid, and each row confirmed with the table's own left kernel, so every
-run checks its coloring at its own size.  `labelled_terms` holds them as
-integer columns sorted by label and applies the Slater-Condon rules on
-bitstrings (Scemama & Giner, arXiv:1311.6244) to all of them at once:
-each edge's left list, with the moves x1 -> y1 and x2 -> y2 that
-confirmed it applied, gives the alignment sign as the parity of its
-inversions and, read differing orbitals first, the integral indices of
-every selector.  `term_value`, `gamma_entry` and `align_and_diff` are
+valid, and each row confirmed with the table's own left kernel, so the
+coloring is checked at every size a process builds.  `labelled_terms`
+holds them as integer columns sorted by label and applies the
+Slater-Condon rules on bitstrings (Scemama & Giner, arXiv:1311.6244) to
+all of them at once: each edge's left list, with the moves x1 -> y1 and
+x2 -> y2 that confirmed it applied, gives the alignment sign as the
+parity of its inversions and, read differing orbitals first, the
+integral indices of every selector.  `term_value`, `gamma_entry` and `align_and_diff` are
 the per-edge reference the tests hold those columns to.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -54,9 +55,9 @@ import numpy as np
 from .coloring import (DIAGONAL_COLOR, LEFT, ColorTuple, EdgeTable,
                        _alt1_ok, apply_color, double_colors, edge_table,
                        movement_tuples, single_colors)
-from .determinants import (Determinant, align_and_diff, basis_size,
-                           check_dense, enumerate_basis, excitations,
-                           sparsity_d)
+from .determinants import (Determinant, _read_only, align_and_diff,
+                           basis_size, check_dense, enumerate_basis,
+                           excitations, sparsity_d)
 from .errors import MalformedGamma, PatternMismatch
 from .integrals import IntegralTable
 from .selfinverse import row_blocks
@@ -301,6 +302,7 @@ def _inversion_sign(lists: np.ndarray) -> np.ndarray:
     return 1 - 2 * (inversions % 2)
 
 
+@functools.lru_cache(maxsize=1)
 def labelled_terms(norb: int, eta: int) -> LabelledTerms:
     """Every labelled term of the coloring's edge table, as the module
     docstring describes: the diagonal, single and double rows, each once
@@ -310,6 +312,8 @@ def labelled_terms(norb: int, eta: int) -> LabelledTerms:
     confirmed by applying its first and then its second move from the left
     with the table's kernel, a double row's pair judged by `_alt1_ok`.  An
     invalid census or a row whose partner differs raises PatternMismatch.
+    Built and checked once per process for each (N, eta): the last is
+    cached, shared and read-only, its edge table and kernel too.
     """
     table = edge_table(norb, eta)
     census = table.census()
@@ -355,7 +359,7 @@ def labelled_terms(norb: int, eta: int) -> LabelledTerms:
     # label order; lexsort is stable, so a label keeps its rows' order
     order = np.lexsort(key.T[::-1])
     row, key, p, q = row[order], key[order], p[order], q[order]
-    return LabelledTerms(
+    return _read_only(LabelledTerms(
         table=table, left=table.left[row].astype(np.intp),
         right=table.right[row].astype(np.intp), key=key,
         label=np.concatenate(
@@ -363,7 +367,7 @@ def labelled_terms(norb: int, eta: int) -> LabelledTerms:
         sign=_inversion_sign(aligned)[row],
         orbs=np.stack([src[row, p], src[row, q], dst[row, p], dst[row, q]],
                       axis=1),
-        one_body=p == q)
+        one_body=p == q))
 
 
 def labelled_edges(norb: int, eta: int):

@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 from .cimatrix import build_ci_matrix, count_gamma, gamma_census
 from .coloring import coloring_census
-from .determinants import enumerate_basis
+from .determinants import excitations
 from .driver import (ingest, load_config, run_budget, run_pipeline,
                      validate_config)
 from .errors import CisimError, InvalidCounts, OutputUnwritable
@@ -112,7 +112,7 @@ def cmd_build_hamiltonian(args):
             for i, row in enumerate(H) for j, v in enumerate(row)], args.out)
     else:
         payload = {
-            "basis": [list(d.occ) for d in enumerate_basis(config.norb, config.eta)],
+            "basis": excitations(config.norb, config.eta).occ.tolist(),
             "matrix_re": H.real.tolist(),
             "matrix_im": H.imag.tolist(),
             "gamma_census": census,

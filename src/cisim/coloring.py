@@ -38,7 +38,7 @@ block of middle nodes at a time, their rows padded to the widest fan.
 `coloring_census` is the table's tally, a block of edges at a time; the
 family build reads its labelled terms off the same table's integer
 columns once that tally is valid, and confirms each row's color with the
-table's left kernel, so every run checks the coloring at its own size.
+table's left kernel, so the coloring is checked at every size it is built.
 The scalar rule (`_move_partners`, which `_apply_move` reads one b of,
 and `apply_color`'s composition) and `color_of`, the inverse map from a
 pair to its color, are the references the tests pin the kernel and the

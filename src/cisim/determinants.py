@@ -14,8 +14,9 @@ and the coloring's move-rule kernel read one enumeration,
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from math import comb
 
 import numpy as np
@@ -199,9 +200,24 @@ def single_excitations(occ: np.ndarray, norb: int):
     return virt, moved, lex_ranks(moved, norb)
 
 
+def _read_only(obj):
+    """obj, with every array its dataclass fields reach, and each array's
+    bases, made read-only: a write into a shared result raises ValueError."""
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if is_dataclass(value):
+            _read_only(value)
+        while isinstance(value, np.ndarray):
+            value.setflags(write=False)
+            value = value.base
+    return obj
+
+
+@functools.lru_cache(maxsize=1)
 def excitations(norb: int, eta: int) -> Excitations:
     """Every single k -> l and double (x1 < x2) -> (y1 < y2) of each
-    determinant of the (N, eta) basis, as integer arrays.
+    determinant of the (N, eta) basis, as integer arrays, built once per
+    process for each (N, eta): the last is cached, shared and read-only.
 
     A single's sign is (-1) to the number of occupied orbitals strictly
     between k and l, counted from positions in the occupied and virtual
@@ -241,7 +257,7 @@ def excitations(norb: int, eta: int) -> Excitations:
                     (singles.sign[first] * singles.sign[second]).ravel(),
                     _columns(first.shape, norb, x1, x2),
                     _columns(first.shape, norb, y1, y2))
-    return Excitations(occ, singles, doubles)
+    return _read_only(Excitations(occ, singles, doubles))
 
 
 def _columns(shape, norb: int, *grids) -> np.ndarray:

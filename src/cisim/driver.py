@@ -178,7 +178,9 @@ def build_term_family(source, eta: int, zeta: float) -> TermFamily:
     side-1 node of its right one, at h = (a + conj(b)) / 2 from its (alpha
     -> beta) and (beta -> alpha) expansions; labels with no edge are not
     stored.  ``source`` gives h1/g: an ``IntegralTable``, fancy-indexed,
-    or a ``RiemannTable``, one row of grid-point terms per index.
+    or a ``RiemannTable``, one row of grid-point terms per index.  Only the
+    values read ``source``: the labelled terms are built and checked once
+    per process for each (N, eta), and shared read-only between runs.
     """
     xi = basis_size(source.n, eta)
     terms = labelled_terms(source.n, eta)

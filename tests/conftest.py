@@ -7,12 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from cisim.cimatrix import labelled_terms
+from cisim.determinants import excitations
 from cisim.integrals import IntegralTable
 from cisim.orbitals import SpinOrbital
 
 # property tests draw the same examples on every run, with no time limit
 settings.register_profile("cisim", derandomize=True, deadline=None)
 settings.load_profile("cisim")
+
+
+@pytest.fixture(autouse=True)
+def fresh_topology():
+    """Each test builds its own (N, eta) topology: one an earlier test
+    cached would hide a fault that this test patches into the build."""
+    labelled_terms.cache_clear()
+    excitations.cache_clear()
 
 
 def primitive_norm(exponent: float, powers=(0, 0, 0)) -> float:

@@ -192,6 +192,8 @@ def test_labelled_edges_reject_a_color_the_oracle_disagrees_with(monkeypatch):
     kernel = dataclasses.replace(table.kernel, partner=table.kernel.node)
     corrupted = dataclasses.replace(table, kernel=kernel)
     monkeypatch.setattr(cimatrix, "edge_table", lambda norb, eta: corrupted)
+    # the terms read above are cached: build them again, off the patch
+    cimatrix.labelled_terms.cache_clear()
     with pytest.raises(PatternMismatch, match="does not map"):
         list(labelled_edges(4, 2))
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -19,8 +20,8 @@ import pytest
 
 from cisim import cimatrix, determinants, driver, quadrature
 from cisim.cimatrix import (assemble_from_gammas, build_ci_matrix,
-                            enumerate_gammas, gamma_entry, labelled_terms,
-                            sparsity_d, term_value)
+                            enumerate_gammas, gamma_census, gamma_entry,
+                            labelled_terms, sparsity_d, term_value)
 from cisim.cli import main as cli_main
 from cisim.determinants import align_and_diff, enumerate_basis
 from cisim.driver import (ProblemConfig, budget_errors, build_term_family,
@@ -663,6 +664,101 @@ def test_pipeline_deterministic():
     assert da == db
 
 
+# ---------------------------------------------------------------------------
+# one topology per (N, eta): a bond scan builds its coloring once
+
+
+TOPOLOGY_BUILDERS = ("edge_table", "single_moves", "single_excitations")
+
+
+def _h2_at(spacing, mode):
+    """H2 at one bond length; in riemann mode at grids 6/6/3, zeta 0.02."""
+    data = _h_chain(2, 2, spacing=spacing)
+    if mode == "riemann":
+        bounds = derive_bounds(config_from_dict(data).orbitals)
+        data.update(epsilon=0.5, overrides={"zeta": 0.02, "delta": {
+            k: delta_for_grid(k, n, bounds)
+            for k, n in {"s0": 6, "s1": 6, "s2": 3}.items()}})
+    return config_from_dict(data)
+
+
+def _report(config, mode):
+    """The run's report, less its timings."""
+    with pytest.warns(NonOrthonormalBasisWarning):
+        out = run_pipeline(config, mode=mode).to_dict()
+    out.pop("timings")
+    return out
+
+
+def _count_topology_builds(monkeypatch):
+    """Count the calls of TOPOLOGY_BUILDERS, in every module that binds one."""
+    from cisim import coloring
+    calls = Counter()
+    for module in (determinants, coloring, cimatrix):
+        for name in TOPOLOGY_BUILDERS:
+            if hasattr(module, name):
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["exact", "riemann"])
+def test_a_bond_scan_builds_its_topology_once(mode, monkeypatch):
+    # the coloring and the excitations depend on (N, eta) alone: the second
+    # bond length reads the first's, and each report equals a cold run's
+    calls = _count_topology_builds(monkeypatch)
+    scan = [_h2_at(spacing, mode) for spacing in (1.4, 1.8)]
+    reports = []
+    for k, config in enumerate(scan):
+        before = calls.copy()
+        reports.append(_report(config, mode))
+        # the first bond length calls each builder, the second none
+        assert set(calls - before) == (set(TOPOLOGY_BUILDERS) if k == 0
+                                       else set())
+    assert reports[0] != reports[1]
+    for config, report in zip(scan, reports):
+        labelled_terms.cache_clear()
+        determinants.excitations.cache_clear()
+        assert _report(config, mode) == report
+
+
+def _arrays(obj):
+    """Every array a result's dataclass fields reach, and their bases."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _arrays(value)
+        while isinstance(value, np.ndarray):
+            yield value
+            value = value.base
+
+
+def test_a_cached_topology_is_read_only():
+    # a caller that writes into a shared result fails, rather than change
+    # the next run's; the family's terms reach their edge table and kernel
+    cached = {labelled_terms: 18, determinants.excitations: 11}
+    for build, n_fields in cached.items():
+        result = build(4, 2)
+        assert build(4, 2) is result
+        arrays = list(_arrays(result))
+        assert len({id(a) for a in arrays}) >= n_fields
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+
+
+def test_a_run_at_a_second_size_keeps_one_topology():
+    _report(_h2_at(1.4, "exact"), "exact")
+    _report(config_from_dict(_h_chain(3, 2)), "exact")
+    for build in (labelled_terms, determinants.excitations):
+        info = build.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)
+    assert labelled_terms(6, 2) is labelled_terms(6, 2)
+
+
 def _record_decompositions(monkeypatch, pause=0.0):
     """Log each numpy eigvalsh, eigh and svd call as (name, argument), and
     sleep ``pause`` seconds in it; np.linalg.norm's own svd is included."""
@@ -836,6 +932,21 @@ def test_cli_build_hamiltonian(tmp_path):
                    "--output", "csv", "--out", str(out_csv)])
     assert rc == 0
     assert out_csv.read_text().splitlines()[0] == "row,col,re,im"
+
+
+def test_cli_build_hamiltonian_json_is_pinned(tmp_path):
+    # the basis is read off the cached excitations, and the document is the
+    # one a list of enumerate_basis' determinants gives, byte for byte
+    out = tmp_path / "h.json"
+    assert cli_main(["build-hamiltonian", "--config", H2_PATH,
+                     "--out", str(out)]) == 0
+    with pytest.warns(NonOrthonormalBasisWarning):
+        H = build_ci_matrix(ingest(h2_config()), 2)
+    expected = {"basis": [list(d.occ) for d in enumerate_basis(4, 2)],
+                "matrix_re": H.real.tolist(), "matrix_im": H.imag.tolist(),
+                "gamma_census": gamma_census(4, 2)}
+    assert out.read_text() == json.dumps(expected, indent=2,
+                                         sort_keys=True) + "\n"
 
 
 def test_cli_quadrature(tmp_path):
