@@ -31,7 +31,7 @@ from .determinants import basis_size, check_dense
 from .errors import BudgetInfeasible, InvalidConfig, NonOrthonormalBasisWarning
 from .integrals import IntegralTable
 from .lcu import (EPS_FLOOR, EdgeRows, TermFamily, evolve, hermitian_norm,
-                  segment_count, segment_error)
+                  segment_count)
 from .orbitals import SpinOrbital, finite_number, is_point
 from .quadrature import KINDS, RiemannTable
 
@@ -246,15 +246,10 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     timings["decomposition_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    Htilde = family.rounded_dense()
-    # one spectrum of H~, the rounded Hamiltonian the family sums, bounds
-    # the plan's weight (H2 may exceed it where entries round down) and
-    # gives the Taylor entry
-    spectrum = np.linalg.eigvalsh(Htilde)
     psi0 = np.zeros(xi, dtype=complex)
     psi0[0] = 1.0
-    psi_out, info = evolve(family, embed_plus(psi0), config.time, eps_taylor,
-                           h_norm_bound=float(np.max(np.abs(spectrum))))
+    # evolve reads H~'s spectrum once, for its plan and the Taylor entry
+    psi_out, info = evolve(family, embed_plus(psi0), config.time, eps_taylor)
     psi_final, proj_dev = extract_plus(psi_out)
     timings["evolution_s"] = time.perf_counter() - t0
 
@@ -263,22 +258,19 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     # exact mode has no discretization: its unrounded family is H2 itself,
     # so its quadrature entry is 0 without a decomposition
     unrounded = family.unrounded_dense() if mode == "riemann" else H2
-    # per-segment Taylor + amplification defect, read off H~'s spectrum;
-    # validate_config rejected t <= 0, so evolve ran r >= 1 segments
-    taylor_err = info.r * segment_error(spectrum, config.time / info.r,
-                                        info.K, info.lam)
-    rounding_err = hermitian_norm(unrounded - Htilde) * config.time
+    rounding_err = (hermitian_norm(unrounded - family.rounded_dense())
+                    * config.time)
     quadrature_err = (hermitian_norm(H2 - unrounded) * config.time
                       if mode == "riemann" else 0.0)
     ledger = {
-        "taylor": taylor_err,
+        "taylor": info.taylor,
         "rounding": rounding_err,
         "quadrature": quadrature_err,
         # summed norm loss: each segment's is at most |seg - exp|, which
         # taylor already counts, so it is reported but not added
         "projection": float(info.norm_loss_sum + proj_dev),
     }
-    ledger["total"] = taylor_err + rounding_err + quadrature_err
+    ledger["total"] = info.taylor + rounding_err + quadrature_err
 
     psi_ref = exact_evolve(H, psi0, config.time)
     l2 = float(np.linalg.norm(psi_final - psi_ref))

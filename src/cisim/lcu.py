@@ -21,7 +21,9 @@ walk operator
 followed by one round of oblivious amplitude amplification
 G = -W (1 - 2P) W^+ (1 - 2P) W, whose projected action is
 (3/lambda) U~ - (4/lambda^3) U~ U~^+ U~ and reduces to U~ itself when
-lambda = 2 and U~ is unitary.
+lambda = 2 and U~ is unitary.  Both are functions of the rounded H~, so
+``evolve`` reads one spectrum of H~ for the plan's norm bound and for the
+segment's distance from exp(-i H~ t / r), the run's Taylor entry.
 
 Two interchangeable executions are provided: a dense-block path that
 works with U~ as a matrix on the system alone, and a register-level
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import ceil, factorial, log
+from math import ceil, factorial, inf, log
 
 import numpy as np
 
@@ -279,12 +281,12 @@ def plan_segments(h_norm_bound: float, t: float, eps: float,
     ln 2 (and zeta L mu bounds the norm of the rounded Hamiltonian, so
     r >= |H~| t); the pad then raises it to ln 2, where amplification
     is exact.  K is the smallest order with (ln 2)^{K+1} / (K+1)! <=
-    eps / (2 r).  BudgetInfeasible past MAX_SEGMENTS segments.
-    """
+    eps / (2 r).  BudgetInfeasible past MAX_SEGMENTS segments, and
+    ValueError unless 0 <= t < inf."""
     if not 0.0 < eps < 1.0:
         raise BudgetInfeasible(f"eps={eps} outside (0, 1)")
-    if t < 0.0:
-        raise ValueError("negative time")
+    if not 0.0 <= t < inf:
+        raise ValueError(f"t={t}: a negative time, or not finite")
     weight = meta.lambda_weight
     if weight < h_norm_bound - 1e-9:
         raise ValueError("term family cannot bound the Hamiltonian norm")
@@ -354,29 +356,34 @@ def segment_error(spectrum: np.ndarray, tau: float, K: int,
 
 @dataclass
 class EvolutionInfo:
+    """r segments at order K and weight lam; ``taylor`` is r times the
+    segment's ``segment_error`` over the spectrum of H~."""
+
     r: int
     K: int
     lam: float
+    taylor: float = 0.0
     norm_loss_sum: float = 0.0   # summed |1 - |seg psi|| over the segments
     norm_loss_max: float = 0.0   # the largest of them
 
 
-def evolve(family: TermFamily, psi0: np.ndarray, t: float, eps: float,
-           h_norm_bound: float | None = None):
+def evolve(family: TermFamily, psi0: np.ndarray, t: float, eps: float):
     """r amplified segments of the truncated-Taylor walk, dense path; each
     renormalizes, and the info keeps the sum and the maximum of the norm
-    losses."""
+    losses.  H~'s spectrum gives the plan's bound and the Taylor entry,
+    which is 0 at t = 0, where no segment runs."""
     if eps <= EPS_FLOOR:
         raise BudgetInfeasible(
             f"eps={eps} at or below the {EPS_FLOOR} numeric floor")
     psi = np.asarray(psi0, dtype=complex).copy()
     if t == 0.0:
         return psi, EvolutionInfo(r=0, K=0, lam=1.0)
-    if h_norm_bound is None:
-        h_norm_bound = hermitian_norm(family.rounded_dense())
-    plan = plan_segments(h_norm_bound, t, eps, family.meta)
+    spectrum = np.linalg.eigvalsh(family.rounded_dense())
+    plan = plan_segments(float(np.max(np.abs(spectrum))), t, eps, family.meta)
     seg = oaa_block(taylor_block(family, plan), plan.lam)
-    info = EvolutionInfo(r=plan.r, K=plan.K, lam=plan.lam)
+    info = EvolutionInfo(r=plan.r, K=plan.K, lam=plan.lam,
+                         taylor=plan.r * segment_error(
+                             spectrum, t / plan.r, plan.K, plan.lam))
     for _ in range(plan.r):
         out = seg @ psi
         norm = float(np.linalg.norm(out))

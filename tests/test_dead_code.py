@@ -17,6 +17,13 @@ Every field a class stores, a dataclass field or an attribute of self a
 method assigns, is read by attribute name somewhere in src/cisim or
 tests/; the few that are kept unread are listed in ``UNREAD_FIELDS``
 with the reason.
+
+Every parameter with a default is passed somewhere in src/cisim, by
+keyword, by position or through ``*args`` / ``**kwargs``, at a call by
+the function's name (a class's name for ``__init__``).  A function that
+src/cisim never calls by name is reached through a dispatch table and is
+exempt; an option that only tests pass is listed in ``TEST_ONLY_OPTIONS``
+with the reason.
 """
 
 import ast
@@ -42,11 +49,11 @@ def _references(tree) -> tuple[set[str], set[str]]:
 
 
 def _definitions(node, prefix: str, in_class: bool = False):
-    """(qualified name, bare name, is a class member) of every definition,
+    """(qualified name, node, is a class member) of every definition,
     nested ones too."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, DEFINITIONS):
-            yield f"{prefix}.{child.name}", child.name, in_class
+            yield f"{prefix}.{child.name}", child, in_class
             yield from _definitions(child, f"{prefix}.{child.name}",
                                     isinstance(child, ast.ClassDef))
         else:
@@ -130,7 +137,8 @@ def unused_definitions(paths) -> list[str]:
     unused = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
-        for qualname, name, member in _definitions(tree, path.stem):
+        for qualname, node, member in _definitions(tree, path.stem):
+            name = node.name
             dunder = name.startswith("__") and name.endswith("__")
             used = attributes if member else names | attributes
             if not dunder and name not in used:
@@ -217,3 +225,63 @@ def unused_imports() -> list[str]:
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+# parameters with a default that no src/cisim call passes, and why each is
+# kept
+TEST_ONLY_OPTIONS = {
+    "cli.main.argv":
+        "tests pass main an argument list; the console script passes none",
+}
+
+
+def _defaulted(fn, skip: int):
+    """(position or None, name) of each parameter of ``fn`` with a
+    default, its position counted after the first ``skip``; None for a
+    keyword-only one."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for at, arg in enumerate(positional[first:], first - skip):
+        yield at, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call, at, name: str) -> bool:
+    """Whether ``call`` may pass the parameter at position ``at`` named
+    ``name``."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return at is not None and (len(call.args) > at or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_options() -> list[str]:
+    """Parameters with a default that no call by name in src/cisim passes;
+    a method's calls by attribute do not pass self."""
+    calls = {}
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    unpassed = []
+    for stem, tree in trees.items():
+        for qualname, fn, member in _definitions(tree, stem):
+            if isinstance(fn, ast.ClassDef):
+                continue
+            callee = qualname.split(".")[-2] if fn.name == "__init__" \
+                else fn.name
+            sites = calls.get(callee, [])
+            for at, arg in _defaulted(fn, int(member)):
+                if sites and not any(_passes(c, at, arg) for c in sites):
+                    unpassed.append(f"{qualname}.{arg}")
+    return sorted(unpassed)
+
+
+def test_every_option_is_passed_by_the_program():
+    assert unpassed_options() == sorted(TEST_ONLY_OPTIONS)

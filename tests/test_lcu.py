@@ -15,8 +15,9 @@ from cisim.lcu import (RegisterSim, SegmentPlan, TermFamily, evolve,
                        hermitian_norm, oaa_block, plan_segments, prepare_b,
                        segment_count, taylor_block)
 
-from oracles import (apply_term, encode_det, flat_ell, padded_family, q_col,
-                     q_col_xor, q_val, select_h_with_scratch)
+from oracles import (apply_term, dense_taylor_entry, encode_det, flat_ell,
+                     padded_family, q_col, q_col_xor, q_val,
+                     select_h_with_scratch)
 
 LN2 = log(2.0)
 
@@ -392,6 +393,15 @@ def test_plan_segments_rejects_a_negative_time_and_a_norm_past_the_weight():
         plan_segments(2.0 * fam.meta.lambda_weight, 1.0, 1e-3, fam.meta)
 
 
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_plan_segments_and_evolve_reject_a_non_finite_time(t):
+    fam = generic_family(np.random.default_rng(14))
+    with pytest.raises(ValueError, match="negative time"):
+        plan_segments(0.1, t, 1e-3, fam.meta)
+    with pytest.raises(ValueError, match="negative time"):
+        evolve(fam, np.eye(fam.dim)[0], t, 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # block identities, amplification, evolution
 
@@ -522,6 +532,20 @@ def test_evolve_t_zero_and_floor():
     assert np.array_equal(out, psi) and info.r == 0
     with pytest.raises(BudgetInfeasible):
         evolve(fam, psi, 1.0, 1e-11)
+
+
+@pytest.mark.parametrize("make", [generic_family, small_family])
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_evolve_taylor_entry_matches_the_dense_oracle(make, seed):
+    # evolve reads the entry off H~'s spectrum; the oracle measures the
+    # amplified segment against exp(-i H~ t / r) as matrices
+    fam = make(np.random.default_rng(seed))
+    psi = np.eye(fam.dim)[0]
+    for t, eps in [(0.3, 1e-2), (1.0, 1e-3), (2.5, 1e-5)]:
+        _, info = evolve(fam, psi, t, eps)
+        assert info.taylor == pytest.approx(dense_taylor_entry(fam, t, eps),
+                                            rel=1e-4, abs=1e-14)
+    assert evolve(fam, psi, 0.0, 1e-3)[1].taylor == 0.0
 
 
 def test_register_steps_preserve_norm():
