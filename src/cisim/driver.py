@@ -248,7 +248,7 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     t0 = time.perf_counter()
     psi0 = np.zeros(xi, dtype=complex)
     psi0[0] = 1.0
-    # evolve reads H~'s spectrum once, for its plan and the Taylor entry
+    # evolve decomposes H~ once: plan, Taylor entry and segments
     psi_out, info = evolve(family, embed_plus(psi0), config.time, eps_taylor)
     psi_final, proj_dev = extract_plus(psi_out)
     timings["evolution_s"] = time.perf_counter() - t0

@@ -21,14 +21,18 @@ walk operator
 followed by one round of oblivious amplitude amplification
 G = -W (1 - 2P) W^+ (1 - 2P) W, whose projected action is
 (3/lambda) U~ - (4/lambda^3) U~ U~^+ U~ and reduces to U~ itself when
-lambda = 2 and U~ is unitary.  Both are functions of the rounded H~, so
-``evolve`` reads one spectrum of H~ for the plan's norm bound and for the
-segment's distance from exp(-i H~ t / r), the run's Taylor entry.
+lambda = 2 and U~ is unitary.  With U~ = p(H~), p the order-K Taylor
+polynomial, the amplified segment is one polynomial f of the rounded H~,
+so ``evolve`` decomposes H~ once: its spectrum bounds |H~| for the plan,
+f on it gives the segment's distance from exp(-i H~ t / r), the run's
+Taylor entry, and each segment multiplies the state's coordinates in H~'s
+eigenbasis by f.
 
-Two interchangeable executions are provided: a dense-block path that
-works with U~ as a matrix on the system alone, and a register-level
-path that simulates the unary k register, the K (l, rho) selection
-registers and the system explicitly.  They agree wherever both run.
+Two references check that program path: a dense-block one that builds U~
+and its amplified segment as matrices on the system alone, and a
+register-level one that simulates the unary k register, the K (l, rho)
+selection registers and the system explicitly.  They agree wherever both
+run.
 """
 
 from __future__ import annotations
@@ -312,7 +316,7 @@ def hermitian_norm(A: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dense-block path
+# dense-block reference
 
 
 def taylor_block(family: TermFamily, plan: SegmentPlan) -> np.ndarray:
@@ -340,24 +344,10 @@ def oaa_block(U: np.ndarray, lam: float) -> np.ndarray:
     return np.add(out, (3.0 / lam) * U, out=out)
 
 
-def segment_error(spectrum: np.ndarray, tau: float, K: int,
-                  lam: float) -> float:
-    """max_j |f(lambda_j) - exp(-i lambda_j tau)| over a spectrum of H~: the
-    2-norm distance of the amplified segment f(H~), with U~ = p(H~) the
-    order-K Taylor polynomial and f = (3/lam) p - (4/lam^3) p |p|^2, from
-    exp(-i H~ tau); both are functions of the Hermitian H~."""
-    z = -1j * tau * np.asarray(spectrum)
-    p = np.ones_like(z)
-    for k in range(K, 0, -1):
-        p = 1.0 + (z / k) * p
-    f = (3.0 / lam) * p - (4.0 / lam**3) * p * np.abs(p) ** 2
-    return float(np.max(np.abs(f - np.exp(z))))
-
-
 @dataclass
 class EvolutionInfo:
     """r segments at order K and weight lam; ``taylor`` is r times the
-    segment's ``segment_error`` over the spectrum of H~."""
+    segment's largest |f - exp(-i lambda_j t / r)| over the spectrum of H~."""
 
     r: int
     K: int
@@ -368,34 +358,40 @@ class EvolutionInfo:
 
 
 def evolve(family: TermFamily, psi0: np.ndarray, t: float, eps: float):
-    """r amplified segments of the truncated-Taylor walk, dense path; each
-    renormalizes, and the info keeps the sum and the maximum of the norm
-    losses.  H~'s spectrum gives the plan's bound and the Taylor entry,
-    which is 0 at t = 0, where no segment runs."""
+    """r amplified segments of the truncated-Taylor walk, applied in H~'s
+    eigenbasis; each renormalizes, and the info keeps the sum and the
+    maximum of the norm losses.  H~'s spectrum gives the plan's bound and
+    the Taylor entry, which is 0 at t = 0, where no segment runs."""
     if eps <= EPS_FLOOR:
         raise BudgetInfeasible(
             f"eps={eps} at or below the {EPS_FLOOR} numeric floor")
     psi = np.asarray(psi0, dtype=complex).copy()
     if t == 0.0:
         return psi, EvolutionInfo(r=0, K=0, lam=1.0)
-    spectrum = np.linalg.eigvalsh(family.rounded_dense())
+    spectrum, vecs = np.linalg.eigh(family.rounded_dense())
     plan = plan_segments(float(np.max(np.abs(spectrum))), t, eps, family.meta)
-    seg = oaa_block(taylor_block(family, plan), plan.lam)
+    # the amplified segment f = (3/lam) p - (4/lam^3) p |p|^2 on the
+    # spectrum, p the order-K Taylor polynomial by Horner
+    z = -1j * (t / plan.r) * spectrum
+    p = np.ones_like(z)
+    for k in range(plan.K, 0, -1):
+        p = 1.0 + (z / k) * p
+    f = (3.0 / plan.lam) * p - (4.0 / plan.lam**3) * p * np.abs(p) ** 2
     info = EvolutionInfo(r=plan.r, K=plan.K, lam=plan.lam,
-                         taylor=plan.r * segment_error(
-                             spectrum, t / plan.r, plan.K, plan.lam))
+                         taylor=plan.r * float(np.max(np.abs(f - np.exp(z)))))
+    coords = vecs.conj().T @ psi
     for _ in range(plan.r):
-        out = seg @ psi
-        norm = float(np.linalg.norm(out))
-        psi = out / norm
+        coords *= f
+        norm = float(np.linalg.norm(coords))
+        coords /= norm
         loss = abs(1.0 - norm)
         info.norm_loss_sum += loss
         info.norm_loss_max = max(info.norm_loss_max, loss)
-    return psi, info
+    return vecs @ coords, info
 
 
 # ---------------------------------------------------------------------------
-# register-level path
+# register-level reference
 
 
 def _householder_to(target: np.ndarray) -> np.ndarray:

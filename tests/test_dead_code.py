@@ -99,8 +99,15 @@ REFERENCES = {
         "per-label dense counts C_g; criterion 6 holds each label's rounding",
     "lcu.TermFamily._phase":
         "per-label dense phases; criterion 6 holds each label's rounding",
+    "lcu.taylor_block":
+        "dense U~ = p(H~), which criterion 7 holds to the register walk's "
+        "<0|W|0> and evolve's spectral segments are held to",
+    "lcu.oaa_block":
+        "dense amplified segment, the reference for evolve's spectral "
+        "segments and for tests/oracles.dense_taylor_entry",
     "lcu.RegisterSim":
-        "register-level walk that checks the dense-block path (criterion 7)",
+        "register-level walk that checks the dense-block reference "
+        "(criterion 7)",
     "lcu.RegisterSim.block_of_w":
         "<0|W|0> on the registers, compared with U~ / lambda",
     "lcu.RegisterSim.oaa_apply":

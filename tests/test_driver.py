@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cisim import cimatrix, determinants, driver, quadrature
+from cisim import cimatrix, determinants, driver, lcu, quadrature
 from cisim.cimatrix import (assemble_from_gammas, build_ci_matrix,
                             enumerate_gammas, gamma_census, gamma_entry,
                             labelled_terms, sparsity_d, term_value)
@@ -639,7 +639,7 @@ def test_pipeline_zeta_that_rounds_every_entry_to_zero():
 
 
 def test_pipeline_builds_rounded_dense_once(monkeypatch):
-    # run_pipeline and evolve's taylor_block share one dense scatter
+    # run_pipeline and evolve's eigh share one dense scatter
     calls = []
     scatter = TermFamily._scatter
 
@@ -775,8 +775,9 @@ def _record_decompositions(monkeypatch, pause=0.0):
 
 
 def test_pipeline_decomposes_h_tilde_once_and_no_double_cover(monkeypatch):
-    # one spectrum of H~ bounds the plan and gives the Taylor entry; no
-    # eigh or SVD runs on a 2 xi x 2 xi matrix of the double cover
+    # one eigh of H~ bounds the plan, gives the Taylor entry and runs the
+    # segments; no SVD runs on a 2 xi x 2 xi matrix of the double cover,
+    # and the only other decomposition there is the rounding norm
     rounded = TermFamily.rounded_dense
     seen = []
 
@@ -789,20 +790,20 @@ def test_pipeline_decomposes_h_tilde_once_and_no_double_cover(monkeypatch):
     with pytest.warns(NonOrthonormalBasisWarning):
         rep = run_pipeline(h2_config(), mode="exact")
     Htilde = seen[0]
-    assert [name for name, a in calls if a is Htilde] == ["eigvalsh"]
-    assert [name for name, a in calls if name != "eigvalsh"
-            and np.shape(a)[0] == 2 * rep.dims["xi"]] == []
+    assert [name for name, a in calls if a is Htilde] == ["eigh"]
+    assert [name for name, a in calls if a is not Htilde
+            and np.shape(a)[0] == 2 * rep.dims["xi"]] == ["eigvalsh"]
 
 
 def test_exact_pipeline_takes_no_quadrature_norm(monkeypatch):
     # exact mode's unrounded family is H2 itself, so its quadrature entry
     # is 0 by construction: the only 2 xi x 2 xi decompositions are the
-    # spectrum of H~ and the rounding norm
+    # eigh of H~ and the rounding norm
     calls = _record_decompositions(monkeypatch)
     with pytest.warns(NonOrthonormalBasisWarning):
         rep = run_pipeline(h2_config(), mode="exact")
     assert [name for name, a in calls
-            if np.shape(a)[0] == 2 * rep.dims["xi"]] == ["eigvalsh"] * 2
+            if np.shape(a)[0] == 2 * rep.dims["xi"]] == ["eigh", "eigvalsh"]
     assert rep.error_ledger["quadrature"] == 0.0
 
 
@@ -840,6 +841,21 @@ def test_spectral_taylor_entry_matches_the_dense_oracle(name, tmp_path):
     family = build_term_family(source, cfg.eta, zeta)
     assert rep.error_ledger["taylor"] == pytest.approx(
         dense_taylor_entry(family, cfg.time, eps_taylor), rel=1e-4)
+
+
+@pytest.mark.parametrize("name", ["h2", "riemann-h2"])
+def test_pipeline_builds_no_dense_segment_block(name, tmp_path, monkeypatch):
+    # evolve applies each segment in H~'s eigenbasis: the dense U~ and its
+    # amplified block are references that only the tests build
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline built a dense segment block")
+
+    monkeypatch.setattr(lcu, "taylor_block", refuse)
+    monkeypatch.setattr(lcu, "oaa_block", refuse)
+    make, mode = TAYLOR_PROBLEMS[name]
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rep = run_pipeline(make(tmp_path), mode=mode)
+    assert rep.dims["r"] >= 1
 
 
 @pytest.mark.parametrize("name", ["h2", "riemann-h2"])

@@ -548,6 +548,64 @@ def test_evolve_taylor_entry_matches_the_dense_oracle(make, seed):
     assert evolve(fam, psi, 0.0, 1e-3)[1].taylor == 0.0
 
 
+def _dense_block_evolve(fam, psi, t, eps):
+    """(state, summed and largest norm loss) of r renormalized applications
+    of the dense amplified segment, on the plan that evolve makes."""
+    plan = plan_segments(hermitian_norm(fam.rounded_dense()), t, eps,
+                         fam.meta)
+    seg = oaa_block(taylor_block(fam, plan), plan.lam)
+    losses = []
+    for _ in range(plan.r):
+        out = seg @ psi
+        norm = np.linalg.norm(out)
+        psi = out / norm
+        losses.append(abs(1.0 - norm))
+    return psi, sum(losses), max(losses)
+
+
+# (t, eps): every one has a fractional segment count on the families below
+SEGMENT_RUNS = [(0.3, 1e-2), (1.0, 1e-3), (2.5, 1e-5)]
+
+
+def _assert_spectral_segments_equal_dense(fam, psi):
+    for t, eps in SEGMENT_RUNS:
+        out, info = evolve(fam, psi, t, eps)
+        want, loss_sum, loss_max = _dense_block_evolve(fam, psi, t, eps)
+        assert np.max(np.abs(out - want)) <= 1e-12
+        assert abs(info.norm_loss_sum - loss_sum) <= 1e-12
+        assert abs(info.norm_loss_max - loss_max) <= 1e-12
+
+
+def _repeated_eigenvalue_family():
+    # one label on two disjoint pairs at equal values: H~ has eigenvalues
+    # +-0.5 twice each and 0 once
+    perm = np.array([1, 0, 3, 2, 4])
+    vals = np.array([[0.5], [0.5], [0.5], [0.5], [0.0]])
+    return TermFamily([perm], [vals], zeta=0.25)
+
+
+@pytest.mark.parametrize("make", [
+    generic_family, small_family, unequal_family,
+    lambda rng: _repeated_eigenvalue_family(),
+    lambda rng: generic_family(rng, zeta=100.0),
+], ids=["generic", "small", "unequal", "repeated", "all-zero"])
+def test_spectral_segments_equal_the_dense_block_segments(make):
+    rng = np.random.default_rng(34)
+    fam = make(rng)
+    psi = rng.normal(size=fam.dim) + 1j * rng.normal(size=fam.dim)
+    psi /= np.linalg.norm(psi)
+    _assert_spectral_segments_equal_dense(fam, psi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dense_families())
+def test_spectral_segments_equal_the_dense_block_on_dense_families(family):
+    perms, values, zeta = family
+    fam = TermFamily(perms, values, zeta)
+    psi = np.exp(1j * np.arange(fam.dim)) / np.sqrt(fam.dim)
+    _assert_spectral_segments_equal_dense(fam, psi)
+
+
 def test_register_steps_preserve_norm():
     rng = np.random.default_rng(23)
     fam = small_family(rng, dim=4, n_gamma=2, mu=2, cmax=1)
