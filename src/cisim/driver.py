@@ -122,6 +122,9 @@ def budget_errors(epsilon: float, t: float, n_gamma: int):
         raise BudgetInfeasible("epsilon, t and the term count must be positive")
     eps_taylor = epsilon / 3.0
     delta = zeta = epsilon / (3.0 * t * n_gamma)
+    if not (finite_number(delta) and delta > 0):
+        raise BudgetInfeasible(f"epsilon={epsilon}, time={t}, Gamma={n_gamma}"
+                               f": delta = zeta = {delta}, not finite and > 0")
     return delta, zeta, eps_taylor
 
 
@@ -224,7 +227,7 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     if mode not in ("exact", "riemann"):
         raise ValueError(f"unknown mode {mode!r}")
     xi = basis_size(config.norb, config.eta)
-    # evolution and the ledger are dense on the double cover, side 2 xi
+    # evolution is dense on the double cover, side 2 xi
     check_dense(2 * xi)
     timings: dict = {}
     t0 = time.perf_counter()
@@ -254,13 +257,14 @@ def run_pipeline(config: ProblemConfig, mode: str = "exact") -> RunReport:
     timings["evolution_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    H2 = doubled(H)
-    # exact mode has no discretization: its unrounded family is H2 itself,
-    # so its quadrature entry is 0 without a decomposition
-    unrounded = family.unrounded_dense() if mode == "riemann" else H2
-    rounding_err = (hermitian_norm(unrounded - family.rounded_dense())
-                    * config.time)
-    quadrature_err = (hermitian_norm(H2 - unrounded) * config.time
+    # every table row runs from side 0 to side 1, so H~, the unrounded
+    # family and sigma_x (x) H are each sigma_x (x) a Hermitian xi block,
+    # and each norm is taken on the blocks; exact mode has no
+    # discretization: its unrounded block is H, its quadrature entry 0
+    A = family.rounded_dense()[:xi, xi:]
+    unrounded = family.unrounded_dense()[:xi, xi:] if mode == "riemann" else H
+    rounding_err = hermitian_norm(unrounded - A) * config.time
+    quadrature_err = (hermitian_norm(H - unrounded) * config.time
                       if mode == "riemann" else 0.0)
     ledger = {
         "taylor": info.taylor,

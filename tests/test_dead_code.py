@@ -75,6 +75,9 @@ REFERENCES = {
         "every admissible label, listed; criterion 9 checks count_gamma on it",
     "cimatrix.label_key":
         "label order, which the family's integer sort of label keys must give",
+    "driver.doubled":
+        "sigma_x (x) H, the double cover that criterion 6 and the ledger "
+        "test hold the family to",
     "integrals.eri_chemist":
         "per-quartet ERI that IntegralTable's array kernels are held to",
     "integrals.kinetic":

@@ -32,7 +32,7 @@ from cisim.errors import (BudgetInfeasible, DeltaTooSmall, DimensionTooLarge,
                           InvalidConfig, InvalidCounts,
                           NonOrthonormalBasisWarning, PatternMismatch)
 from cisim.integrals import IntegralTable
-from cisim.lcu import TermFamily, segment_count
+from cisim.lcu import TermFamily, hermitian_norm, segment_count
 from cisim.quadrature import (RiemannTable, delta_for_grid, plan_quadrature,
                               riemann_S0, riemann_terms)
 from cisim.orbitals import derive_bounds
@@ -776,8 +776,8 @@ def _record_decompositions(monkeypatch, pause=0.0):
 
 def test_pipeline_decomposes_h_tilde_once_and_no_double_cover(monkeypatch):
     # one eigh of H~ bounds the plan, gives the Taylor entry and runs the
-    # segments; no SVD runs on a 2 xi x 2 xi matrix of the double cover,
-    # and the only other decomposition there is the rounding norm
+    # segments; no other decomposition runs on a 2 xi x 2 xi matrix of the
+    # double cover: the ledger takes its norms on the xi block
     rounded = TermFamily.rounded_dense
     seen = []
 
@@ -792,18 +792,18 @@ def test_pipeline_decomposes_h_tilde_once_and_no_double_cover(monkeypatch):
     Htilde = seen[0]
     assert [name for name, a in calls if a is Htilde] == ["eigh"]
     assert [name for name, a in calls if a is not Htilde
-            and np.shape(a)[0] == 2 * rep.dims["xi"]] == ["eigvalsh"]
+            and np.shape(a)[0] == 2 * rep.dims["xi"]] == []
 
 
 def test_exact_pipeline_takes_no_quadrature_norm(monkeypatch):
-    # exact mode's unrounded family is H2 itself, so its quadrature entry
-    # is 0 by construction: the only 2 xi x 2 xi decompositions are the
-    # eigh of H~ and the rounding norm
+    # exact mode's unrounded block is H itself, so its quadrature entry is
+    # 0 by construction: the only 2 xi x 2 xi decomposition is the eigh of
+    # H~, since the rounding norm is taken on the xi block
     calls = _record_decompositions(monkeypatch)
     with pytest.warns(NonOrthonormalBasisWarning):
         rep = run_pipeline(h2_config(), mode="exact")
     assert [name for name, a in calls
-            if np.shape(a)[0] == 2 * rep.dims["xi"]] == ["eigh", "eigvalsh"]
+            if np.shape(a)[0] == 2 * rep.dims["xi"]] == ["eigh"]
     assert rep.error_ledger["quadrature"] == 0.0
 
 
@@ -871,6 +871,72 @@ def test_a_real_hamiltonian_is_decomposed_in_real_arithmetic(
     dtypes = [np.asarray(a).dtype for fn, a in calls
               if fn in ("eigvalsh", "eigh")]
     assert len(dtypes) >= 3 and set(dtypes) == {np.dtype(np.float64)}
+
+
+def _pipeline_family(config, mode):
+    """(H, family) as run_pipeline builds them for ``config``."""
+    table = IntegralTable(config.orbitals, config.nuclei)
+    delta, zeta, _ = run_budget(config)
+    source = (RiemannTable(config.orbitals, config.nuclei, delta)
+              if mode == "riemann" else table)
+    return (build_ci_matrix(table, config.eta),
+            build_term_family(source, config.eta, zeta))
+
+
+BLOCK_PROBLEMS = {
+    "exact-4-2": (lambda: config_from_dict(_h_chain(2, 2)), "exact"),
+    "exact-8-2": (lambda: config_from_dict(_h_chain(4, 2)), "exact"),
+    "exact-8-4": (lambda: config_from_dict(_h_chain(4, 4)), "exact"),
+    "exact-10-4": (lambda: config_from_dict(_h_chain(5, 4)), "exact"),
+    "riemann-h2": (lambda: _h2_at(1.45, "riemann"), "riemann"),
+}
+
+
+@pytest.mark.parametrize("name", [*BLOCK_PROBLEMS, "complex"])
+def test_the_dense_family_is_sigma_x_times_a_hermitian_xi_block(name,
+                                                               h2_complex):
+    # every table row runs from side 0 to side 1, and a pair's values are
+    # exact conjugates: so the ledger takes its norms on the xi block
+    if name == "complex":
+        H, fam = None, build_term_family(h2_complex, 2, zeta=0.002)
+    else:
+        make, mode = BLOCK_PROBLEMS[name]
+        H, fam = _pipeline_family(make(), mode)
+    xi = fam.dim // 2
+    for dense in (fam.rounded_dense(), fam.unrounded_dense()):
+        A = dense[:xi, xi:]
+        assert not dense[:xi, :xi].any() and not dense[xi:, xi:].any()
+        assert np.array_equal(A, A.conj().T)
+        assert np.array_equal(dense[xi:, :xi], A)
+    # the complex table's H is Hermitian only to rounding
+    if H is not None:
+        assert np.array_equal(H, H.conj().T)
+
+
+@pytest.mark.parametrize("name", TAYLOR_PROBLEMS)
+def test_ledger_norms_equal_the_double_cover_norms(name, tmp_path,
+                                                   monkeypatch):
+    # each ledger norm, taken on the xi block, is the norm of sigma_x (x)
+    # that block, and the run's only decomposition on the double cover is
+    # the eigh of H~
+    make, mode = TAYLOR_PROBLEMS[name]
+    cfg = make(tmp_path)
+    calls = _record_decompositions(monkeypatch)
+    with pytest.warns(NonOrthonormalBasisWarning):
+        rep = run_pipeline(cfg, mode=mode)
+    cover = [(fn, a) for fn, a in calls
+             if np.shape(a)[0] == 2 * rep.dims["xi"]]
+    H, fam = _pipeline_family(cfg, mode)
+    assert [fn for fn, _ in cover] == ["eigh"]
+    assert np.array_equal(cover[0][1], fam.rounded_dense())
+    H2 = doubled(H)
+    unrounded = fam.unrounded_dense() if mode == "riemann" else H2
+    want = {"rounding": hermitian_norm(unrounded - fam.rounded_dense())}
+    if mode == "riemann":
+        want["quadrature"] = hermitian_norm(H2 - unrounded)
+    for key, norm in want.items():
+        assert rep.error_ledger[key] == pytest.approx(norm * cfg.time,
+                                                      rel=1e-12, abs=0)
 
 
 def test_pipeline_schema(h2_report):
@@ -1228,6 +1294,16 @@ def test_cli_error_is_one_line_and_exit_2(argv, error, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"cisim: {error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("t", ["1e-322", "5e-324", "1e308"])
+def test_cli_time_past_the_budget_split_is_budget_infeasible(t, capsys):
+    # epsilon / (3 t Gamma) overflows to inf, or underflows to 0: the error
+    # names the budget, not overrides the config does not have
+    assert cli_main(["report", "--config", H2_PATH, "--time", t]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cisim: BudgetInfeasible: ")
+    assert err.count("\n") == 1 and "overrides" not in err
 
 
 def test_riemann_delta_past_the_grid_cap_builds_no_ci_matrix(monkeypatch,
@@ -1640,8 +1716,8 @@ def test_pipeline_rejects_oversized_basis_before_ingest(monkeypatch):
         raise AssertionError("ingest ran for a basis past the dense cap")
 
     monkeypatch.setattr(driver, "ingest", no_ingest)
-    # (N, eta) = (14, 7): xi = 3432 > 2048; (13, 5): xi = 1287, but the
-    # ledger's dense oracle runs on the double cover, 2 xi = 2574 > 2048
+    # (N, eta) = (14, 7): xi = 3432 > 2048; (13, 5): xi = 1287, but
+    # evolve's eigh runs on the double cover, 2 xi = 2574 > 2048
     for norb, eta in [(14, 7), (13, 5)]:
         orbitals = [so((0, 0, 0.5 * k), 1.0) for k in range(norb)]
         cfg = ProblemConfig(nuclei=[(1.0, (0, 0, 0))], orbitals=orbitals,
